@@ -20,7 +20,6 @@ from .root_system import RootGeneratingSystem
 
 DEFAULT_HEIGHT = 20
 DEFAULT_DEPTH_CAP = 200
-DEFAULT_STEP_CAP = 10000
 
 
 def _emit(report: dict, fmt: str, text_lines=None, dot: str | None = None):
@@ -178,6 +177,8 @@ def cmd_mult(args):
     try:
         oracle = model.freudenthal_multiplicity(system, lam, mu)
         agree = oracle == count
+    except CrossCheckMismatch:
+        raise
     except HPLError:
         oracle = None
         agree = None
@@ -259,7 +260,10 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     env_h = os.environ.get("HPL_HEIGHT_BOUND")
-    default_h = int(env_h) if env_h else DEFAULT_HEIGHT
+    try:
+        default_h = int(env_h) if env_h else DEFAULT_HEIGHT
+    except ValueError as exc:
+        raise FormatError(f"HPL_HEIGHT_BOUND must be an integer, got {env_h!r}") from exc
     parser = argparse.ArgumentParser(prog="hpl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -267,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--system", required=False, help="system file (JSON)")
         p.add_argument("--h", type=int, default=default_h, help="root height bound")
         p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP, dest="depth_cap")
-        p.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP, dest="step_cap")
         p.add_argument("--format", choices=("json", "text", "dot"), default="text")
         if name in ("check-hecke", "check-ls", "stats", "apply-op", "gallery", "pattern"):
             p.add_argument("--path", help="path file (JSON)")
@@ -285,11 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.h <= 0 or args.depth_cap <= 0 or args.step_cap <= 0:
-        print("bounds must be positive", file=sys.stderr)
-        return 2
     try:
+        args = build_parser().parse_args(argv)
+        if args.h <= 0 or args.depth_cap <= 0:
+            print("bounds must be positive", file=sys.stderr)
+            return 2
         return COMMANDS[args.command](args)
     except CrossCheckMismatch as exc:
         print(f"internal error: {exc}", file=sys.stderr)

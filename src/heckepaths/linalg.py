@@ -50,10 +50,6 @@ def format_vector(v: Vec) -> list:
     return [format_rational(x) for x in v]
 
 
-def vec(*xs) -> Vec:
-    return tuple(Fraction(x) for x in xs)
-
-
 def zero_vec(n: int) -> Vec:
     return (Fraction(0),) * n
 
@@ -73,10 +69,6 @@ def vneg(u: Vec) -> Vec:
 def vscale(c, u: Vec) -> Vec:
     c = Fraction(c)
     return tuple(c * a for a in u)
-
-
-def vdot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
 def is_zero_vec(u: Vec) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
 
-from .errors import CapHit, FormatError, NotDominant, UnsupportedType
+from .errors import CapHit, CrossCheckMismatch, FormatError, NotDominant, UnsupportedType
 from .linalg import (
     Vec,
     format_vector,
@@ -175,7 +175,8 @@ class _DualData:
         self.imag_mult = 0
         if self.kind == "affine":
             ker = nullspace([[a[j][i] for j in range(n)] for i in range(n)])  # left kernel of A
-            assert len(ker) == 1
+            if len(ker) != 1:
+                raise CrossCheckMismatch(f"affine matrix has a {len(ker)}-dimensional left kernel")
             c = ker[0]
             if any(x < 0 for x in c):
                 c = tuple(-x for x in c)
@@ -279,9 +280,15 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
         denom = dual.pair(tuple(coords), vadd(lam, nu)) + 2 * sum(
             Fraction(c) * d for c, d in zip(coords, dual.dsym)
         )
-        assert denom > 0, "Freudenthal denominator must be positive below the highest weight"
+        if denom <= 0:
+            raise CrossCheckMismatch(
+                f"Freudenthal denominator {denom} at ({','.join(format_vector(nu))}) is not positive"
+            )
         value = 2 * total / denom
-        assert value.denominator == 1 and value >= 0
+        if value.denominator != 1 or value < 0:
+            raise CrossCheckMismatch(
+                f"Freudenthal multiplicity {value} at ({','.join(format_vector(nu))}) is not a natural number"
+            )
         cache[nu] = int(value)
         return cache[nu]
 

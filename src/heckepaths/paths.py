@@ -172,7 +172,8 @@ def from_segments(system: RootGeneratingSystem, start, segments, antidominant=Fa
             pieces[-1] = (pieces[-1][0] + c, w)
         else:
             pieces.append((c, w))
-    assert sum(p[0] for p in pieces) == 1
+    if sum(p[0] for p in pieces) != 1:
+        raise CrossCheckMismatch("segment fractions of the shape do not sum to 1")
     breakpoints = [ZERO]
     for c, _ in pieces:
         breakpoints.append(breakpoints[-1] + c)

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import (
+    CrossCheckMismatch,
     FormatError,
     HeightBoundTooSmall,
     NotDominant,
@@ -199,7 +200,17 @@ class RootGeneratingSystem:
         self.symmetrizer = self._solve_symmetrizer(self.gcm.entries)
         self.rho = self._solve_rho()
         self._refl = tuple(_reflection_matrix(gcm, i) for i in range(self.n))
+        # nonzero entries of alpha_i^v, and of row i of the Cartan matrix
+        self._coroot_support = tuple(
+            tuple((t, y) for t, y in enumerate(c) if y) for c in self.simple_coroots
+        )
+        self._cartan_support = tuple(
+            tuple((j, a) for j, a in enumerate(row) if a) for row in gcm.entries
+        )
         self._norm_cache = {}
+        self._act_cache = {}
+        self._unwind_cache = {}
+        self._covector_cache = {}
         self._roots_cache = []  # list of (height, RealRoot), sorted, grows monotonically
         self._roots_cache_bound = 0
         self._type_cache = None
@@ -304,10 +315,31 @@ class RootGeneratingSystem:
             return tuple(v)
         return tuple(x - c * y for x, y in zip(v, self.simple_coroots[i]))
 
+    def _with_pairings(self, v: Vec):
+        """v as a list of Fraction, and the list of its pairings alpha_j(v)."""
+        cur = [Fraction(x) for x in v]
+        return cur, [vdot_cov(r, cur) for r in self.simple_roots]
+
+    def _reflect_carrying(self, cur: list, pairs: list, i: int):
+        """r_i on cur in place, carrying its pairings along the Cartan matrix:
+        alpha_j(r_i v) = alpha_j(v) - alpha_i(v) a_ij, exact because
+        alpha_j(alpha_i^v) = a_ij holds in the realization."""
+        p = pairs[i]
+        for t, y in self._coroot_support[i]:
+            cur[t] -= p * y
+        for j, a in self._cartan_support[i]:
+            pairs[j] -= p * a
+
     def act(self, w: WeylElement, v: Vec) -> Vec:
-        for i in reversed(w.word):
-            v = self.simple_reflection(i, v)
-        return v
+        key = (w.word, tuple(v))
+        out = self._act_cache.get(key)
+        if out is None:
+            cur, pairs = self._with_pairings(v)
+            for i in reversed(w.word):
+                if pairs[i]:
+                    self._reflect_carrying(cur, pairs, i)
+            out = self._act_cache[key] = tuple(cur)
+        return out
 
     def root_covector(self, root: RealRoot) -> Vec:
         cov = [Fraction(0)] * self.rank_x
@@ -318,9 +350,10 @@ class RootGeneratingSystem:
         return tuple(cov)
 
     def root_eval(self, root: RealRoot, v: Vec) -> Fraction:
-        return sum(
-            (c * self.pairing(j, v) for j, c in enumerate(root.coeffs) if c), Fraction(0)
-        )
+        cov = self._covector_cache.get(root.coeffs)
+        if cov is None:
+            cov = self._covector_cache[root.coeffs] = self.root_covector(root)
+        return vdot_cov(cov, v)
 
     def coroot_vector(self, root: RealRoot) -> Vec:
         out = [Fraction(0)] * self.rank_x
@@ -481,33 +514,45 @@ class RootGeneratingSystem:
             return self.bruhat_leq(self.normalize_word((i,) + w.word), sw2)
         return self.bruhat_leq(w, sw2)
 
+    def _unwind(self, v: Vec, antidominant: bool, cap: int):
+        """Reflect at the least index whose pairing has the wrong sign until
+        none has; (v0, letters), or None if that takes cap reflections."""
+        cur, pairs = self._with_pairings(v)
+        letters = []
+        for _ in range(cap):
+            for i, p in enumerate(pairs):
+                if p > 0 if antidominant else p < 0:
+                    break
+            else:
+                return tuple(cur), tuple(letters)
+            letters.append(i)
+            self._reflect_carrying(cur, pairs, i)
+        return None
+
     def orbit_unwind(self, v: Vec, antidominant=False):
         """Write v = w(v0) with v0 (anti)dominant and w the minimal coset rep.
 
         Repeatedly reflects at the least index whose pairing has the wrong
         sign; the collected word is reduced and minimal in w W_{v0}.
         """
-        cur = tuple(Fraction(x) for x in v)
-        letters = []
-        for _ in range(_UNWIND_GUARD):
-            for i in range(self.n):
-                p = self.pairing(i, cur)
-                if (p < 0 and not antidominant) or (p > 0 and antidominant):
-                    letters.append(i)
-                    cur = self.simple_reflection(i, cur)
-                    break
-            else:
-                return cur, self.normalize_word(tuple(letters))
-        raise RuntimeError("orbit unwind did not terminate; vector outside the Tits cone?")
+        key = (tuple(v), antidominant)
+        out = self._unwind_cache.get(key)
+        if out is None:
+            done = self._unwind(v, antidominant, _UNWIND_GUARD)
+            if done is None:
+                raise RuntimeError("orbit unwind did not terminate; vector outside the Tits cone?")
+            out = self._unwind_cache[key] = (done[0], self.normalize_word(done[1]))
+        return out
 
     def min_coset_rep(self, w: WeylElement, lam: Vec) -> CosetRep:
         """Minimal-length element of w W_lambda, for dominant lambda."""
         if not self.is_dominant(lam):
             raise NotDominant("min_coset_rep needs a dominant weight")
-        xi = self.act(w, lam)
-        lam2, rep = self.orbit_unwind(xi)
-        assert lam2 == tuple(Fraction(x) for x in lam)
-        return CosetRep(rep, tuple(Fraction(x) for x in lam))
+        lam = tuple(Fraction(x) for x in lam)
+        lam2, rep = self.orbit_unwind(self.act(w, lam))
+        if lam2 != lam:
+            raise CrossCheckMismatch(f"unwinding {w!r}(lambda) gives {format_vector(lam2)}, not lambda")
+        return CosetRep(rep, lam)
 
     def coset_of_vector(self, xi: Vec, lam: Vec, antidominant=False) -> CosetRep:
         """The coset rep tau with tau(lambda) = xi, given xi in the orbit of lambda."""
@@ -515,9 +560,6 @@ class RootGeneratingSystem:
         if lam2 != tuple(Fraction(x) for x in lam):
             raise FormatError("vector is not in the Weyl orbit of the shape")
         return CosetRep(rep, lam2)
-
-    def coset_bruhat_leq(self, a: CosetRep, b: CosetRep) -> bool:
-        return self.bruhat_leq(a.element, b.element)
 
     # -- root enumeration ----------------------------------------------------
 
@@ -593,7 +635,8 @@ class RootGeneratingSystem:
         a = self.gcm.entries
         n = self.n
         ker = nullspace(a)
-        assert len(ker) == 1
+        if len(ker) != 1:
+            raise CrossCheckMismatch(f"null root needs a one-dimensional kernel, found {len(ker)}")
         c = ker[0]
         if any(x < 0 for x in c):
             c = tuple(-x for x in c)
@@ -624,17 +667,10 @@ class RootGeneratingSystem:
                     return ("in", IDENTITY)
                 return ("out", None)
             return ("out", None)
-        cur = v
-        letters = []
-        for _ in range(step_cap):
-            for i in range(self.n):
-                if self.pairing(i, cur) < 0:
-                    letters.append(i)
-                    cur = self.simple_reflection(i, cur)
-                    break
-            else:
-                return ("in", self.normalize_word(tuple(reversed(letters))))
-        return ("unknown", None)
+        done = self._unwind(v, False, step_cap)
+        if done is None:
+            return ("unknown", None)
+        return ("in", self.normalize_word(done[1][::-1]))
 
     # -- serialization -------------------------------------------------------
 
@@ -679,7 +715,8 @@ class RootGeneratingSystem:
 
 
 def vdot_cov(cov, v) -> Fraction:
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(cov, v, strict=True)), Fraction(0))
+    """cov(v) for a covector of Fractions; zero entries of cov are skipped."""
+    return sum((a * b for a, b in zip(cov, v, strict=True) if a), Fraction(0))
 
 
 def _det(rows):

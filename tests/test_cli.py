@@ -84,6 +84,17 @@ class TestMult:
         assert "oracle agreement: yes" in lines[1]
 
 
+    def test_twisted_dual_oracle_failure_is_internal_error(self, tmp_path, capsys):
+        # the Freudenthal oracle is wrong on this twisted affine matrix; the
+        # inconsistency it trips over must surface as an internal error
+        twisted = tmp_path / "twisted.json"
+        twisted.write_text(json.dumps({"cartan_matrix": [[2, -1, 0], [-1, 2, -1], [0, -3, 2]]}))
+        status, _, err = run(
+            capsys, "mult", "--system", str(twisted), "--lambda", "0,0,0,1", "--mu=-1,-2,-1,1"
+        )
+        assert status == 2 and "internal error" in err
+
+
 class TestReports:
     def test_undefined_operator_is_domain_no(self, files, capsys):
         status, out, err = run(
@@ -163,3 +174,8 @@ class TestEnvOverride:
 
         args = build_parser().parse_args(["validate", "--system", files["a1"]])
         assert args.h == 33
+
+    def test_height_env_not_an_integer(self, files, capsys, monkeypatch):
+        monkeypatch.setenv("HPL_HEIGHT_BOUND", "abc")
+        status, _, err = run(capsys, "validate", "--system", files["a1"])
+        assert status == 2 and "HPL_HEIGHT_BOUND" in err

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckepaths import NotGCM, RootGeneratingSystem, validate_gcm
+from heckepaths import NotGCM, RootGeneratingSystem, WeylElement, validate_gcm
 from heckepaths.errors import HeightBoundTooSmall, NotDominant
+from heckepaths.linalg import solve_linear
 
 from conftest import all_words, brute_force_bruhat, frac_vec, group_elements
 
@@ -280,3 +281,124 @@ class TestSymmetrizer:
 
     def test_smallest_integers(self, b2):
         assert b2.symmetrizer == (F(1), F(2))
+
+
+# -- the exact pairing kernel against from-scratch references ----------------------
+
+KERNEL_SYSTEMS = {
+    "A2": {"cartan_matrix": [[2, -1], [-1, 2]]},
+    "B2": {"cartan_matrix": [[2, -2], [-1, 2]]},
+    "A1aff": {"cartan_matrix": [[2, -2], [-2, 2]]},
+    "indefinite": {"cartan_matrix": [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]},
+    # B2 on explicit non-unit rational roots and coroots (one zero root entry)
+    "B2rational": {
+        "cartan_matrix": [[2, -2], [-1, 2]],
+        "simple_roots": [["6/7", "11/7"], ["0", "-2"]],
+        "simple_coroots": [["1/2", "1"], ["2/3", "-1"]],
+    },
+}
+SHARED = {name: RootGeneratingSystem.from_json_dict(data) for name, data in KERNEL_SYSTEMS.items()}
+
+
+def ref_pairing(system, i, v):
+    total = F(0)
+    for a, x in zip(system.simple_roots[i], v, strict=True):
+        total += F(a) * F(x)
+    return total
+
+
+def ref_reflect(system, i, v):
+    c = ref_pairing(system, i, v)
+    return tuple(F(x) - c * y for x, y in zip(v, system.simple_coroots[i]))
+
+
+def ref_act(system, word, v):
+    v = tuple(F(x) for x in v)
+    for i in reversed(word):
+        v = ref_reflect(system, i, v)
+    return v
+
+
+def ref_unwind(system, v, antidominant):
+    """Re-pair every coordinate after every reflection."""
+    cur = tuple(F(x) for x in v)
+    letters = []
+    while True:
+        for i in range(system.n):
+            p = ref_pairing(system, i, cur)
+            if (p > 0) if antidominant else (p < 0):
+                letters.append(i)
+                cur = ref_reflect(system, i, cur)
+                break
+        else:
+            return cur, tuple(letters)
+
+
+def point_with_pairings(system, pairs):
+    return solve_linear(system.simple_roots, pairs[: system.n])
+
+
+system_names = st.sampled_from(sorted(KERNEL_SYSTEMS))
+raw_words = st.lists(st.integers(0, 2), max_size=6)
+points = st.lists(st.fractions(-4, 4, max_denominator=5), min_size=3, max_size=3)
+dominant_pairings = st.lists(st.fractions(0, 4, max_denominator=3), min_size=3, max_size=3)
+
+
+class TestExactKernel:
+    @given(name=system_names, pairs=dominant_pairings, raw=raw_words, anti=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_orbit_unwind_matches_repairing_unwind(self, name, pairs, raw, anti):
+        system = SHARED[name]
+        v0 = point_with_pairings(system, pairs)
+        if anti:
+            v0 = tuple(-x for x in v0)
+        v = ref_act(system, [i % system.n for i in raw], v0)
+        got_v0, got_w = system.orbit_unwind(v, antidominant=anti)
+        ref_v0, letters = ref_unwind(system, v, anti)
+        assert got_v0 == ref_v0 == v0
+        assert got_w == system.normalize_word(letters)
+        assert ref_act(system, got_w.word, got_v0) == v
+        assert system.orbit_unwind(v, antidominant=anti) == (got_v0, got_w)
+
+    @given(name=system_names, v=points, k=st.integers(0, 1000), negate=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_root_eval_is_sum_of_simple_pairings(self, name, v, k, negate):
+        system = SHARED[name]
+        v = tuple(v[: system.rank_x])
+        roots = system.real_roots_up_to_height(4)
+        beta = roots[k % len(roots)]
+        if negate:
+            beta = beta.negated()
+        expect = sum((c * ref_pairing(system, j, v) for j, c in enumerate(beta.coeffs)), F(0))
+        assert system.root_eval(beta, v) == expect
+        assert system.root_eval(beta, v) == expect  # covector now cached
+
+    @given(
+        name=system_names,
+        ints=st.lists(st.integers(-4, 4), min_size=3, max_size=3),
+        raw=raw_words,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_act_first_call_and_cache_hit(self, name, ints, raw):
+        system = RootGeneratingSystem.from_json_dict(KERNEL_SYSTEMS[name])  # cold caches
+        v_int = tuple(ints[: system.rank_x])
+        v_frac = tuple(F(x) for x in v_int)
+        word = tuple(i % system.n for i in raw)
+        for w in (WeylElement(word), system.normalize_word(word)):
+            expect = ref_act(system, w.word, v_frac)
+            for v in (v_int, v_frac, v_int):  # first call, then cache hits
+                got = system.act(w, v)
+                assert got == expect
+                assert all(type(x) is F for x in got)
+
+    @given(pairs=dominant_pairings, raw=raw_words)
+    @settings(max_examples=40, deadline=None)
+    def test_indefinite_tits_cone_witness(self, pairs, raw):
+        system = SHARED["indefinite"]
+        v = ref_act(system, raw, point_with_pairings(system, pairs))
+        status, w = system.tits_cone_membership(v)
+        assert status == "in"
+        assert all(ref_pairing(system, i, ref_act(system, w.word, v)) >= 0 for i in range(3))
+        _, letters = ref_unwind(system, v, False)
+        if letters:
+            assert system.tits_cone_membership(v, step_cap=len(letters) - 1) == ("unknown", None)

@@ -1,0 +1,17 @@
+"""Checks on the library source itself."""
+
+import ast
+from pathlib import Path
+
+import heckepaths
+
+SRC = Path(heckepaths.__file__).resolve().parent
+
+
+def test_no_assert_statements():
+    # asserts vanish under python -O; internal checks raise CrossCheckMismatch
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        found += [f"{module.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the library: {found}"
