@@ -3,13 +3,16 @@
 A wall is the zero locus of alpha(.) + k for a positive real root alpha and an
 integer level k; the reflection in it is r_alpha followed by the translation
 by -k alpha^v.  Levels are always integers: the "ghost" walls of the
-unrestricted structure never become Wall values.
+unrestricted structure never become Wall values.  A linear piece along which
+alpha runs from u0 to u1 meets the alpha-walls at the levels of
+levels_crossed(u0, u1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 
 from .linalg import Vec
 from .root_system import RealRoot, RootGeneratingSystem
@@ -81,3 +84,16 @@ def walls_through(system: RootGeneratingSystem, x: Vec, h: int):
         if val.denominator == 1:
             out.append(Wall(root, -int(val)))
     return out
+
+
+def levels_crossed(u0, u1) -> range:
+    """The integers met going from u0 (included) towards u1 (excluded), in order.
+
+    >>> list(levels_crossed(Fraction(1, 2), 3))
+    [1, 2]
+    >>> list(levels_crossed(2, Fraction(-1, 2)))
+    [2, 1, 0]
+    """
+    if u0 <= u1:
+        return range(ceil(u0), ceil(u1))
+    return range(floor(u0), floor(u1), -1)

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
 
-from .errors import FoldNotApplicable, FormatError, NotHecke
-from .linalg import Vec, format_rational, format_vector, vadd, vscale
-from .paths import LambdaPath, all_chains, ddim_events, eval_path, is_hecke
+from .errors import CrossCheckMismatch, FoldNotApplicable, FormatError, NotHecke
+from .linalg import Vec, format_rational, format_vector
+from .paths import LambdaPath, _falling_wall_events, all_chains, ddim_events, eval_path, is_hecke
 from .root_system import RealRoot, RootGeneratingSystem, WeylElement
 
 
@@ -270,30 +269,7 @@ def codim_tilde(decorated: DecoratedHeckePath, h: int = 20) -> int:
 
 def _codim_interior_events(path: LambdaPath, h: int):
     """Times 0 < t < 1 with walls left negatively, grouped as (t, [roots])."""
-    sys_ = path.system
-    events = {}
-    cur = tuple(path.start)
-    for t0, t1, der in path.segments():
-        nxt = vadd(cur, vscale(t1 - t0, der))
-        invs = sys_.inversion_set(
-            sys_.coset_of_vector(der, path.shape, antidominant=not path.shape_is_dominant).element
-        )
-        sys_.check_height(invs, h)
-        for beta in invs:
-            slope = sys_.root_eval(beta, der)
-            if slope >= 0:
-                continue
-            u0 = sys_.root_eval(beta, cur)
-            m = floor(u0)
-            while True:
-                t = t0 + (Fraction(m) - u0) / slope  # time with beta-value m, in [t0, t1)
-                if t >= t1:
-                    break
-                if 0 < t < 1:
-                    events.setdefault(t, []).append(beta)
-                m -= 1
-        cur = nxt
-    return sorted(events.items())
+    return [(t, roots) for t, roots in _falling_wall_events(path, h, at_end=False) if t > 0]
 
 
 # -- parameter patterns ----------------------------------------------------------
@@ -360,8 +336,8 @@ def parameter_pattern(path: LambdaPath, h: int = 20) -> ParameterPattern:
                 factors.append("kappa*" if step in fold_steps else "kappa")
                 count += 1
         groups.append((t, count))
-        if count != len(roots):  # pragma: no cover - internal consistency
-            raise RuntimeError(
+        if count != len(roots):
+            raise CrossCheckMismatch(
                 f"pattern factor count {count} != relative length {len(roots)} at t={t}"
             )
     return ParameterPattern(len(factors), tuple(factors), tuple(groups))

@@ -79,32 +79,50 @@ def is_integral_vec(u: Vec) -> bool:
     return all(Fraction(a).denominator == 1 for a in u)
 
 
+def row_reduce(rows):
+    """Exact reduced row echelon form of a matrix given as an iterable of rows.
+
+    Returns (reduced rows, pivot columns, determinant); the determinant is 0
+    unless the matrix is square and invertible.
+
+    >>> reduced, pivots, det = row_reduce([(0, 2), (1, 3)])
+    >>> reduced == [[1, 0], [0, 1]], pivots, det
+    (True, [0, 1], Fraction(-2, 1))
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    det = Fraction(1)
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(m):
+            break
+        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            det = -det
+        pv = m[row][col]
+        det *= pv
+        m[row] = [x / pv for x in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+    if not len(pivots) == len(m) == ncols:
+        det = Fraction(0)
+    return m, pivots, det
+
+
 def mat_rank(rows) -> int:
     """Rank of a matrix given as an iterable of rows.
 
     >>> mat_rank([(2, -2), (-2, 2)])
     1
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank += 1
-        if row == len(m):
-            break
-    return rank
+    return len(row_reduce(rows)[1])
 
 
 def solve_linear(rows, rhs):
@@ -115,29 +133,10 @@ def solve_linear(rows, rhs):
     >>> solve_linear([(1, 1), (0, 1)], (3, 1))
     (Fraction(2, 1), Fraction(1, 1))
     """
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)]
-    nrows = len(m)
-    ncols = len(m[0]) - 1 if m else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
-    for r in range(row, nrows):
-        if m[r][ncols] != 0:
-            return None
+    ncols = len(rows[0]) if rows else 0
+    m, pivots, _ = row_reduce([*row, b] for row, b in zip(rows, rhs, strict=True))
+    if ncols in pivots:  # a row reads 0 = 1
+        return None
     x = [Fraction(0)] * ncols
     for r, col in enumerate(pivots):
         x[col] = m[r][ncols]
@@ -150,29 +149,12 @@ def nullspace(rows):
     >>> nullspace([(2, -2), (-2, 2)])
     [(Fraction(1, 1), Fraction(1, 1))]
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    nrows = len(m)
+    m, pivots, _ = row_reduce(rows)
     ncols = len(m[0]) if m else 0
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        m[row] = [x / pv for x in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == nrows:
-            break
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for r, col in enumerate(pivots):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
 
+from .apartment import levels_crossed
 from .errors import CapHit, CrossCheckMismatch, FormatError, NotDominant, UnsupportedType
 from .linalg import (
     Vec,
@@ -374,15 +374,9 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
             if slope == 0:
                 continue
             u0 = system.root_eval(beta, x)
-            k = 1
-            while True:
-                # walls met strictly inside (t, 1)
-                target = Fraction(floor(u0) + k) if slope > 0 else Fraction(ceil(u0) - k)
-                ta = t + (target - u0) / slope
-                if not t < ta < 1:
-                    break
-                times.add(ta)
-                k += 1
+            for m in levels_crossed(u0, u0 + slope * (ONE - t)):
+                if m != u0:  # walls met strictly inside (t, 1)
+                    times.add(t + (m - u0) / slope)
         for ta in sorted(times):
             z = vadd(x, vscale(ta - t, xi))
             for xi_new, cert in sorted(

@@ -17,8 +17,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil
 
+from .apartment import levels_crossed
 from .errors import (
     CrossCheckMismatch,
     FormatError,
@@ -325,40 +326,55 @@ def _chain_candidates(system, shape, x, rep, kind, a_j, h):
     return out, blocked
 
 
+def _chain_walk(system, shape, x, xi_from, kind, a_j, h, xi_to=None, blocked=None):
+    """Depth-first walk over the chains from xi_from at the point x, in a fixed order.
+
+    With a target, yields every chain ending at xi_to and cuts a branch once
+    its coset is no longer than the target's: coset lengths fall strictly
+    along a chain, so no chain is lost.  Without one, yields one chain per
+    reachable vector, the first found, and expands each vector once.
+    blocked, if given, collects the conditions that removed first-step roots.
+    """
+    xi_from = tuple(Fraction(v) for v in xi_from)
+    start = system.coset_of_vector(xi_from, shape).element
+    t = Fraction(a_j if a_j is not None else 0)
+    if xi_to is not None:
+        xi_to = tuple(Fraction(v) for v in xi_to)
+        target_length = system.coset_of_vector(xi_to, shape).element.length
+    seen = set()
+
+    def walk(rep, roots, xis, cosets):
+        if xi_to is not None:
+            if xis[-1] == xi_to:
+                yield ChainCertificate(t, kind, roots, xis, cosets)
+                return
+            if rep.length <= target_length:
+                return
+        cands, why = _chain_candidates(system, shape, x, rep, kind, a_j, h)
+        if blocked is not None and not roots:
+            blocked.update(why)
+        for beta, xi_new, new_rep in cands:
+            if xi_to is None and xi_new in seen:
+                continue
+            chain = (roots + (beta,), xis + (xi_new,), cosets + (new_rep,))
+            if xi_to is None:
+                seen.add(xi_new)
+                yield ChainCertificate(t, kind, *chain)
+            yield from walk(new_rep, *chain)
+
+    return walk(start, (), (xi_from,), (start,))
+
+
 def _chain_search(system, shape, x, xi_from, xi_to, kind, a_j, h):
-    """Depth-first search for one chain from xi_from to xi_to at the point x.
+    """The first chain from xi_from to xi_to at the point x.
 
     Returns (certificate | None, failing_condition | None).
     """
-    xi_from = tuple(Fraction(v) for v in xi_from)
-    xi_to = tuple(Fraction(v) for v in xi_to)
-    start = system.coset_of_vector(xi_from, shape).element
-    target_rep = system.coset_of_vector(xi_to, shape).element
-    first_block = set()
-
-    def dfs(rep, xi, roots, xis, cosets):
-        if xi == xi_to:
-            return ChainCertificate(Fraction(a_j if a_j is not None else 0), kind, tuple(roots), tuple(xis), tuple(cosets))
-        if rep.length <= target_rep.length:
-            return None
-        cands, blocked = _chain_candidates(system, shape, x, rep, kind, a_j, h)
-        if not roots:
-            first_block.update(blocked)
-        for beta, xi_new, new_rep in cands:
-            found = dfs(new_rep, xi_new, roots + [beta], xis + [xi_new], cosets + [new_rep])
-            if found is not None:
-                return found
-        return None
-
-    cert = dfs(start, xi_from, [], [xi_from], [start])
+    blocked = set()
+    cert = next(_chain_walk(system, shape, x, xi_from, kind, a_j, h, xi_to, blocked), None)
     if cert is not None:
         return cert, None
-    if "vii" in first_block and kind == "hecke":
-        return None, "vii"
-    for cond in ("ii", "iii", "vii"):
-        if cond in first_block:
-            return None, cond
-    return None, "vi"
+    return None, next((cond for cond in ("ii", "iii", "vii") if cond in blocked), "vi")
 
 
 def chain_targets(system, shape, x, xi_from, h):
@@ -367,42 +383,12 @@ def chain_targets(system, shape, x, xi_from, h):
     Maps the reached vector to one witnessing certificate (prefixes of valid
     chains are valid chains, so this is a plain reachability closure).
     """
-    xi_from = tuple(Fraction(v) for v in xi_from)
-    start = system.coset_of_vector(xi_from, shape).element
-    found = {}
-
-    def dfs(rep, xi, roots, xis, cosets):
-        for beta, xi_new, new_rep in _chain_candidates(system, shape, x, rep, "hecke", None, h)[0]:
-            if xi_new not in found:
-                found[xi_new] = ChainCertificate(
-                    ZERO, "hecke", tuple(roots + [beta]), tuple(xis + [xi_new]), tuple(cosets + [new_rep])
-                )
-                dfs(new_rep, xi_new, roots + [beta], xis + [xi_new], cosets + [new_rep])
-
-    dfs(start, xi_from, [], [xi_from], [start])
-    return found
+    return {c.xis[-1]: c for c in _chain_walk(system, shape, x, xi_from, "hecke", None, h)}
 
 
 def all_chains(system, shape, x, xi_from, xi_to, h, kind="hecke", a_j=None):
     """All chains from xi_from to xi_to; used to pick maximal-length ones."""
-    xi_from = tuple(Fraction(v) for v in xi_from)
-    xi_to = tuple(Fraction(v) for v in xi_to)
-    start = system.coset_of_vector(xi_from, shape).element
-    out = []
-
-    def dfs(rep, xi, roots, xis, cosets):
-        if xi == xi_to:
-            out.append(
-                ChainCertificate(
-                    Fraction(a_j if a_j is not None else 0), kind, tuple(roots), tuple(xis), tuple(cosets)
-                )
-            )
-            # chains may not continue after reaching the target (tau_j != tau_{j+1} later)
-        for beta, xi_new, new_rep in _chain_candidates(system, shape, x, rep, kind, a_j, h)[0]:
-            dfs(new_rep, xi_new, roots + [beta], xis + [xi_new], cosets + [new_rep])
-
-    dfs(start, xi_from, [], [xi_from], [start])
-    return out
+    return list(_chain_walk(system, shape, x, xi_from, kind, a_j, h, xi_to))
 
 
 def find_chain(system, xi_from, xi_to, at_x, shape, kind="hecke", a_j=None, h=20):
@@ -492,19 +478,6 @@ class PathStats:
     neg_reverse: dict
 
 
-def _count_cross(u0, u1, kind):
-    """Integer levels met on a segment, under four half-open time windows."""
-    if kind == "pos":  # increasing, t in [t0, t1): values [u0, u1)
-        return ceil(u1) - ceil(u0)
-    if kind == "neg":  # decreasing, t in [t0, t1): values (u1, u0]
-        return floor(u0) - floor(u1)
-    if kind == "pos_rev":  # decreasing, t in (t0, t1]: values [u1, u0)
-        return ceil(u0) - ceil(u1)
-    if kind == "neg_rev":  # increasing, t in (t0, t1]: values (u0, u1]
-        return floor(u1) - floor(u0)
-    raise ValueError(kind)
-
-
 def stats(path: LambdaPath, h: int = 20) -> PathStats:
     """Dual dimension, codimension and per-root wall tallies.
 
@@ -523,19 +496,17 @@ def stats(path: LambdaPath, h: int = 20) -> PathStats:
     pos, neg, pos_rev, neg_rev = {}, {}, {}, {}
     cur = tuple(path.start)
     for t0, t1, der in path.segments():
-        nxt = vadd(cur, vscale(t1 - t0, der))
         for beta in candidates:
             slope = sys_.root_eval(beta, der)
             if slope == 0:
                 continue
-            u0, u1 = sys_.root_eval(beta, cur), sys_.root_eval(beta, nxt)
-            if slope > 0:
-                pos[beta] = pos.get(beta, 0) + _count_cross(u0, u1, "pos")
-                neg_rev[beta] = neg_rev.get(beta, 0) + _count_cross(u0, u1, "neg_rev")
-            else:
-                neg[beta] = neg.get(beta, 0) + _count_cross(u0, u1, "neg")
-                pos_rev[beta] = pos_rev.get(beta, 0) + _count_cross(u0, u1, "pos_rev")
-        cur = nxt
+            u0 = sys_.root_eval(beta, cur)
+            u1 = u0 + slope * (t1 - t0)
+            # walls met over t in [t0, t1) forwards and over (t0, t1] backwards
+            forward, backward = (pos, neg_rev) if slope > 0 else (neg, pos_rev)
+            forward[beta] = forward.get(beta, 0) + len(levels_crossed(u0, u1))
+            backward[beta] = backward.get(beta, 0) + len(levels_crossed(u1, u0))
+        cur = vadd(cur, vscale(t1 - t0, der))
     ddim = sum(pos_rev.values())
     codim = sum(neg.values())
     dim = None
@@ -544,11 +515,12 @@ def stats(path: LambdaPath, h: int = 20) -> PathStats:
         cur = tuple(path.start)
         all_roots = _all_positive_roots(sys_)
         for t0, t1, der in path.segments():
-            nxt = vadd(cur, vscale(t1 - t0, der))
             for beta in all_roots:
-                if sys_.root_eval(beta, der) > 0:
-                    dim += _count_cross(sys_.root_eval(beta, cur), sys_.root_eval(beta, nxt), "pos")
-            cur = nxt
+                slope = sys_.root_eval(beta, der)
+                if slope > 0:
+                    u0 = sys_.root_eval(beta, cur)
+                    dim += len(levels_crossed(u0, u0 + slope * (t1 - t0)))
+            cur = vadd(cur, vscale(t1 - t0, der))
     return PathStats(ddim, codim, dim, pos, neg, pos_rev, neg_rev)
 
 
@@ -564,17 +536,15 @@ def _all_positive_roots(system: RootGeneratingSystem):
         roots, h = more, h + 1
 
 
-def ddim_events(path: LambdaPath, h: int = 20):
-    """Times t > 0 where walls are reached from above: list of (t, [roots]).
-
-    Groups the ddim count by time; the roots at time t are exactly the true
-    walls counted by the relative length of the incoming direction there.
-    """
+def _falling_wall_events(path: LambdaPath, h: int, at_end: bool):
+    """Times where an inversion root of a piece direction falls through an
+    integer level, grouped as sorted (t, [roots]).  A piece [t0, t1] counts
+    the crossings at t1 but not at t0 when at_end, and the other way round
+    otherwise."""
     sys_ = path.system
     events = {}
     cur = tuple(path.start)
     for t0, t1, der in path.segments():
-        nxt = vadd(cur, vscale(t1 - t0, der))
         invs = sys_.inversion_set(
             sys_.coset_of_vector(der, path.shape, antidominant=not path.shape_is_dominant).element
         )
@@ -584,14 +554,20 @@ def ddim_events(path: LambdaPath, h: int = 20):
             if slope >= 0:
                 continue
             u0 = sys_.root_eval(beta, cur)
-            u1 = sys_.root_eval(beta, nxt)
-            m = ceil(u1)
-            while m < u0:  # values in [u1, u0) hit at times in (t0, t1]
-                t = t0 + (Fraction(m) - u0) / slope
-                events.setdefault(t, []).append(beta)
-                m += 1
-        cur = nxt
+            u1 = u0 + slope * (t1 - t0)
+            for m in levels_crossed(u1, u0) if at_end else levels_crossed(u0, u1):
+                events.setdefault(t0 + (m - u0) / slope, []).append(beta)
+        cur = vadd(cur, vscale(t1 - t0, der))
     return sorted(events.items())
+
+
+def ddim_events(path: LambdaPath, h: int = 20):
+    """Times t > 0 where walls are reached from above: list of (t, [roots]).
+
+    Groups the ddim count by time; the roots at time t are exactly the true
+    walls counted by the relative length of the incoming direction there.
+    """
+    return _falling_wall_events(path, h, at_end=True)
 
 
 # -- root operators ------------------------------------------------------------

@@ -33,6 +33,7 @@ from .linalg import (
     mat_rank,
     nullspace,
     parse_vector,
+    row_reduce,
     scale_to_primitive_integers,
     solve_linear,
     vsub,
@@ -611,17 +612,11 @@ class RootGeneratingSystem:
         a = self.gcm.entries
         n = self.n
         sym = [[self.symmetrizer[i] * a[i][j] for j in range(n)] for i in range(n)]
-        posdef = True
-        for k in range(1, n + 1):
-            minor = [row[:k] for row in sym[:k]]
-            if _det(minor) <= 0:
-                posdef = False
-                break
-        if posdef:
+        # Sylvester: positive definite iff every leading principal minor is positive
+        if all(row_reduce([row[:k] for row in sym[:k]])[2] > 0 for k in range(1, n + 1)):
             self._type_cache = "finite"
             return "finite"
-        cols = [tuple(a[i][j] for i in range(n)) for j in range(n)]
-        ker = nullspace(list(zip(*cols)))  # right kernel of A
+        ker = nullspace(a)  # right kernel of A
         if len(ker) == 1:
             c = ker[0]
             if all(x > 0 for x in c) or all(x < 0 for x in c):
@@ -717,26 +712,6 @@ class RootGeneratingSystem:
 def vdot_cov(cov, v) -> Fraction:
     """cov(v) for a covector of Fractions; zero entries of cov are skipped."""
     return sum((a * b for a, b in zip(cov, v, strict=True) if a), Fraction(0))
-
-
-def _det(rows):
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return det
 
 
 def dominance_difference(system: RootGeneratingSystem, lam: Vec, mu: Vec):

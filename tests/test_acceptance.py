@@ -12,6 +12,7 @@ from fractions import Fraction as F
 import pytest
 
 from heckepaths import RootGeneratingSystem
+from heckepaths.apartment import levels_crossed
 from heckepaths.galleries import (
     codim_tilde,
     decorate_with_max_chains,
@@ -120,16 +121,9 @@ def random_hecke_paths(system, shapes, count, seed, h=20):
                 if slope == 0:
                     continue
                 u0 = system.root_eval(beta, x)
-                k = 1
-                while True:
-                    from math import ceil, floor
-
-                    target = F(floor(u0) + k) if slope > 0 else F(ceil(u0) - k)
-                    ta = t + (target - u0) / slope
-                    if not t < ta < 1:
-                        break
-                    times.add(ta)
-                    k += 1
+                for m in levels_crossed(u0, u0 + slope * (1 - t)):
+                    if m != u0:  # walls met strictly inside (t, 1)
+                        times.add(t + (m - u0) / slope)
             if not times or rng.random() < 0.45:
                 segs.append((F(1) - t, xi))
                 break

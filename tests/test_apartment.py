@@ -1,11 +1,15 @@
 from fractions import Fraction as F
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
 from heckepaths.apartment import (
     AffineReflection,
     HalfApartment,
     Wall,
     affine_reflect,
     is_special,
+    levels_crossed,
     wall_eval,
     walls_through,
 )
@@ -109,3 +113,30 @@ class TestHalfApartment:
         d = HalfApartment(alpha(a1), 1, closed=False)
         assert not d.contains(a1, (F(-1, 2),))
         assert d.contains(a1, (F(0),))
+
+
+def scan_levels(u0, u1):
+    """Integers from u0 (included) towards u1 (excluded), by scanning a window."""
+    lo, hi = int(min(u0, u1)) - 2, int(max(u0, u1)) + 2
+    if u0 <= u1:
+        return [m for m in range(lo, hi) if u0 <= m < u1]
+    return [m for m in range(hi, lo, -1) if u1 < m <= u0]
+
+
+endpoints = st.one_of(
+    st.integers(-5, 5).map(F), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+)
+
+
+class TestLevelsCrossed:
+    @given(endpoints, endpoints)
+    @example(F(1, 2), F(7, 2))  # increasing
+    @example(F(7, 2), F(1, 2))  # decreasing
+    @example(F(2), F(-1))  # integral, decreasing
+    @example(F(-1), F(2))  # integral, increasing
+    @example(F(3, 2), F(3, 2))  # equal
+    @example(F(2), F(2))  # equal and integral
+    def test_matches_scan(self, u0, u1):
+        levels = levels_crossed(u0, u1)
+        assert isinstance(levels, range)
+        assert list(levels) == scan_levels(u0, u1)

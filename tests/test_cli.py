@@ -68,6 +68,22 @@ class TestStatuses:
         status, _, err = run(capsys, "check-ls", "--system", files["a1"], "--path", files["broken"])
         assert status == 2 and "error" in err
 
+    def test_pattern_factor_mismatch_is_internal_error(self, files, capsys, monkeypatch):
+        # parameter_pattern checks its factor count against the ddim events;
+        # an event that loses a root must surface as an internal error
+        from heckepaths import galleries
+
+        ddim_events = galleries.ddim_events
+
+        def drop_one_root(path, h=20):
+            events = ddim_events(path, h)
+            t, roots = events[0]
+            return [(t, roots[1:])] + events[1:]
+
+        monkeypatch.setattr(galleries, "ddim_events", drop_one_root)
+        status, _, err = run(capsys, "pattern", "--system", files["a1"], "--path", files["fold"])
+        assert status == 2 and "internal error" in err
+
     def test_bad_bounds(self, files, capsys):
         status, _, err = run(capsys, "validate", "--system", files["a1"], "--h", "0")
         assert status == 2

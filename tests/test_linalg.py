@@ -1,0 +1,110 @@
+"""Property tests of the exact row reduction against from-scratch references."""
+
+from fractions import Fraction as F
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heckepaths.linalg import mat_rank, nullspace, row_reduce, solve_linear
+
+# zeros and integers are drawn often, so singular and rank-deficient matrices come up
+entries = st.one_of(
+    st.just(F(0)),
+    st.integers(-2, 2).map(F),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+def matrices(min_size=1, max_size=4):
+    return st.integers(min_size, max_size).flatmap(
+        lambda rows: st.integers(min_size, max_size).flatmap(
+            lambda cols: st.lists(
+                st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+            )
+        )
+    )
+
+
+square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+def cofactor_det(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return F(1)
+    return sum(
+        (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def rank_by_minors(m):
+    """The largest k with a nonzero k x k minor."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in combinations(range(len(m)), k):
+            for cols in combinations(range(len(m[0])), k):
+                if cofactor_det([[m[r][c] for c in cols] for r in rows]):
+                    return k
+    return 0
+
+
+def apply(m, x):
+    return tuple(sum((a * b for a, b in zip(row, x)), F(0)) for row in m)
+
+
+class TestRowReduce:
+    @settings(max_examples=80, deadline=None)
+    @given(square_matrices)
+    def test_determinant_matches_cofactor_expansion(self, m):
+        assert row_reduce(m)[2] == cofactor_det(m)
+
+    @settings(max_examples=50, deadline=None)
+    @given(matrices())
+    def test_reduced_echelon_form(self, m):
+        reduced, pivots, _ = row_reduce(m)
+        assert len(pivots) == rank_by_minors(m) == mat_rank(m)
+        assert pivots == sorted(pivots)
+        for r, col in enumerate(pivots):
+            assert [row[col] for row in reduced] == [F(int(k == r)) for k in range(len(m))]
+            assert all(x == 0 for x in reduced[r][:col])
+        assert all(x == 0 for row in reduced[len(pivots):] for x in row)
+
+    def test_non_square_determinant_is_zero(self):
+        assert row_reduce([(1, 0, 0), (0, 1, 0)])[2] == 0
+
+
+class TestSolveLinear:
+    @settings(max_examples=50, deadline=None)
+    @given(matrices(), st.data())
+    def test_solution_satisfies_the_system(self, m, data):
+        x0 = data.draw(st.lists(entries, min_size=len(m[0]), max_size=len(m[0])))
+        b = apply(m, x0)
+        x = solve_linear(m, b)
+        assert x is not None and apply(m, x) == b
+
+    @settings(max_examples=50, deadline=None)
+    @given(matrices(), st.data())
+    def test_any_rhs(self, m, data):
+        b = tuple(data.draw(st.lists(entries, min_size=len(m), max_size=len(m))))
+        x = solve_linear(m, b)
+        augmented = [list(row) + [c] for row, c in zip(m, b)]
+        if x is None:
+            assert rank_by_minors(augmented) > rank_by_minors(m)
+        else:
+            assert apply(m, x) == b
+
+
+class TestNullspace:
+    @settings(max_examples=50, deadline=None)
+    @given(matrices())
+    def test_basis_of_the_kernel(self, m):
+        basis = nullspace(m)
+        assert len(basis) == len(m[0]) - rank_by_minors(m)
+        for v in basis:
+            assert all(x == 0 for x in apply(m, v))
+        if basis:
+            assert rank_by_minors(basis) == len(basis)

@@ -1,6 +1,9 @@
 """Checks on the library source itself."""
 
 import ast
+import doctest
+import importlib
+import pkgutil
 from pathlib import Path
 
 import heckepaths
@@ -15,3 +18,12 @@ def test_no_assert_statements():
         tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
         found += [f"{module.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the library: {found}"
+
+
+def test_doctests():
+    modules = [heckepaths] + [
+        importlib.import_module(f"heckepaths.{info.name}") for info in pkgutil.iter_modules(heckepaths.__path__)
+    ]
+    results = {module.__name__: doctest.testmod(module) for module in modules}
+    assert sum(r.attempted for r in results.values()) > 0
+    assert {name: r.failed for name, r in results.items() if r.failed} == {}
