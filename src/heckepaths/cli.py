@@ -162,7 +162,7 @@ def cmd_apply_op(args):
 def cmd_crystal(args):
     system = _load_system(args)
     lam = _parse_point(args.lam, system)
-    graph = model.generate_ls_paths(system, lam, args.depth_cap, args.h)
+    graph = model.generate_ls_paths(system, lam, args.depth_cap)
     report = graph.to_json_dict()
     lines = [f"nodes={len(graph.nodes)} edges={len(graph.edges)} partial={graph.partial}"]
     _emit(report, args.format, lines, dot=graph.to_dot())
@@ -173,7 +173,7 @@ def cmd_mult(args):
     system = _load_system(args)
     lam = _parse_point(args.lam, system)
     mu = _parse_point(args.mu, system)
-    count = model.multiplicity(system, lam, mu, args.depth_cap, args.h)
+    count = model.multiplicity(system, lam, mu, args.depth_cap)
     try:
         oracle = model.freudenthal_multiplicity(system, lam, mu)
         agree = oracle == count

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import CrossCheckMismatch, FoldNotApplicable, FormatError, NotHecke
 from .linalg import Vec, format_rational, format_vector
-from .paths import LambdaPath, _falling_wall_events, all_chains, ddim_events, eval_path, is_hecke
+from .paths import LambdaPath, _breakpoint_chains, _falling_wall_events, ddim_events, eval_path, is_hecke
 from .root_system import RealRoot, RootGeneratingSystem, WeylElement
 
 
@@ -189,29 +189,17 @@ class DecoratedHeckePath:
     galleries: tuple  # tuple[(t, GalleryAtPoint)], one per interior breakpoint
 
 
-def _max_chain(system, shape, z, xi_from, xi_to, h):
-    chains = all_chains(system, shape, z, xi_from, xi_to, h, kind="hecke")
-    if not chains:
-        raise NotHecke(f"no chain at breakpoint over {z}")
-    best = max(len(c.roots) for c in chains)
-    return next(c for c in chains if len(c.roots) == best)
-
-
 def decorate_with_max_chains(path: LambdaPath, h: int = 20) -> DecoratedHeckePath:
-    """Decorate each breakpoint by folding its minimal gallery along a
-    longest available chain (for LS paths these realize codim_tilde = codim)."""
-    check = is_hecke(path, h)
+    """Decorate each breakpoint by folding its minimal gallery along the
+    first longest chain (for LS paths these realize codim_tilde = codim)."""
+    check, walks = _breakpoint_chains(path, "hecke", h)
     if not check.ok:
-        raise NotHecke(check.reason or "path is not a Hecke path")
+        raise NotHecke(check.reason)
     galleries = []
-    for j in range(1, path.r):
-        t = path.breakpoints[j]
-        z = path.point(j)
-        chain = _max_chain(
-            path.system, path.shape, z, path.direction_vector(j - 1), path.direction_vector(j), h
-        )
-        g = minimal_gallery(path.system, z, path.directions[j - 1])
-        galleries.append((t, fold_gallery(g, chain.roots)))
+    for j, (first, rest) in enumerate(zip(check.certificates, walks), start=1):
+        chain = max([first, *rest], key=lambda c: c.s)
+        g = minimal_gallery(path.system, path.point(j), path.directions[j - 1])
+        galleries.append((first.t, fold_gallery(g, chain.roots)))
     return DecoratedHeckePath(path, tuple(galleries))
 
 
@@ -304,32 +292,16 @@ def parameter_pattern(path: LambdaPath, h: int = 20) -> ParameterPattern:
 
     Factors are grouped by the time of the wall and walked from the endpoint
     backwards; a factor is tagged kappa* when its (minimal-gallery) step is a
-    fold of the comparison gallery built from a longest chain.  Per-factor
+    fold of the breakpoint's gallery in decorate_with_max_chains.  Per-factor
     tags are an interpretation; the pattern length is the contractual part.
     """
-    check = is_hecke(path, h)
-    if not check.ok:
-        raise NotHecke(check.reason or "path is not a Hecke path")
-    sys_ = path.system
-    breakpoint_index = {path.breakpoints[j]: j for j in range(1, path.r)}
+    folds = {t: g.folds for t, g in decorate_with_max_chains(path, h).galleries}
     factors = []
     groups = []
     for t, roots in sorted(ddim_events(path, h), reverse=True):
-        z = eval_path(path, t)
-        j = breakpoint_index.get(t)
-        if j is None:
-            seg = next(
-                k for k in range(path.r) if path.breakpoints[k] < t <= path.breakpoints[k + 1]
-            )
-            w_minus = path.directions[seg]
-            fold_steps = frozenset()
-        else:
-            w_minus = path.directions[j - 1]
-            chain = _max_chain(
-                sys_, path.shape, z, path.direction_vector(j - 1), path.direction_vector(j), h
-            )
-            fold_steps = fold_gallery(minimal_gallery(sys_, z, w_minus), chain.roots).folds
-        mg = minimal_gallery(sys_, z, w_minus)
+        k = next(k for k in range(path.r) if path.breakpoints[k] < t <= path.breakpoints[k + 1])
+        mg = minimal_gallery(path.system, eval_path(path, t), path.directions[k])
+        fold_steps = folds.get(t, frozenset())
         count = 0
         for step in range(1, mg.n + 1):
             if mg.step_is_true(step):

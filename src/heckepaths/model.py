@@ -18,8 +18,6 @@ from .linalg import (
     format_vector,
     is_integral_vec,
     is_zero_vec,
-    nullspace,
-    scale_to_primitive_integers,
     vadd,
     vscale,
     vsub,
@@ -82,7 +80,7 @@ class CrystalGraph:
         return "\n".join(lines)
 
 
-def generate_ls_paths(system: RootGeneratingSystem, lam, depth_cap: int = 200, h: int = 20) -> CrystalGraph:
+def generate_ls_paths(system: RootGeneratingSystem, lam, depth_cap: int = 200) -> CrystalGraph:
     """Close {straight path} under the lowering operators f_i, layer by layer.
 
     The cap counts successful f-applications; when it trips the graph is
@@ -126,7 +124,7 @@ def generate_ls_paths(system: RootGeneratingSystem, lam, depth_cap: int = 200, h
     )
 
 
-def multiplicity(system: RootGeneratingSystem, lam, mu, depth_cap: int = 200, h: int = 20, graph=None) -> int:
+def multiplicity(system: RootGeneratingSystem, lam, mu, depth_cap: int = 200, graph=None) -> int:
     """Number of LS paths of the given shape from 0 to mu."""
     lam = tuple(Fraction(x) for x in lam)
     mu = tuple(Fraction(x) for x in mu)
@@ -134,7 +132,7 @@ def multiplicity(system: RootGeneratingSystem, lam, mu, depth_cap: int = 200, h:
     if diff is None:
         return 0
     if graph is None:
-        graph = generate_ls_paths(system, lam, depth_cap, h)
+        graph = generate_ls_paths(system, lam, depth_cap)
     depth_needed = sum(diff)
     if graph.partial and depth_needed > graph.completed_depth:
         raise CapHit(
@@ -143,9 +141,9 @@ def multiplicity(system: RootGeneratingSystem, lam, mu, depth_cap: int = 200, h:
     return sum(1 for node in graph.nodes if node.endpoint == mu)
 
 
-def multiplicity_table(system: RootGeneratingSystem, lam, depth_cap: int = 200, h: int = 20) -> dict:
+def multiplicity_table(system: RootGeneratingSystem, lam, depth_cap: int = 200) -> dict:
     """Endpoint -> LS path count for every weight the generation reached."""
-    graph = generate_ls_paths(system, lam, depth_cap, h)
+    graph = generate_ls_paths(system, lam, depth_cap)
     return graph.endpoint_counts()
 
 
@@ -155,57 +153,29 @@ def multiplicity_table(system: RootGeneratingSystem, lam, depth_cap: int = 200, 
 class _DualData:
     """Root data of the Langlands dual, expressed inside Y.
 
-    Positive roots of the dual are our coroots; a dual root is carried as its
-    integer coefficient tuple over the simple coroots, and pairs with points
-    of Y through the symmetrized form normalized by the dual symmetrizer.
+    Positive roots of the dual are our coroots: the roots of the system built
+    on the transposed Cartan matrix, carried as integer coefficient tuples
+    over the simple coroots.  They pair with points of Y through the
+    symmetrized form normalized by the dual symmetrizer.
     """
 
     def __init__(self, system: RootGeneratingSystem):
         self.system = system
-        a = system.gcm.entries
-        n = system.n
-        # symmetrizer of the transposed matrix
-        self.dsym = RootGeneratingSystem._solve_symmetrizer(
-            [[a[j][i] for j in range(n)] for i in range(n)]
-        )
-        self.kind = system.classify_type()
-        if self.kind == "indefinite":
+        kind = system.classify_type()
+        if kind == "indefinite":
             raise UnsupportedType("Freudenthal oracle supports finite and untwisted affine type only")
-        self.delta = None
-        self.imag_mult = 0
-        if self.kind == "affine":
-            ker = nullspace([[a[j][i] for j in range(n)] for i in range(n)])  # left kernel of A
-            if len(ker) != 1:
-                raise CrossCheckMismatch(f"affine matrix has a {len(ker)}-dimensional left kernel")
-            c = ker[0]
-            if any(x < 0 for x in c):
-                c = tuple(-x for x in c)
-            self.delta = tuple(int(x) for x in scale_to_primitive_integers(c))
-            self.imag_mult = n - 1
+        self.dual = RootGeneratingSystem.from_gcm(list(zip(*system.gcm.entries)))  # transposed matrix
+        self.dsym = self.dual.symmetrizer
+        # the null root of the dual spans the left kernel of A
+        self.delta = self.dual.null_root_coeffs() if kind == "affine" else None
 
-    def real_duals_up_to_height(self, h):
-        """Positive real dual roots as coroot-coefficient tuples, height <= h."""
-        sys_ = self.system
-        seen = set()
-        frontier = []
-        for i in range(sys_.n):
-            e = tuple(1 if j == i else 0 for j in range(sys_.n))
-            seen.add(e)
-            frontier.append(e)
-        a = sys_.gcm.entries
-        while frontier:
-            new = []
-            for c in frontier:
-                for i in range(sys_.n):
-                    pair = sum(a[k][i] * ck for k, ck in enumerate(c))
-                    img = list(c)
-                    img[i] -= pair
-                    img = tuple(img)
-                    if all(x >= 0 for x in img) and sum(img) <= h and img not in seen:
-                        seen.add(img)
-                        new.append(img)
-            frontier = new
-        return sorted(seen, key=lambda c: (sum(c), c))
+    def roots_up_to_height(self, h):
+        """(coefficients, multiplicity) of the positive real dual roots of
+        height <= h, then in affine type of n*delta for 1 <= n <= h."""
+        out = [(beta.coeffs, 1) for beta in self.dual.real_roots_up_to_height(h)]
+        if self.delta is not None:
+            out += [(tuple(k * c for c in self.delta), self.system.n - 1) for k in range(1, h + 1)]
+        return out
 
     def dual_vector(self, coeffs) -> Vec:
         v = zero_vec(self.system.rank_x)
@@ -249,7 +219,7 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
             return 0
         height = sum(diff)
         total = ZERO
-        for coeffs in dual.real_duals_up_to_height(height):
+        for coeffs, root_mult in dual.roots_up_to_height(height):
             step = dual.dual_vector(coeffs)
             k = 1
             while True:
@@ -258,23 +228,8 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
                     break
                 m = mult(upper)
                 if m:
-                    total += m * (dual.pair(coeffs, nu) + k * dual.pair(coeffs, step))
+                    total += root_mult * m * (dual.pair(coeffs, nu) + k * dual.pair(coeffs, step))
                 k += 1
-        if dual.kind == "affine":
-            for nmult in range(1, height + 1):
-                coeffs = tuple(nmult * c for c in dual.delta)
-                step = dual.dual_vector(coeffs)
-                k = 1
-                while True:
-                    upper = vadd(nu, vscale(k, step))
-                    if dominance_difference(system, lam, upper) is None:
-                        break
-                    m = mult(upper)
-                    if m:
-                        total += dual.imag_mult * m * (
-                            dual.pair(coeffs, nu) + k * dual.pair(coeffs, step)
-                        )
-                    k += 1
         lam_minus_nu = vsub(lam, nu)
         coords = system.coroot_coordinates(lam_minus_nu)
         denom = dual.pair(tuple(coords), vadd(lam, nu)) + 2 * sum(

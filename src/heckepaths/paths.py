@@ -365,18 +365,6 @@ def _chain_walk(system, shape, x, xi_from, kind, a_j, h, xi_to=None, blocked=Non
     return walk(start, (), (xi_from,), (start,))
 
 
-def _chain_search(system, shape, x, xi_from, xi_to, kind, a_j, h):
-    """The first chain from xi_from to xi_to at the point x.
-
-    Returns (certificate | None, failing_condition | None).
-    """
-    blocked = set()
-    cert = next(_chain_walk(system, shape, x, xi_from, kind, a_j, h, xi_to, blocked), None)
-    if cert is not None:
-        return cert, None
-    return None, next((cond for cond in ("ii", "iii", "vii") if cond in blocked), "vi")
-
-
 def chain_targets(system, shape, x, xi_from, h):
     """Every direction reachable from xi_from by a Hecke chain at x.
 
@@ -395,8 +383,8 @@ def find_chain(system, xi_from, xi_to, at_x, shape, kind="hecke", a_j=None, h=20
     """One chain certificate from xi_from to xi_to at the point at_x, or None."""
     if kind not in ("hecke", "ls"):
         raise FormatError(f"unknown chain kind {kind!r}")
-    cert, _ = _chain_search(system, tuple(map(Fraction, shape)), tuple(map(Fraction, at_x)), xi_from, xi_to, kind, a_j, h)
-    return cert
+    walk = _chain_walk(system, tuple(map(Fraction, shape)), tuple(map(Fraction, at_x)), xi_from, kind, a_j, h, xi_to)
+    return next(walk, None)
 
 
 @dataclass(frozen=True)
@@ -409,53 +397,49 @@ class CheckResult:
         return self.ok
 
 
-def is_hecke(path: LambdaPath, h: int = 20) -> CheckResult:
-    """Check the chain condition at every interior breakpoint."""
-    if path.is_constant:
-        return CheckResult(True, ())
+def _breakpoint_chains(path: LambdaPath, kind: str, h: int):
+    """The first chain at each interior breakpoint, and the open chain walks.
+
+    Breakpoints are walked in order; at the first one without a chain the
+    result fails with the certificates found so far and the condition that
+    blocked every first step.  When every breakpoint has a chain, the second
+    value holds each breakpoint's walk, paused after its first chain, so a
+    caller that needs all chains drains the same walks; otherwise it is ().
+    """
     if not path.shape_is_dominant:
-        raise NotDominant("Hecke recognition applies to dominant-shape paths")
-    certs = []
+        what = "Hecke" if kind == "hecke" else "LS"
+        raise NotDominant(f"{what} recognition applies to dominant-shape paths")
+    if kind == "ls" and not (is_integral_vec(path.start) and is_integral_vec(path.shape)):
+        return CheckResult(False, (), "path does not start in Y with integral shape"), ()
+    certs, walks = [], []
     for j in range(1, path.r):
         t = path.breakpoints[j]
-        x = path.point(j)
-        xi_from = path.direction_vector(j - 1)
-        xi_to = path.direction_vector(j)
-        cert, cond = _chain_search(path.system, path.shape, x, xi_from, xi_to, "hecke", t, h)
+        blocked = set()
+        walk = _chain_walk(
+            path.system, path.shape, path.point(j), path.direction_vector(j - 1), kind, t, h,
+            path.direction_vector(j), blocked,
+        )
+        cert = next(walk, None)
         if cert is None:
-            return CheckResult(False, tuple(certs), f"condition {cond} fails at t={format_rational(t)}")
-        certs.append(ChainCertificate(t, "hecke", cert.roots, cert.xis, cert.cosets))
-    return CheckResult(True, tuple(certs))
+            cond = next((c for c in ("ii", "iii", "vii") if c in blocked), "vi")
+            return CheckResult(False, tuple(certs), f"condition {cond} fails at t={format_rational(t)}"), ()
+        certs.append(cert)
+        walks.append(walk)
+    return CheckResult(True, tuple(certs)), tuple(walks)
+
+
+def is_hecke(path: LambdaPath, h: int = 20) -> CheckResult:
+    """Check the chain condition at every interior breakpoint."""
+    return _breakpoint_chains(path, "hecke", h)[0]
 
 
 def is_ls(path: LambdaPath, h: int = 20) -> CheckResult:
     """LS recognition plus, for paths in Y, the dual-dimension cross-check."""
     if path.is_constant:
         return CheckResult(True, ())
-    if not path.shape_is_dominant:
-        raise NotDominant("LS recognition applies to dominant-shape paths")
-    sys_ = path.system
-    result = None
-    if not (is_integral_vec(path.start) and is_integral_vec(path.shape)):
-        result = CheckResult(False, (), "path does not start in Y with integral shape")
-    else:
-        certs = []
-        for j in range(1, path.r):
-            t = path.breakpoints[j]
-            x = path.point(j)
-            cert, cond = _chain_search(
-                sys_, path.shape, x, path.direction_vector(j - 1), path.direction_vector(j), "ls", t, h
-            )
-            if cert is None:
-                result = CheckResult(
-                    False, tuple(certs), f"condition {cond} fails at t={format_rational(t)}"
-                )
-                break
-            certs.append(ChainCertificate(t, "ls", cert.roots, cert.xis, cert.cosets))
-        if result is None:
-            result = CheckResult(True, tuple(certs))
+    result = _breakpoint_chains(path, "ls", h)[0]
     if path.in_Y:
-        rho_gap = sys_.rho_value(vsub(tuple(path.shape), path.nu))
+        rho_gap = path.system.rho_value(vsub(tuple(path.shape), path.nu))
         alt = is_hecke(path, h).ok and stats(path, h).ddim == rho_gap
         if alt != result.ok:
             raise CrossCheckMismatch(

@@ -161,17 +161,18 @@ class TestParameterPattern:
     def test_kappa_star_count_word_invariance(self, a2):
         # empirical: swapping the reduced word of w_- does not change the
         # kappa*-count on the A2 loop suite
-        from heckepaths.galleries import _max_chain, _reduced_words
-        from heckepaths.paths import is_hecke
+        from heckepaths.galleries import _reduced_words
+        from heckepaths.paths import all_chains
 
         for w in enumerate_hecke(a2, frac_vec(1, 1), frac_vec(0, 0), frac_vec(0, 0)):
             path = w.path
             for j in range(1, path.r):
                 z = path.point(j)
                 counts = set()
-                chain = _max_chain(
+                chains = all_chains(
                     a2, path.shape, z, path.direction_vector(j - 1), path.direction_vector(j), 20
                 )
+                chain = max(chains, key=lambda c: c.s)
                 for word in _reduced_words(a2, path.directions[j - 1]):
                     g = fold_gallery(minimal_gallery(a2, z, word), chain.roots)
                     counts.add(len(g.folds & {s for s in range(1, g.n + 1)}))
