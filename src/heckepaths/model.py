@@ -248,6 +248,9 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
         return cache[nu]
 
     def mult(nu):
+        # weights of V(lam) lie in the Tits cone; the oracle unwinds nothing outside it
+        if system.tits_cone_membership(nu)[0] != "in":
+            return 0
         dom, _ = system.orbit_unwind(nu)
         if not is_integral_vec(dom):
             return 0
@@ -291,6 +294,16 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     meets an integer level, and new directions are the cosets reachable by a
     chain there.  The first direction's length is capped by 2 rho(lam - nu),
     which bounds the codimension of any qualifying path.
+
+    A node at point x and time t is skipped when y1 is out of reach: every
+    completion moves by (1 - t) times a point of conv(W lam), so its average
+    velocity v = (y1 - x) / (1 - t) lies in the Tits cone, which is convex
+    and holds W lam; and since lam - w lam lies in Q^v_+ for every w (Kac,
+    Infinite-dimensional Lie algebras, Prop. 3.12), the dominant conjugate of
+    v lies below lam in the real cone spanned by the simple coroots.  In
+    affine type v has the level of lam (so does y1 - y0, as lam - nu is in
+    Q^v), which the Tits-cone test reads without unwinding; a node whose
+    membership stays unknown (indefinite type) is kept.
     """
     lam = tuple(Fraction(x) for x in lam)
     y0 = tuple(Fraction(x) for x in y0)
@@ -310,8 +323,17 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     max_len = 2 * sum(gap)
     found = {}
 
+    def within_reach(v):
+        status, _ = system.tits_cone_membership(v)
+        if status != "in":
+            return status == "unknown"
+        coords = system.coroot_coordinates(vsub(lam, system.orbit_unwind(v)[0]))
+        return coords is not None and all(c >= 0 for c in coords)
+
     def descend(x, t, xi, certs):
         remaining = vsub(y1, x)
+        if not within_reach(vscale(1 / (ONE - t), remaining)):
+            return
         if remaining == vscale(ONE - t, xi):
             segs.append((ONE - t, xi))
             path = from_segments(system, y0, list(segs))

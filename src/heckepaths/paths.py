@@ -15,7 +15,7 @@ representative, which keeps the search finite and exhaustive.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil
 
@@ -392,6 +392,10 @@ class CheckResult:
     ok: bool
     certificates: tuple
     reason: str | None = None
+    # from is_ls on a non-constant path in Y: the Hecke verdict of its
+    # cross-check, and the stats it took (None for a path that is not Hecke)
+    hecke: bool | None = field(default=None, compare=False)
+    stats: PathStats | None = field(default=None, compare=False)
 
     def __bool__(self):
         return self.ok
@@ -440,11 +444,14 @@ def is_ls(path: LambdaPath, h: int = 20) -> CheckResult:
     result = _breakpoint_chains(path, "ls", h)[0]
     if path.in_Y:
         rho_gap = path.system.rho_value(vsub(tuple(path.shape), path.nu))
-        alt = is_hecke(path, h).ok and stats(path, h).ddim == rho_gap
+        hecke = is_hecke(path, h).ok
+        st = stats(path, h) if hecke else None
+        alt = hecke and st.ddim == rho_gap
         if alt != result.ok:
             raise CrossCheckMismatch(
                 f"LS chain search says {result.ok}, Hecke+ddim characterization says {alt}"
             )
+        result = replace(result, hecke=hecke, stats=st)
     return result
 
 

@@ -215,6 +215,8 @@ class RootGeneratingSystem:
         self._roots_cache = []  # list of (height, RealRoot), sorted, grows monotonically
         self._roots_cache_bound = 0
         self._type_cache = None
+        self._delta_cov = None
+        self._coroot_inverse = None  # (pivot coordinates, inverse of the coroots there)
 
     # -- construction ------------------------------------------------------
 
@@ -400,15 +402,31 @@ class RootGeneratingSystem:
         return is_integral_vec(v)
 
     def coroot_coordinates(self, v: Vec):
-        """Coefficients of v over the simple coroots, or None if outside their span."""
-        cols = list(zip(*self.simple_coroots)) if self.n else []
-        sol = solve_linear(cols, v) if self.n else None
-        if sol is None:
+        """Coefficients of v over the simple coroots, or None if outside their span.
+
+        The coroots are independent, so n pivot coordinates of Y determine the
+        coefficients; the inverse of the coroot matrix on those coordinates is
+        reduced once per system, and the rebuilt vector decides the span.
+        """
+        if not self.n:
             return None
-        rebuilt = zero_vec(self.rank_x)
-        for c, cr in zip(sol, self.simple_coroots):
-            rebuilt = tuple(x + c * y for x, y in zip(rebuilt, cr))
-        if rebuilt != tuple(Fraction(x) for x in v):
+        if self._coroot_inverse is None:
+            n = self.n
+            pivots = row_reduce(self.simple_coroots)[1]
+            block = [
+                [c[p] for c in self.simple_coroots] + [int(k == r) for k in range(n)]
+                for r, p in enumerate(pivots)
+            ]
+            inverse = tuple(tuple(row[n:]) for row in row_reduce(block)[0])
+            self._coroot_inverse = (pivots, inverse)
+        pivots, inverse = self._coroot_inverse
+        at_pivots = [v[p] for p in pivots]
+        sol = tuple(vdot_cov(row, at_pivots) for row in inverse)
+        rebuilt = [Fraction(0)] * self.rank_x
+        for c, support in zip(sol, self._coroot_support):
+            for t, y in support:
+                rebuilt[t] += c * y
+        if any(a != b for a, b in zip(rebuilt, v, strict=True)):
             return None
         return sol
 
@@ -534,14 +552,19 @@ class RootGeneratingSystem:
         """Write v = w(v0) with v0 (anti)dominant and w the minimal coset rep.
 
         Repeatedly reflects at the least index whose pairing has the wrong
-        sign; the collected word is reduced and minimal in w W_{v0}.
+        sign; the collected word is reduced and minimal in w W_{v0}.  Raises
+        FormatError when that takes more than _UNWIND_GUARD reflections, as it
+        does forever for a vector outside the Tits cone.
         """
         key = (tuple(v), antidominant)
         out = self._unwind_cache.get(key)
         if out is None:
             done = self._unwind(v, antidominant, _UNWIND_GUARD)
             if done is None:
-                raise RuntimeError("orbit unwind did not terminate; vector outside the Tits cone?")
+                raise FormatError(
+                    f"vector ({','.join(format_vector(v))}) outside the Tits cone: "
+                    f"its unwind passed {_UNWIND_GUARD} reflections"
+                )
             out = self._unwind_cache[key] = (done[0], self.normalize_word(done[1]))
         return out
 
@@ -638,15 +661,25 @@ class RootGeneratingSystem:
         return tuple(int(x) for x in scale_to_primitive_integers(c))
 
     def delta_covector(self) -> Vec:
-        c = self.null_root_coeffs()
-        cov = [Fraction(0)] * self.rank_x
-        for j, coef in enumerate(c):
-            for t in range(self.rank_x):
-                cov[t] += coef * self.simple_roots[j][t]
-        return tuple(cov)
+        """delta as a covector on Y (affine type only); delta(v) is the level of v."""
+        if self._delta_cov is None:
+            c = self.null_root_coeffs()
+            cov = [Fraction(0)] * self.rank_x
+            for j, coef in enumerate(c):
+                for t in range(self.rank_x):
+                    cov[t] += coef * self.simple_roots[j][t]
+            self._delta_cov = tuple(cov)
+        return self._delta_cov
 
     def tits_cone_membership(self, v: Vec, step_cap: int = 10000):
-        """Decide v in T; returns ("in", witness) / ("out", None) / ("unknown", None)."""
+        """Decide v in T; returns ("in", witness) / ("out", None) / ("unknown", None).
+
+        The witness w makes w(v) dominant.  Finite type: always in.  Affine
+        type: in iff the level of v is positive or every pairing of v is 0,
+        decided without unwinding, so orbit_unwind(v) terminates after "in".
+        Indefinite type: in once an unwind of at most step_cap reflections
+        ends, "unknown" otherwise.
+        """
         kind = self.classify_type()
         v = tuple(Fraction(x) for x in v)
         if kind == "finite":

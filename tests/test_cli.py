@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -35,9 +36,27 @@ def files(tmp_path):
             }
         )
     )
+    rise = tmp_path / "rise.json"  # climbs back in the Bruhat order: not Hecke, but in Y
+    rise.write_text(
+        json.dumps(
+            {
+                "lambda": ["1"],
+                "start": ["0"],
+                "directions": [[], [1]],
+                "breakpoints": ["0", "1/2", "1"],
+            }
+        )
+    )
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
-    return {"a1": str(a1), "a2": str(a2), "fold": str(fold), "ghost": str(ghost), "broken": str(broken)}
+    return {
+        "a1": str(a1),
+        "a2": str(a2),
+        "fold": str(fold),
+        "ghost": str(ghost),
+        "rise": str(rise),
+        "broken": str(broken),
+    }
 
 
 def run(capsys, *argv):
@@ -84,6 +103,29 @@ class TestStatuses:
         status, _, err = run(capsys, "pattern", "--system", files["a1"], "--path", files["fold"])
         assert status == 2 and "internal error" in err
 
+    @pytest.mark.parametrize("name,ls", [("fold", True), ("rise", False)])
+    def test_check_ls_walks_once(self, files, capsys, monkeypatch, name, ls):
+        # check-ls reports the cross-check that is_ls computed, not a second run
+        from heckepaths import paths
+
+        calls = {"is_hecke": 0, "stats": 0}
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                calls[fn.__name__] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(paths, "is_hecke", counted(paths.is_hecke))
+        monkeypatch.setattr(paths, "stats", counted(paths.stats))
+        status, out, _ = run(
+            capsys, "check-ls", "--system", files["a1"], "--path", files[name], "--format", "json"
+        )
+        assert status == (0 if ls else 1)
+        assert json.loads(out)["cross_check"]["hecke"] is ls
+        assert calls == {"is_hecke": 1, "stats": 1}
+
     def test_bad_bounds(self, files, capsys):
         status, _, err = run(capsys, "validate", "--system", files["a1"], "--h", "0")
         assert status == 2
@@ -109,6 +151,19 @@ class TestMult:
             capsys, "mult", "--system", str(twisted), "--lambda", "0,0,0,1", "--mu=-1,-2,-1,1"
         )
         assert status == 2 and "internal error" in err
+
+    @pytest.mark.parametrize("mu", ["0,1,0", "1,0,0"])
+    def test_affine_level_zero_weight_outside_tits_cone(self, tmp_path, capsys, mu):
+        # lam = (1,1,0) is W-invariant in A1^(1), so V(lam) has the one weight
+        # lam; mu has level 0 and a nonzero pairing, so it lies outside the Tits
+        # cone, where the oracle must answer 0 without unwinding it
+        a1aff = tmp_path / "a1aff.json"
+        a1aff.write_text(json.dumps({"cartan_matrix": [[2, -2], [-2, 2]]}))
+        status, out, err = run(
+            capsys, "mult", "--system", str(a1aff), "--lambda", "1,1,0", "--mu", mu, "--format", "json"
+        )
+        assert status == 0 and err == ""
+        assert json.loads(out) == {"agree": True, "freudenthal": 0, "multiplicity": 0}
 
 
 class TestReports:
@@ -159,6 +214,19 @@ class TestReports:
         assert out1 == out2
         report = json.loads(out1)
         assert report["count"] == 3
+
+    def test_enumerate_affine_depth_four(self, tmp_path, capsys):
+        # pinned on the code before the reachability prune (8.5 s there):
+        # the exact JSON bytes of a level-2 A1^(1) query at endpoint depth 4
+        a1aff = tmp_path / "a1aff.json"
+        a1aff.write_text(json.dumps({"cartan_matrix": [[2, -2], [-2, 2]]}))
+        status, out, _ = run(
+            capsys, "enumerate-hecke", "--system", str(a1aff), "--lambda", "0,0,2",
+            "--y0", "0,0,0", "--y1=-2,-2,2", "--format", "json",
+        )
+        assert status == 0 and json.loads(out)["count"] == 5
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "c007e4bb870092636f677d432991715c5dafb7ff698921da98dba48a4bca9ee1"
 
     def test_gallery_and_pattern(self, files, capsys):
         status, out, _ = run(capsys, "gallery", "--system", files["a1"], "--path", files["fold"])

@@ -1,0 +1,127 @@
+"""enumerate_hecke against a brute-force reference enumerator.
+
+The reference shares none of the search logic of ``model.enumerate_hecke``
+(no fold times from inversion roots, no ``chain_targets``, no reachability
+prune).  It builds every piecewise-linear path that could be a Hecke path
+and keeps those that ``is_hecke`` accepts and that end at y1:
+
+- a breakpoint of a Hecke path is a point where its chain's first root
+  takes an integer value (condition vii), so the candidate breakpoints are
+  all times at which some positive root of height <= h is integral;
+- coset lengths fall strictly along each chain, so the directions of a Hecke
+  path have strictly falling coset lengths; candidates are all orbit vectors
+  up to a coset-length bound (the whole orbit in finite type, 2 rho(lam - nu)
+  in affine type, the codimension bound ``enumerate_hecke`` states).
+"""
+
+from fractions import Fraction as F
+from math import ceil, floor
+
+import pytest
+
+from heckepaths import RootGeneratingSystem
+from heckepaths.model import enumerate_hecke
+from heckepaths.paths import from_segments, is_hecke
+
+H = 20
+
+
+def orbit_lengths(system, lam, bound):
+    """Orbit vector of lam -> coset length, by breadth-first search over the
+    simple reflections, up to the given length."""
+    lengths = {lam: 0}
+    layer = [lam]
+    for depth in range(1, bound + 1):
+        nxt = []
+        for v in layer:
+            for i in range(system.n):
+                img = system.simple_reflection(i, v)
+                if img not in lengths:
+                    lengths[img] = depth
+                    nxt.append(img)
+        layer = nxt
+    return lengths
+
+
+def integral_times(roots, x, xi, t0):
+    """Times t in (t0, 1) at which some root is integral on x + (t - t0) xi."""
+    times = set()
+    for cov in roots:
+        u0 = sum(a * b for a, b in zip(cov, x))
+        slope = sum(a * b for a, b in zip(cov, xi))
+        if slope == 0:
+            continue
+        u1 = u0 + slope * (1 - t0)
+        for m in range(ceil(min(u0, u1)), floor(max(u0, u1)) + 1):
+            t = t0 + (m - u0) / slope
+            if t0 < t < 1:
+                times.add(t)
+    return sorted(times)
+
+
+def reference_hecke_paths(system, lam, y0, y1, h=H):
+    lam, y0, y1 = (tuple(F(c) for c in v) for v in (lam, y0, y1))
+    diff = system.coroot_coordinates(tuple(a - (q - p) for a, p, q in zip(lam, y0, y1)))
+    if diff is None or any(c < 0 or c.denominator != 1 for c in diff):
+        return set()
+    if system.classify_type() == "finite":
+        bound = len(system.real_roots_up_to_height(h))  # the longest element's length
+    else:
+        bound = 2 * int(sum(diff))
+    lengths = orbit_lengths(system, lam, bound)
+    roots = [
+        tuple(sum(c * r[t] for c, r in zip(beta.coeffs, system.simple_roots)) for t in range(system.rank_x))
+        for beta in system.real_roots_up_to_height(h)
+    ]
+    found = set()
+
+    def extend(x, t, xi, segs):
+        if tuple(a + (1 - t) * b for a, b in zip(x, xi)) == y1:
+            path = from_segments(system, y0, segs + [(1 - t, xi)])
+            if is_hecke(path, h).ok:
+                found.add(path)
+        for ta in integral_times(roots, x, xi, t):
+            z = tuple(a + (ta - t) * b for a, b in zip(x, xi))
+            for xi_new, n in lengths.items():
+                if n < lengths[xi]:
+                    extend(z, ta, xi_new, segs + [(ta - t, xi)])
+
+    for xi in lengths:
+        extend(y0, F(0), xi, [])
+    return found
+
+
+A1 = RootGeneratingSystem.from_gcm([[2]])
+A2 = RootGeneratingSystem.from_gcm([[2, -1], [-1, 2]])
+B2 = RootGeneratingSystem.from_gcm([[2, -2], [-1, 2]])
+A1AFF = RootGeneratingSystem.from_gcm([[2, -2], [-2, 2]])
+
+# (id, system, shape, y0, y1, h); shapes in the coroot basis of from_gcm.  The
+# A1^(1) cases keep h = 3: the reference's candidate times grow with h.
+CASES = [
+    ("A1-3-shifted", A1, (3,), (1,), (0,), H),
+    ("A1-4-loop", A1, (4,), (0,), (0,), H),
+    ("A2-11-loop", A2, (1, 1), (0, 0), (0, 0), H),
+    ("A2-21-loop", A2, (2, 1), (0, 0), (0, 0), H),
+    ("A2-21-10", A2, (2, 1), (0, 0), (1, 0), H),
+    ("A2-12-m10", A2, (1, 2), (0, 0), (-1, 0), H),
+    ("A2-22-loop", A2, (2, 2), (0, 0), (0, 0), H),
+    ("A2-22-11", A2, (2, 2), (0, 0), (1, 1), H),
+    ("B2-11-loop", B2, (1, 1), (0, 0), (0, 0), H),
+    ("B2-12-01", B2, (1, 2), (0, 0), (0, 1), H),
+    ("B2-22-loop", B2, (2, 2), (0, 0), (0, 0), H),
+    ("B2-23-11", B2, (2, 3), (0, 0), (1, 1), H),
+    ("A1aff-001-m101", A1AFF, (0, 0, 1), (0, 0, 0), (-1, 0, 1), 3),
+    ("A1aff-002-m102", A1AFF, (0, 0, 2), (0, 0, 0), (-1, 0, 2), 3),
+    ("A1aff-012-002", A1AFF, (0, 1, 2), (0, 0, 0), (0, 0, 2), 3),
+    ("A1aff-012-shifted", A1AFF, (0, 1, 2), (1, -1, 0), (1, -1, 2), 3),
+    ("A1aff-002-0m12", A1AFF, (0, 0, 2), (0, 0, 0), (0, -1, 2), 3),
+]
+
+
+@pytest.mark.parametrize("system,lam,y0,y1,h", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_enumerate_hecke_equals_reference(system, lam, y0, y1, h):
+    got = [w.path for w in enumerate_hecke(system, lam, y0, y1, h)]
+    assert len(set(got)) == len(got)
+    assert set(got) == reference_hecke_paths(system, lam, y0, y1, h)
+

@@ -250,6 +250,18 @@ class TestTitsCone:
         assert status == "in"
         assert a1aff.is_dominant(a1aff.act(w, v))
 
+    def test_unwind_guard_is_a_domain_error(self, monkeypatch):
+        from heckepaths import root_system
+        from heckepaths.errors import FormatError
+
+        hyp = RootGeneratingSystem.from_gcm([[2, -3], [-3, 2]])
+        v = frac_vec(1, 1)  # antidominant and nonzero: outside the Tits cone
+        assert [hyp.pairing(i, v) for i in range(2)] == [-1, -1]
+        assert hyp.tits_cone_membership(v, step_cap=200) == ("unknown", None)
+        monkeypatch.setattr(root_system, "_UNWIND_GUARD", 200)
+        with pytest.raises(FormatError, match="outside the Tits cone"):
+            hyp.orbit_unwind(v)
+
 
 class TestSerialization:
     def test_json_round_trip(self, a1aff):
@@ -334,6 +346,25 @@ def ref_unwind(system, v, antidominant):
             return cur, tuple(letters)
 
 
+def ref_coroot_coordinates(system, v):
+    """Solve over all coordinates of Y at once, then rebuild v."""
+    sol = solve_linear(list(zip(*system.simple_coroots)), v)
+    if sol is None:
+        return None
+    return sol if coroot_combination(system, sol) == tuple(F(x) for x in v) else None
+
+
+def coroot_combination(system, coeffs):
+    return tuple(
+        sum((F(c) * cr[t] for c, cr in zip(coeffs, system.simple_coroots)), F(0))
+        for t in range(system.rank_x)
+    )
+
+
+# A1 in a rank-2 lattice whose coroot is not a first coordinate
+A1_WIDE = {"cartan_matrix": [[2]], "simple_roots": [["5", "2"]], "simple_coroots": [["0", "1"]]}
+
+
 def point_with_pairings(system, pairs):
     return solve_linear(system.simple_roots, pairs[: system.n])
 
@@ -372,6 +403,22 @@ class TestExactKernel:
         expect = sum((c * ref_pairing(system, j, v) for j, c in enumerate(beta.coeffs)), F(0))
         assert system.root_eval(beta, v) == expect
         assert system.root_eval(beta, v) == expect  # covector now cached
+
+    @given(
+        name=st.sampled_from(sorted(KERNEL_SYSTEMS) + ["A1wide"]),
+        v=points,
+        coeffs=points,
+        in_span=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_coroot_coordinates(self, name, v, coeffs, in_span):
+        system = RootGeneratingSystem.from_json_dict(KERNEL_SYSTEMS.get(name, A1_WIDE))  # cold cache
+        v = coroot_combination(system, coeffs) if in_span else tuple(v[: system.rank_x])
+        expect = ref_coroot_coordinates(system, v)
+        for _ in range(2):  # first call, then with the inverse cached
+            assert system.coroot_coordinates(v) == expect
+        if in_span:
+            assert expect == tuple(coeffs[: system.n])
 
     @given(
         name=system_names,
