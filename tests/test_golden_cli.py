@@ -11,6 +11,11 @@ choose from at a breakpoint) and non-Hecke paths, so the certificates the
 chain search returns, the walls it tallies and the galleries it folds are
 all pinned.
 
+The file also pins the argument parser: the exact output and exit status of
+`hpl --help`, of `hpl <command> --help` for every command and of one usage
+error, at a terminal width of 80 columns (argparse formats help by
+`COLUMNS`, and its layout differs between Python versions).
+
 After an intended change of output, re-record with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -21,7 +26,9 @@ which keeps the inputs in the file and rewrites every recorded run.
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -41,6 +48,20 @@ def _run(system: dict, path: dict, command: str, workdir: Path, extra=()) -> dic
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main([command, f"--system={sys_file}", f"--path={path_file}", "--format=json", *extra])
+    return {"exit": status, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _run_argv(argv) -> dict:
+    """main(argv) at 80 columns with HPL_HEIGHT_BOUND unset; argparse ends
+    --help and usage errors with SystemExit, whose code is the exit status."""
+    env = {k: v for k, v in os.environ.items() if k != "HPL_HEIGHT_BOUND"}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {**env, "COLUMNS": "80"}, clear=True):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                status = main(list(argv))
+            except SystemExit as exc:
+                status = exc.code
     return {"exit": status, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -74,6 +95,40 @@ def test_golden_cli_small_h(system, case, h, command, tmp_path):
     assert run == case["runs_small_h"][str(h)][command]
 
 
+@pytest.mark.parametrize(
+    "entry",
+    json.loads(GOLDEN.read_text(encoding="utf-8"))["parser_runs"],
+    ids=lambda entry: " ".join(entry["argv"]),
+)
+def test_golden_parser(entry):
+    assert _run_argv(entry["argv"]) == entry["run"]
+
+
+def test_golden_parser_covers_every_command():
+    from heckepaths.cli import COMMANDS as CLI_COMMANDS
+
+    argvs = [e["argv"] for e in json.loads(GOLDEN.read_text(encoding="utf-8"))["parser_runs"]]
+    assert ["--help"] in argvs
+    assert all([name, "--help"] in argvs for name in CLI_COMMANDS)
+    assert any(e["run"]["exit"] == 2 and "usage: hpl" in e["run"]["stderr"]
+               for e in json.loads(GOLDEN.read_text(encoding="utf-8"))["parser_runs"])
+
+
+def test_height_env_read_on_every_call(tmp_path, monkeypatch):
+    """Two in-process runs on one path that needs a root of height 3: the
+    variable set to 2 makes the first fail, and unset, the second passes."""
+    data = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    case = next(c for c in data["cases"] if c["name"] == "B2-pool104")
+    system = data["systems"][case["system"]]
+    monkeypatch.setenv("HPL_HEIGHT_BOUND", "2")
+    first = _run(system, case["path"], "check-hecke", tmp_path)
+    assert first["exit"] == 1 and "height bound 2 too small" in first["stderr"]
+    assert first == case["runs_small_h"]["2"]["check-hecke"]
+    monkeypatch.delenv("HPL_HEIGHT_BOUND")
+    second = _run(system, case["path"], "check-hecke", tmp_path)
+    assert second["exit"] == 0 and second == case["runs"]["check-hecke"]
+
+
 def test_golden_set_covers_the_verdicts():
     data = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert len(data["cases"]) >= 20
@@ -97,6 +152,8 @@ def record():
                 str(h): {c: _run(system, case["path"], c, Path(tmp), [f"--h={h}"]) for c in SMALL_H_COMMANDS}
                 for h in SMALL_H
             }
+    for entry in data["parser_runs"]:
+        entry["run"] = _run_argv(entry["argv"])
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
 
 
