@@ -9,6 +9,7 @@ emitted with sorted keys so identical inputs give byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -257,12 +258,20 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _default_height() -> int:
     env_h = os.environ.get("HPL_HEIGHT_BOUND")
     try:
-        default_h = int(env_h) if env_h else DEFAULT_HEIGHT
+        return int(env_h) if env_h else DEFAULT_HEIGHT
     except ValueError as exc:
         raise FormatError(f"HPL_HEIGHT_BOUND must be an integer, got {env_h!r}") from exc
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser whose --h defaults to HPL_HEIGHT_BOUND, else DEFAULT_HEIGHT."""
+    return _new_parser(_default_height())
+
+
+def _new_parser(default_h: int) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hpl", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -286,9 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main reads the variable on every call but builds the parser once per value;
+# parse_args leaves the parser unchanged, so one instance serves every call
+_cached_parser = functools.lru_cache(maxsize=1)(_new_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _cached_parser(_default_height()).parse_args(argv)
         if args.h <= 0 or args.depth_cap <= 0:
             print("bounds must be positive", file=sys.stderr)
             return 2

@@ -332,7 +332,8 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
 
     def descend(x, t, xi, certs):
         remaining = vsub(y1, x)
-        if not within_reach(vscale(1 / (ONE - t), remaining)):
+        # at t = 0 the test reads nu for every start direction: it ran once below
+        if t and not within_reach(vscale(1 / (ONE - t), remaining)):
             return
         if remaining == vscale(ONE - t, xi):
             segs.append((ONE - t, xi))
@@ -368,6 +369,8 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
                 )
                 segs.pop()
 
+    if not within_reach(nu):
+        return []
     segs = []
     for start_vec in sorted(_cosets_up_to_length(system, lam, max_len)):
         descend(y0, ZERO, start_vec, [])

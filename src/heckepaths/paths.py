@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil
+from math import ceil, inf
 
 from .apartment import levels_crossed
 from .errors import (
@@ -518,13 +518,8 @@ def stats(path: LambdaPath, h: int = 20) -> PathStats:
 def _all_positive_roots(system: RootGeneratingSystem):
     if system.classify_type() != "finite":
         raise UnsupportedType("full positive root enumeration needs finite type")
-    h = 1
-    roots = system.real_roots_up_to_height(h)
-    while True:
-        more = system.real_roots_up_to_height(h + 1)
-        if len(more) == len(roots):
-            return roots
-        roots, h = more, h + 1
+    # the closure of the simple roots is finite here, so it needs no height bound
+    return system.real_roots_up_to_height(inf)
 
 
 def _falling_wall_events(path: LambdaPath, h: int, at_end: bool):

@@ -593,6 +593,7 @@ class RootGeneratingSystem:
         Breadth-first closure of the simple roots under the simple
         reflections; exhaustive because every positive real root descends to
         a simple root through positive roots of strictly smaller height.
+        In finite type the closure is finite, and h may be math.inf.
         """
         if h < 1:
             return []
@@ -743,8 +744,21 @@ class RootGeneratingSystem:
 
 
 def vdot_cov(cov, v) -> Fraction:
-    """cov(v) for a covector of Fractions; zero entries of cov are skipped."""
-    return sum((a * b for a, b in zip(cov, v, strict=True) if a), Fraction(0))
+    """cov(v) as an exact Fraction, for entries that are ints or Fractions.
+
+    Zero entries of cov are skipped.  The sum runs over integer numerators
+    on one common denominator, so a single Fraction is built at the end.
+    """
+    num, den = 0, 1
+    for a, b in zip(cov, v, strict=True):
+        if a:
+            n = a.numerator * b.numerator
+            d = a.denominator * b.denominator
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+    return Fraction(num, den)
 
 
 def dominance_difference(system: RootGeneratingSystem, lam: Vec, mu: Vec):

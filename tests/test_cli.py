@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +267,22 @@ class TestEnvOverride:
         monkeypatch.setenv("HPL_HEIGHT_BOUND", "abc")
         status, _, err = run(capsys, "validate", "--system", files["a1"])
         assert status == 2 and "HPL_HEIGHT_BOUND" in err
+
+
+class TestOneShot:
+    def test_fresh_interpreter_matches_in_process(self, files, capsys, monkeypatch):
+        # every other test shares this process's parser; this one builds it fresh
+        argv = [
+            "enumerate-hecke", "--system", files["a2"], "--lambda", "1,1",
+            "--y0", "0,0", "--y1", "0,0", "--format=json",
+        ]
+        monkeypatch.delenv("HPL_HEIGHT_BOUND", raising=False)
+        env = {k: v for k, v in os.environ.items() if k != "HPL_HEIGHT_BOUND"}
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+        fresh = subprocess.run(
+            [sys.executable, "-m", "heckepaths.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        status, out, _ = run(capsys, *argv)
+        assert (fresh.returncode, fresh.stdout) == (status, out)
+        assert status == 0 and json.loads(out)["count"] == 3

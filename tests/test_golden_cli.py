@@ -107,11 +107,11 @@ def test_golden_parser(entry):
 def test_golden_parser_covers_every_command():
     from heckepaths.cli import COMMANDS as CLI_COMMANDS
 
-    argvs = [e["argv"] for e in json.loads(GOLDEN.read_text(encoding="utf-8"))["parser_runs"]]
+    entries = json.loads(GOLDEN.read_text(encoding="utf-8"))["parser_runs"]
+    argvs = [e["argv"] for e in entries]
     assert ["--help"] in argvs
     assert all([name, "--help"] in argvs for name in CLI_COMMANDS)
-    assert any(e["run"]["exit"] == 2 and "usage: hpl" in e["run"]["stderr"]
-               for e in json.loads(GOLDEN.read_text(encoding="utf-8"))["parser_runs"])
+    assert any(e["run"]["exit"] == 2 and "usage: hpl" in e["run"]["stderr"] for e in entries)
 
 
 def test_height_env_read_on_every_call(tmp_path, monkeypatch):

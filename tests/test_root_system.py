@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from heckepaths import NotGCM, RootGeneratingSystem, WeylElement, validate_gcm
 from heckepaths.errors import HeightBoundTooSmall, NotDominant
 from heckepaths.linalg import solve_linear
+from heckepaths.root_system import vdot_cov
 
 from conftest import all_words, brute_force_bruhat, frac_vec, group_elements
 
@@ -373,6 +374,14 @@ system_names = st.sampled_from(sorted(KERNEL_SYSTEMS))
 raw_words = st.lists(st.integers(0, 2), max_size=6)
 points = st.lists(st.fractions(-4, 4, max_denominator=5), min_size=3, max_size=3)
 dominant_pairings = st.lists(st.fractions(0, 4, max_denominator=3), min_size=3, max_size=3)
+# ints, zeros, small fractions and large coprime denominators, of either sign
+kernel_entries = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.just(0),
+    st.just(F(0)),
+    st.fractions(-50, 50, max_denominator=12),
+    st.builds(F, st.integers(-(10**12), 10**12), st.sampled_from([10**9 + 7, 998244353, 2**61 - 1])),
+)
 
 
 class TestExactKernel:
@@ -403,6 +412,19 @@ class TestExactKernel:
         expect = sum((c * ref_pairing(system, j, v) for j, c in enumerate(beta.coeffs)), F(0))
         assert system.root_eval(beta, v) == expect
         assert system.root_eval(beta, v) == expect  # covector now cached
+
+    @given(pairs=st.lists(st.tuples(kernel_entries, kernel_entries), max_size=6), extra=st.integers(1, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_vdot_cov_matches_fraction_sum(self, pairs, extra):
+        cov = [a for a, _ in pairs]
+        v = [b for _, b in pairs]
+        got = vdot_cov(cov, v)
+        assert type(got) is F
+        assert got == sum((a * b for a, b in zip(cov, v) if a), F(0))
+        with pytest.raises(ValueError):
+            vdot_cov(cov + [1] * extra, v)
+        with pytest.raises(ValueError):
+            vdot_cov(cov, v + [F(1, 3)] * extra)
 
     @given(
         name=st.sampled_from(sorted(KERNEL_SYSTEMS) + ["A1wide"]),
