@@ -80,6 +80,16 @@ class CrystalGraph:
         return "\n".join(lines)
 
 
+def _crystal_shape(system: RootGeneratingSystem, lam) -> Vec:
+    """lam as an exact vector, refused unless it is dominant and in Y."""
+    lam = tuple(Fraction(x) for x in lam)
+    if not system.is_dominant(lam):
+        raise NotDominant("crystal generation needs a dominant shape")
+    if not is_integral_vec(lam):
+        raise NotDominant("crystal generation needs a shape in Y")
+    return lam
+
+
 def generate_ls_paths(system: RootGeneratingSystem, lam, depth_cap: int = 200) -> CrystalGraph:
     """Close {straight path} under the lowering operators f_i, layer by layer.
 
@@ -87,11 +97,7 @@ def generate_ls_paths(system: RootGeneratingSystem, lam, depth_cap: int = 200) -
     returned flagged partial, with completed_depth naming the last layer that
     is provably complete.
     """
-    lam = tuple(Fraction(x) for x in lam)
-    if not system.is_dominant(lam):
-        raise NotDominant("crystal generation needs a dominant shape")
-    if not is_integral_vec(lam):
-        raise NotDominant("crystal generation needs a shape in Y")
+    lam = _crystal_shape(system, lam)
     top = straight_path(system, lam)
     nodes = [top]
     index = {top: 0}
@@ -126,7 +132,7 @@ def generate_ls_paths(system: RootGeneratingSystem, lam, depth_cap: int = 200) -
 
 def multiplicity(system: RootGeneratingSystem, lam, mu, depth_cap: int = 200, graph=None) -> int:
     """Number of LS paths of the given shape from 0 to mu."""
-    lam = tuple(Fraction(x) for x in lam)
+    lam = _crystal_shape(system, lam)
     mu = tuple(Fraction(x) for x in mu)
     diff = dominance_difference(system, lam, mu)
     if diff is None:
@@ -139,12 +145,6 @@ def multiplicity(system: RootGeneratingSystem, lam, mu, depth_cap: int = 200, gr
             f"weight at depth {depth_needed} lies beyond the completed depth {graph.completed_depth}"
         )
     return sum(1 for node in graph.nodes if node.endpoint == mu)
-
-
-def multiplicity_table(system: RootGeneratingSystem, lam, depth_cap: int = 200) -> dict:
-    """Endpoint -> LS path count for every weight the generation reached."""
-    graph = generate_ls_paths(system, lam, depth_cap)
-    return graph.endpoint_counts()
 
 
 # -- Freudenthal oracle -----------------------------------------------------------

@@ -43,12 +43,7 @@ from .linalg import (
     vsub,
     zero_vec,
 )
-from .root_system import (
-    CosetRep,
-    IDENTITY,
-    RootGeneratingSystem,
-    WeylElement,
-)
+from .root_system import IDENTITY, RootGeneratingSystem, WeylElement
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -111,30 +106,6 @@ class LambdaPath:
     def __repr__(self):
         pts = " -> ".join(str(tuple(map(format_rational, self.point(j)))) for j in range(self.r + 1))
         return f"LambdaPath({pts})"
-
-
-class PiecewisePath:
-    """Fallback for concatenations whose derivatives mix Weyl orbits."""
-
-    is_lambda = False
-
-    def __init__(self, system, start, segments):
-        self.system = system
-        self.start = tuple(Fraction(x) for x in start)
-        self.segments = tuple((Fraction(t0), Fraction(t1), tuple(map(Fraction, v))) for t0, t1, v in segments)
-
-    def eval(self, t):
-        t = Fraction(t)
-        v = self.start
-        for t0, t1, der in self.segments:
-            if t <= t0:
-                break
-            v = vadd(v, vscale(min(t, t1) - t0, der))
-        return v
-
-    @property
-    def endpoint(self):
-        return self.eval(ONE)
 
 
 def from_segments(system: RootGeneratingSystem, start, segments, antidominant=False) -> LambdaPath:
@@ -213,13 +184,6 @@ def straight_path(system: RootGeneratingSystem, lam, start=None) -> LambdaPath:
     return from_segments(system, start, [(ONE, lam)])
 
 
-def translate_path(path: LambdaPath, y) -> LambdaPath:
-    y = tuple(Fraction(x) for x in y)
-    return LambdaPath(
-        path.system, path.shape, vadd(tuple(path.start), y), path.directions, path.breakpoints
-    )
-
-
 def eval_path(path: LambdaPath, t) -> Vec:
     t = Fraction(t)
     if t < 0 or t > 1:
@@ -232,30 +196,6 @@ def eval_path(path: LambdaPath, t) -> Vec:
     return v
 
 
-@dataclass(frozen=True)
-class DirectionData:
-    t: Fraction
-    left_derivative: Vec
-    right_derivative: Vec
-    w_minus: CosetRep
-    w_plus: CosetRep
-
-
-def direction_data(path: LambdaPath, t) -> DirectionData:
-    t = Fraction(t)
-    if not 0 < t < 1:
-        raise OutOfRange(f"t = {t} outside (0, 1)")
-    left = next(j for j in range(path.r) if path.breakpoints[j] < t <= path.breakpoints[j + 1])
-    right = next(j for j in range(path.r) if path.breakpoints[j] <= t < path.breakpoints[j + 1])
-    return DirectionData(
-        t,
-        path.direction_vector(left),
-        path.direction_vector(right),
-        CosetRep(path.directions[left], path.shape),
-        CosetRep(path.directions[right], path.shape),
-    )
-
-
 def reverse_path(path: LambdaPath) -> LambdaPath:
     segs = []
     for t0, t1, der in reversed(path.segments()):
@@ -264,24 +204,18 @@ def reverse_path(path: LambdaPath) -> LambdaPath:
     return from_segments(path.system, path.endpoint, segs, antidominant=anti)
 
 
-def concat(p1: LambdaPath, p2: LambdaPath):
+def concat(p1: LambdaPath, p2: LambdaPath) -> LambdaPath:
     """Littelmann concatenation, renormalized to canonical form.
 
-    Returns a PiecewisePath (flagged non-lambda) when the two paths'
-    directions do not lie in a common Weyl orbit.
+    Raises NonLambdaPath when the two paths' directions do not lie in a
+    common Weyl orbit.
     """
     if p1.system is not p2.system:
         raise FormatError("paths live over different systems")
     segs = [(t1 - t0, der) for t0, t1, der in p1.segments()]
     segs += [(t1 - t0, der) for t0, t1, der in p2.segments()]
     anti = not p1.shape_is_dominant and not p1.is_constant
-    try:
-        return from_segments(p1.system, p1.start, segs, antidominant=anti)
-    except NonLambdaPath:
-        half = Fraction(1, 2)
-        raw = [(t0 * half, t1 * half, der) for t0, t1, der in p1.segments()]
-        raw += [(half + t0 * half, half + t1 * half, der) for t0, t1, der in p2.segments()]
-        return PiecewisePath(p1.system, p1.start, [(t0, t1, vscale(2, d)) for t0, t1, d in raw])
+    return from_segments(p1.system, p1.start, segs, antidominant=anti)
 
 
 # -- chains ------------------------------------------------------------------
@@ -683,38 +617,6 @@ def try_operator(kind: str, i: int, path: LambdaPath):
         return root_operator(kind, i, path)
     except OperatorUndefined:
         return None
-
-
-# -- billiard check (bounded) ---------------------------------------------------
-
-
-def is_billiard(path: LambdaPath, h: int = 20, orbit_cap: int = 2000) -> bool:
-    """Bounded test that each outgoing direction is a local-Weyl image of the
-    incoming one.  Sound on True; a False may mean the cap was hit."""
-    sys_ = path.system
-    roots = sys_.real_roots_up_to_height(h)
-    for j in range(1, path.r):
-        x = path.point(j)
-        gens = [b for b in roots if sys_.root_eval(b, x).denominator == 1]
-        xi_from = path.direction_vector(j - 1)
-        xi_to = path.direction_vector(j)
-        seen = {xi_from}
-        frontier = [xi_from]
-        ok = xi_from == xi_to
-        while frontier and not ok and len(seen) < orbit_cap:
-            nxt = []
-            for xi in frontier:
-                for b in gens:
-                    img = sys_.reflect_by_root(b, xi)
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-                        if img == xi_to:
-                            ok = True
-            frontier = nxt
-        if not ok:
-            return False
-    return True
 
 
 # -- serialization ---------------------------------------------------------------

@@ -22,7 +22,6 @@ from .errors import (
     CrossCheckMismatch,
     FormatError,
     HeightBoundTooSmall,
-    NotDominant,
     NotGCM,
     NotSymmetrizable,
 )
@@ -567,16 +566,6 @@ class RootGeneratingSystem:
                 )
             out = self._unwind_cache[key] = (done[0], self.normalize_word(done[1]))
         return out
-
-    def min_coset_rep(self, w: WeylElement, lam: Vec) -> CosetRep:
-        """Minimal-length element of w W_lambda, for dominant lambda."""
-        if not self.is_dominant(lam):
-            raise NotDominant("min_coset_rep needs a dominant weight")
-        lam = tuple(Fraction(x) for x in lam)
-        lam2, rep = self.orbit_unwind(self.act(w, lam))
-        if lam2 != lam:
-            raise CrossCheckMismatch(f"unwinding {w!r}(lambda) gives {format_vector(lam2)}, not lambda")
-        return CosetRep(rep, lam)
 
     def coset_of_vector(self, xi: Vec, lam: Vec, antidominant=False) -> CosetRep:
         """The coset rep tau with tau(lambda) = xi, given xi in the orbit of lambda."""

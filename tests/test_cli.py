@@ -145,6 +145,14 @@ class TestMult:
         assert lines[0] == "2"
         assert "oracle agreement: yes" in lines[1]
 
+    @pytest.mark.parametrize("mu", ["0,0", "-1,-1"])
+    def test_non_dominant_shape_is_domain_no(self, files, capsys, mu):
+        # the shape is refused whether or not mu lies below it
+        status, _, err = run(
+            capsys, "mult", "--system", files["a2"], "--lambda=-1,-1", f"--mu={mu}"
+        )
+        assert status == 1
+        assert "crystal generation needs a dominant shape" in err
 
     def test_twisted_dual_oracle_failure_is_internal_error(self, tmp_path, capsys):
         # the Freudenthal oracle is wrong on this twisted affine matrix; the

@@ -1,5 +1,6 @@
 """Cross-module invariants that do not belong to a single operation."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 from itertools import product
 
@@ -7,14 +8,7 @@ import pytest
 
 from heckepaths.galleries import parameter_pattern
 from heckepaths.model import enumerate_hecke, generate_ls_paths
-from heckepaths.paths import (
-    is_hecke,
-    is_ls,
-    make_path,
-    stats,
-    straight_path,
-    translate_path,
-)
+from heckepaths.paths import is_hecke, is_ls, make_path, stats, straight_path
 
 from conftest import frac_vec
 
@@ -120,7 +114,7 @@ class TestAcrossTypes:
         base = make_path(
             a2, frac_vec(1, 1), frac_vec(0, 0), [(0, 1), (1,)], [F(0), F(1, 2), F(1)]
         )
-        moved = translate_path(base, frac_vec(1, -1))
+        moved = replace(base, start=frac_vec(1, -1))
         assert is_ls(moved).ok == is_ls(base).ok
         st0, st1 = stats(base), stats(moved)
         assert (st0.ddim, st0.codim) == (st1.ddim, st1.codim)

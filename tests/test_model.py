@@ -8,7 +8,6 @@ from heckepaths.model import (
     freudenthal_multiplicity,
     generate_ls_paths,
     multiplicity,
-    multiplicity_table,
 )
 from heckepaths.paths import is_hecke, is_ls, stats
 from heckepaths.root_system import dominance_difference
@@ -55,6 +54,15 @@ class TestMultiplicity:
     def test_a2_zero_weight(self, a2):
         assert multiplicity(a2, frac_vec(1, 1), frac_vec(0, 0)) == 2
 
+    @pytest.mark.parametrize("lam", [(-1, -1), (F(1, 2), 0)])
+    def test_refuses_shape_like_generation(self, a2, lam):
+        # mu = 0 is not below these shapes; the shape is still refused, not answered 0
+        with pytest.raises(NotDominant) as crystal:
+            generate_ls_paths(a2, lam)
+        with pytest.raises(NotDominant) as mult:
+            multiplicity(a2, lam, frac_vec(0, 0))
+        assert str(mult.value) == str(crystal.value)
+
     def test_cap_hit_raises(self, a1aff):
         lam = _fundamental_coweight(a1aff)
         delta = _delta_coroot(a1aff)
@@ -63,7 +71,7 @@ class TestMultiplicity:
             multiplicity(a1aff, lam, far, depth_cap=10)
 
     def test_weyl_symmetry(self, a2):
-        table = multiplicity_table(a2, frac_vec(2, 1))
+        table = generate_ls_paths(a2, frac_vec(2, 1)).endpoint_counts()
         for mu, count in table.items():
             for el in group_elements(a2, 3):
                 img = a2.act(el, mu)
@@ -85,7 +93,7 @@ class TestFreudenthal:
         # highest-root coroot (1,1) heads the 5-dimensional dual module
         lam = _highest_root_coroot(b2)
         assert lam == (F(1), F(1))
-        table = multiplicity_table(b2, lam)
+        table = generate_ls_paths(b2, lam).endpoint_counts()
         assert sum(table.values()) == 5
         for mu, count in table.items():
             assert freudenthal_multiplicity(b2, lam, mu) == count
@@ -102,7 +110,7 @@ class TestFreudenthal:
 
         g2 = RootGeneratingSystem.from_gcm([[2, -1], [-3, 2]])
         lam = frac_vec(2, 1)  # pairings (1, 0): a fundamental-type coweight
-        table = multiplicity_table(g2, lam, depth_cap=10_000)
+        table = generate_ls_paths(g2, lam, depth_cap=10_000).endpoint_counts()
         cache = {}
         for mu, count in table.items():
             assert freudenthal_multiplicity(g2, lam, mu, cache=cache) == count
@@ -151,12 +159,12 @@ class TestOracleAgreement:
     @pytest.mark.parametrize("lam", [(1,), (2,), (3,)])
     def test_a1(self, a1, lam):
         lam = tuple(F(x) for x in lam)
-        table = multiplicity_table(a1, lam)
+        table = generate_ls_paths(a1, lam).endpoint_counts()
         for mu, count in table.items():
             assert freudenthal_multiplicity(a1, lam, mu) == count
 
     def test_a2_adjoint(self, a2):
-        table = multiplicity_table(a2, frac_vec(1, 1))
+        table = generate_ls_paths(a2, frac_vec(1, 1)).endpoint_counts()
         assert table[frac_vec(0, 0)] == freudenthal_multiplicity(a2, frac_vec(1, 1), frac_vec(0, 0))
 
     def test_ls_subset_of_hecke(self, a2):

@@ -2,15 +2,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from heckepaths.errors import CrossCheckMismatch, OutOfRange
+from heckepaths.errors import NonLambdaPath, OutOfRange
 from heckepaths.paths import (
-    PiecewisePath,
     concat,
-    direction_data,
     eval_path,
     find_chain,
-    from_segments,
-    is_billiard,
     is_hecke,
     is_ls,
     make_path,
@@ -62,24 +58,6 @@ class TestEval:
                 assert abs(a - b) <= 2 * eps and abs(c - b) <= 2 * eps
 
 
-class TestDirectionData:
-    def test_at_fold(self, v_path, a1):
-        d = direction_data(v_path, F(1, 2))
-        assert d.left_derivative == (F(-1),)
-        assert d.right_derivative == (F(1),)
-        assert d.w_minus.element.word == (0,)
-        assert d.w_plus.element.word == ()
-
-    def test_inside_segment(self, v_path):
-        d = direction_data(v_path, F(1, 4))
-        assert d.w_minus.element == d.w_plus.element
-        assert d.w_minus.element.word == (0,)
-
-    def test_straight(self, a1):
-        d = direction_data(straight_path(a1, (F(1),)), F(1, 3))
-        assert d.w_minus.element.word == () and d.w_plus.element.word == ()
-
-
 class TestReverse:
     def test_straight(self, a1):
         pi = straight_path(a1, (F(1),))
@@ -125,9 +103,8 @@ class TestConcat:
         # (2,1) is not proportional to anything in the Weyl orbit of (1,1)
         p1 = straight_path(a2, frac_vec(1, 1))
         p2 = straight_path(a2, frac_vec(2, 1), frac_vec(1, 1))
-        c = concat(p1, p2)
-        assert isinstance(c, PiecewisePath) and not c.is_lambda
-        assert c.endpoint == frac_vec(3, 2)
+        with pytest.raises(NonLambdaPath):
+            concat(p1, p2)
 
     def test_compatible_orbit_merges(self, a2):
         # a path of shape s_2(1,1) continues a (1,1)-path inside one orbit
@@ -172,7 +149,7 @@ class TestIsHecke:
         bad = make_path(a1, (F(1),), (F(0),), [(), (0,)], [F(0), F(1, 2), F(1)])
         res = is_hecke(bad)
         assert not res.ok
-        assert is_billiard(bad)
+        assert res.reason == "condition vi fails at t=1/2"
 
 
 class TestIsLS:
@@ -233,7 +210,7 @@ class TestStats:
 
     def test_billiard_not_hecke_identity(self, a1):
         p = make_path(a1, (F(1),), (F(0),), [(), (0,)], [F(0), F(1, 2), F(1)])
-        assert is_billiard(p) and not is_hecke(p).ok
+        assert not is_hecke(p).ok
         st = stats(p)
         assert st.dim + st.codim == 2 * a1.rho_value(p.shape)
 

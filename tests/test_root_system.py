@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckepaths import NotGCM, RootGeneratingSystem, WeylElement, validate_gcm
-from heckepaths.errors import HeightBoundTooSmall, NotDominant
+from heckepaths.errors import FormatError, HeightBoundTooSmall
 from heckepaths.linalg import solve_linear
 from heckepaths.root_system import vdot_cov
 
@@ -141,26 +141,32 @@ class TestBruhat:
 class TestCosets:
     def test_spec_example(self, a2):
         # alpha_2((2,1)) = 0, alpha_1((2,1)) = 3 > 0; coset {s1s2, s1} has min s1
-        rep = a2.min_coset_rep(a2.normalize_word((0, 1)), frac_vec(2, 1))
+        lam = frac_vec(2, 1)
+        rep = a2.coset_of_vector(a2.act(a2.normalize_word((0, 1)), lam), lam)
         assert rep.element.word == (0,)
 
     def test_identity(self, a2):
-        assert a2.min_coset_rep(a2.normalize_word(()), frac_vec(1, 1)).element.word == ()
+        lam = frac_vec(1, 1)
+        assert a2.coset_of_vector(a2.act(a2.normalize_word(()), lam), lam).element.word == ()
 
     def test_regular_weight(self, a2):
-        rep = a2.min_coset_rep(a2.normalize_word((0,)), frac_vec(1, 1))
+        lam = frac_vec(1, 1)
+        rep = a2.coset_of_vector(a2.act(a2.normalize_word((0,)), lam), lam)
         assert rep.element.word == (0,)
 
     def test_idempotent(self, a2):
         lam = frac_vec(2, 1)
         for el in group_elements(a2, 4):
-            rep = a2.min_coset_rep(el, lam)
-            again = a2.min_coset_rep(rep.element, lam)
+            rep = a2.coset_of_vector(a2.act(el, lam), lam)
+            again = a2.coset_of_vector(a2.act(rep.element, lam), lam)
             assert rep.element == again.element
 
     def test_not_dominant(self, a2):
-        with pytest.raises(NotDominant):
-            a2.min_coset_rep(a2.normalize_word((0,)), frac_vec(-1, 0))
+        # orbit vectors unwind to the dominant conjugate, so the orbit of a
+        # non-dominant shape never matches it
+        lam = frac_vec(-1, 0)
+        with pytest.raises(FormatError):
+            a2.coset_of_vector(a2.act(a2.normalize_word((0,)), lam), lam)
 
 
 class TestRealRoots:
@@ -253,7 +259,6 @@ class TestTitsCone:
 
     def test_unwind_guard_is_a_domain_error(self, monkeypatch):
         from heckepaths import root_system
-        from heckepaths.errors import FormatError
 
         hyp = RootGeneratingSystem.from_gcm([[2, -3], [-3, 2]])
         v = frac_vec(1, 1)  # antidominant and nonzero: outside the Tits cone

@@ -4,6 +4,7 @@ import ast
 import doctest
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import heckepaths
@@ -27,3 +28,39 @@ def test_doctests():
     results = {module.__name__: doctest.testmod(module) for module in modules}
     assert sum(r.attempted for r in results.values()) > 0
     assert {name: r.failed for name, r in results.items() if r.failed} == {}
+
+
+# documented entry points that no library code calls; users and tests do
+ENTRY_POINTS = {
+    "build_parser",
+    "gallery_from_json_dict",
+    "enumerate_decorations",
+    "reverse_path",
+    "concat",
+    "all_chains",
+    "find_chain",
+}
+
+
+def _references(node):
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_public_names_have_library_callers():
+    trees = {m.name: ast.parse(m.read_text(encoding="utf-8")) for m in sorted(SRC.glob("*.py"))}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    orphans = [
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in ENTRY_POINTS
+        # uses inside its own body (recursion) do not count
+        and used[node.name] == _references(node)[node.name]
+    ]
+    assert not orphans, f"public names with no caller elsewhere in the library: {orphans}"
