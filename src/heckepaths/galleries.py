@@ -48,10 +48,6 @@ class GalleryAtPoint:
     def n(self) -> int:
         return len(self.type_word)
 
-    @property
-    def end(self) -> WeylElement:
-        return self.chambers[-1]
-
     def step_root(self, j: int) -> RealRoot:
         """Direction of the wall of step j (1-based), normalized positive."""
         return _wall_direction(self.system, self.chambers[j - 1], self.type_word[j - 1])

@@ -12,7 +12,7 @@ Fraction(-3, 4)
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import FormatError
 
@@ -79,41 +79,64 @@ def is_integral_vec(u: Vec) -> bool:
     return all(Fraction(a).denominator == 1 for a in u)
 
 
+def _eliminate(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) on integers.
+
+    Each row is scaled to integers by the lcm of its denominators, and every
+    step divides exactly by the previous pivot, so after k steps the first k
+    rows are the reduced rows times the k-th pivot, the minor of the scaled,
+    row-swapped matrix on its first k rows and pivot columns.  Returns
+    (integer rows, pivot columns, last pivot, sign of the row swaps, product
+    of the row scales).
+    """
+    m = []
+    scales = 1
+    for entries in rows:
+        entries = list(entries)
+        s = lcm(*(x.denominator for x in entries))
+        m.append([x.numerator * (s // x.denominator) for x in entries])
+        scales *= s
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    sign, prev = 1, 1
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(m):
+            break
+        piv = next((r for r in range(row, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            sign = -sign
+        top = m[row]
+        pv = top[col]
+        for r in range(len(m)):
+            if r != row:
+                f = m[r][col]
+                m[r] = [(pv * a - f * b) // prev for a, b in zip(m[r], top)]
+        prev = pv
+        pivots.append(col)
+    return m, pivots, prev, sign, scales
+
+
 def row_reduce(rows):
     """Exact reduced row echelon form of a matrix given as an iterable of rows.
 
     Returns (reduced rows, pivot columns, determinant); the determinant is 0
-    unless the matrix is square and invertible.
+    unless the matrix is square and invertible.  Entries are ints or
+    Fractions.  The elimination runs on integers (_eliminate); the reduced
+    rows are its rows over the last pivot, and the determinant is sign x last
+    pivot / product of the row scales.
 
     >>> reduced, pivots, det = row_reduce([(0, 2), (1, 3)])
     >>> reduced == [[1, 0], [0, 1]], pivots, det
     (True, [0, 1], Fraction(-2, 1))
     """
-    m = [[Fraction(x) for x in row] for row in rows]
-    ncols = len(m[0]) if m else 0
-    pivots = []
-    det = Fraction(1)
-    for col in range(ncols):
-        row = len(pivots)
-        if row == len(m):
-            break
-        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        if piv != row:
-            m[row], m[piv] = m[piv], m[row]
-            det = -det
-        pv = m[row][col]
-        det *= pv
-        m[row] = [x / pv for x in m[row]]
-        for r in range(len(m)):
-            if r != row and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        pivots.append(col)
-    if not len(pivots) == len(m) == ncols:
-        det = Fraction(0)
-    return m, pivots, det
+    m, pivots, prev, sign, scales = _eliminate(rows)
+    reduced = [[Fraction(x, prev) for x in row] for row in m]
+    square = len(pivots) == len(m) == (len(m[0]) if m else 0)
+    return reduced, pivots, Fraction(sign * prev, scales) if square else Fraction(0)
 
 
 def mat_rank(rows) -> int:
@@ -122,7 +145,7 @@ def mat_rank(rows) -> int:
     >>> mat_rank([(2, -2), (-2, 2)])
     1
     """
-    return len(row_reduce(rows)[1])
+    return len(_eliminate(rows)[1])
 
 
 def solve_linear(rows, rhs):
@@ -165,14 +188,9 @@ def nullspace(rows):
 
 def scale_to_primitive_integers(v: Vec) -> Vec:
     """Scale a nonzero rational vector to coprime integers, keeping its sign."""
-    denoms = [Fraction(x).denominator for x in v]
-    lcm = 1
-    for d in denoms:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(Fraction(x) * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    den = lcm(*(Fraction(x).denominator for x in v))
+    ints = [int(Fraction(x) * den) for x in v]
+    g = gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(Fraction(x // g) for x in ints)

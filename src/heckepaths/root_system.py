@@ -6,6 +6,11 @@ are tracked formally as integer coefficient vectors over the simple roots
 (together with the matching coroot coefficients), so root enumeration works
 even when the evaluation covectors are degenerate.
 
+The Weyl action runs on integers: each system keeps its simple roots and
+coroots scaled to integers, a point is carried as integer numerators over one
+denominator together with its integer pairings, and a Fraction is built once
+per output coordinate, at the API boundary.
+
 Weyl group elements are stored as their ShortLex normal form, computed by
 greedy left-descent extraction from the exact action on root coefficients;
 equal group elements therefore always carry identical words.
@@ -16,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     CrossCheckMismatch,
@@ -154,30 +159,15 @@ class CosetRep:
         return self.element.length
 
 
-def _reflection_matrix(gcm, i):
-    # action of r_i on root coefficient vectors: a_j -> a_j - a[i][j] a_i
-    n = gcm.n
-    rows = []
-    for r in range(n):
-        row = []
-        for c in range(n):
-            x = 1 if r == c else 0
-            if r == i:
-                x -= gcm[i, c]
-            row.append(x)
-        rows.append(tuple(row))
-    return tuple(rows)
+def _integer_supports(vectors, den):
+    # nonzero entries of den * v, as (coordinate, integer) pairs
+    return tuple(tuple((t, int(x * den)) for t, x in enumerate(v) if x) for v in vectors)
 
 
-def _mat_mul_int(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(n)) for c in range(n)) for r in range(n)
-    )
-
-
-def _identity_int(n):
-    return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
+def _numerators(v):
+    # v as integer numerators over the lcm of its denominators
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
 class RootGeneratingSystem:
@@ -199,11 +189,12 @@ class RootGeneratingSystem:
         self._check_realization()
         self.symmetrizer = self._solve_symmetrizer(self.gcm.entries)
         self.rho = self._solve_rho()
-        self._refl = tuple(_reflection_matrix(gcm, i) for i in range(self.n))
-        # nonzero entries of alpha_i^v, and of row i of the Cartan matrix
-        self._coroot_support = tuple(
-            tuple((t, y) for t, y in enumerate(c) if y) for c in self.simple_coroots
-        )
+        # integer realization: nonzero entries of rden alpha_j and cden alpha_i^v,
+        # and of row i of the Cartan matrix
+        self._rden = lcm(*(x.denominator for r in self.simple_roots for x in r))
+        self._cden = lcm(*(y.denominator for c in self.simple_coroots for y in c))
+        self._root_support = _integer_supports(self.simple_roots, self._rden)
+        self._coroot_support = _integer_supports(self.simple_coroots, self._cden)
         self._cartan_support = tuple(
             tuple((j, a) for j, a in enumerate(row) if a) for row in gcm.entries
         )
@@ -211,11 +202,13 @@ class RootGeneratingSystem:
         self._act_cache = {}
         self._unwind_cache = {}
         self._covector_cache = {}
+        self._coroot_vector_cache = {}
+        self._inversion_cache = {}
         self._roots_cache = []  # list of (height, RealRoot), sorted, grows monotonically
         self._roots_cache_bound = 0
         self._type_cache = None
         self._delta_cov = None
-        self._coroot_inverse = None  # (pivot coordinates, inverse of the coroots there)
+        self._coroot_inverse = None  # (pivot coordinates, integer inverse there, its denominator)
 
     # -- construction ------------------------------------------------------
 
@@ -279,13 +272,9 @@ class RootGeneratingSystem:
                         queue.append(j)
                     elif d[j] != val:
                         raise NotSymmetrizable("inconsistent symmetrizer constraints")
-        lcm = 1
-        for q in d:
-            lcm = lcm * q.denominator // gcd(lcm, q.denominator)
-        ints = [int(q * lcm) for q in d]
-        g = 0
-        for x in ints:
-            g = gcd(g, x)
+        den = lcm(*(q.denominator for q in d))
+        ints = [int(q * den) for q in d]
+        g = gcd(*ints)
         d = tuple(Fraction(x // g) for x in ints)
         for i in range(n):
             for j in range(n):
@@ -317,18 +306,27 @@ class RootGeneratingSystem:
             return tuple(v)
         return tuple(x - c * y for x, y in zip(v, self.simple_coroots[i]))
 
-    def _with_pairings(self, v: Vec):
-        """v as a list of Fraction, and the list of its pairings alpha_j(v)."""
-        cur = [Fraction(x) for x in v]
-        return cur, [vdot_cov(r, cur) for r in self.simple_roots]
+    def _integer_point(self, v: Vec):
+        """v as integer numerators over one denominator, with its pairings.
 
-    def _reflect_carrying(self, cur: list, pairs: list, i: int):
-        """r_i on cur in place, carrying its pairings along the Cartan matrix:
-        alpha_j(r_i v) = alpha_j(v) - alpha_i(v) a_ij, exact because
-        alpha_j(alpha_i^v) = a_ij holds in the realization."""
+        With D the lcm of v's denominators, returns (num, pairs, den): num
+        over den = D rden cden are the coordinates of v, and pairs over
+        D rden its pairings alpha_j(v).
+        """
+        num, d = _numerators(v)
+        pairs = [sum(a * num[t] for t, a in row) for row in self._root_support]
+        scale = self._rden * self._cden
+        if scale != 1:
+            num = [x * scale for x in num]
+        return num, pairs, d * scale
+
+    def _reflect_integers(self, num: list, pairs: list, i: int):
+        """r_i on an integer point in place, carrying its pairings along the
+        Cartan matrix: alpha_j(r_i v) = alpha_j(v) - alpha_i(v) a_ij, exact
+        because alpha_j(alpha_i^v) = a_ij holds in the realization."""
         p = pairs[i]
         for t, y in self._coroot_support[i]:
-            cur[t] -= p * y
+            num[t] -= p * y
         for j, a in self._cartan_support[i]:
             pairs[j] -= p * a
 
@@ -336,11 +334,11 @@ class RootGeneratingSystem:
         key = (w.word, tuple(v))
         out = self._act_cache.get(key)
         if out is None:
-            cur, pairs = self._with_pairings(v)
+            num, pairs, den = self._integer_point(v)
             for i in reversed(w.word):
                 if pairs[i]:
-                    self._reflect_carrying(cur, pairs, i)
-            out = self._act_cache[key] = tuple(cur)
+                    self._reflect_integers(num, pairs, i)
+            out = self._act_cache[key] = tuple(Fraction(x, den) for x in num)
         return out
 
     def root_covector(self, root: RealRoot) -> Vec:
@@ -358,12 +356,16 @@ class RootGeneratingSystem:
         return vdot_cov(cov, v)
 
     def coroot_vector(self, root: RealRoot) -> Vec:
-        out = [Fraction(0)] * self.rank_x
-        for i, c in enumerate(root.coroot_coeffs):
-            if c:
-                for t in range(self.rank_x):
-                    out[t] += c * self.simple_coroots[i][t]
-        return tuple(out)
+        out = self._coroot_vector_cache.get(root.coeffs)
+        if out is None:
+            num = [0] * self.rank_x
+            for c, support in zip(root.coroot_coeffs, self._coroot_support):
+                for t, y in support:
+                    num[t] += c * y
+            out = self._coroot_vector_cache[root.coeffs] = tuple(
+                Fraction(x, self._cden) for x in num
+            )
+        return out
 
     def reflect_by_root(self, root: RealRoot, v: Vec) -> Vec:
         c = self.root_eval(root, v)
@@ -416,18 +418,22 @@ class RootGeneratingSystem:
                 [c[p] for c in self.simple_coroots] + [int(k == r) for k in range(n)]
                 for r, p in enumerate(pivots)
             ]
-            inverse = tuple(tuple(row[n:]) for row in row_reduce(block)[0])
-            self._coroot_inverse = (pivots, inverse)
-        pivots, inverse = self._coroot_inverse
-        at_pivots = [v[p] for p in pivots]
-        sol = tuple(vdot_cov(row, at_pivots) for row in inverse)
-        rebuilt = [Fraction(0)] * self.rank_x
+            inverse = [row[n:] for row in row_reduce(block)[0]]
+            den = lcm(*(x.denominator for row in inverse for x in row))
+            rows = tuple(tuple(int(x * den) for x in row) for row in inverse)
+            self._coroot_inverse = (pivots, rows, den)
+        pivots, rows, den = self._coroot_inverse
+        num, d = _numerators(v)
+        # the coefficients, and cden times their coroot combination, over d den
+        sol = [sum(a * num[p] for a, p in zip(row, pivots)) for row in rows]
+        rebuilt = [0] * self.rank_x
         for c, support in zip(sol, self._coroot_support):
             for t, y in support:
                 rebuilt[t] += c * y
-        if any(a != b for a, b in zip(rebuilt, v, strict=True)):
+        scale = self._cden * den
+        if any(a != scale * b for a, b in zip(rebuilt, num, strict=True)):
             return None
-        return sol
+        return tuple(Fraction(c, d * den) for c in sol)
 
     # -- normal forms ------------------------------------------------------
 
@@ -447,21 +453,25 @@ class RootGeneratingSystem:
         cached = self._norm_cache.get(word)
         if cached is not None:
             return cached
-        n = self.n
-        inv = _identity_int(n)  # matrix of w^{-1} on root coefficients
-        for i in word:
-            inv = _mat_mul_int(self._refl[i], inv)
-        ident = _identity_int(n)
+        # matrix of w^{-1} on root coefficients; column i is w^{-1}(alpha_i), and
+        # r_i (alpha_c) = alpha_c - a_ic alpha_i
+        ident = [[int(r == c) for c in range(self.n)] for r in range(self.n)]
+        inv = [list(row) for row in ident]
+        for i in word:  # r_i inv: row i takes a_ik times row k off, for every k
+            support = self._cartan_support[i]
+            inv[i] = [x - sum(a * inv[k][t] for k, a in support) for t, x in enumerate(inv[i])]
         out = []
         while inv != ident:
-            for i in range(n):
-                col = tuple(inv[r][i] for r in range(n))
-                if all(x <= 0 for x in col):
+            for i in range(self.n):
+                if all(row[i] <= 0 for row in inv):  # a left descent of w
                     out.append(i)
-                    inv = _mat_mul_int(inv, self._refl[i])
+                    for row in inv:  # inv r_i: column c takes a_ic times column i off
+                        p = row[i]
+                        for c, a in self._cartan_support[i]:
+                            row[c] -= p * a
                     break
             else:  # pragma: no cover - impossible for a genuine group element
-                raise RuntimeError("no left descent found")
+                raise CrossCheckMismatch(f"no left descent found for the word {word}")
         result = WeylElement(tuple(out))
         self._norm_cache[word] = result
         return result
@@ -488,24 +498,28 @@ class RootGeneratingSystem:
             else:
                 raise FormatError(f"{root!r} is not a real root")
             guard += 1
-            if guard > _UNWIND_GUARD:  # pragma: no cover
-                raise RuntimeError("reflection descent did not terminate")
+            if guard > _UNWIND_GUARD:
+                raise CrossCheckMismatch(f"reflection descent of {root!r} did not terminate")
         i = cur.coeffs.index(1)
         return self.normalize_word(tuple(word) + (i,) + tuple(reversed(word)))
 
     # -- inversions, Bruhat order, cosets -----------------------------------
 
     def inversion_set(self, w: WeylElement):
-        """Positive roots sent negative by w^{-1}: beta_k = r_i1 ... r_i(k-1)(alpha_ik)."""
-        out = []
-        prefix = []
-        for k, i in enumerate(w.word):
-            beta = self.simple_root_obj(i)
-            for j in reversed(prefix):
-                beta = self.reflect_root(j, beta)
-            out.append(beta)
-            prefix.append(i)
-        return out
+        """Positive roots sent negative by w^{-1}: beta_k = r_i1 ... r_i(k-1)(alpha_ik).
+
+        Memoized per word; each call returns a fresh list.
+        """
+        out = self._inversion_cache.get(w.word)
+        if out is None:
+            roots = []
+            for k, i in enumerate(w.word):
+                beta = self.simple_root_obj(i)
+                for j in reversed(w.word[:k]):
+                    beta = self.reflect_root(j, beta)
+                roots.append(beta)
+            out = self._inversion_cache[w.word] = tuple(roots)
+        return list(out)
 
     def is_left_descent(self, i: int, w: WeylElement) -> bool:
         """True iff length(s_i w) < length(w)."""
@@ -535,16 +549,16 @@ class RootGeneratingSystem:
     def _unwind(self, v: Vec, antidominant: bool, cap: int):
         """Reflect at the least index whose pairing has the wrong sign until
         none has; (v0, letters), or None if that takes cap reflections."""
-        cur, pairs = self._with_pairings(v)
+        num, pairs, den = self._integer_point(v)
         letters = []
         for _ in range(cap):
             for i, p in enumerate(pairs):
                 if p > 0 if antidominant else p < 0:
                     break
             else:
-                return tuple(cur), tuple(letters)
+                return tuple(Fraction(x, den) for x in num), tuple(letters)
             letters.append(i)
-            self._reflect_carrying(cur, pairs, i)
+            self._reflect_integers(num, pairs, i)
         return None
 
     def orbit_unwind(self, v: Vec, antidominant=False):
@@ -570,7 +584,7 @@ class RootGeneratingSystem:
     def coset_of_vector(self, xi: Vec, lam: Vec, antidominant=False) -> CosetRep:
         """The coset rep tau with tau(lambda) = xi, given xi in the orbit of lambda."""
         lam2, rep = self.orbit_unwind(xi, antidominant=antidominant)
-        if lam2 != tuple(Fraction(x) for x in lam):
+        if lam2 != tuple(lam):
             raise FormatError("vector is not in the Weyl orbit of the shape")
         return CosetRep(rep, lam2)
 

@@ -72,7 +72,7 @@ class TestFoldGallery:
         (cert,) = res.certificates
         g = minimal_gallery(a2, theta_path.point(1), theta_path.directions[0])
         folded = fold_gallery(g, cert.roots)
-        assert folded.end == theta_path.directions[1]
+        assert folded.chambers[-1] == theta_path.directions[1]
         # folds are at true walls, on the positive side
         assert folded.folds and all(folded.step_is_true(j) for j in folded.folds)
 

@@ -56,6 +56,56 @@ def apply(m, x):
     return tuple(sum((a * b for a, b in zip(row, x)), F(0)) for row in m)
 
 
+def ref_row_reduce(rows):
+    """Gauss-Jordan elimination over Fraction: (reduced rows, pivots, determinant)."""
+    m = [[F(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    det = F(1)
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(m):
+            break
+        piv = next((r for r in range(row, len(m)) if m[r][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != row:
+            m[row], m[piv] = m[piv], m[row]
+            det = -det
+        pv = m[row][col]
+        det *= pv
+        m[row] = [x / pv for x in m[row]]
+        for r in range(len(m)):
+            if r != row and m[r][col] != 0:
+                f = m[r][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
+        pivots.append(col)
+    if not len(pivots) == len(m) == ncols:
+        det = F(0)
+    return m, pivots, det
+
+
+# ints, zeros, small fractions and large coprime denominators
+wide_entries = st.one_of(
+    entries,
+    st.integers(-(10**6), 10**6),
+    st.builds(F, st.integers(-(10**12), 10**12), st.sampled_from([10**9 + 7, 998244353, 2**61 - 1])),
+)
+
+
+@st.composite
+def deficient_matrices(draw):
+    """Any shape, with some rows rational combinations of the others, shuffled."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.lists(wide_entries, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, min_size=1, max_size=nrows))
+    m = list(base)
+    while len(m) < nrows:
+        coeffs = draw(st.lists(wide_entries, min_size=len(base), max_size=len(base)))
+        m.append([sum((c * r[j] for c, r in zip(coeffs, base)), F(0)) for j in range(ncols)])
+    return [m[k] for k in draw(st.permutations(range(nrows)))]
+
+
 class TestRowReduce:
     @settings(max_examples=80, deadline=None)
     @given(square_matrices)
@@ -75,6 +125,14 @@ class TestRowReduce:
 
     def test_non_square_determinant_is_zero(self):
         assert row_reduce([(1, 0, 0), (0, 1, 0)])[2] == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(deficient_matrices(), matrices(max_size=5)))
+    def test_matches_fraction_elimination(self, m):
+        reduced, pivots, det = row_reduce(m)
+        assert (reduced, pivots, det) == ref_row_reduce(m)
+        assert type(det) is F
+        assert all(type(x) is F for row in reduced for x in row)
 
 
 class TestSolveLinear:

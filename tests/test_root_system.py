@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckepaths import NotGCM, RootGeneratingSystem, WeylElement, validate_gcm
-from heckepaths.errors import FormatError, HeightBoundTooSmall
-from heckepaths.linalg import solve_linear
+from heckepaths.errors import CrossCheckMismatch, FormatError, HeightBoundTooSmall
+from heckepaths.linalg import nullspace, solve_linear
 from heckepaths.root_system import vdot_cov
 
 from conftest import all_words, brute_force_bruhat, frac_vec, group_elements
@@ -210,6 +210,17 @@ class TestRealRoots:
             # alpha(alpha^v) = 2 for every real root
             assert sum(a * b for a, b in zip(cov, cv)) == 2
 
+    def test_reflection_descent_guard_is_an_internal_error(self, monkeypatch):
+        from heckepaths import root_system
+
+        g2 = RootGeneratingSystem.from_gcm([[2, -1], [-3, 2]])
+        (beta,) = [r for r in g2.real_roots_up_to_height(3) if r.coeffs == (1, 2)]
+        refl = g2.reflection_element(beta)  # the descent takes two reflections
+        assert g2.mult(refl, refl).is_identity and refl.length == 5
+        monkeypatch.setattr(root_system, "_UNWIND_GUARD", 1)
+        with pytest.raises(CrossCheckMismatch, match="did not terminate"):
+            g2.reflection_element(beta)
+
 
 class TestRelativeLength:
     def test_special_point(self, a2):
@@ -352,6 +363,26 @@ def ref_unwind(system, v, antidominant):
             return cur, tuple(letters)
 
 
+def ref_normalize(system, word):
+    """Greedy left-descent extraction on full integer reflection matrices."""
+    n, a = system.n, system.gcm.entries
+    ident = [[int(r == c) for c in range(n)] for r in range(n)]
+    refl = [[[ident[r][c] - (a[i][c] if r == i else 0) for c in range(n)] for r in range(n)] for i in range(n)]
+
+    def mul(x, y):
+        return [[sum(x[r][k] * y[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+
+    inv = ident
+    for i in word:
+        inv = mul(refl[i], inv)
+    out = []
+    while inv != ident:
+        i = next(i for i in range(n) if all(row[i] <= 0 for row in inv))
+        out.append(i)
+        inv = mul(inv, refl[i])
+    return tuple(out)
+
+
 def ref_coroot_coordinates(system, v):
     """Solve over all coordinates of Y at once, then rebuild v."""
     sol = solve_linear(list(zip(*system.simple_coroots)), v)
@@ -375,6 +406,28 @@ def point_with_pairings(system, pairs):
     return solve_linear(system.simple_roots, pairs[: system.n])
 
 
+def point_with_offsets(system, pairs, offsets):
+    """A point with the given pairings, moved along the common kernel of the simple roots."""
+    v = point_with_pairings(system, pairs)
+    for c, basis in zip(offsets, nullspace(system.simple_roots)):
+        v = tuple(x + c * b for x, b in zip(v, basis))
+    return v
+
+
+def ref_inversion_coeffs(system, word):
+    """beta_k = r_i1 ... r_i(k-1)(alpha_ik), on root and coroot coefficients."""
+    a = system.gcm.entries
+    out = []
+    for k, i in enumerate(word):
+        root = [int(j == i) for j in range(system.n)]
+        coroot = list(root)
+        for j in reversed(word[:k]):
+            root[j] -= sum(a[j][m] * c for m, c in enumerate(root))
+            coroot[j] -= sum(a[m][j] * c for m, c in enumerate(coroot))
+        out.append((tuple(root), tuple(coroot)))
+    return out
+
+
 system_names = st.sampled_from(sorted(KERNEL_SYSTEMS))
 raw_words = st.lists(st.integers(0, 2), max_size=6)
 points = st.lists(st.fractions(-4, 4, max_denominator=5), min_size=3, max_size=3)
@@ -387,6 +440,7 @@ kernel_entries = st.one_of(
     st.fractions(-50, 50, max_denominator=12),
     st.builds(F, st.integers(-(10**12), 10**12), st.sampled_from([10**9 + 7, 998244353, 2**61 - 1])),
 )
+kernel_points = st.lists(kernel_entries, min_size=3, max_size=3)
 
 
 class TestExactKernel:
@@ -476,3 +530,62 @@ class TestExactKernel:
         _, letters = ref_unwind(system, v, False)
         if letters:
             assert system.tits_cone_membership(v, step_cap=len(letters) - 1) == ("unknown", None)
+
+    @given(name=system_names, v=kernel_points, raw=raw_words)
+    @settings(max_examples=80, deadline=None)
+    def test_act_on_large_denominators(self, name, v, raw):
+        system = SHARED[name]
+        v = tuple(v[: system.rank_x])
+        w = WeylElement(tuple(i % system.n for i in raw))
+        got = system.act(w, v)
+        assert got == ref_act(system, w.word, v)
+        assert all(type(x) is F for x in got)
+
+    @given(name=system_names, pairs=kernel_points, offsets=kernel_points, raw=raw_words, anti=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_orbit_unwind_on_large_denominators(self, name, pairs, offsets, raw, anti):
+        system = SHARED[name]
+        sign = -1 if anti else 1
+        v0 = point_with_offsets(system, [sign * abs(F(p)) for p in pairs], offsets)
+        v = ref_act(system, [i % system.n for i in raw], v0)
+        got_v0, got_w = system.orbit_unwind(v, antidominant=anti)
+        ref_v0, letters = ref_unwind(system, v, anti)
+        assert got_v0 == ref_v0 == v0
+        assert all(type(x) is F for x in got_v0)
+        assert got_w == system.normalize_word(letters)
+
+    @given(name=system_names, raw=raw_words)
+    @settings(max_examples=60, deadline=None)
+    def test_inversion_set_cold_fresh_and_cached(self, name, raw):
+        system = RootGeneratingSystem.from_json_dict(KERNEL_SYSTEMS[name])  # cold caches
+        w = system.normalize_word([i % system.n for i in raw])
+        expect = ref_inversion_coeffs(system, w.word)
+        first = system.inversion_set(w)
+        assert type(first) is list
+        assert [(b.coeffs, b.coroot_coeffs) for b in first] == expect
+        first.append(first[0] if first else None)  # callers may mutate their copy
+        cached = system.inversion_set(w)
+        fresh = RootGeneratingSystem.from_json_dict(KERNEL_SYSTEMS[name]).inversion_set(w)
+        for got in (cached, fresh, SHARED[name].inversion_set(w)):
+            assert [(b.coeffs, b.coroot_coeffs) for b in got] == expect
+
+    @given(name=system_names, k=st.integers(0, 1000), negate=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_coroot_vector_cold_and_cached(self, name, k, negate):
+        system = RootGeneratingSystem.from_json_dict(KERNEL_SYSTEMS[name])  # cold caches
+        roots = system.real_roots_up_to_height(4)
+        beta = roots[k % len(roots)].negated() if negate else roots[k % len(roots)]
+        expect = coroot_combination(system, beta.coroot_coeffs)
+        for _ in range(2):  # first call, then the memo
+            got = system.coroot_vector(beta)
+            assert got == expect
+            assert all(type(x) is F for x in got)
+        # alpha(alpha^v) = 2 for every real root
+        assert sum(a * b for a, b in zip(system.root_covector(beta), got)) == 2
+
+    @given(name=system_names, raw=st.lists(st.integers(0, 2), max_size=10))
+    @settings(max_examples=80, deadline=None)
+    def test_normalize_word_matches_matrix_products(self, name, raw):
+        system = RootGeneratingSystem.from_json_dict(KERNEL_SYSTEMS[name])  # cold caches
+        word = tuple(i % system.n for i in raw)
+        assert system.normalize_word(word).word == ref_normalize(system, word)

@@ -21,6 +21,20 @@ def test_no_assert_statements():
     assert not found, f"assert statements in the library: {found}"
 
 
+def test_no_bare_exceptions_raised():
+    # a bare RuntimeError or Exception escapes the CLI as a traceback; internal
+    # inconsistencies raise CrossCheckMismatch, which the CLI reports with exit 2
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id in ("RuntimeError", "Exception"):
+                    found.append(f"{module.name}:{node.lineno}")
+    assert not found, f"bare RuntimeError or Exception raised in the library: {found}"
+
+
 def test_doctests():
     modules = [heckepaths] + [
         importlib.import_module(f"heckepaths.{info.name}") for info in pkgutil.iter_modules(heckepaths.__path__)
@@ -39,6 +53,8 @@ ENTRY_POINTS = {
     "concat",
     "all_chains",
     "find_chain",
+    "bruhat_leq",  # RootGeneratingSystem: the Bruhat order
+    "endpoint_counts",  # CrystalGraph: the weight table of the crystal
 }
 
 
@@ -50,16 +66,26 @@ def _references(node):
     )
 
 
+def _public_definitions(tree):
+    """Top-level public functions and classes, and the public methods and
+    properties in the body of each top-level class, as (qualified name, node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
 def test_public_names_have_library_callers():
     trees = {m.name: ast.parse(m.read_text(encoding="utf-8")) for m in sorted(SRC.glob("*.py"))}
     used = sum((_references(tree) for tree in trees.values()), Counter())
     orphans = [
-        f"{module}:{node.name}"
+        f"{module}:{qualname}"
         for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in ENTRY_POINTS
+        for qualname, node in _public_definitions(tree)
+        if node.name not in ENTRY_POINTS
         # uses inside its own body (recursion) do not count
         and used[node.name] == _references(node)[node.name]
     ]
