@@ -295,15 +295,15 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     chain there.  The first direction's length is capped by 2 rho(lam - nu),
     which bounds the codimension of any qualifying path.
 
-    A node at point x and time t is skipped when y1 is out of reach: every
-    completion moves by (1 - t) times a point of conv(W lam), so its average
-    velocity v = (y1 - x) / (1 - t) lies in the Tits cone, which is convex
+    Reach of y1 is tested once per fold point (x, t), before the chain walk
+    there, and once at (y0, 0): every completion moves by (1 - t) times a
+    point of conv(W lam), so y1 - x lies in the Tits cone, which is convex
     and holds W lam; and since lam - w lam lies in Q^v_+ for every w (Kac,
-    Infinite-dimensional Lie algebras, Prop. 3.12), the dominant conjugate of
-    v lies below lam in the real cone spanned by the simple coroots.  In
-    affine type v has the level of lam (so does y1 - y0, as lam - nu is in
-    Q^v), which the Tits-cone test reads without unwinding; a node whose
-    membership stays unknown (indefinite type) is kept.
+    Infinite-dimensional Lie algebras, Prop. 3.12), (1 - t) lam minus the
+    dominant conjugate of y1 - x lies in the real cone spanned by the simple
+    coroots.  The test reads this scale-free form on integers; in affine type
+    it reads the level without unwinding, and a point whose membership stays
+    unknown (indefinite type) is kept.
     """
     lam = tuple(Fraction(x) for x in lam)
     y0 = tuple(Fraction(x) for x in y0)
@@ -323,19 +323,8 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     max_len = 2 * sum(gap)
     found = {}
 
-    def within_reach(v):
-        status, _ = system.tits_cone_membership(v)
-        if status != "in":
-            return status == "unknown"
-        coords = system.coroot_coordinates(vsub(lam, system.orbit_unwind(v)[0]))
-        return coords is not None and all(c >= 0 for c in coords)
-
     def descend(x, t, xi, certs):
-        remaining = vsub(y1, x)
-        # at t = 0 the test reads nu for every start direction: it ran once below
-        if t and not within_reach(vscale(1 / (ONE - t), remaining)):
-            return
-        if remaining == vscale(ONE - t, xi):
+        if vsub(y1, x) == vscale(ONE - t, xi):
             segs.append((ONE - t, xi))
             path = from_segments(system, y0, list(segs))
             if path not in found:
@@ -357,6 +346,8 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
                     times.add(t + (m - u0) / slope)
         for ta in sorted(times):
             z = vadd(x, vscale(ta - t, xi))
+            if not system._within_reach(lam, vsub(y1, z), ONE - ta):
+                continue
             for xi_new, cert in sorted(
                 chain_targets(system, lam, z, xi, h).items(), key=lambda kv: kv[0]
             ):
@@ -369,7 +360,7 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
                 )
                 segs.pop()
 
-    if not within_reach(nu):
+    if not system._within_reach(lam, nu, ONE):
         return []
     segs = []
     for start_vec in sorted(_cosets_up_to_length(system, lam, max_len)):

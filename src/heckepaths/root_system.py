@@ -45,6 +45,7 @@ from .linalg import (
 )
 
 _UNWIND_GUARD = 1_000_000
+_TITS_STEP_CAP = 10_000
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,6 @@ class RootGeneratingSystem:
         self._act_cache = {}
         self._unwind_cache = {}
         self._covector_cache = {}
-        self._coroot_vector_cache = {}
         self._inversion_cache = {}
         self._roots_cache = []  # list of (height, RealRoot), sorted, grows monotonically
         self._roots_cache_bound = 0
@@ -355,24 +355,16 @@ class RootGeneratingSystem:
             cov = self._covector_cache[root.coeffs] = self.root_covector(root)
         return vdot_cov(cov, v)
 
-    def coroot_vector(self, root: RealRoot) -> Vec:
-        out = self._coroot_vector_cache.get(root.coeffs)
-        if out is None:
-            num = [0] * self.rank_x
-            for c, support in zip(root.coroot_coeffs, self._coroot_support):
-                for t, y in support:
-                    num[t] += c * y
-            out = self._coroot_vector_cache[root.coeffs] = tuple(
-                Fraction(x, self._cden) for x in num
-            )
-        return out
-
     def reflect_by_root(self, root: RealRoot, v: Vec) -> Vec:
-        c = self.root_eval(root, v)
+        """r_beta(v) = v - beta(v) beta^v, on the numerators of _integer_point."""
+        num, pairs, den = self._integer_point(v)
+        c = sum(k * p for k, p in zip(root.coeffs, pairs))  # beta(v) D rden
         if c == 0:
             return tuple(v)
-        cv = self.coroot_vector(root)
-        return tuple(x - c * y for x, y in zip(v, cv))
+        for k, support in zip(root.coroot_coeffs, self._coroot_support):
+            for t, y in support:
+                num[t] -= c * k * y
+        return tuple(Fraction(x, den) for x in num)
 
     def simple_root_obj(self, i: int) -> RealRoot:
         e = tuple(1 if j == i else 0 for j in range(self.n))
@@ -411,6 +403,13 @@ class RootGeneratingSystem:
         """
         if not self.n:
             return None
+        num, d = _numerators(v)
+        sol, den = self._coroot_solve(num)
+        return None if sol is None else tuple(Fraction(c, d * den) for c in sol)
+
+    def _coroot_solve(self, num: list):
+        """Integer core of coroot_coordinates: (sol, den) with num equal to
+        sum(sol_i / den alpha_i^v); sol is None outside the span of the coroots."""
         if self._coroot_inverse is None:
             n = self.n
             pivots = row_reduce(self.simple_coroots)[1]
@@ -423,8 +422,7 @@ class RootGeneratingSystem:
             rows = tuple(tuple(int(x * den) for x in row) for row in inverse)
             self._coroot_inverse = (pivots, rows, den)
         pivots, rows, den = self._coroot_inverse
-        num, d = _numerators(v)
-        # the coefficients, and cden times their coroot combination, over d den
+        # the coefficients, and cden times their coroot combination, over den
         sol = [sum(a * num[p] for a, p in zip(row, pivots)) for row in rows]
         rebuilt = [0] * self.rank_x
         for c, support in zip(sol, self._coroot_support):
@@ -432,8 +430,8 @@ class RootGeneratingSystem:
                 rebuilt[t] += c * y
         scale = self._cden * den
         if any(a != scale * b for a, b in zip(rebuilt, num, strict=True)):
-            return None
-        return tuple(Fraction(c, d * den) for c in sol)
+            return None, den
+        return sol, den
 
     # -- normal forms ------------------------------------------------------
 
@@ -546,17 +544,17 @@ class RootGeneratingSystem:
             return self.bruhat_leq(self.normalize_word((i,) + w.word), sw2)
         return self.bruhat_leq(w, sw2)
 
-    def _unwind(self, v: Vec, antidominant: bool, cap: int):
-        """Reflect at the least index whose pairing has the wrong sign until
-        none has; (v0, letters), or None if that takes cap reflections."""
-        num, pairs, den = self._integer_point(v)
+    def _unwind(self, num: list, pairs: list, antidominant: bool, cap: int):
+        """On an integer point in place: reflect at the least index whose
+        pairing has the wrong sign until none has; the letters, or None if
+        that takes cap reflections."""
         letters = []
         for _ in range(cap):
             for i, p in enumerate(pairs):
                 if p > 0 if antidominant else p < 0:
                     break
             else:
-                return tuple(Fraction(x, den) for x in num), tuple(letters)
+                return letters
             letters.append(i)
             self._reflect_integers(num, pairs, i)
         return None
@@ -572,13 +570,14 @@ class RootGeneratingSystem:
         key = (tuple(v), antidominant)
         out = self._unwind_cache.get(key)
         if out is None:
-            done = self._unwind(v, antidominant, _UNWIND_GUARD)
-            if done is None:
+            num, pairs, den = self._integer_point(v)
+            letters = self._unwind(num, pairs, antidominant, _UNWIND_GUARD)
+            if letters is None:
                 raise FormatError(
                     f"vector ({','.join(format_vector(v))}) outside the Tits cone: "
                     f"its unwind passed {_UNWIND_GUARD} reflections"
                 )
-            out = self._unwind_cache[key] = (done[0], self.normalize_word(done[1]))
+            out = self._unwind_cache[key] = (tuple(Fraction(x, den) for x in num), self.normalize_word(letters))
         return out
 
     def coset_of_vector(self, xi: Vec, lam: Vec, antidominant=False) -> CosetRep:
@@ -675,7 +674,7 @@ class RootGeneratingSystem:
             self._delta_cov = tuple(cov)
         return self._delta_cov
 
-    def tits_cone_membership(self, v: Vec, step_cap: int = 10000):
+    def tits_cone_membership(self, v: Vec, step_cap: int = _TITS_STEP_CAP):
         """Decide v in T; returns ("in", witness) / ("out", None) / ("unknown", None).
 
         The witness w makes w(v) dominant.  Finite type: always in.  Affine
@@ -699,10 +698,29 @@ class RootGeneratingSystem:
                     return ("in", IDENTITY)
                 return ("out", None)
             return ("out", None)
-        done = self._unwind(v, False, step_cap)
-        if done is None:
+        letters = self._unwind(*self._integer_point(v)[:2], False, step_cap)
+        if letters is None:
             return ("unknown", None)
-        return ("in", self.normalize_word(done[1][::-1]))
+        return ("in", self.normalize_word(letters[::-1]))
+
+    def _within_reach(self, lam: Vec, v: Vec, s: Fraction) -> bool:
+        """Whether v / s (s > 0) is in the Tits cone with its dominant conjugate in lam
+        minus the real cone of the simple coroots, read scale-free on integers as
+        s lam minus the dominant conjugate of v.  A vector whose unwind passes its
+        cap (in indefinite type the step cap of tits_cone_membership) counts as in reach."""
+        num, pairs, den = self._integer_point(v)
+        kind = self.classify_type()
+        if kind == "affine":
+            level = vdot_cov(self.delta_covector(), num)
+            if level < 0 or level == 0 and any(pairs):
+                return False
+        cap = _TITS_STEP_CAP if kind == "indefinite" else _UNWIND_GUARD
+        if self._unwind(num, pairs, False, cap) is None:
+            return True
+        lnum, d = _numerators(lam)
+        p, q = s.numerator * den, s.denominator * d
+        sol, _ = self._coroot_solve([p * a - q * b for a, b in zip(lnum, num)])
+        return sol is not None and all(c >= 0 for c in sol)
 
     # -- serialization -------------------------------------------------------
 

@@ -29,6 +29,14 @@ def frac_vec(*xs):
     return tuple(F(x) for x in xs)
 
 
+def coroot_combination(system, coeffs):
+    """sum(c_i alpha_i^v) over the simple coroots; on a real root's coroot_coeffs, its coroot."""
+    return tuple(
+        sum((F(c) * cr[t] for c, cr in zip(coeffs, system.simple_coroots)), F(0))
+        for t in range(system.rank_x)
+    )
+
+
 def all_words(n_gens, max_len):
     """Every generator word up to the given length."""
     words = [()]

@@ -125,3 +125,36 @@ def test_enumerate_hecke_equals_reference(system, lam, y0, y1, h):
     assert len(set(got)) == len(got)
     assert set(got) == reference_hecke_paths(system, lam, y0, y1, h)
 
+
+
+
+# (id, system, shape, y0, y1, witnesses, chain_targets calls)
+WORK_CASES = [
+    ("A2-22-11", A2, (2, 2), (0, 0), (1, 1), 3, 7),
+    ("B2-23-11", B2, (2, 3), (0, 0), (1, 1), 5, 12),
+    ("A1aff-002-m2m12", A1AFF, (0, 0, 2), (0, 0, 0), (-2, -1, 2), 3, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "system,lam,y0,y1,witnesses,calls", [c[1:] for c in WORK_CASES], ids=[c[0] for c in WORK_CASES]
+)
+def test_chain_targets_calls(monkeypatch, system, lam, y0, y1, witnesses, calls):
+    """chain_targets runs only at fold points from which y1 is in reach.
+
+    Reach is tested once per fold point, before the chain walk there.  When
+    it was tested at the entry of each child instead, after chain_targets
+    had run, these queries made 13, 28 and 69 calls.
+    """
+    from heckepaths import model
+
+    calls_made = []
+    chain_targets = model.chain_targets
+
+    def counting(*args, **kwargs):
+        calls_made.append(1)
+        return chain_targets(*args, **kwargs)
+
+    monkeypatch.setattr(model, "chain_targets", counting)
+    assert len(enumerate_hecke(system, lam, y0, y1, H)) == witnesses
+    assert len(calls_made) == calls

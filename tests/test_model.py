@@ -12,7 +12,7 @@ from heckepaths.model import (
 from heckepaths.paths import is_hecke, is_ls, stats
 from heckepaths.root_system import dominance_difference
 
-from conftest import frac_vec, group_elements
+from conftest import coroot_combination, frac_vec, group_elements
 
 
 class TestGenerateLS:
@@ -223,4 +223,4 @@ def _highest_root_coroot(system):
     """Coroot vector of the highest root (finite type, rank 2)."""
     roots = system.real_roots_up_to_height(10)
     best = max(roots, key=lambda r: r.height)
-    return system.coroot_vector(best)
+    return coroot_combination(system, best.coroot_coeffs)

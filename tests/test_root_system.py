@@ -9,7 +9,7 @@ from heckepaths.errors import CrossCheckMismatch, FormatError, HeightBoundTooSma
 from heckepaths.linalg import nullspace, solve_linear
 from heckepaths.root_system import vdot_cov
 
-from conftest import all_words, brute_force_bruhat, frac_vec, group_elements
+from conftest import all_words, brute_force_bruhat, coroot_combination, frac_vec, group_elements
 
 
 class TestValidateGCM:
@@ -206,7 +206,7 @@ class TestRealRoots:
             refl = a2.reflection_element(beta)
             assert a2.inversion_set(refl)  # sanity: nontrivial
             cov = a2.root_covector(beta)
-            cv = a2.coroot_vector(beta)
+            cv = coroot_combination(a2, beta.coroot_coeffs)
             # alpha(alpha^v) = 2 for every real root
             assert sum(a * b for a, b in zip(cov, cv)) == 2
 
@@ -391,13 +391,6 @@ def ref_coroot_coordinates(system, v):
     return sol if coroot_combination(system, sol) == tuple(F(x) for x in v) else None
 
 
-def coroot_combination(system, coeffs):
-    return tuple(
-        sum((F(c) * cr[t] for c, cr in zip(coeffs, system.simple_coroots)), F(0))
-        for t in range(system.rank_x)
-    )
-
-
 # A1 in a rank-2 lattice whose coroot is not a first coordinate
 A1_WIDE = {"cartan_matrix": [[2]], "simple_roots": [["5", "2"]], "simple_coroots": [["0", "1"]]}
 
@@ -426,6 +419,16 @@ def ref_inversion_coeffs(system, word):
             coroot[j] -= sum(a[m][j] * c for m, c in enumerate(coroot))
         out.append((tuple(root), tuple(coroot)))
     return out
+
+
+def ref_within_reach(system, lam, v):
+    """v in the Tits cone, with lam minus its dominant conjugate in the real
+    cone of the simple coroots; a membership left unknown counts as in reach."""
+    status, _ = system.tits_cone_membership(v)
+    if status != "in":
+        return status == "unknown"
+    coords = system.coroot_coordinates(tuple(a - b for a, b in zip(lam, system.orbit_unwind(v)[0])))
+    return coords is not None and all(c >= 0 for c in coords)
 
 
 system_names = st.sampled_from(sorted(KERNEL_SYSTEMS))
@@ -569,19 +572,69 @@ class TestExactKernel:
         for got in (cached, fresh, SHARED[name].inversion_set(w)):
             assert [(b.coeffs, b.coroot_coeffs) for b in got] == expect
 
-    @given(name=system_names, k=st.integers(0, 1000), negate=st.booleans())
-    @settings(max_examples=60, deadline=None)
-    def test_coroot_vector_cold_and_cached(self, name, k, negate):
+    @given(name=system_names, v=kernel_points, k=st.integers(0, 1000), negate=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_reflect_by_root_matches_fraction_reflection(self, name, v, k, negate):
         system = RootGeneratingSystem.from_json_dict(KERNEL_SYSTEMS[name])  # cold caches
+        v = tuple(v[: system.rank_x])
         roots = system.real_roots_up_to_height(4)
         beta = roots[k % len(roots)].negated() if negate else roots[k % len(roots)]
-        expect = coroot_combination(system, beta.coroot_coeffs)
-        for _ in range(2):  # first call, then the memo
-            got = system.coroot_vector(beta)
-            assert got == expect
-            assert all(type(x) is F for x in got)
+        coroot = coroot_combination(system, beta.coroot_coeffs)
         # alpha(alpha^v) = 2 for every real root
-        assert sum(a * b for a, b in zip(system.root_covector(beta), got)) == 2
+        assert sum(a * b for a, b in zip(system.root_covector(beta), coroot)) == 2
+        value = sum((c * ref_pairing(system, j, v) for j, c in enumerate(beta.coeffs)), F(0))
+        expect = tuple(F(x) - value * y for x, y in zip(v, coroot))
+        for system in (system, SHARED[name]):
+            got = system.reflect_by_root(beta, v)
+            assert got == expect
+            assert all(type(x) is F for x in got) or value == 0
+            assert system.reflect_by_root(beta, got) == tuple(F(x) for x in v)
+
+    @given(
+        name=system_names,
+        pairs=kernel_points,
+        offsets=kernel_points,
+        below=st.lists(st.fractions(-1, 3, max_denominator=4), min_size=3, max_size=3),
+        off=st.sampled_from([0, 0, 1, F(-1, 2)]),
+        raw=raw_words,
+        shape=st.sampled_from(["orbit", "coroots", "any"]),
+        v_any=points,
+        s=st.builds(F, st.integers(1, 10**12), st.sampled_from([1, 3, 10**9 + 7, 2**61 - 1])),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_within_reach_matches_fraction_route(self, name, pairs, offsets, below, off, raw, shape, v_any, s):
+        """The integer reach test on (lam, v, s) against tits_cone_membership,
+        orbit_unwind and coroot_coordinates on v / s.  The arbitrary points
+        have small denominators before scaling: an affine point of tiny level
+        can take millions of reflections to unwind (the next test)."""
+        system = SHARED[name]
+        v0 = point_with_offsets(system, [abs(F(p)) for p in pairs], offsets)
+        lam = tuple(a + b for a, b in zip(v0, coroot_combination(system, below)))
+        in_span = system.rank_x == system.n or off == 0
+        if not in_span:  # the last coordinate of Y is off the span of the coroots
+            lam = lam[:-1] + (lam[-1] + off,)
+        if shape == "orbit":  # in the Tits cone; in reach iff every coefficient of below is >= 0
+            v = ref_act(system, [i % system.n for i in raw], v0)
+        elif shape == "coroots":  # level 0 in affine type, in the cone only where no pairing is nonzero
+            v = coroot_combination(system, [F(p) for p in pairs])
+        else:
+            v = tuple(F(x) for x in v_any[: system.rank_x])
+        v = tuple(s * x for x in v)
+        expect = ref_within_reach(system, lam, tuple(x / s for x in v))
+        assert system._within_reach(lam, v, s) is expect
+        if shape == "orbit":
+            assert expect is (in_span and all(c >= 0 for c in below[: system.n]))
+
+    def test_within_reach_keeps_a_point_past_the_unwind_guard(self, monkeypatch):
+        from heckepaths import root_system
+
+        system = RootGeneratingSystem.from_json_dict(KERNEL_SYSTEMS["A1aff"])  # cold caches
+        lam, v = frac_vec(0, 0, 1), (F(4), F(0), F(1, 1000))  # level 1/1000: in the Tits cone
+        assert len(ref_unwind(system, v, False)[1]) > 50
+        monkeypatch.setattr(root_system, "_UNWIND_GUARD", 50)
+        with pytest.raises(FormatError, match="outside the Tits cone"):
+            ref_within_reach(system, lam, v)  # orbit_unwind gives up
+        assert system._within_reach(lam, v, F(1)) is True
 
     @given(name=system_names, raw=st.lists(st.integers(0, 2), max_size=10))
     @settings(max_examples=80, deadline=None)
