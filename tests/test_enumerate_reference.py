@@ -127,7 +127,6 @@ def test_enumerate_hecke_equals_reference(system, lam, y0, y1, h):
 
 
 
-
 # (id, system, shape, y0, y1, witnesses, chain_targets calls)
 WORK_CASES = [
     ("A2-22-11", A2, (2, 2), (0, 0), (1, 1), 3, 7),

@@ -584,11 +584,11 @@ class TestExactKernel:
         assert sum(a * b for a, b in zip(system.root_covector(beta), coroot)) == 2
         value = sum((c * ref_pairing(system, j, v) for j, c in enumerate(beta.coeffs)), F(0))
         expect = tuple(F(x) - value * y for x, y in zip(v, coroot))
-        for system in (system, SHARED[name]):
-            got = system.reflect_by_root(beta, v)
+        for owner in (system, SHARED[name]):
+            got = owner.reflect_by_root(beta, v)
             assert got == expect
             assert all(type(x) is F for x in got) or value == 0
-            assert system.reflect_by_root(beta, got) == tuple(F(x) for x in v)
+            assert owner.reflect_by_root(beta, got) == tuple(F(x) for x in v)
 
     @given(
         name=system_names,
