@@ -11,8 +11,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CrossCheckMismatch, FoldNotApplicable, FormatError, NotHecke
-from .linalg import Vec, format_rational, format_vector
-from .paths import LambdaPath, _breakpoint_chains, _falling_wall_events, ddim_events, eval_path, is_hecke
+from .linalg import Vec, format_rational, format_vector, parse_rational, parse_vector
+from .paths import (
+    LambdaPath,
+    _breakpoint_chains,
+    _falling_wall_events,
+    _piece_before,
+    ddim_events,
+    eval_path,
+    is_hecke,
+)
 from .root_system import RealRoot, RootGeneratingSystem, WeylElement
 
 
@@ -70,8 +78,6 @@ class GalleryAtPoint:
 
 
 def gallery_from_json_dict(system: RootGeneratingSystem, data: dict) -> GalleryAtPoint:
-    from .linalg import parse_vector
-
     return GalleryAtPoint(
         system,
         parse_vector(data["point"]),
@@ -274,8 +280,6 @@ class ParameterPattern:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ParameterPattern":
-        from .linalg import parse_rational
-
         return cls(
             data["n"],
             tuple(data["factors"]),
@@ -295,8 +299,7 @@ def parameter_pattern(path: LambdaPath, h: int = 20) -> ParameterPattern:
     factors = []
     groups = []
     for t, roots in sorted(ddim_events(path, h), reverse=True):
-        k = next(k for k in range(path.r) if path.breakpoints[k] < t <= path.breakpoints[k + 1])
-        mg = minimal_gallery(path.system, eval_path(path, t), path.directions[k])
+        mg = minimal_gallery(path.system, eval_path(path, t), path.directions[_piece_before(path, t)])
         fold_steps = folds.get(t, frozenset())
         count = 0
         for step in range(1, mg.n + 1):

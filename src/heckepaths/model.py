@@ -106,7 +106,7 @@ def generate_ls_paths(system: RootGeneratingSystem, lam, depth_cap: int = 200) -
     depth = 0
     applications = 0
     partial = False
-    while layer and not partial:
+    while layer:
         if applications >= depth_cap:
             partial = True
             break
@@ -124,7 +124,7 @@ def generate_ls_paths(system: RootGeneratingSystem, lam, depth_cap: int = 200) -
                 edges.append((index[node], i, index[child]))
         depth += 1
         layer = nxt
-    completed = depth - (1 if partial else 0) if partial else depth
+    completed = depth - 1 if partial else depth
     return CrystalGraph(
         system, lam, tuple(nodes), tuple(edges), depth_cap, partial, completed
     )
@@ -248,8 +248,9 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
         return cache[nu]
 
     def mult(nu):
-        # weights of V(lam) lie in the Tits cone; the oracle unwinds nothing outside it
-        if system.tits_cone_membership(nu)[0] != "in":
+        # weights of V(lam) lie in the Tits cone; the oracle unwinds nothing outside
+        # it (_DualData has refused indefinite type, where the level rule says nothing)
+        if system._outside_by_level(nu):
             return 0
         dom, _ = system.orbit_unwind(nu)
         if not is_integral_vec(dom):

@@ -15,8 +15,10 @@ representative, which keeps the search finite and exhaustive.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import ceil, inf
 
 from .apartment import levels_crossed
@@ -69,31 +71,40 @@ class LambdaPath:
     def shape_is_dominant(self) -> bool:
         return self.system.is_dominant(self.shape)
 
+    # Computed once per path, on first use.  A cached_property writes the instance
+    # dict, not the frozen __setattr__, and adds no field that __eq__ or __hash__ read.
+
+    @cached_property
+    def _derivatives(self) -> tuple:
+        """tau_j(shape) for each piece j."""
+        return tuple(self.system.act(w, self.shape) for w in self.directions)
+
+    @cached_property
+    def _vertices(self) -> tuple:
+        """pi(a_0), ..., pi(a_r)."""
+        out = [tuple(self.start)]
+        for t0, t1, der in self.segments():
+            out.append(vadd(out[-1], vscale(t1 - t0, der)))
+        return tuple(out)
+
     def direction_vector(self, j: int) -> Vec:
-        return self.system.act(self.directions[j], self.shape)
+        return self._derivatives[j]
 
     def segments(self):
         """List of (t0, t1, derivative) triples covering [0, 1]."""
-        out = []
-        for j in range(self.r):
-            out.append((self.breakpoints[j], self.breakpoints[j + 1], self.direction_vector(j)))
-        return out
+        return list(zip(self.breakpoints, self.breakpoints[1:], self._derivatives))
 
     def point(self, j: int) -> Vec:
         """pi(a_j)."""
-        v = tuple(self.start)
-        for k in range(j):
-            dur = self.breakpoints[k + 1] - self.breakpoints[k]
-            v = vadd(v, vscale(dur, self.direction_vector(k)))
-        return v
+        return self._vertices[j]
 
     @property
     def endpoint(self) -> Vec:
-        return self.point(self.r)
+        return self._vertices[-1]
 
     @property
     def nu(self) -> Vec:
-        return vsub(self.endpoint, tuple(self.start))
+        return vsub(self._vertices[-1], self._vertices[0])
 
     @property
     def in_Y(self) -> bool:
@@ -104,7 +115,7 @@ class LambdaPath:
         )
 
     def __repr__(self):
-        pts = " -> ".join(str(tuple(map(format_rational, self.point(j)))) for j in range(self.r + 1))
+        pts = " -> ".join(str(tuple(map(format_rational, v))) for v in self._vertices)
         return f"LambdaPath({pts})"
 
 
@@ -184,16 +195,17 @@ def straight_path(system: RootGeneratingSystem, lam, start=None) -> LambdaPath:
     return from_segments(system, start, [(ONE, lam)])
 
 
+def _piece_before(path: LambdaPath, t) -> int:
+    """The piece k with a_k < t <= a_(k+1), and 0 at t = 0."""
+    return max(bisect_left(path.breakpoints, t) - 1, 0)
+
+
 def eval_path(path: LambdaPath, t) -> Vec:
     t = Fraction(t)
     if t < 0 or t > 1:
         raise OutOfRange(f"t = {t} outside [0, 1]")
-    v = tuple(path.start)
-    for t0, t1, der in path.segments():
-        if t <= t0:
-            break
-        v = vadd(v, vscale(min(t, t1) - t0, der))
-    return v
+    k = _piece_before(path, t)
+    return vadd(path._vertices[k], vscale(t - path.breakpoints[k], path._derivatives[k]))
 
 
 def reverse_path(path: LambdaPath) -> LambdaPath:
@@ -418,35 +430,28 @@ def stats(path: LambdaPath, h: int = 20) -> PathStats:
         invs = sys_.inversion_set(w)
         sys_.check_height(invs, h)
         candidates.update(invs)
+    finite = sys_.classify_type() == "finite"
+    # in finite type one walk over every positive root gives dim and, on the
+    # candidates among them, the tallies
+    roots = _all_positive_roots(sys_) if finite else candidates
+    dim = 0 if finite else None
     pos, neg, pos_rev, neg_rev = {}, {}, {}, {}
-    cur = tuple(path.start)
-    for t0, t1, der in path.segments():
-        for beta in candidates:
+    for (t0, t1, der), x in zip(path.segments(), path._vertices):
+        for beta in roots:
             slope = sys_.root_eval(beta, der)
             if slope == 0:
                 continue
-            u0 = sys_.root_eval(beta, cur)
+            u0 = sys_.root_eval(beta, x)
             u1 = u0 + slope * (t1 - t0)
             # walls met over t in [t0, t1) forwards and over (t0, t1] backwards
-            forward, backward = (pos, neg_rev) if slope > 0 else (neg, pos_rev)
-            forward[beta] = forward.get(beta, 0) + len(levels_crossed(u0, u1))
-            backward[beta] = backward.get(beta, 0) + len(levels_crossed(u1, u0))
-        cur = vadd(cur, vscale(t1 - t0, der))
-    ddim = sum(pos_rev.values())
-    codim = sum(neg.values())
-    dim = None
-    if sys_.classify_type() == "finite":
-        dim = 0
-        cur = tuple(path.start)
-        all_roots = _all_positive_roots(sys_)
-        for t0, t1, der in path.segments():
-            for beta in all_roots:
-                slope = sys_.root_eval(beta, der)
-                if slope > 0:
-                    u0 = sys_.root_eval(beta, cur)
-                    dim += len(levels_crossed(u0, u0 + slope * (t1 - t0)))
-            cur = vadd(cur, vscale(t1 - t0, der))
-    return PathStats(ddim, codim, dim, pos, neg, pos_rev, neg_rev)
+            ahead = len(levels_crossed(u0, u1))
+            if finite and slope > 0:
+                dim += ahead
+            if beta in candidates:
+                forward, backward = (pos, neg_rev) if slope > 0 else (neg, pos_rev)
+                forward[beta] = forward.get(beta, 0) + ahead
+                backward[beta] = backward.get(beta, 0) + len(levels_crossed(u1, u0))
+    return PathStats(sum(pos_rev.values()), sum(neg.values()), dim, pos, neg, pos_rev, neg_rev)
 
 
 def _all_positive_roots(system: RootGeneratingSystem):
@@ -463,21 +468,17 @@ def _falling_wall_events(path: LambdaPath, h: int, at_end: bool):
     otherwise."""
     sys_ = path.system
     events = {}
-    cur = tuple(path.start)
-    for t0, t1, der in path.segments():
-        invs = sys_.inversion_set(
-            sys_.coset_of_vector(der, path.shape, antidominant=not path.shape_is_dominant).element
-        )
+    for w, (t0, t1, der), x in zip(path.directions, path.segments(), path._vertices):
+        invs = sys_.inversion_set(w)
         sys_.check_height(invs, h)
         for beta in invs:
             slope = sys_.root_eval(beta, der)
             if slope >= 0:
                 continue
-            u0 = sys_.root_eval(beta, cur)
+            u0 = sys_.root_eval(beta, x)
             u1 = u0 + slope * (t1 - t0)
             for m in levels_crossed(u1, u0) if at_end else levels_crossed(u0, u1):
                 events.setdefault(t0 + (m - u0) / slope, []).append(beta)
-        cur = vadd(cur, vscale(t1 - t0, der))
     return sorted(events.items())
 
 
@@ -495,14 +496,8 @@ def ddim_events(path: LambdaPath, h: int = 20):
 
 def _profile(path: LambdaPath, i: int):
     """Per-segment values of alpha_i along the path: (t0, t1, u0, u1)."""
-    sys_ = path.system
-    out = []
-    cur = tuple(path.start)
-    for t0, t1, der in path.segments():
-        nxt = vadd(cur, vscale(t1 - t0, der))
-        out.append((t0, t1, sys_.pairing(i, cur), sys_.pairing(i, nxt)))
-        cur = nxt
-    return out
+    us = [path.system.pairing(i, x) for x in path._vertices]
+    return list(zip(path.breakpoints, path.breakpoints[1:], us, us[1:]))
 
 
 def _min_integral(profile):

@@ -341,13 +341,17 @@ class RootGeneratingSystem:
             out = self._act_cache[key] = tuple(Fraction(x, den) for x in num)
         return out
 
-    def root_covector(self, root: RealRoot) -> Vec:
+    def _covector(self, coeffs) -> Vec:
+        """sum_j c_j alpha_j as a covector on Y."""
         cov = [Fraction(0)] * self.rank_x
-        for j, c in enumerate(root.coeffs):
+        for j, c in enumerate(coeffs):
             if c:
                 for t in range(self.rank_x):
                     cov[t] += c * self.simple_roots[j][t]
         return tuple(cov)
+
+    def root_covector(self, root: RealRoot) -> Vec:
+        return self._covector(root.coeffs)
 
     def root_eval(self, root: RealRoot, v: Vec) -> Fraction:
         cov = self._covector_cache.get(root.coeffs)
@@ -666,13 +670,17 @@ class RootGeneratingSystem:
     def delta_covector(self) -> Vec:
         """delta as a covector on Y (affine type only); delta(v) is the level of v."""
         if self._delta_cov is None:
-            c = self.null_root_coeffs()
-            cov = [Fraction(0)] * self.rank_x
-            for j, coef in enumerate(c):
-                for t in range(self.rank_x):
-                    cov[t] += coef * self.simple_roots[j][t]
-            self._delta_cov = tuple(cov)
+            self._delta_cov = self._covector(self.null_root_coeffs())
         return self._delta_cov
+
+    def _outside_by_level(self, v) -> bool:
+        """Whether the affine level rule puts v, or any positive multiple of it,
+        outside the Tits cone: in affine type iff its level is negative, or zero
+        with a nonzero pairing; never in other types."""
+        if self.classify_type() != "affine":
+            return False
+        level = vdot_cov(self.delta_covector(), v)
+        return level < 0 or level == 0 and any(self.pairing(i, v) for i in range(self.n))
 
     def tits_cone_membership(self, v: Vec, step_cap: int = _TITS_STEP_CAP):
         """Decide v in T; returns ("in", witness) / ("out", None) / ("unknown", None).
@@ -685,23 +693,15 @@ class RootGeneratingSystem:
         """
         kind = self.classify_type()
         v = tuple(Fraction(x) for x in v)
-        if kind == "finite":
-            _, w = self.orbit_unwind(v)
-            return ("in", self.inverse(w))  # witness w with w(v) dominant
-        if kind == "affine":
-            level = vdot_cov(self.delta_covector(), v)
-            if level > 0:
-                _, w = self.orbit_unwind(v)
-                return ("in", self.inverse(w))
-            if level == 0:
-                if all(self.pairing(i, v) == 0 for i in range(self.n)):
-                    return ("in", IDENTITY)
-                return ("out", None)
+        if kind == "indefinite":
+            letters = self._unwind(*self._integer_point(v)[:2], False, step_cap)
+            if letters is None:
+                return ("unknown", None)
+            return ("in", self.normalize_word(letters[::-1]))
+        if self._outside_by_level(v):
             return ("out", None)
-        letters = self._unwind(*self._integer_point(v)[:2], False, step_cap)
-        if letters is None:
-            return ("unknown", None)
-        return ("in", self.normalize_word(letters[::-1]))
+        _, w = self.orbit_unwind(v)
+        return ("in", self.inverse(w))  # witness w with w(v) dominant
 
     def _within_reach(self, lam: Vec, v: Vec, s: Fraction) -> bool:
         """Whether v / s (s > 0) is in the Tits cone with its dominant conjugate in lam
@@ -709,12 +709,9 @@ class RootGeneratingSystem:
         s lam minus the dominant conjugate of v.  A vector whose unwind passes its
         cap (in indefinite type the step cap of tits_cone_membership) counts as in reach."""
         num, pairs, den = self._integer_point(v)
-        kind = self.classify_type()
-        if kind == "affine":
-            level = vdot_cov(self.delta_covector(), num)
-            if level < 0 or level == 0 and any(pairs):
-                return False
-        cap = _TITS_STEP_CAP if kind == "indefinite" else _UNWIND_GUARD
+        if self._outside_by_level(num):
+            return False
+        cap = _TITS_STEP_CAP if self.classify_type() == "indefinite" else _UNWIND_GUARD
         if self._unwind(num, pairs, False, cap) is None:
             return True
         lnum, d = _numerators(lam)

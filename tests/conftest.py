@@ -25,6 +25,21 @@ def a1aff():
     return RootGeneratingSystem.from_gcm([[2, -2], [-2, 2]])
 
 
+# systems the exact-kernel and path-geometry property tests draw from
+KERNEL_SYSTEMS = {
+    "A2": {"cartan_matrix": [[2, -1], [-1, 2]]},
+    "B2": {"cartan_matrix": [[2, -2], [-1, 2]]},
+    "A1aff": {"cartan_matrix": [[2, -2], [-2, 2]]},
+    "indefinite": {"cartan_matrix": [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]},
+    # B2 on explicit non-unit rational roots and coroots (one zero root entry)
+    "B2rational": {
+        "cartan_matrix": [[2, -2], [-1, 2]],
+        "simple_roots": [["6/7", "11/7"], ["0", "-2"]],
+        "simple_coroots": [["1/2", "1"], ["2/3", "-1"]],
+    },
+}
+
+
 def frac_vec(*xs):
     return tuple(F(x) for x in xs)
 

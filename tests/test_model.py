@@ -115,6 +115,27 @@ class TestFreudenthal:
         for mu, count in table.items():
             assert freudenthal_multiplicity(g2, lam, mu, cache=cache) == count
 
+    def test_one_unwind_per_weight(self, monkeypatch):
+        from heckepaths import RootGeneratingSystem
+
+        a3 = RootGeneratingSystem.from_gcm([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+        unwinds, inverses = [], []
+        unwind = a3.orbit_unwind
+
+        def counting_unwind(v, antidominant=False):
+            unwinds.append(v)
+            return unwind(v, antidominant)
+
+        monkeypatch.setattr(a3, "orbit_unwind", counting_unwind)
+        monkeypatch.setattr(a3, "inverse", inverses.append)
+        cache = {}
+        mus = [frac_vec(0, 0, 0), frac_vec(1, 0, 1), frac_vec(0, 2, 0), frac_vec(2, 0, 2), frac_vec(1, 2, 1)]
+        assert [freudenthal_multiplicity(a3, frac_vec(3, 4, 3), mu, cache) for mu in mus] == [15, 10, 5, 1, 10]
+        # the five weights and the 98 raised weights of the recursion are
+        # unwound once each (twice with a Tits-cone witness built in between)
+        assert len(unwinds) == 103
+        assert inverses == []
+
     def test_indefinite_refused(self):
         from heckepaths import RootGeneratingSystem
 

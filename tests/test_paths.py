@@ -1,9 +1,18 @@
+import json
 from fractions import Fraction as F
+from math import inf
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heckepaths import RootGeneratingSystem
+from heckepaths.apartment import levels_crossed
 from heckepaths.errors import NonLambdaPath, OutOfRange
+from heckepaths.linalg import solve_linear, vadd, vscale
 from heckepaths.paths import (
+    LambdaPath,
     concat,
     eval_path,
     find_chain,
@@ -17,7 +26,7 @@ from heckepaths.paths import (
     straight_path,
 )
 
-from conftest import frac_vec
+from conftest import KERNEL_SYSTEMS, frac_vec
 
 
 @pytest.fixture()
@@ -243,3 +252,127 @@ class TestSerialization:
         data = path_to_json_dict(v_path)
         assert data["breakpoints"] == ["0", "1/2", "1"]
         assert data["directions"] == [[1], []]
+
+
+# -- the cached geometry against the accumulation loops it replaced -----------------
+
+
+def ref_derivative(path, k):
+    return path.system.act(path.directions[k], path.shape)
+
+
+def ref_point(path, j):
+    """pi(a_j), summed piece by piece from the start."""
+    cur = tuple(path.start)
+    for k in range(j):
+        cur = vadd(cur, vscale(path.breakpoints[k + 1] - path.breakpoints[k], ref_derivative(path, k)))
+    return cur
+
+
+def ref_eval(path, t):
+    cur = tuple(path.start)
+    for k in range(path.r):
+        t0, t1 = path.breakpoints[k], path.breakpoints[k + 1]
+        if t <= t0:
+            break
+        cur = vadd(cur, vscale(min(t, t1) - t0, ref_derivative(path, k)))
+    return cur
+
+
+def ref_stats(path):
+    """(ddim, codim, dim, tallies): the candidate pass, then dim in a second
+    pass over every positive root."""
+    sys_ = path.system
+    candidates = set()
+    for w in path.directions:
+        candidates.update(sys_.inversion_set(w))
+    pos, neg, pos_rev, neg_rev = {}, {}, {}, {}
+    cur = tuple(path.start)
+    for k in range(path.r):
+        dur, der = path.breakpoints[k + 1] - path.breakpoints[k], ref_derivative(path, k)
+        for beta in candidates:
+            slope = sys_.root_eval(beta, der)
+            if slope == 0:
+                continue
+            u0 = sys_.root_eval(beta, cur)
+            u1 = u0 + slope * dur
+            forward, backward = (pos, neg_rev) if slope > 0 else (neg, pos_rev)
+            forward[beta] = forward.get(beta, 0) + len(levels_crossed(u0, u1))
+            backward[beta] = backward.get(beta, 0) + len(levels_crossed(u1, u0))
+        cur = vadd(cur, vscale(dur, der))
+    dim = None
+    if sys_.classify_type() == "finite":
+        dim = 0
+        cur = tuple(path.start)
+        for k in range(path.r):
+            dur, der = path.breakpoints[k + 1] - path.breakpoints[k], ref_derivative(path, k)
+            for beta in sys_.real_roots_up_to_height(inf):
+                slope = sys_.root_eval(beta, der)
+                if slope > 0:
+                    u0 = sys_.root_eval(beta, cur)
+                    dim += len(levels_crossed(u0, u0 + slope * dur))
+            cur = vadd(cur, vscale(dur, der))
+    return sum(pos_rev.values()), sum(neg.values()), dim, (pos, neg, pos_rev, neg_rev)
+
+
+def check_geometry(path):
+    sys_ = path.system
+    # equality, hash and repr come from the fields alone: an equal path built
+    # directly, whose views are not read yet, agrees with one whose views are
+    twin = LambdaPath(sys_, path.shape, path.start, path.directions, path.breakpoints)
+    hash_before = hash(path)
+    for j in range(path.r + 1):
+        assert path.point(j) == ref_point(path, j)
+    assert path.endpoint == ref_point(path, path.r)
+    anti = not path.shape_is_dominant
+    for k in range(path.r):
+        assert path.direction_vector(k) == ref_derivative(path, k)
+        coset = sys_.coset_of_vector(path.direction_vector(k), path.shape, antidominant=anti)
+        assert path.directions[k] == coset.element
+        t0, t1 = path.breakpoints[k], path.breakpoints[k + 1]
+        for t in (t0, (t0 + t1) / 2, t1):
+            assert eval_path(path, t) == ref_eval(path, t)
+    got = stats(path)
+    ddim, codim, dim, tallies = ref_stats(path)
+    assert (got.ddim, got.codim, got.dim) == (ddim, codim, dim)
+    assert (got.pos, got.neg, got.pos_reverse, got.neg_reverse) == tallies
+    views = {"_derivatives", "_vertices"}
+    assert views <= set(vars(path)) and not views & set(vars(twin))
+    assert hash(path) == hash_before == hash(twin)
+    assert path == twin and twin in {path}
+    assert repr(path) == repr(twin)
+
+
+system_names = st.sampled_from(sorted(KERNEL_SYSTEMS))
+SYSTEMS = {name: RootGeneratingSystem.from_json_dict(data) for name, data in KERNEL_SYSTEMS.items()}
+
+
+@given(
+    name=system_names,
+    pairs=st.lists(st.fractions(0, 3, max_denominator=3), min_size=3, max_size=3),
+    anti=st.booleans(),
+    start=st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3),
+    words=st.lists(st.lists(st.integers(0, 2), max_size=4), min_size=1, max_size=4),
+    cuts=st.sets(st.fractions(0, 1, max_denominator=12), max_size=5),
+)
+@settings(max_examples=80, deadline=None)
+def test_cached_geometry_matches_accumulation(name, pairs, anti, start, words, cuts):
+    system = SYSTEMS[name]
+    shape = solve_linear(system.simple_roots, pairs[: system.n])
+    if anti:
+        shape = tuple(-x for x in shape)
+    bps = sorted(cuts - {0, 1})[: len(words) - 1]
+    words = [[i % system.n for i in w] for w in words[: len(bps) + 1]]
+    path = make_path(system, shape, start[: system.rank_x], words, [F(0), *bps, F(1)])
+    check_geometry(path)
+
+
+def _golden_paths():
+    data = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
+    systems = {name: RootGeneratingSystem.from_json_dict(d) for name, d in data["systems"].items()}
+    return [pytest.param(systems[c["system"]], c["path"], id=c["name"]) for c in data["cases"]]
+
+
+@pytest.mark.parametrize("system, data", _golden_paths())
+def test_cached_geometry_on_golden_paths(system, data):
+    check_geometry(path_from_json_dict(system, data))

@@ -9,7 +9,14 @@ from heckepaths.errors import CrossCheckMismatch, FormatError, HeightBoundTooSma
 from heckepaths.linalg import nullspace, solve_linear
 from heckepaths.root_system import vdot_cov
 
-from conftest import all_words, brute_force_bruhat, coroot_combination, frac_vec, group_elements
+from conftest import (
+    KERNEL_SYSTEMS,
+    all_words,
+    brute_force_bruhat,
+    coroot_combination,
+    frac_vec,
+    group_elements,
+)
 
 
 class TestValidateGCM:
@@ -314,18 +321,6 @@ class TestSymmetrizer:
 
 # -- the exact pairing kernel against from-scratch references ----------------------
 
-KERNEL_SYSTEMS = {
-    "A2": {"cartan_matrix": [[2, -1], [-1, 2]]},
-    "B2": {"cartan_matrix": [[2, -2], [-1, 2]]},
-    "A1aff": {"cartan_matrix": [[2, -2], [-2, 2]]},
-    "indefinite": {"cartan_matrix": [[2, -2, 0], [-2, 2, -1], [0, -1, 2]]},
-    # B2 on explicit non-unit rational roots and coroots (one zero root entry)
-    "B2rational": {
-        "cartan_matrix": [[2, -2], [-1, 2]],
-        "simple_roots": [["6/7", "11/7"], ["0", "-2"]],
-        "simple_coroots": [["1/2", "1"], ["2/3", "-1"]],
-    },
-}
 SHARED = {name: RootGeneratingSystem.from_json_dict(data) for name, data in KERNEL_SYSTEMS.items()}
 
 

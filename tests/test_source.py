@@ -54,6 +54,7 @@ ENTRY_POINTS = {
     "all_chains",
     "find_chain",
     "bruhat_leq",  # RootGeneratingSystem: the Bruhat order
+    "tits_cone_membership",  # RootGeneratingSystem: membership with its witness
     "endpoint_counts",  # CrystalGraph: the weight table of the crystal
 }
 
