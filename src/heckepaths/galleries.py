@@ -259,7 +259,8 @@ def codim_tilde(decorated: DecoratedHeckePath, h: int = 20) -> int:
 
 def _codim_interior_events(path: LambdaPath, h: int):
     """Times 0 < t < 1 with walls left negatively, grouped as (t, [roots])."""
-    return [(t, roots) for t, roots in _falling_wall_events(path, h, at_end=False) if t > 0]
+    events = _falling_wall_events(path.system, path._pieces(), h, at_end=False)
+    return [(t, roots) for t, roots in events if t > 0]
 
 
 # -- parameter patterns ----------------------------------------------------------

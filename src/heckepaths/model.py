@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .apartment import levels_crossed
 from .errors import CapHit, CrossCheckMismatch, FormatError, NotDominant, UnsupportedType
 from .linalg import (
     Vec,
@@ -24,10 +23,9 @@ from .linalg import (
     zero_vec,
 )
 from .paths import (
-    ChainCertificate,
     LambdaPath,
+    _falling_wall_events,
     chain_targets,
-    from_segments,
     path_to_json_dict,
     straight_path,
     try_operator,
@@ -270,7 +268,8 @@ class HeckePathWitness:
 
 
 def _cosets_up_to_length(system: RootGeneratingSystem, lam, max_len: int):
-    """Orbit vectors of lam whose minimal coset representative has length <= max_len."""
+    """Map each orbit vector of lam whose minimal coset representative has
+    length <= max_len to that representative."""
     lam = tuple(Fraction(x) for x in lam)
     out = {lam: system.coset_of_vector(lam, lam).element}
     layer = [lam]
@@ -324,48 +323,24 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     max_len = 2 * sum(gap)
     found = {}
 
-    def descend(x, t, xi, certs):
+    def descend(x, t, xi, reps, times, certs):
+        # reps, times and certs: the coset reps and start times of the pieces so far, the chains between them
         if vsub(y1, x) == vscale(ONE - t, xi):
-            segs.append((ONE - t, xi))
-            path = from_segments(system, y0, list(segs))
-            if path not in found:
-                found[path] = tuple(certs)
-            segs.pop()
-        rep = system.coset_of_vector(xi, lam).element
-        if rep.is_identity:
-            return
-        invs = system.inversion_set(rep)
-        system.check_height(invs, h)
-        times = set()
-        for beta in invs:
-            slope = system.root_eval(beta, xi)
-            if slope == 0:
+            found.setdefault(LambdaPath(system, lam, y0, reps, times + (ONE,)), certs)
+        for ta, _ in _falling_wall_events(system, [(reps[-1], t, ONE, xi, x)], h, at_end=False):
+            if ta == t:  # walls at the fold point itself; only those inside (t, 1) count
                 continue
-            u0 = system.root_eval(beta, x)
-            for m in levels_crossed(u0, u0 + slope * (ONE - t)):
-                if m != u0:  # walls met strictly inside (t, 1)
-                    times.add(t + (m - u0) / slope)
-        for ta in sorted(times):
             z = vadd(x, vscale(ta - t, xi))
             if not system._within_reach(lam, vsub(y1, z), ONE - ta):
                 continue
-            for xi_new, cert in sorted(
-                chain_targets(system, lam, z, xi, h).items(), key=lambda kv: kv[0]
-            ):
-                segs.append((ta - t, xi))
-                descend(
-                    z,
-                    ta,
-                    xi_new,
-                    certs + [ChainCertificate(ta, "hecke", cert.roots, cert.xis, cert.cosets)],
-                )
-                segs.pop()
+            targets = chain_targets(system, lam, z, xi, h, ta)
+            for xi_new, cert in sorted(targets.items(), key=lambda kv: kv[0]):
+                descend(z, ta, xi_new, reps + (cert.cosets[-1],), times + (ta,), certs + (cert,))
 
     if not system._within_reach(lam, nu, ONE):
         return []
-    segs = []
-    for start_vec in sorted(_cosets_up_to_length(system, lam, max_len)):
-        descend(y0, ZERO, start_vec, [])
+    for start_vec, rep in sorted(_cosets_up_to_length(system, lam, max_len).items()):
+        descend(y0, ZERO, start_vec, (rep,), (ZERO,), ())
     ordered = sorted(
         found.items(), key=lambda kv: (kv[0].breakpoints, tuple(w.word for w in kv[0].directions))
     )

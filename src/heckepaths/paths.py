@@ -94,6 +94,10 @@ class LambdaPath:
         """List of (t0, t1, derivative) triples covering [0, 1]."""
         return list(zip(self.breakpoints, self.breakpoints[1:], self._derivatives))
 
+    def _pieces(self):
+        """(coset rep, t0, t1, derivative, start point) per piece."""
+        return zip(self.directions, self.breakpoints, self.breakpoints[1:], self._derivatives, self._vertices)
+
     def point(self, j: int) -> Vec:
         """pi(a_j)."""
         return self._vertices[j]
@@ -248,8 +252,9 @@ class ChainCertificate:
         return len(self.roots)
 
 
-def _chain_candidates(system, shape, x, rep, kind, a_j, h):
-    """Usable chain roots at coset rep, with the filter that failed when empty."""
+def _chain_candidates(system, shape, x, rep, xi, kind, a_j, h):
+    """Usable chain roots at coset rep, whose vector is xi, with the filter
+    that failed when empty."""
     invs = system.inversion_set(rep)
     system.check_height(invs, h)
     out = []
@@ -259,7 +264,7 @@ def _chain_candidates(system, shape, x, rep, kind, a_j, h):
             # integrality at the point: condition vii, equivalently ii for LS
             blocked.add("vii" if kind == "hecke" else "ii")
             continue
-        xi_new = system.reflect_by_root(beta, system.act(rep, shape))
+        xi_new = system.reflect_by_root(beta, xi)
         new_rep = system.coset_of_vector(xi_new, shape).element
         if kind == "ls":
             if new_rep.length != rep.length - 1:
@@ -272,65 +277,70 @@ def _chain_candidates(system, shape, x, rep, kind, a_j, h):
     return out, blocked
 
 
-def _chain_walk(system, shape, x, xi_from, kind, a_j, h, xi_to=None, blocked=None):
-    """Depth-first walk over the chains from xi_from at the point x, in a fixed order.
+def _chain_walk(system, shape, x, xi_from, start, kind, a_j, h, target=None, blocked=None):
+    """Depth-first walk over the chains from xi_from, of coset rep start, at the
+    point x, in a fixed order.
 
-    With a target, yields every chain ending at xi_to and cuts a branch once
-    its coset is no longer than the target's: coset lengths fall strictly
-    along a chain, so no chain is lost.  Without one, yields one chain per
-    reachable vector, the first found, and expands each vector once.
-    blocked, if given, collects the conditions that removed first-step roots.
+    With a target rep, yields every chain ending at it and cuts a branch once
+    its coset is no longer than the target: coset lengths fall strictly along
+    a chain, so no chain is lost.  Without one, yields one chain per reachable
+    coset, the first found, and expands each coset once.  blocked, if given,
+    collects the conditions that removed first-step roots.
     """
-    xi_from = tuple(Fraction(v) for v in xi_from)
-    start = system.coset_of_vector(xi_from, shape).element
     t = Fraction(a_j if a_j is not None else 0)
-    if xi_to is not None:
-        xi_to = tuple(Fraction(v) for v in xi_to)
-        target_length = system.coset_of_vector(xi_to, shape).element.length
     seen = set()
 
     def walk(rep, roots, xis, cosets):
-        if xi_to is not None:
-            if xis[-1] == xi_to:
+        if target is not None:
+            if rep == target:
                 yield ChainCertificate(t, kind, roots, xis, cosets)
                 return
-            if rep.length <= target_length:
+            if rep.length <= target.length:
                 return
-        cands, why = _chain_candidates(system, shape, x, rep, kind, a_j, h)
+        cands, why = _chain_candidates(system, shape, x, rep, xis[-1], kind, a_j, h)
         if blocked is not None and not roots:
             blocked.update(why)
         for beta, xi_new, new_rep in cands:
-            if xi_to is None and xi_new in seen:
+            if target is None and new_rep in seen:
                 continue
             chain = (roots + (beta,), xis + (xi_new,), cosets + (new_rep,))
-            if xi_to is None:
-                seen.add(xi_new)
+            if target is None:
+                seen.add(new_rep)
                 yield ChainCertificate(t, kind, *chain)
             yield from walk(new_rep, *chain)
 
     return walk(start, (), (xi_from,), (start,))
 
 
-def chain_targets(system, shape, x, xi_from, h):
+def _walk_vectors(system, shape, x, xi_from, kind, a_j, h, xi_to=None):
+    """_chain_walk between vectors, each unwound once to its coset rep."""
+    if kind not in ("hecke", "ls"):
+        raise FormatError(f"unknown chain kind {kind!r}")
+    shape = tuple(map(Fraction, shape))
+    xi_from = tuple(map(Fraction, xi_from))
+    start = system.coset_of_vector(xi_from, shape).element
+    target = None if xi_to is None else system.coset_of_vector(tuple(map(Fraction, xi_to)), shape).element
+    return _chain_walk(system, shape, tuple(map(Fraction, x)), xi_from, start, kind, a_j, h, target)
+
+
+def chain_targets(system, shape, x, xi_from, h, a_j=None):
     """Every direction reachable from xi_from by a Hecke chain at x.
 
-    Maps the reached vector to one witnessing certificate (prefixes of valid
-    chains are valid chains, so this is a plain reachability closure).
+    Maps the reached vector to one witnessing certificate, stamped with the
+    time a_j (prefixes of valid chains are valid chains, so this is a plain
+    reachability closure).
     """
-    return {c.xis[-1]: c for c in _chain_walk(system, shape, x, xi_from, "hecke", None, h)}
+    return {c.xis[-1]: c for c in _walk_vectors(system, shape, x, xi_from, "hecke", a_j, h)}
 
 
 def all_chains(system, shape, x, xi_from, xi_to, h, kind="hecke", a_j=None):
     """All chains from xi_from to xi_to; used to pick maximal-length ones."""
-    return list(_chain_walk(system, shape, x, xi_from, kind, a_j, h, xi_to))
+    return list(_walk_vectors(system, shape, x, xi_from, kind, a_j, h, xi_to))
 
 
 def find_chain(system, xi_from, xi_to, at_x, shape, kind="hecke", a_j=None, h=20):
     """One chain certificate from xi_from to xi_to at the point at_x, or None."""
-    if kind not in ("hecke", "ls"):
-        raise FormatError(f"unknown chain kind {kind!r}")
-    walk = _chain_walk(system, tuple(map(Fraction, shape)), tuple(map(Fraction, at_x)), xi_from, kind, a_j, h, xi_to)
-    return next(walk, None)
+    return next(_walk_vectors(system, shape, at_x, xi_from, kind, a_j, h, xi_to), None)
 
 
 @dataclass(frozen=True)
@@ -366,8 +376,8 @@ def _breakpoint_chains(path: LambdaPath, kind: str, h: int):
         t = path.breakpoints[j]
         blocked = set()
         walk = _chain_walk(
-            path.system, path.shape, path.point(j), path.direction_vector(j - 1), kind, t, h,
-            path.direction_vector(j), blocked,
+            path.system, path.shape, path.point(j), path.direction_vector(j - 1), path.directions[j - 1],
+            kind, t, h, path.directions[j], blocked,
         )
         cert = next(walk, None)
         if cert is None:
@@ -436,7 +446,7 @@ def stats(path: LambdaPath, h: int = 20) -> PathStats:
     roots = _all_positive_roots(sys_) if finite else candidates
     dim = 0 if finite else None
     pos, neg, pos_rev, neg_rev = {}, {}, {}, {}
-    for (t0, t1, der), x in zip(path.segments(), path._vertices):
+    for _, t0, t1, der, x in path._pieces():
         for beta in roots:
             slope = sys_.root_eval(beta, der)
             if slope == 0:
@@ -461,14 +471,14 @@ def _all_positive_roots(system: RootGeneratingSystem):
     return system.real_roots_up_to_height(inf)
 
 
-def _falling_wall_events(path: LambdaPath, h: int, at_end: bool):
+def _falling_wall_events(sys_: RootGeneratingSystem, pieces, h: int, at_end: bool):
     """Times where an inversion root of a piece direction falls through an
-    integer level, grouped as sorted (t, [roots]).  A piece [t0, t1] counts
-    the crossings at t1 but not at t0 when at_end, and the other way round
+    integer level, grouped as sorted (t, [roots]).  pieces holds
+    (coset rep, t0, t1, derivative, start point) tuples; a piece counts the
+    crossings at t1 but not at t0 when at_end, and the other way round
     otherwise."""
-    sys_ = path.system
     events = {}
-    for w, (t0, t1, der), x in zip(path.directions, path.segments(), path._vertices):
+    for w, t0, t1, der, x in pieces:
         invs = sys_.inversion_set(w)
         sys_.check_height(invs, h)
         for beta in invs:
@@ -488,7 +498,7 @@ def ddim_events(path: LambdaPath, h: int = 20):
     Groups the ddim count by time; the roots at time t are exactly the true
     walls counted by the relative length of the incoming direction there.
     """
-    return _falling_wall_events(path, h, at_end=True)
+    return _falling_wall_events(path.system, path._pieces(), h, at_end=True)
 
 
 # -- root operators ------------------------------------------------------------
@@ -630,12 +640,13 @@ def path_from_json_dict(system: RootGeneratingSystem, data: dict) -> LambdaPath:
     try:
         shape = parse_vector(data["lambda"])
         start = parse_vector(data["start"])
-        words = [
-            tuple(int(parse_rational(i)) - 1 for i in word) for word in data["directions"]
-        ]
+        words = [tuple(parse_rational(i) for i in word) for word in data["directions"]]
         bps = [parse_rational(b) for b in data["breakpoints"]]
     except KeyError as exc:
         raise FormatError(f"path file is missing field {exc}") from exc
+    if any(i.denominator != 1 for word in words for i in word):
+        raise FormatError("generator indices in directions must be integers")
+    words = [tuple(int(i) - 1 for i in word) for word in words]
     if len(shape) != system.rank_x or len(start) != system.rank_x:
         raise FormatError(
             f"path vectors have {len(shape)} coordinates, system has rank {system.rank_x}"

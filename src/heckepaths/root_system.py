@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import (
     CrossCheckMismatch,
@@ -185,7 +185,11 @@ class RootGeneratingSystem:
         self.n = gcm.n
         self.simple_roots = tuple(tuple(Fraction(x) for x in r) for r in simple_roots)
         self.simple_coroots = tuple(tuple(Fraction(x) for x in c) for c in simple_coroots)
+        if not len(self.simple_roots) == len(self.simple_coroots) == self.n:
+            raise FormatError(f"a rank {self.n} system needs {self.n} simple roots and as many coroots")
         self.rank_x = len(self.simple_roots[0]) if self.n else 0
+        if any(len(v) != self.rank_x for v in self.simple_roots + self.simple_coroots):
+            raise FormatError(f"simple roots and coroots must all have rank_x = {self.rank_x} coordinates")
         self.names = tuple(names) if names else tuple(f"a{i + 1}" for i in range(self.n))
         self._check_realization()
         self.symmetrizer = self._solve_symmetrizer(self.gcm.entries)
@@ -272,10 +276,7 @@ class RootGeneratingSystem:
                         queue.append(j)
                     elif d[j] != val:
                         raise NotSymmetrizable("inconsistent symmetrizer constraints")
-        den = lcm(*(q.denominator for q in d))
-        ints = [int(q * den) for q in d]
-        g = gcd(*ints)
-        d = tuple(Fraction(x // g) for x in ints)
+        d = scale_to_primitive_integers(d) if n else ()
         for i in range(n):
             for j in range(n):
                 if d[i] * entries[i][j] != d[j] * entries[j][i]:

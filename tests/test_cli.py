@@ -91,6 +91,34 @@ class TestStatuses:
         status, _, err = run(capsys, "check-ls", "--system", files["a1"], "--path", files["broken"])
         assert status == 2 and "error" in err
 
+    def test_fractional_generator_index_is_status_2(self, files, tmp_path, capsys):
+        half = tmp_path / "half.json"
+        half.write_text(
+            json.dumps({"lambda": ["1"], "start": ["0"], "directions": [["3/2"], []], "breakpoints": ["0", "1/2", "1"]})
+        )
+        status, out, err = run(capsys, "check-hecke", "--system", files["a1"], "--path", str(half))
+        assert (status, out) == (2, "")
+        assert err == "error: generator indices in directions must be integers\n"
+
+    @pytest.mark.parametrize(
+        "roots, coroots, message",
+        [
+            ([["2", "-1"]], [["1", "0"], ["0", "1"]], "needs 2 simple roots and as many coroots"),
+            ([["2", "-1"], ["-1", "2"]], [["1", "0"]], "needs 2 simple roots and as many coroots"),
+            ([["2", "-1"], ["-1", "2"]], [["1", "0"], ["0", "1"], ["1", "1"]], "needs 2 simple roots and as many"),
+            ([["2", "-1"], ["-1", "2", "0"]], [["1", "0"], ["0", "1"]], "must all have rank_x = 2 coordinates"),
+            ([["2", "-1"], ["-1", "2"]], [["1", "0"], ["0", "1", "0"]], "must all have rank_x = 2 coordinates"),
+        ],
+        ids=["few-roots", "few-coroots", "many-coroots", "uneven-roots", "uneven-coroots"],
+    )
+    def test_malformed_realization_is_status_2(self, tmp_path, capsys, roots, coroots, message):
+        sys_file = tmp_path / "system.json"
+        sys_file.write_text(
+            json.dumps({"cartan_matrix": [[2, -1], [-1, 2]], "simple_roots": roots, "simple_coroots": coroots})
+        )
+        status, _, err = run(capsys, "validate", "--system", str(sys_file))
+        assert status == 2 and err.startswith("error: ") and message in err
+
     def test_pattern_factor_mismatch_is_internal_error(self, files, capsys, monkeypatch):
         # parameter_pattern checks its factor count against the ddim events;
         # an event that loses a root must surface as an internal error

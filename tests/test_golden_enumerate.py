@@ -35,183 +35,190 @@ HEIGHTS = (None, 2, 3, 4)  # None: the default bound
 
 # (system, lambda, y1); every query starts at y0 = 0
 QUERIES = [
-    ('A2', (1, 1), (1, 1)),
-    ('A2', (1, 1), (1, 0)),
-    ('A2', (1, 1), (1, -1)),
-    ('A2', (1, 1), (1, -2)),
-    ('A2', (1, 1), (0, 1)),
-    ('A2', (1, 1), (0, 0)),
-    ('A2', (1, 1), (0, -1)),
-    ('A2', (1, 1), (-1, 1)),
-    ('A2', (1, 1), (-1, 0)),
-    ('A2', (1, 1), (-2, 1)),
-    ('A2', (1, 2), (1, 2)),
-    ('A2', (1, 2), (1, 1)),
-    ('A2', (1, 2), (1, 0)),
-    ('A2', (1, 2), (1, -1)),
-    ('A2', (1, 2), (0, 2)),
-    ('A2', (1, 2), (0, 1)),
-    ('A2', (1, 2), (0, 0)),
-    ('A2', (1, 2), (-1, 2)),
-    ('A2', (1, 2), (-1, 1)),
-    ('A2', (1, 2), (-2, 2)),
-    ('A2', (2, 1), (2, 1)),
-    ('A2', (2, 1), (2, 0)),
-    ('A2', (2, 1), (2, -1)),
-    ('A2', (2, 1), (2, -2)),
-    ('A2', (2, 1), (1, 1)),
-    ('A2', (2, 1), (1, 0)),
-    ('A2', (2, 1), (1, -1)),
-    ('A2', (2, 1), (0, 1)),
-    ('A2', (2, 1), (0, 0)),
-    ('A2', (2, 1), (-1, 1)),
-    ('A2', (2, 2), (2, 2)),
-    ('A2', (2, 2), (2, 1)),
-    ('A2', (2, 2), (2, 0)),
-    ('A2', (2, 2), (2, -1)),
-    ('A2', (2, 2), (1, 2)),
-    ('A2', (2, 2), (1, 1)),
-    ('A2', (2, 2), (1, 0)),
-    ('A2', (2, 2), (0, 2)),
-    ('A2', (2, 2), (0, 1)),
-    ('A2', (2, 2), (-1, 2)),
-    ('A2', (2, 3), (2, 3)),
-    ('A2', (2, 3), (2, 2)),
-    ('A2', (2, 3), (2, 1)),
-    ('A2', (2, 3), (2, 0)),
-    ('A2', (2, 3), (1, 3)),
-    ('A2', (2, 3), (1, 2)),
-    ('A2', (2, 3), (1, 1)),
-    ('A2', (2, 3), (0, 3)),
-    ('A2', (2, 3), (0, 2)),
-    ('A2', (2, 3), (-1, 3)),
-    ('A2', (3, 2), (3, 2)),
-    ('A2', (3, 2), (3, 1)),
-    ('A2', (3, 2), (3, 0)),
-    ('A2', (3, 2), (3, -1)),
-    ('A2', (3, 2), (2, 2)),
-    ('A2', (3, 2), (2, 1)),
-    ('A2', (3, 2), (2, 0)),
-    ('A2', (3, 2), (1, 2)),
-    ('A2', (3, 2), (1, 1)),
-    ('A2', (3, 2), (0, 2)),
-    ('B2', (1, 1), (1, 1)),
-    ('B2', (1, 1), (1, 0)),
-    ('B2', (1, 1), (1, -1)),
-    ('B2', (1, 1), (1, -2)),
-    ('B2', (1, 1), (0, 1)),
-    ('B2', (1, 1), (0, 0)),
-    ('B2', (1, 1), (0, -1)),
-    ('B2', (1, 1), (-1, 1)),
-    ('B2', (1, 1), (-1, 0)),
-    ('B2', (1, 1), (-2, 1)),
-    ('B2', (1, 2), (1, 2)),
-    ('B2', (1, 2), (1, 1)),
-    ('B2', (1, 2), (1, 0)),
-    ('B2', (1, 2), (1, -1)),
-    ('B2', (1, 2), (0, 2)),
-    ('B2', (1, 2), (0, 1)),
-    ('B2', (1, 2), (0, 0)),
-    ('B2', (1, 2), (-1, 2)),
-    ('B2', (1, 2), (-1, 1)),
-    ('B2', (1, 2), (-2, 2)),
-    ('B2', (2, 2), (2, 2)),
-    ('B2', (2, 2), (2, 1)),
-    ('B2', (2, 2), (2, 0)),
-    ('B2', (2, 2), (2, -1)),
-    ('B2', (2, 2), (1, 2)),
-    ('B2', (2, 2), (1, 1)),
-    ('B2', (2, 2), (1, 0)),
-    ('B2', (2, 2), (0, 2)),
-    ('B2', (2, 2), (0, 1)),
-    ('B2', (2, 2), (-1, 2)),
-    ('B2', (2, 3), (2, 3)),
-    ('B2', (2, 3), (2, 2)),
-    ('B2', (2, 3), (2, 1)),
-    ('B2', (2, 3), (2, 0)),
-    ('B2', (2, 3), (1, 3)),
-    ('B2', (2, 3), (1, 2)),
-    ('B2', (2, 3), (1, 1)),
-    ('B2', (2, 3), (0, 3)),
-    ('B2', (2, 3), (0, 2)),
-    ('B2', (2, 3), (-1, 3)),
-    ('G2', (2, 1), (2, 1)),
-    ('G2', (2, 1), (2, 0)),
-    ('G2', (2, 1), (2, -1)),
-    ('G2', (2, 1), (2, -2)),
-    ('G2', (2, 1), (1, 1)),
-    ('G2', (2, 1), (1, 0)),
-    ('G2', (2, 1), (1, -1)),
-    ('G2', (2, 1), (0, 1)),
-    ('G2', (2, 1), (0, 0)),
-    ('G2', (2, 1), (-1, 1)),
-    ('G2', (3, 2), (3, 2)),
-    ('G2', (3, 2), (3, 1)),
-    ('G2', (3, 2), (3, 0)),
-    ('G2', (3, 2), (3, -1)),
-    ('G2', (3, 2), (2, 2)),
-    ('G2', (3, 2), (2, 1)),
-    ('G2', (3, 2), (2, 0)),
-    ('G2', (3, 2), (1, 2)),
-    ('G2', (3, 2), (1, 1)),
-    ('G2', (3, 2), (0, 2)),
-    ('A3', (1, 1, 1), (1, 1, 1)),
-    ('A3', (1, 1, 1), (1, 1, 0)),
-    ('A3', (1, 1, 1), (1, 1, -1)),
-    ('A3', (1, 1, 1), (1, 0, 1)),
-    ('A3', (1, 1, 1), (1, 0, 0)),
-    ('A3', (1, 1, 1), (1, -1, 1)),
-    ('A3', (1, 1, 1), (0, 1, 1)),
-    ('A3', (1, 1, 1), (0, 1, 0)),
-    ('A3', (1, 1, 1), (0, 0, 1)),
-    ('A3', (1, 1, 1), (-1, 1, 1)),
-    ('A3', (1, 2, 1), (1, 2, 1)),
-    ('A3', (1, 2, 1), (1, 2, 0)),
-    ('A3', (1, 2, 1), (1, 2, -1)),
-    ('A3', (1, 2, 1), (1, 1, 1)),
-    ('A3', (1, 2, 1), (1, 1, 0)),
-    ('A3', (1, 2, 1), (1, 0, 1)),
-    ('A3', (1, 2, 1), (0, 2, 1)),
-    ('A3', (1, 2, 1), (0, 2, 0)),
-    ('A3', (1, 2, 1), (0, 1, 1)),
-    ('A3', (1, 2, 1), (-1, 2, 1)),
-    ('A1aff', (0, 0, 1), (0, 0, 1)),
-    ('A1aff', (0, 0, 1), (0, -1, 1)),
-    ('A1aff', (0, 0, 1), (0, -2, 1)),
-    ('A1aff', (0, 0, 1), (0, -3, 1)),
-    ('A1aff', (0, 0, 1), (-1, 0, 1)),
-    ('A1aff', (0, 0, 1), (-1, -1, 1)),
-    ('A1aff', (0, 0, 1), (-1, -2, 1)),
-    ('A1aff', (0, 0, 1), (-2, 0, 1)),
-    ('A1aff', (0, 0, 1), (-2, -1, 1)),
-    ('A1aff', (0, 0, 1), (-3, 0, 1)),
-    ('A1aff', (0, 0, 2), (0, 0, 2)),
-    ('A1aff', (0, 0, 2), (0, -1, 2)),
-    ('A1aff', (0, 0, 2), (0, -2, 2)),
-    ('A1aff', (0, 0, 2), (0, -3, 2)),
-    ('A1aff', (0, 0, 2), (-1, 0, 2)),
-    ('A1aff', (0, 0, 2), (-1, -1, 2)),
-    ('A1aff', (0, 0, 2), (-1, -2, 2)),
-    ('A1aff', (0, 0, 2), (-2, 0, 2)),
-    ('A1aff', (0, 0, 2), (-2, -1, 2)),
-    ('A1aff', (0, 0, 2), (-3, 0, 2)),
-    ('A1aff', (0, 1, 2), (0, 1, 2)),
-    ('A1aff', (0, 1, 2), (0, 0, 2)),
-    ('A1aff', (0, 1, 2), (0, -1, 2)),
-    ('A1aff', (0, 1, 2), (0, -2, 2)),
-    ('A1aff', (0, 1, 2), (-1, 1, 2)),
-    ('A1aff', (0, 1, 2), (-1, 0, 2)),
-    ('A1aff', (0, 1, 2), (-1, -1, 2)),
-    ('A1aff', (0, 1, 2), (-2, 1, 2)),
-    ('A1aff', (0, 1, 2), (-2, 0, 2)),
-    ('A1aff', (0, 1, 2), (-3, 1, 2)),
+    ("A2", (1, 1), (1, 1)),
+    ("A2", (1, 1), (1, 0)),
+    ("A2", (1, 1), (1, -1)),
+    ("A2", (1, 1), (1, -2)),
+    ("A2", (1, 1), (0, 1)),
+    ("A2", (1, 1), (0, 0)),
+    ("A2", (1, 1), (0, -1)),
+    ("A2", (1, 1), (-1, 1)),
+    ("A2", (1, 1), (-1, 0)),
+    ("A2", (1, 1), (-2, 1)),
+    ("A2", (1, 2), (1, 2)),
+    ("A2", (1, 2), (1, 1)),
+    ("A2", (1, 2), (1, 0)),
+    ("A2", (1, 2), (1, -1)),
+    ("A2", (1, 2), (0, 2)),
+    ("A2", (1, 2), (0, 1)),
+    ("A2", (1, 2), (0, 0)),
+    ("A2", (1, 2), (-1, 2)),
+    ("A2", (1, 2), (-1, 1)),
+    ("A2", (1, 2), (-2, 2)),
+    ("A2", (2, 1), (2, 1)),
+    ("A2", (2, 1), (2, 0)),
+    ("A2", (2, 1), (2, -1)),
+    ("A2", (2, 1), (2, -2)),
+    ("A2", (2, 1), (1, 1)),
+    ("A2", (2, 1), (1, 0)),
+    ("A2", (2, 1), (1, -1)),
+    ("A2", (2, 1), (0, 1)),
+    ("A2", (2, 1), (0, 0)),
+    ("A2", (2, 1), (-1, 1)),
+    ("A2", (2, 2), (2, 2)),
+    ("A2", (2, 2), (2, 1)),
+    ("A2", (2, 2), (2, 0)),
+    ("A2", (2, 2), (2, -1)),
+    ("A2", (2, 2), (1, 2)),
+    ("A2", (2, 2), (1, 1)),
+    ("A2", (2, 2), (1, 0)),
+    ("A2", (2, 2), (0, 2)),
+    ("A2", (2, 2), (0, 1)),
+    ("A2", (2, 2), (-1, 2)),
+    ("A2", (2, 3), (2, 3)),
+    ("A2", (2, 3), (2, 2)),
+    ("A2", (2, 3), (2, 1)),
+    ("A2", (2, 3), (2, 0)),
+    ("A2", (2, 3), (1, 3)),
+    ("A2", (2, 3), (1, 2)),
+    ("A2", (2, 3), (1, 1)),
+    ("A2", (2, 3), (0, 3)),
+    ("A2", (2, 3), (0, 2)),
+    ("A2", (2, 3), (-1, 3)),
+    ("A2", (3, 2), (3, 2)),
+    ("A2", (3, 2), (3, 1)),
+    ("A2", (3, 2), (3, 0)),
+    ("A2", (3, 2), (3, -1)),
+    ("A2", (3, 2), (2, 2)),
+    ("A2", (3, 2), (2, 1)),
+    ("A2", (3, 2), (2, 0)),
+    ("A2", (3, 2), (1, 2)),
+    ("A2", (3, 2), (1, 1)),
+    ("A2", (3, 2), (0, 2)),
+    ("B2", (1, 1), (1, 1)),
+    ("B2", (1, 1), (1, 0)),
+    ("B2", (1, 1), (1, -1)),
+    ("B2", (1, 1), (1, -2)),
+    ("B2", (1, 1), (0, 1)),
+    ("B2", (1, 1), (0, 0)),
+    ("B2", (1, 1), (0, -1)),
+    ("B2", (1, 1), (-1, 1)),
+    ("B2", (1, 1), (-1, 0)),
+    ("B2", (1, 1), (-2, 1)),
+    ("B2", (1, 2), (1, 2)),
+    ("B2", (1, 2), (1, 1)),
+    ("B2", (1, 2), (1, 0)),
+    ("B2", (1, 2), (1, -1)),
+    ("B2", (1, 2), (0, 2)),
+    ("B2", (1, 2), (0, 1)),
+    ("B2", (1, 2), (0, 0)),
+    ("B2", (1, 2), (-1, 2)),
+    ("B2", (1, 2), (-1, 1)),
+    ("B2", (1, 2), (-2, 2)),
+    ("B2", (2, 2), (2, 2)),
+    ("B2", (2, 2), (2, 1)),
+    ("B2", (2, 2), (2, 0)),
+    ("B2", (2, 2), (2, -1)),
+    ("B2", (2, 2), (1, 2)),
+    ("B2", (2, 2), (1, 1)),
+    ("B2", (2, 2), (1, 0)),
+    ("B2", (2, 2), (0, 2)),
+    ("B2", (2, 2), (0, 1)),
+    ("B2", (2, 2), (-1, 2)),
+    ("B2", (2, 3), (2, 3)),
+    ("B2", (2, 3), (2, 2)),
+    ("B2", (2, 3), (2, 1)),
+    ("B2", (2, 3), (2, 0)),
+    ("B2", (2, 3), (1, 3)),
+    ("B2", (2, 3), (1, 2)),
+    ("B2", (2, 3), (1, 1)),
+    ("B2", (2, 3), (0, 3)),
+    ("B2", (2, 3), (0, 2)),
+    ("B2", (2, 3), (-1, 3)),
+    ("G2", (2, 1), (2, 1)),
+    ("G2", (2, 1), (2, 0)),
+    ("G2", (2, 1), (2, -1)),
+    ("G2", (2, 1), (2, -2)),
+    ("G2", (2, 1), (1, 1)),
+    ("G2", (2, 1), (1, 0)),
+    ("G2", (2, 1), (1, -1)),
+    ("G2", (2, 1), (0, 1)),
+    ("G2", (2, 1), (0, 0)),
+    ("G2", (2, 1), (-1, 1)),
+    ("G2", (3, 2), (3, 2)),
+    ("G2", (3, 2), (3, 1)),
+    ("G2", (3, 2), (3, 0)),
+    ("G2", (3, 2), (3, -1)),
+    ("G2", (3, 2), (2, 2)),
+    ("G2", (3, 2), (2, 1)),
+    ("G2", (3, 2), (2, 0)),
+    ("G2", (3, 2), (1, 2)),
+    ("G2", (3, 2), (1, 1)),
+    ("G2", (3, 2), (0, 2)),
+    ("A3", (1, 1, 1), (1, 1, 1)),
+    ("A3", (1, 1, 1), (1, 1, 0)),
+    ("A3", (1, 1, 1), (1, 1, -1)),
+    ("A3", (1, 1, 1), (1, 0, 1)),
+    ("A3", (1, 1, 1), (1, 0, 0)),
+    ("A3", (1, 1, 1), (1, -1, 1)),
+    ("A3", (1, 1, 1), (0, 1, 1)),
+    ("A3", (1, 1, 1), (0, 1, 0)),
+    ("A3", (1, 1, 1), (0, 0, 1)),
+    ("A3", (1, 1, 1), (-1, 1, 1)),
+    ("A3", (1, 2, 1), (1, 2, 1)),
+    ("A3", (1, 2, 1), (1, 2, 0)),
+    ("A3", (1, 2, 1), (1, 2, -1)),
+    ("A3", (1, 2, 1), (1, 1, 1)),
+    ("A3", (1, 2, 1), (1, 1, 0)),
+    ("A3", (1, 2, 1), (1, 0, 1)),
+    ("A3", (1, 2, 1), (0, 2, 1)),
+    ("A3", (1, 2, 1), (0, 2, 0)),
+    ("A3", (1, 2, 1), (0, 1, 1)),
+    ("A3", (1, 2, 1), (-1, 2, 1)),
+    ("A1aff", (0, 0, 1), (0, 0, 1)),
+    ("A1aff", (0, 0, 1), (0, -1, 1)),
+    ("A1aff", (0, 0, 1), (0, -2, 1)),
+    ("A1aff", (0, 0, 1), (0, -3, 1)),
+    ("A1aff", (0, 0, 1), (-1, 0, 1)),
+    ("A1aff", (0, 0, 1), (-1, -1, 1)),
+    ("A1aff", (0, 0, 1), (-1, -2, 1)),
+    ("A1aff", (0, 0, 1), (-2, 0, 1)),
+    ("A1aff", (0, 0, 1), (-2, -1, 1)),
+    ("A1aff", (0, 0, 1), (-3, 0, 1)),
+    ("A1aff", (0, 0, 2), (0, 0, 2)),
+    ("A1aff", (0, 0, 2), (0, -1, 2)),
+    ("A1aff", (0, 0, 2), (0, -2, 2)),
+    ("A1aff", (0, 0, 2), (0, -3, 2)),
+    ("A1aff", (0, 0, 2), (-1, 0, 2)),
+    ("A1aff", (0, 0, 2), (-1, -1, 2)),
+    ("A1aff", (0, 0, 2), (-1, -2, 2)),
+    ("A1aff", (0, 0, 2), (-2, 0, 2)),
+    ("A1aff", (0, 0, 2), (-2, -1, 2)),
+    ("A1aff", (0, 0, 2), (-3, 0, 2)),
+    ("A1aff", (0, 1, 2), (0, 1, 2)),
+    ("A1aff", (0, 1, 2), (0, 0, 2)),
+    ("A1aff", (0, 1, 2), (0, -1, 2)),
+    ("A1aff", (0, 1, 2), (0, -2, 2)),
+    ("A1aff", (0, 1, 2), (-1, 1, 2)),
+    ("A1aff", (0, 1, 2), (-1, 0, 2)),
+    ("A1aff", (0, 1, 2), (-1, -1, 2)),
+    ("A1aff", (0, 1, 2), (-2, 1, 2)),
+    ("A1aff", (0, 1, 2), (-2, 0, 2)),
+    ("A1aff", (0, 1, 2), (-3, 1, 2)),
 ]
+
+
+def _csv(v) -> str:
+    return ",".join(map(str, v))
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _key(k: int, h) -> str:
     system, lam, y1 = QUERIES[k]
-    vec = lambda v: ",".join(map(str, v))  # noqa: E731
-    return f"{k}-{system}-{vec(lam)}-to-{vec(y1)}-h{h or 'default'}"
+    return f"{k}-{system}-{_csv(lam)}-to-{_csv(y1)}-h{h or 'default'}"
 
 
 def _run(k: int, h, workdir: Path) -> dict:
@@ -219,19 +226,17 @@ def _run(k: int, h, workdir: Path) -> dict:
     sys_file = workdir / f"{system}.json"
     if not sys_file.exists():
         sys_file.write_text(json.dumps({"cartan_matrix": SYSTEMS[system]}))
-    vec = lambda v: ",".join(map(str, v))  # noqa: E731
     # "--y1=-1,0": argparse reads a separate "-1,0" as an option
     argv = [
-        "enumerate-hecke", f"--system={sys_file}", f"--lambda={vec(lam)}",
-        f"--y0={vec(0 for _ in lam)}", f"--y1={vec(y1)}", "--format=json",
+        "enumerate-hecke", f"--system={sys_file}", f"--lambda={_csv(lam)}",
+        f"--y0={_csv(0 for _ in lam)}", f"--y1={_csv(y1)}", "--format=json",
     ]
     if h is not None:
         argv.append(f"--h={h}")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main(argv)
-    digest = lambda s: hashlib.sha256(s.encode()).hexdigest()  # noqa: E731
-    return {"exit": status, "stdout": digest(out.getvalue()), "stderr": digest(err.getvalue())}
+    return {"exit": status, "stdout": _sha256(out.getvalue()), "stderr": _sha256(err.getvalue())}
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,8 @@ from heckepaths.model import (
     generate_ls_paths,
     multiplicity,
 )
-from heckepaths.paths import is_hecke, is_ls, stats
-from heckepaths.root_system import dominance_difference
+from heckepaths.paths import from_segments, is_hecke, is_ls, stats
+from heckepaths.root_system import RootGeneratingSystem, dominance_difference
 
 from conftest import coroot_combination, frac_vec, group_elements
 
@@ -174,6 +174,31 @@ class TestEnumerateHecke:
         a = enumerate_hecke(a2, frac_vec(1, 1), frac_vec(0, 0), frac_vec(0, 0))
         b = enumerate_hecke(a2, frac_vec(1, 1), frac_vec(0, 0), frac_vec(0, 0))
         assert [w.path for w in a] == [w.path for w in b]
+
+    @pytest.mark.parametrize(
+        "gcm, lam, targets",
+        [
+            ([[2, -1], [-1, 2]], (2, 1), None),
+            ([[2, -2], [-1, 2]], (1, 1), None),
+            ([[2, -1], [-3, 2]], (2, 1), None),
+            ([[2, -2], [-2, 2]], (0, 0, 2), [(-2, -1, 2), (-1, -1, 2), (0, -2, 2)]),
+            ([[2, -2], [-2, 2]], (0, 1, 2), [(-1, -1, 2), (-2, 0, 2), (0, -1, 2)]),
+        ],
+        ids=["A2", "B2", "G2", "A1aff-002", "A1aff-012"],
+    )
+    def test_witnesses_equal_their_from_segments_rebuild(self, gcm, lam, targets):
+        # the enumeration builds each path from its coset reps and fold times
+        # directly; the canonical form from the raw pieces must be the same path
+        system = RootGeneratingSystem.from_gcm(gcm)
+        if targets is None:  # every weight of V(lam)
+            targets = sorted({p.endpoint for p in generate_ls_paths(system, lam).nodes})
+        origin = (0,) * len(lam)
+        witnesses = [w for y1 in targets for w in enumerate_hecke(system, lam, origin, y1)]
+        assert len(witnesses) >= len(targets)
+        for w in witnesses:
+            pieces = [(t1 - t0, der) for t0, t1, der in w.path.segments()]
+            rebuilt = from_segments(system, w.path.start, pieces)
+            assert rebuilt == w.path  # shape, start, coset reps and breakpoints
 
 
 class TestOracleAgreement:

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from heckepaths import RootGeneratingSystem
 from heckepaths.apartment import levels_crossed
-from heckepaths.errors import NonLambdaPath, OutOfRange
+from heckepaths.errors import FormatError, NonLambdaPath, OutOfRange
 from heckepaths.linalg import solve_linear, vadd, vscale
 from heckepaths.paths import (
     LambdaPath,
+    all_chains,
+    chain_targets,
     concat,
     eval_path,
     find_chain,
@@ -137,6 +139,17 @@ class TestFindChain:
     def test_trivial(self, a1):
         cert = find_chain(a1, (F(-1),), (F(-1),), (F(0),), (F(1),), kind="hecke")
         assert cert is not None and cert.s == 0
+
+    def test_unknown_kind_is_refused_by_every_entry(self, a1):
+        with pytest.raises(FormatError, match="unknown chain kind 'bogus'"):
+            find_chain(a1, (F(-1),), (F(1),), (F(-1, 2),), (F(1),), kind="bogus")
+        with pytest.raises(FormatError, match="unknown chain kind 'bogus'"):
+            all_chains(a1, (F(1),), (F(-1, 2),), (F(-1),), (F(1),), 20, kind="bogus")
+
+    def test_chain_targets_stamps_the_time(self, a1):
+        (cert,) = chain_targets(a1, (F(1),), (F(-1, 2),), (F(-1),), 20, F(1, 2)).values()
+        assert cert.t == F(1, 2) and cert.xis == ((F(-1),), (F(1),))
+        assert [w.word for w in cert.cosets] == [(0,), ()]
 
 
 class TestIsHecke:
