@@ -8,18 +8,19 @@ non-integral level never appear.
 
 from __future__ import annotations
 
-from math import ceil, floor
 
-
-def levels_crossed(u0, u1) -> range:
-    """The integers met going from u0 (included) towards u1 (excluded), in order.
+def levels_crossed(u0, u1, den=1) -> range:
+    """The integers met going from u0 / den (included) towards u1 / den (excluded),
+    in order; exact for integers over den > 0 and for Fractions over den = 1.
 
     >>> from fractions import Fraction
     >>> list(levels_crossed(Fraction(1, 2), 3))
     [1, 2]
     >>> list(levels_crossed(2, Fraction(-1, 2)))
     [2, 1, 0]
+    >>> list(levels_crossed(3, 18, 6)), list(levels_crossed(12, -3, 6))
+    ([1, 2], [2, 1, 0])
     """
     if u0 <= u1:
-        return range(ceil(u0), ceil(u1))
-    return range(floor(u0), floor(u1), -1)
+        return range(-(-u0 // den), -(-u1 // den))
+    return range(u0 // den, u1 // den, -1)

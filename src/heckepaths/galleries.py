@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import CrossCheckMismatch, FoldNotApplicable, FormatError, NotHecke
 from .linalg import Vec, format_rational, format_vector, parse_rational, parse_vector
@@ -60,8 +61,13 @@ class GalleryAtPoint:
         """Direction of the wall of step j (1-based), normalized positive."""
         return _wall_direction(self.system, self.chambers[j - 1], self.type_word[j - 1])
 
+    @cached_property
+    def _point_pairings(self):
+        return self.system._pairings([self.point])
+
     def step_is_true(self, j: int) -> bool:
-        return self.system.root_eval(self.step_root(j), self.point).denominator == 1
+        den, (pairs,) = self._point_pairings
+        return self.step_root(j).value(pairs) % den == 0
 
     def trueness(self):
         return tuple(self.step_is_true(j) for j in range(1, self.n + 1))
@@ -109,9 +115,10 @@ def fold_gallery(gallery: GalleryAtPoint, chain_roots) -> GalleryAtPoint:
     chambers = list(gallery.chambers)
     folds = set(gallery.folds)
     word = gallery.type_word
+    den, (pairs,) = gallery._point_pairings
     for k, beta in enumerate(chain_roots, start=1):
         beta = beta if beta.is_positive else beta.negated()
-        if sys_.root_eval(beta, gallery.point).denominator != 1:
+        if beta.value(pairs) % den:
             raise FoldNotApplicable(k, f"wall of {beta!r} through the point is not true")
         if _on_positive_side(sys_, chambers[-1], beta):
             raise FoldNotApplicable(k, f"{beta!r} does not separate c_0 from the end chamber")
@@ -162,6 +169,7 @@ def galleries_of_type(system, z, word, target_direction):
     """
     word = tuple(word)
     z = tuple(Fraction(x) for x in z)
+    den, (pairs,) = system._pairings([z])
     out = []
 
     def extend(chambers, folds):
@@ -173,7 +181,7 @@ def galleries_of_type(system, z, word, target_direction):
         i = word[j]
         extend(chambers + [system.mult(chambers[-1], system.normalize_word((i,)))], folds)
         beta = _wall_direction(system, chambers[-1], i)
-        if system.root_eval(beta, z).denominator == 1 and _on_positive_side(
+        if beta.value(pairs) % den == 0 and _on_positive_side(
             system, chambers[-1], beta
         ):
             extend(chambers + [chambers[-1]], folds | {j + 1})
@@ -251,16 +259,10 @@ def codim_tilde(decorated: DecoratedHeckePath, h: int = 20) -> int:
     total = sys_.relative_length(tuple(path.start), path.directions[0], h)
     for _, gallery in decorated.galleries:
         total += neg_count(gallery)
-    for t, roots in _codim_interior_events(path, h):
-        if t not in have:
+    for t, roots in _falling_wall_events(sys_, path._vertex_pairings[0], path._pieces(), h, at_end=False):
+        if 0 < t and t not in have:  # walls left negatively inside (0, 1)
             total += len(roots)
     return total
-
-
-def _codim_interior_events(path: LambdaPath, h: int):
-    """Times 0 < t < 1 with walls left negatively, grouped as (t, [roots])."""
-    events = _falling_wall_events(path.system, path._pieces(), h, at_end=False)
-    return [(t, roots) for t, roots in events if t > 0]
 
 
 # -- parameter patterns ----------------------------------------------------------

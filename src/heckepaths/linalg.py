@@ -43,6 +43,8 @@ def format_rational(q: Fraction) -> str:
 
 
 def parse_vector(items) -> Vec:
+    if not isinstance(items, list):
+        raise FormatError(f"expected a JSON array of rationals, got {items!r}")
     return tuple(parse_rational(x) for x in items)
 
 

@@ -37,7 +37,6 @@ from .linalg import (
     format_vector,
     is_integral_vec,
     is_zero_vec,
-    parse_rational,
     parse_vector,
     vadd,
     vneg,
@@ -67,12 +66,12 @@ class LambdaPath:
     def is_constant(self) -> bool:
         return is_zero_vec(self.shape)
 
-    @property
-    def shape_is_dominant(self) -> bool:
-        return self.system.is_dominant(self.shape)
-
     # Computed once per path, on first use.  A cached_property writes the instance
     # dict, not the frozen __setattr__, and adds no field that __eq__ or __hash__ read.
+
+    @cached_property
+    def shape_is_dominant(self) -> bool:
+        return self.system.is_dominant(self.shape)
 
     @cached_property
     def _derivatives(self) -> tuple:
@@ -87,6 +86,11 @@ class LambdaPath:
             out.append(vadd(out[-1], vscale(t1 - t0, der)))
         return tuple(out)
 
+    @cached_property
+    def _vertex_pairings(self):
+        """(E, rows): alpha_j(pi(a_k)) E as the integers rows[k][j]."""
+        return self.system._pairings(self._vertices)
+
     def direction_vector(self, j: int) -> Vec:
         return self._derivatives[j]
 
@@ -95,8 +99,9 @@ class LambdaPath:
         return list(zip(self.breakpoints, self.breakpoints[1:], self._derivatives))
 
     def _pieces(self):
-        """(coset rep, t0, t1, derivative, start point) per piece."""
-        return zip(self.directions, self.breakpoints, self.breakpoints[1:], self._derivatives, self._vertices)
+        """(coset rep, t0, t1, P0, P1) per piece, P the _vertex_pairings rows at its ends."""
+        rows = self._vertex_pairings[1]
+        return zip(self.directions, self.breakpoints, self.breakpoints[1:], rows, rows[1:])
 
     def point(self, j: int) -> Vec:
         """pi(a_j)."""
@@ -142,10 +147,7 @@ def from_segments(system: RootGeneratingSystem, start, segments, antidominant=Fa
         displacements.append(disp)
     if not displacements:
         return LambdaPath(system, zero_vec(system.rank_x), start, (IDENTITY,), (ZERO, ONE))
-    doms = []
-    for disp in displacements:
-        dom, w = system.orbit_unwind(disp, antidominant=antidominant)
-        doms.append((dom, w))
+    doms = [system.orbit_unwind(disp, antidominant=antidominant) for disp in displacements]
     shape = zero_vec(system.rank_x)
     for dom, _ in doms:
         shape = vadd(shape, dom)
@@ -213,9 +215,7 @@ def eval_path(path: LambdaPath, t) -> Vec:
 
 
 def reverse_path(path: LambdaPath) -> LambdaPath:
-    segs = []
-    for t0, t1, der in reversed(path.segments()):
-        segs.append((t1 - t0, vneg(der)))
+    segs = [(t1 - t0, vneg(der)) for t0, t1, der in reversed(path.segments())]
     anti = path.shape_is_dominant and not path.is_constant
     return from_segments(path.system, path.endpoint, segs, antidominant=anti)
 
@@ -252,15 +252,14 @@ class ChainCertificate:
         return len(self.roots)
 
 
-def _chain_candidates(system, shape, x, rep, xi, kind, a_j, h):
+def _chain_candidates(system, shape, den, pairs, rep, xi, kind, a_j, h):
     """Usable chain roots at coset rep, whose vector is xi, with the filter
-    that failed when empty."""
-    invs = system.inversion_set(rep)
-    system.check_height(invs, h)
+    that failed when empty; the point's pairings are the integers pairs over den."""
+    system.check_height(rep, h)
     out = []
     blocked = set()
-    for beta in invs:
-        if system.root_eval(beta, x).denominator != 1:
+    for beta in system.inversion_set(rep):
+        if beta.value(pairs) % den:
             # integrality at the point: condition vii, equivalently ii for LS
             blocked.add("vii" if kind == "hecke" else "ii")
             continue
@@ -270,16 +269,16 @@ def _chain_candidates(system, shape, x, rep, xi, kind, a_j, h):
             if new_rep.length != rep.length - 1:
                 blocked.add("iii")
                 continue
-            if (Fraction(a_j) * system.root_eval(beta, xi_new)).denominator != 1:
+            if (Fraction(a_j) * system.root_eval(beta, xi)).denominator != 1:  # beta(r_beta xi) = -beta(xi)
                 blocked.add("ii")
                 continue
         out.append((beta, xi_new, new_rep))
     return out, blocked
 
 
-def _chain_walk(system, shape, x, xi_from, start, kind, a_j, h, target=None, blocked=None):
+def _chain_walk(system, shape, xp, xi_from, start, kind, a_j, h, target=None, blocked=None):
     """Depth-first walk over the chains from xi_from, of coset rep start, at the
-    point x, in a fixed order.
+    point x whose integer pairings are xp = (E, pairings), in a fixed order.
 
     With a target rep, yields every chain ending at it and cuts a branch once
     its coset is no longer than the target: coset lengths fall strictly along
@@ -297,7 +296,7 @@ def _chain_walk(system, shape, x, xi_from, start, kind, a_j, h, target=None, blo
                 return
             if rep.length <= target.length:
                 return
-        cands, why = _chain_candidates(system, shape, x, rep, xis[-1], kind, a_j, h)
+        cands, why = _chain_candidates(system, shape, *xp, rep, xis[-1], kind, a_j, h)
         if blocked is not None and not roots:
             blocked.update(why)
         for beta, xi_new, new_rep in cands:
@@ -320,7 +319,8 @@ def _walk_vectors(system, shape, x, xi_from, kind, a_j, h, xi_to=None):
     xi_from = tuple(map(Fraction, xi_from))
     start = system.coset_of_vector(xi_from, shape).element
     target = None if xi_to is None else system.coset_of_vector(tuple(map(Fraction, xi_to)), shape).element
-    return _chain_walk(system, shape, tuple(map(Fraction, x)), xi_from, start, kind, a_j, h, target)
+    den, (pairs,) = system._pairings([tuple(map(Fraction, x))])
+    return _chain_walk(system, shape, (den, pairs), xi_from, start, kind, a_j, h, target)
 
 
 def chain_targets(system, shape, x, xi_from, h, a_j=None):
@@ -372,11 +372,12 @@ def _breakpoint_chains(path: LambdaPath, kind: str, h: int):
     if kind == "ls" and not (is_integral_vec(path.start) and is_integral_vec(path.shape)):
         return CheckResult(False, (), "path does not start in Y with integral shape"), ()
     certs, walks = [], []
+    den, rows = path._vertex_pairings
     for j in range(1, path.r):
         t = path.breakpoints[j]
         blocked = set()
         walk = _chain_walk(
-            path.system, path.shape, path.point(j), path.direction_vector(j - 1), path.directions[j - 1],
+            path.system, path.shape, (den, rows[j]), path.direction_vector(j - 1), path.directions[j - 1],
             kind, t, h, path.directions[j], blocked,
         )
         cert = next(walk, None)
@@ -437,30 +438,29 @@ def stats(path: LambdaPath, h: int = 20) -> PathStats:
     sys_ = path.system
     candidates = set()
     for w in path.directions:
-        invs = sys_.inversion_set(w)
-        sys_.check_height(invs, h)
-        candidates.update(invs)
+        sys_.check_height(w, h)
+        candidates.update(sys_.inversion_set(w))
     finite = sys_.classify_type() == "finite"
     # in finite type one walk over every positive root gives dim and, on the
     # candidates among them, the tallies
     roots = _all_positive_roots(sys_) if finite else candidates
     dim = 0 if finite else None
     pos, neg, pos_rev, neg_rev = {}, {}, {}, {}
-    for _, t0, t1, der, x in path._pieces():
-        for beta in roots:
-            slope = sys_.root_eval(beta, der)
-            if slope == 0:
+    den, rows = path._vertex_pairings
+    values = [(beta, [beta.value(p) for p in rows]) for beta in roots]
+    for k in range(path.r):
+        for beta, us in values:
+            u0, u1 = us[k], us[k + 1]
+            if u0 == u1:
                 continue
-            u0 = sys_.root_eval(beta, x)
-            u1 = u0 + slope * (t1 - t0)
             # walls met over t in [t0, t1) forwards and over (t0, t1] backwards
-            ahead = len(levels_crossed(u0, u1))
-            if finite and slope > 0:
+            ahead = len(levels_crossed(u0, u1, den))
+            if finite and u1 > u0:
                 dim += ahead
             if beta in candidates:
-                forward, backward = (pos, neg_rev) if slope > 0 else (neg, pos_rev)
+                forward, backward = (pos, neg_rev) if u1 > u0 else (neg, pos_rev)
                 forward[beta] = forward.get(beta, 0) + ahead
-                backward[beta] = backward.get(beta, 0) + len(levels_crossed(u1, u0))
+                backward[beta] = backward.get(beta, 0) + len(levels_crossed(u1, u0, den))
     return PathStats(sum(pos_rev.values()), sum(neg.values()), dim, pos, neg, pos_rev, neg_rev)
 
 
@@ -471,24 +471,24 @@ def _all_positive_roots(system: RootGeneratingSystem):
     return system.real_roots_up_to_height(inf)
 
 
-def _falling_wall_events(sys_: RootGeneratingSystem, pieces, h: int, at_end: bool):
+def _falling_wall_events(sys_: RootGeneratingSystem, den, pieces, h: int, at_end: bool):
     """Times where an inversion root of a piece direction falls through an
-    integer level, grouped as sorted (t, [roots]).  pieces holds
-    (coset rep, t0, t1, derivative, start point) tuples; a piece counts the
-    crossings at t1 but not at t0 when at_end, and the other way round
-    otherwise."""
+    integer level, grouped as sorted (t, [roots]).  pieces holds (coset rep,
+    t0, t1, P0, P1) tuples, P0 and P1 the integer pairings of the piece's ends
+    over den; a piece counts the crossings at t1 but not at t0 when at_end,
+    and the other way round otherwise.  With t0 = a / b and t1 - t0 = c / b,
+    beta meets m at t0 + (t1 - t0) (m den - u0) / (u1 - u0), one Fraction."""
     events = {}
-    for w, t0, t1, der, x in pieces:
-        invs = sys_.inversion_set(w)
-        sys_.check_height(invs, h)
-        for beta in invs:
-            slope = sys_.root_eval(beta, der)
-            if slope >= 0:
+    for w, t0, t1, p0, p1 in pieces:
+        sys_.check_height(w, h)
+        a, b = t0.numerator * t1.denominator, t0.denominator * t1.denominator
+        c = t1.numerator * t0.denominator - a
+        for beta in sys_.inversion_set(w):
+            u0, u1 = beta.value(p0), beta.value(p1)
+            if u1 >= u0:
                 continue
-            u0 = sys_.root_eval(beta, x)
-            u1 = u0 + slope * (t1 - t0)
-            for m in levels_crossed(u1, u0) if at_end else levels_crossed(u0, u1):
-                events.setdefault(t0 + (m - u0) / slope, []).append(beta)
+            for m in levels_crossed(u1, u0, den) if at_end else levels_crossed(u0, u1, den):
+                events.setdefault(Fraction(a * (u1 - u0) + c * (m * den - u0), b * (u1 - u0)), []).append(beta)
     return sorted(events.items())
 
 
@@ -498,7 +498,7 @@ def ddim_events(path: LambdaPath, h: int = 20):
     Groups the ddim count by time; the roots at time t are exactly the true
     walls counted by the relative length of the incoming direction there.
     """
-    return _falling_wall_events(path.system, path._pieces(), h, at_end=True)
+    return _falling_wall_events(path.system, path._vertex_pairings[0], path._pieces(), h, at_end=True)
 
 
 # -- root operators ------------------------------------------------------------
@@ -637,11 +637,13 @@ def path_to_json_dict(path: LambdaPath) -> dict:
 
 
 def path_from_json_dict(system: RootGeneratingSystem, data: dict) -> LambdaPath:
+    if not isinstance(data, dict) or not isinstance(data.get("directions", []), list):
+        raise FormatError("a path file holds a JSON object whose directions are a list of words")
     try:
         shape = parse_vector(data["lambda"])
         start = parse_vector(data["start"])
-        words = [tuple(parse_rational(i) for i in word) for word in data["directions"]]
-        bps = [parse_rational(b) for b in data["breakpoints"]]
+        words = [parse_vector(word) for word in data["directions"]]
+        bps = parse_vector(data["breakpoints"])
     except KeyError as exc:
         raise FormatError(f"path file is missing field {exc}") from exc
     if any(i.denominator != 1 for word in words for i in word):

@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import (
     CrossCheckMismatch,
@@ -33,7 +34,6 @@ from .errors import (
 from .linalg import (
     Vec,
     format_vector,
-    is_integral_vec,
     mat_rank,
     nullspace,
     parse_vector,
@@ -134,6 +134,10 @@ class RealRoot:
     def negated(self) -> "RealRoot":
         return RealRoot(tuple(-c for c in self.coeffs), tuple(-c for c in self.coroot_coeffs))
 
+    def value(self, pairings) -> int:
+        """beta(v) E, from the integer pairings alpha_j(v) E of a point v."""
+        return sum(map(mul, self.coeffs, pairings))
+
     def __eq__(self, other):
         return isinstance(other, RealRoot) and self.coeffs == other.coeffs
 
@@ -206,7 +210,6 @@ class RootGeneratingSystem:
         self._norm_cache = {}
         self._act_cache = {}
         self._unwind_cache = {}
-        self._covector_cache = {}
         self._inversion_cache = {}
         self._roots_cache = []  # list of (height, RealRoot), sorted, grows monotonically
         self._roots_cache_bound = 0
@@ -321,6 +324,13 @@ class RootGeneratingSystem:
             num = [x * scale for x in num]
         return num, pairs, d * scale
 
+    def _pairings(self, points):
+        """(E, rows): the pairings alpha_j(p_k) of the points p_k as the integers
+        rows[k][j] over E = D rden, D the lcm of the points' denominators."""
+        d = lcm(*(x.denominator for p in points for x in p))
+        nums = [[x.numerator * (d // x.denominator) for x in p] for p in points]
+        return d * self._rden, [[sum(a * v[t] for t, a in row) for row in self._root_support] for v in nums]
+
     def _reflect_integers(self, num: list, pairs: list, i: int):
         """r_i on an integer point in place, carrying its pairings along the
         Cartan matrix: alpha_j(r_i v) = alpha_j(v) - alpha_i(v) a_ij, exact
@@ -355,10 +365,7 @@ class RootGeneratingSystem:
         return self._covector(root.coeffs)
 
     def root_eval(self, root: RealRoot, v: Vec) -> Fraction:
-        cov = self._covector_cache.get(root.coeffs)
-        if cov is None:
-            cov = self._covector_cache[root.coeffs] = self.root_covector(root)
-        return vdot_cov(cov, v)
+        return vdot_cov(self.root_covector(root), v)
 
     def reflect_by_root(self, root: RealRoot, v: Vec) -> Vec:
         """r_beta(v) = v - beta(v) beta^v, on the numerators of _integer_point."""
@@ -395,9 +402,6 @@ class RootGeneratingSystem:
 
     def is_antidominant(self, v: Vec) -> bool:
         return all(self.pairing(i, v) <= 0 for i in range(self.n))
-
-    def in_Y(self, v: Vec) -> bool:
-        return is_integral_vec(v)
 
     def coroot_coordinates(self, v: Vec):
         """Coefficients of v over the simple coroots, or None if outside their span.
@@ -513,6 +517,10 @@ class RootGeneratingSystem:
 
         Memoized per word; each call returns a fresh list.
         """
+        return list(self._inversions(w)[0])
+
+    def _inversions(self, w: WeylElement):
+        """The memo behind inversion_set: (its roots, their largest height)."""
         out = self._inversion_cache.get(w.word)
         if out is None:
             roots = []
@@ -521,8 +529,8 @@ class RootGeneratingSystem:
                 for j in reversed(w.word[:k]):
                     beta = self.reflect_root(j, beta)
                 roots.append(beta)
-            out = self._inversion_cache[w.word] = tuple(roots)
-        return list(out)
+            out = self._inversion_cache[w.word] = (tuple(roots), max((r.height for r in roots), default=0))
+        return out
 
     def is_left_descent(self, i: int, w: WeylElement) -> bool:
         """True iff length(s_i w) < length(w)."""
@@ -578,10 +586,10 @@ class RootGeneratingSystem:
             num, pairs, den = self._integer_point(v)
             letters = self._unwind(num, pairs, antidominant, _UNWIND_GUARD)
             if letters is None:
-                raise FormatError(
-                    f"vector ({','.join(format_vector(v))}) outside the Tits cone: "
-                    f"its unwind passed {_UNWIND_GUARD} reflections"
-                )
+                why = f"outside the Tits cone: its unwind passed {_UNWIND_GUARD} reflections"
+                if not antidominant and self.classify_type() == "affine" and not self._outside_by_level(v):
+                    why = f"in the Tits cone, but its minimal coset word is longer than {_UNWIND_GUARD} letters"
+                raise FormatError(f"vector ({','.join(format_vector(v))}) {why}")
             out = self._unwind_cache[key] = (tuple(Fraction(x, den) for x in num), self.normalize_word(letters))
         return out
 
@@ -623,16 +631,16 @@ class RootGeneratingSystem:
         self._roots_cache_bound = h
         return [r for ht, r in self._roots_cache if ht <= h]
 
-    def check_height(self, roots, h: int):
-        worst = max((r.height for r in roots), default=0)
+    def check_height(self, w: WeylElement, h: int):
+        worst = self._inversions(w)[1]
         if worst > h:
             raise HeightBoundTooSmall(worst, h)
 
     def relative_length(self, x: Vec, w: WeylElement, h: int) -> int:
         """Number of inversion roots of w taking an integer value at x."""
-        invs = self.inversion_set(w)
-        self.check_height(invs, h)
-        return sum(1 for beta in invs if self.root_eval(beta, x).denominator == 1)
+        self.check_height(w, h)
+        den, (pairs,) = self._pairings([x])
+        return sum(1 for beta in self._inversions(w)[0] if beta.value(pairs) % den == 0)
 
     # -- type classification and the Tits cone ------------------------------
 

@@ -31,3 +31,18 @@ class TestLevelsCrossed:
         levels = levels_crossed(u0, u1)
         assert isinstance(levels, range)
         assert list(levels) == scan_levels(u0, u1)
+
+    @given(
+        st.one_of(st.integers(1, 12), st.integers(1, 2**61 - 1)).flatmap(
+            lambda d: st.tuples(st.integers(-5 * d, 5 * d), st.integers(-5 * d, 5 * d), st.just(d))
+        )
+    )
+    @example((3, 18, 6))  # increasing, from a non-integer to an integer
+    @example((12, -3, 6))  # decreasing, from an integer
+    @example((-7, -7, 3))  # equal
+    @example((6, 6, 3))  # equal and integral
+    def test_integers_over_a_denominator_match_scan(self, point):
+        u0, u1, den = point
+        levels = levels_crossed(u0, u1, den)
+        assert isinstance(levels, range)
+        assert list(levels) == scan_levels(F(u0, den), F(u1, den))

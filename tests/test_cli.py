@@ -101,6 +101,25 @@ class TestStatuses:
         assert err == "error: generator indices in directions must be integers\n"
 
     @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"directions": [1, []]}, "expected a JSON array of rationals, got 1"),
+            ([1, 2], "a path file holds a JSON object whose directions are a list of words"),
+            ({"lambda": "1"}, "expected a JSON array of rationals, got '1'"),
+            ({"directions": "12"}, "a path file holds a JSON object whose directions are a list of words"),
+        ],
+        ids=["int-direction", "top-level-list", "string-lambda", "string-directions"],
+    )
+    def test_mistyped_path_file_is_status_2(self, files, tmp_path, capsys, data, message):
+        # each used to end in a TypeError traceback or be read as a sequence of characters
+        if isinstance(data, dict):
+            data = {"lambda": ["1"], "start": ["0"], "directions": [[1], []], "breakpoints": ["0", "1/2", "1"], **data}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        status, out, err = run(capsys, "check-hecke", "--system", files["a1"], "--path", str(bad))
+        assert (status, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "roots, coroots, message",
         [
             ([["2", "-1"]], [["1", "0"], ["0", "1"]], "needs 2 simple roots and as many coroots"),

@@ -349,7 +349,7 @@ def check_geometry(path):
     ddim, codim, dim, tallies = ref_stats(path)
     assert (got.ddim, got.codim, got.dim) == (ddim, codim, dim)
     assert (got.pos, got.neg, got.pos_reverse, got.neg_reverse) == tallies
-    views = {"_derivatives", "_vertices"}
+    views = {"_derivatives", "_vertices", "_vertex_pairings", "shape_is_dominant"}
     assert views <= set(vars(path)) and not views & set(vars(twin))
     assert hash(path) == hash_before == hash(twin)
     assert path == twin and twin in {path}
@@ -389,3 +389,68 @@ def _golden_paths():
 @pytest.mark.parametrize("system, data", _golden_paths())
 def test_cached_geometry_on_golden_paths(system, data):
     check_geometry(path_from_json_dict(system, data))
+
+
+BIG = 2**61 - 1
+
+
+@given(
+    name=system_names,
+    pairs=st.lists(st.fractions(0, 3, max_denominator=BIG), min_size=3, max_size=3),
+    start=st.lists(st.fractions(-3, 3, max_denominator=BIG), min_size=3, max_size=3),
+    words=st.lists(st.lists(st.integers(0, 2), max_size=4), min_size=1, max_size=4),
+    cuts=st.sets(st.fractions(0, 1, max_denominator=BIG), max_size=5),
+)
+@settings(max_examples=80, deadline=None)
+def test_vertex_pairings_match_root_eval(name, pairs, start, words, cuts):
+    # root values on the integer view against the Fraction covector reference
+    system = SYSTEMS[name]
+    shape = solve_linear(system.simple_roots, pairs[: system.n])
+    bps = sorted(cuts - {0, 1})[: len(words) - 1]
+    words = [[i % system.n for i in w] for w in words[: len(bps) + 1]]
+    path = make_path(system, shape, start[: system.rank_x], words, [F(0), *bps, F(1)])
+    den, rows = path._vertex_pairings
+    assert den > 0 and len(rows) == path.r + 1
+    roots = system.real_roots_up_to_height(4)
+    for x, row in zip(path._vertices, rows):
+        for beta in roots + [b.negated() for b in roots]:
+            value = system.root_eval(beta, x)
+            assert type(beta.value(row)) is int
+            assert F(beta.value(row), den) == value
+            assert (beta.value(row) % den == 0) is (value.denominator == 1)
+        for w in path.directions:
+            expect = sum(1 for b in system.inversion_set(w) if system.root_eval(b, x).denominator == 1)
+            assert system.relative_length(x, w, 20) == expect
+    for (w, t0, t1, p0, p1), k in zip(path._pieces(), range(path.r)):
+        assert (w, t0, t1, p0, p1) == (path.directions[k], *path.breakpoints[k : k + 2], rows[k], rows[k + 1])
+
+
+@pytest.mark.parametrize("system, data", _golden_paths())
+def test_path_invariants_make_no_root_eval_call(monkeypatch, system, data):
+    """stats, ddim_events, codim_tilde and is_hecke read root values on the
+    path's integer view; root_eval (the Fraction reference) is not called."""
+    from heckepaths import galleries
+    from heckepaths.errors import HPLError
+    from heckepaths.paths import ddim_events
+
+    path = path_from_json_dict(system, data)
+    calls, done = [], []
+    root_eval = RootGeneratingSystem.root_eval
+
+    def counting(self, beta, v):
+        calls.append(1)
+        return root_eval(self, beta, v)
+
+    monkeypatch.setattr(RootGeneratingSystem, "root_eval", counting)
+    for run in (
+        lambda: stats(path),
+        lambda: ddim_events(path),
+        lambda: is_hecke(path),
+        lambda: galleries.codim_tilde(galleries.decorate_with_max_chains(path)),
+    ):
+        try:
+            run()
+            done.append(1)
+        except HPLError:
+            pass
+    assert done and calls == []

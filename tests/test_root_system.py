@@ -627,7 +627,7 @@ class TestExactKernel:
         lam, v = frac_vec(0, 0, 1), (F(4), F(0), F(1, 1000))  # level 1/1000: in the Tits cone
         assert len(ref_unwind(system, v, False)[1]) > 50
         monkeypatch.setattr(root_system, "_UNWIND_GUARD", 50)
-        with pytest.raises(FormatError, match="outside the Tits cone"):
+        with pytest.raises(FormatError, match="in the Tits cone, but its minimal coset word is longer than 50"):
             ref_within_reach(system, lam, v)  # orbit_unwind gives up
         assert system._within_reach(lam, v, F(1)) is True
 
