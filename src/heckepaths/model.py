@@ -327,9 +327,8 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
         # reps, times and certs: the coset reps and start times of the pieces so far, the chains between them
         if vsub(y1, x) == vscale(ONE - t, xi):
             found.setdefault(LambdaPath(system, lam, y0, reps, times + (ONE,)), certs)
-        # the piece from x along xi up to t = 1, its ends x and x + (p / q) xi on integers over E q
         den, (px, pxi) = system._pairings([x, xi])
-        p, q = (ONE - t).numerator, (ONE - t).denominator
+        p, q = (ONE - t).numerator, (ONE - t).denominator  # the piece's ends x and x + (p / q) xi, over den q
         piece = (reps[-1], t, ONE, [q * a for a in px], [q * a + p * b for a, b in zip(px, pxi)])
         for ta, _ in _falling_wall_events(system, den * q, [piece], h, at_end=False):
             if ta == t:  # walls at the fold point itself; only those inside (t, 1) count

@@ -315,6 +315,8 @@ def _walk_vectors(system, shape, x, xi_from, kind, a_j, h, xi_to=None):
     """_chain_walk between vectors, each unwound once to its coset rep."""
     if kind not in ("hecke", "ls"):
         raise FormatError(f"unknown chain kind {kind!r}")
+    if len(x) != system.rank_x:
+        raise FormatError(f"point has {len(x)} coordinates, system has rank {system.rank_x}")
     shape = tuple(map(Fraction, shape))
     xi_from = tuple(map(Fraction, xi_from))
     start = system.coset_of_vector(xi_from, shape).element

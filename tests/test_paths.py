@@ -146,6 +146,16 @@ class TestFindChain:
         with pytest.raises(FormatError, match="unknown chain kind 'bogus'"):
             all_chains(a1, (F(1),), (F(-1, 2),), (F(-1),), (F(1),), 20, kind="bogus")
 
+    def test_point_of_the_wrong_rank_is_refused_by_every_entry(self, a2):
+        shape, xi = (F(1), F(1)), (F(-1), F(-1))
+        for x in ((F(0), F(0), F(5)), (F(0),)):
+            with pytest.raises(FormatError, match="system has rank 2"):
+                chain_targets(a2, shape, x, xi, 20)
+            with pytest.raises(FormatError, match="system has rank 2"):
+                find_chain(a2, xi, shape, x, shape)
+            with pytest.raises(FormatError, match="system has rank 2"):
+                all_chains(a2, shape, x, xi, shape, 20)
+
     def test_chain_targets_stamps_the_time(self, a1):
         (cert,) = chain_targets(a1, (F(1),), (F(-1, 2),), (F(-1),), 20, F(1, 2)).values()
         assert cert.t == F(1, 2) and cert.xis == ((F(-1),), (F(1),))

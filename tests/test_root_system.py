@@ -629,6 +629,8 @@ class TestExactKernel:
         monkeypatch.setattr(root_system, "_UNWIND_GUARD", 50)
         with pytest.raises(FormatError, match="in the Tits cone, but its minimal coset word is longer than 50"):
             ref_within_reach(system, lam, v)  # orbit_unwind gives up
+        with pytest.raises(FormatError, match="outside the Tits cone"):
+            system.orbit_unwind(v, antidominant=True)  # positive level: v is not in minus the Tits cone
         assert system._within_reach(lam, v, F(1)) is True
 
     @given(name=system_names, raw=st.lists(st.integers(0, 2), max_size=10))
