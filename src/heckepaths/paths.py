@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, inf
+from math import inf
 
 from .apartment import levels_crossed
 from .errors import (
@@ -29,7 +29,6 @@ from .errors import (
     NotDominant,
     OperatorUndefined,
     OutOfRange,
-    UnsupportedType,
 )
 from .linalg import (
     Vec,
@@ -260,7 +259,9 @@ def _chain_candidates(system, shape, den, pairs, rep, xi, kind, a_j, h):
     blocked = set()
     for beta in system.inversion_set(rep):
         if beta.value(pairs) % den:
-            # integrality at the point: condition vii, equivalently ii for LS
+            # integrality at the point: condition vii.  For LS it stands for ii only
+            # in an integral realization (by induction over earlier breakpoints),
+            # so ii keeps its own test below
             blocked.add("vii" if kind == "hecke" else "ii")
             continue
         xi_new = system.reflect_by_root(beta, xi)
@@ -444,8 +445,8 @@ def stats(path: LambdaPath, h: int = 20) -> PathStats:
         candidates.update(sys_.inversion_set(w))
     finite = sys_.classify_type() == "finite"
     # in finite type one walk over every positive root gives dim and, on the
-    # candidates among them, the tallies
-    roots = _all_positive_roots(sys_) if finite else candidates
+    # candidates among them, the tallies; that closure needs no height bound
+    roots = sys_.real_roots_up_to_height(inf) if finite else candidates
     dim = 0 if finite else None
     pos, neg, pos_rev, neg_rev = {}, {}, {}, {}
     den, rows = path._vertex_pairings
@@ -464,13 +465,6 @@ def stats(path: LambdaPath, h: int = 20) -> PathStats:
                 forward[beta] = forward.get(beta, 0) + ahead
                 backward[beta] = backward.get(beta, 0) + len(levels_crossed(u1, u0, den))
     return PathStats(sum(pos_rev.values()), sum(neg.values()), dim, pos, neg, pos_rev, neg_rev)
-
-
-def _all_positive_roots(system: RootGeneratingSystem):
-    if system.classify_type() != "finite":
-        raise UnsupportedType("full positive root enumeration needs finite type")
-    # the closure of the simple roots is finite here, so it needs no height bound
-    return system.real_roots_up_to_height(inf)
 
 
 def _falling_wall_events(sys_: RootGeneratingSystem, den, pieces, h: int, at_end: bool):
@@ -506,33 +500,16 @@ def ddim_events(path: LambdaPath, h: int = 20):
 # -- root operators ------------------------------------------------------------
 
 
-def _profile(path: LambdaPath, i: int):
-    """Per-segment values of alpha_i along the path: (t0, t1, u0, u1)."""
-    us = [path.system.pairing(i, x) for x in path._vertices]
-    return list(zip(path.breakpoints, path.breakpoints[1:], us, us[1:]))
-
-
-def _min_integral(profile):
-    best = None
-    for _, _, u0, u1 in profile:
-        lo, hi = min(u0, u1), max(u0, u1)
-        m = ceil(lo)
-        if m <= hi and (best is None or m < best):
-            best = m
-    return best
-
-
-def _intervals_at_level(profile, c):
-    """Maximal t-intervals where the profile equals c, in order."""
+def _at_level(profile, m):
+    """Maximal t-intervals where alpha_i E equals the integer m, in order, from
+    its (t0, t1, U0, U1) values at the ends of each piece."""
     raw = []
     for t0, t1, u0, u1 in profile:
         if u0 == u1:
-            if u0 == c:
+            if u0 == m:
                 raw.append((t0, t1))
-            continue
-        lo, hi = min(u0, u1), max(u0, u1)
-        if lo <= c <= hi:
-            t = t0 + (Fraction(c) - u0) * (t1 - t0) / (u1 - u0)
+        elif min(u0, u1) <= m <= max(u0, u1):
+            t = t0 + Fraction(m - u0, u1 - u0) * (t1 - t0)
             raw.append((t, t))
     merged = []
     for lo, hi in raw:
@@ -544,16 +521,22 @@ def _intervals_at_level(profile, c):
 
 
 def _reflect_piece(path: LambdaPath, i: int, t_lo, t_hi) -> LambdaPath:
-    segs = []
-    for t0, t1, der in path.segments():
+    """The path with s_i applied over [t_lo, t_hi].  A piece of rep w along
+    which alpha_i moves takes the rep s_i w, minimal in its coset by Deodhar's
+    lemma because s_i w(lambda) != w(lambda); a flat piece keeps w."""
+    reps, times = [], [ZERO]
+    for w, t0, t1, p0, p1 in path._pieces():
         cuts = sorted({t0, t1, *(t for t in (t_lo, t_hi) if t0 < t < t1)})
         for a, b in zip(cuts, cuts[1:]):
-            d = der
-            if t_lo <= a and b <= t_hi:
-                d = path.system.simple_reflection(i, der)
-            segs.append((b - a, d))
-    anti = not path.shape_is_dominant and not path.is_constant
-    return from_segments(path.system, path.start, segs, antidominant=anti)
+            v = w
+            if t_lo <= a and b <= t_hi and p0[i] != p1[i]:
+                v = path.system.normalize_word((i,) + w.word)
+            if reps and reps[-1] == v:
+                times[-1] = b
+            else:
+                reps.append(v)
+                times.append(b)
+    return LambdaPath(path.system, path.shape, path.start, tuple(reps), tuple(times))
 
 
 def root_operator(kind: str, i: int, path: LambdaPath) -> LambdaPath:
@@ -562,7 +545,9 @@ def root_operator(kind: str, i: int, path: LambdaPath) -> LambdaPath:
     The cut levels are the minimal integral value Q attained by alpha_i
     along the path: e reflects the first descent from Q+1 to Q, f reflects
     the first ascent to Q+1 after the last visit to Q, etilde reflects the
-    whole excursion strictly below Q.  Raises OperatorUndefined with the
+    whole excursion strictly below Q.  alpha_i is read at the vertices from
+    the path's integer pairings, and the reflected pieces are built by left
+    multiplication of their coset reps.  Raises OperatorUndefined with the
     blocking reason when the cut does not exist.
     """
     if kind not in ("e", "f", "etilde"):
@@ -571,48 +556,40 @@ def root_operator(kind: str, i: int, path: LambdaPath) -> LambdaPath:
         raise FormatError(f"generator index {i} out of range")
     if not path.shape_is_dominant:
         raise NotDominant("root operators apply to dominant-shape paths")
-    prof = _profile(path, i)
-    q_min = _min_integral(prof)
-    if q_min is None:
+    den, rows = path._vertex_pairings
+    us = [row[i] for row in rows]  # alpha_i E at the vertices
+    prof = list(zip(path.breakpoints, path.breakpoints[1:], us, us[1:]))
+    # alpha_i is continuous, so it attains every value between its extremes
+    q_min = -(-min(us) // den)
+    qe = q_min * den
+    if qe > max(us):
         raise OperatorUndefined(kind, i + 1, "alpha_i never attains an integral value on the path")
-    at_q = _intervals_at_level(prof, q_min)
+    at_q = _at_level(prof, qe)
     if kind == "e":
         t1 = at_q[0][0]
-        above = [min(hi, t1) for lo, hi in _intervals_at_level(prof, q_min + 1) if lo <= t1]
+        above = [min(hi, t1) for lo, hi in _at_level(prof, qe + den) if lo <= t1]
         if not above:
             raise OperatorUndefined(
                 kind, i + 1, f"minimal integral value {q_min} is not reached from level {q_min + 1}"
                 " (for a path from 0 this means the minimum is not <= -1)"
             )
-        t0 = max(above)
-        return _reflect_piece(path, i, t0, t1)
+        return _reflect_piece(path, i, max(above), t1)
     if kind == "f":
         p = at_q[-1][1]
-        below = [max(lo, p) for lo, hi in _intervals_at_level(prof, q_min + 1) if hi >= p]
+        below = [max(lo, p) for lo, hi in _at_level(prof, qe + den) if hi >= p]
         if not below:
             raise OperatorUndefined(
                 kind, i + 1, f"path does not rise to level {q_min + 1} after its last minimum"
             )
-        q = min(below)
-        return _reflect_piece(path, i, p, q)
+        return _reflect_piece(path, i, p, min(below))
     # etilde
-    if prof[0][2] < q_min:
+    if us[0] < qe:
         raise OperatorUndefined(kind, i + 1, "path starts below its minimal integral level")
-    q = None
-    for t0, t1, u0, u1 in prof:
-        if min(u0, u1) < q_min:
-            if u0 <= q_min:
-                q = t0
-            else:
-                q = t0 + (Fraction(q_min) - u0) * (t1 - t0) / (u1 - u0)
-            break
+    # the first piece that dips below Q starts at or above it, so it meets Q
+    q = next((t0 + Fraction(qe - u0, u1 - u0) * (t1 - t0) for t0, t1, u0, u1 in prof if u1 < qe), None)
     if q is None:
         raise OperatorUndefined(kind, i + 1, "q = 1: the path never goes strictly below level Q")
-    theta = None
-    for lo, hi in at_q:
-        if lo > q:
-            theta = lo
-            break
+    theta = next((lo for lo, hi in at_q if lo > q), None)
     if theta is None:
         raise OperatorUndefined(kind, i + 1, "path never returns to level Q after dipping below")
     return _reflect_piece(path, i, q, theta)

@@ -181,6 +181,59 @@ class TestStatuses:
         status, _, err = run(capsys, "validate", "--system", files["a1"], "--h", "0")
         assert status == 2
 
+    @pytest.mark.parametrize(
+        "argv, status, expected",
+        [
+            (
+                ["validate", "--system", "a2", "--format", "json"],
+                0,
+                {
+                    "ok": True,
+                    "type": "finite",
+                    "rank": 2,
+                    "rank_x": 2,
+                    "symmetrizer": ["1", "1"],
+                    "system": {
+                        "cartan_matrix": [[2, -1], [-1, 2]],
+                        "names": ["a1", "a2"],
+                        "rank_x": 2,
+                        "simple_coroots": [["1", "0"], ["0", "1"]],
+                        "simple_roots": [["2", "-1"], ["-1", "2"]],
+                    },
+                },
+            ),
+            (["check-hecke", "--system", "a1"], 2, "error: --path FILE is required\n"),
+            (
+                ["mult", "--system", "a2", "--lambda", "1,1,0", "--mu", "0,0"],
+                2,
+                "error: expected 2 comma-separated coordinates, got 3\n",
+            ),
+            (
+                ["validate", "--system", "a2", "--format", "dot"],
+                2,
+                "error: dot output is only available for the crystal command\n",
+            ),
+            (
+                ["mult", "--system", "hyperbolic", "--lambda=-1,-1", "--mu=-1,-1", "--format", "json"],
+                0,
+                {"multiplicity": 1, "freudenthal": None, "agree": None},
+            ),
+        ],
+        ids=["validate-json", "missing-path", "coordinate-count", "dot-outside-crystal", "mult-without-oracle"],
+    )
+    def test_exit_contract(self, files, tmp_path, capsys, argv, status, expected):
+        # a dict is the JSON report on stdout (these keys at least), a string the whole stderr
+        hyperbolic = tmp_path / "hyperbolic.json"
+        hyperbolic.write_text(json.dumps({"cartan_matrix": [[2, -3], [-3, 2]]}))
+        paths = {**files, "hyperbolic": str(hyperbolic)}
+        got, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+        assert got == status
+        if isinstance(expected, dict):
+            report = json.loads(out)
+            assert {k: report[k] for k in expected} == expected and err == ""
+        else:
+            assert (out, err) == ("", expected)
+
 
 class TestMult:
     def test_a2_zero_weight(self, files, capsys):

@@ -160,6 +160,14 @@ class TestEnumerateHecke:
     def test_unreachable(self, a1):
         assert enumerate_hecke(a1, (F(1),), (F(0),), (F(2),)) == []
 
+    def test_zero_shape(self, a2):
+        # the only path of shape 0 is the constant one, a Hecke path with no breakpoint to certify
+        y0 = frac_vec(1, -2)
+        (w,) = enumerate_hecke(a2, frac_vec(0, 0), y0, y0)
+        assert w.path.is_constant and w.path.start == w.path.endpoint == y0
+        assert w.certificates == () and is_hecke(w.path).ok
+        assert enumerate_hecke(a2, frac_vec(0, 0), y0, frac_vec(1, -1)) == []
+
     def test_a2_loop_counts(self, a2):
         res = enumerate_hecke(a2, frac_vec(1, 1), frac_vec(0, 0), frac_vec(0, 0))
         assert len(res) == 3

@@ -205,6 +205,20 @@ class TestIsLS:
         res = is_ls(p)
         assert not res.ok and "start in Y" in res.reason
 
+    def test_condition_ii_where_the_point_test_passes(self):
+        # alpha = 1/2 on Y = Z and alpha^v = 4: at t = 1/2 the path is at x = 0,
+        # where alpha is integral (condition vii holds), but 1/2 alpha(xi) = 1/2
+        # is not, so condition ii alone rejects the fold
+        system = RootGeneratingSystem.from_json_dict(
+            {"cartan_matrix": [[2]], "simple_roots": [["1/2"]], "simple_coroots": [["4"]]}
+        )
+        data = {"lambda": ["2"], "start": ["1"], "directions": [[1], []], "breakpoints": ["0", "1/2", "1"]}
+        path = path_from_json_dict(system, data)
+        assert path.point(1) == (F(0),) and path.in_Y
+        assert is_hecke(path).ok
+        res = is_ls(path)
+        assert not res.ok and res.reason == "condition ii fails at t=1/2"
+
 
 class TestStats:
     def test_straight_zero(self, a1):

@@ -44,6 +44,28 @@ def test_doctests():
     assert {name: r.failed for name, r in results.items() if r.failed} == {}
 
 
+def _import_bindings(tree):
+    """(name, line) for each name a module-level import binds, __future__ aside."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], node.lineno
+
+
+def test_no_unused_module_imports():
+    # an import its module never reads is left over from removed code; the
+    # package __init__ re-exports its imports through __all__
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+        found += [f"{module.name}:{line} {name}" for name, line in _import_bindings(tree) if name not in read]
+    assert not found, f"module-level imports never read: {found}"
+
+
 # documented entry points that no library code calls; users and tests do
 ENTRY_POINTS = {
     "build_parser",
