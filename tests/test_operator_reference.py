@@ -23,7 +23,7 @@ from heckepaths import RootGeneratingSystem
 from heckepaths.errors import FormatError, NotDominant, OperatorUndefined
 from heckepaths.linalg import solve_linear
 from heckepaths.model import enumerate_hecke, generate_ls_paths
-from heckepaths.paths import from_segments, make_path, root_operator
+from heckepaths.paths import from_segments, is_hecke, is_ls, make_path, root_operator
 
 from conftest import frac_vec
 
@@ -174,8 +174,10 @@ def _outcome(op, kind, i, path):
 @pytest.mark.parametrize("name", sorted(POOLS))
 def test_pools_hold_hecke_and_ls_paths(name):
     # the pools mix LS paths with non-LS Hecke paths of several pieces
-    assert len(POOLS[name]) >= 10
-    assert max(p.r for p in POOLS[name]) >= 3
+    pool = POOLS[name]
+    assert len(pool) >= 10 and max(p.r for p in pool) >= 3
+    assert all(is_hecke(p).ok for p in pool)
+    assert any(is_ls(p).ok for p in pool) and not all(is_ls(p).ok for p in pool)
 
 
 @given(
