@@ -225,8 +225,8 @@ class TestStatuses:
         # a dict is the JSON report on stdout (these keys at least), a string the whole stderr
         hyperbolic = tmp_path / "hyperbolic.json"
         hyperbolic.write_text(json.dumps({"cartan_matrix": [[2, -3], [-3, 2]]}))
-        paths = {**files, "hyperbolic": str(hyperbolic)}
-        got, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+        named = {**files, "hyperbolic": str(hyperbolic)}
+        got, out, err = run(capsys, *(named.get(a, a) for a in argv))
         assert got == status
         if isinstance(expected, dict):
             report = json.loads(out)
