@@ -11,6 +11,13 @@ choose from at a breakpoint) and non-Hecke paths, so the certificates the
 chain search returns, the walls it tallies and the galleries it folds are
 all pinned.
 
+It also pins `hpl validate --format json` on A2, B2, G2, A3, A1^(1), the
+twisted affine matrix [[2,-1,0],[-1,2,-1],[0,-3,2]], an indefinite matrix
+and a B2 realization on non-integral roots and coroots, and `hpl mult
+--format json` on shapes of A2, B2, G2, A3 and A1^(1) (`system_runs`), so
+the realization, the symmetrizer, the type, the coroot coordinates and rho
+each system is built with are pinned through their outputs.
+
 The file also pins the argument parser: the exact output and exit status of
 `hpl --help`, of `hpl <command> --help` for every command and of one usage
 error, at a terminal width of 80 columns (argparse formats help by
@@ -48,6 +55,16 @@ def _run(system: dict, path: dict, command: str, workdir: Path, extra=()) -> dic
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         status = main([command, f"--system={sys_file}", f"--path={path_file}", "--format=json", *extra])
+    return {"exit": status, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _run_system(system: dict, argv, workdir: Path) -> dict:
+    """argv[0] on the given system file, with the rest of argv after it."""
+    sys_file = workdir / "system.json"
+    sys_file.write_text(json.dumps(system))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main([argv[0], f"--system={sys_file}", *argv[1:]])
     return {"exit": status, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -93,6 +110,29 @@ def test_golden_cli(system, case, command, tmp_path):
 def test_golden_cli_small_h(system, case, h, command, tmp_path):
     run = _run(system, case["path"], command, tmp_path, [f"--h={h}"])
     assert run == case["runs_small_h"][str(h)][command]
+
+
+def _system_runs():
+    data = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    return [
+        pytest.param(data["systems"][entry["system"]], entry, id=f"{entry['system']}-{' '.join(entry['argv'])}")
+        for entry in data["system_runs"]
+    ]
+
+
+@pytest.mark.parametrize("system, entry", _system_runs())
+def test_golden_system_run(system, entry, tmp_path):
+    assert _run_system(system, entry["argv"], tmp_path) == entry["run"]
+
+
+def test_golden_system_runs_cover_the_types():
+    data = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    runs = data["system_runs"]
+    validated = {e["system"] for e in runs if e["argv"][0] == "validate"}
+    assert validated == {"A2", "B2", "G2", "A3", "A1aff", "twisted", "indefinite", "B2rational"}
+    types = {json.loads(e["run"]["stdout"])["type"] for e in runs if e["argv"][0] == "validate"}
+    assert types == {"finite", "affine", "indefinite"}
+    assert {e["system"] for e in runs if e["argv"][0] == "mult"} == {"A2", "B2", "G2", "A3", "A1aff"}
 
 
 @pytest.mark.parametrize(
@@ -152,6 +192,8 @@ def record():
                 str(h): {c: _run(system, case["path"], c, Path(tmp), [f"--h={h}"]) for c in SMALL_H_COMMANDS}
                 for h in SMALL_H
             }
+        for entry in data["system_runs"]:
+            entry["run"] = _run_system(data["systems"][entry["system"]], entry["argv"], Path(tmp))
     for entry in data["parser_runs"]:
         entry["run"] = _run_argv(entry["argv"])
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
