@@ -95,25 +95,27 @@ def _eliminate(rows):
     scales = 1
     for entries in rows:
         entries = list(entries)
-        s = lcm(*(x.denominator for x in entries))
+        s = lcm(*[x.denominator for x in entries])
         m.append([x.numerator * (s // x.denominator) for x in entries])
         scales *= s
-    ncols = len(m[0]) if m else 0
+    nrows, ncols = len(m), len(m[0]) if m else 0
     pivots = []
     sign, prev = 1, 1
     for col in range(ncols):
         row = len(pivots)
-        if row == len(m):
+        if row == nrows:
             break
-        piv = next((r for r in range(row, len(m)) if m[r][col]), None)
-        if piv is None:
+        for piv in range(row, nrows):
+            if m[piv][col]:
+                break
+        else:
             continue
         if piv != row:
             m[row], m[piv] = m[piv], m[row]
             sign = -sign
         top = m[row]
         pv = top[col]
-        for r in range(len(m)):
+        for r in range(nrows):
             if r != row:
                 f = m[r][col]
                 m[r] = [(pv * a - f * b) // prev for a, b in zip(m[r], top)]
@@ -148,24 +150,6 @@ def mat_rank(rows) -> int:
     1
     """
     return len(_eliminate(rows)[1])
-
-
-def solve_linear(rows, rhs):
-    """One exact solution x of A x = b, or None if inconsistent.
-
-    Free variables are set to zero.
-
-    >>> solve_linear([(1, 1), (0, 1)], (3, 1))
-    (Fraction(2, 1), Fraction(1, 1))
-    """
-    ncols = len(rows[0]) if rows else 0
-    m, pivots, _ = row_reduce([*row, b] for row, b in zip(rows, rhs, strict=True))
-    if ncols in pivots:  # a row reads 0 = 1
-        return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = m[r][ncols]
-    return tuple(x)
 
 
 def nullspace(rows):

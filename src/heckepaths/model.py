@@ -100,7 +100,7 @@ def generate_ls_paths(system: RootGeneratingSystem, lam, depth_cap: int = 200) -
     nodes = [top]
     index = {top: 0}
     edges = []
-    layer = [top]
+    layer = [(top, 0)]  # each node with its index, so that a path is hashed once per f-application
     depth = 0
     applications = 0
     partial = False
@@ -109,17 +109,17 @@ def generate_ls_paths(system: RootGeneratingSystem, lam, depth_cap: int = 200) -
             partial = True
             break
         nxt = []
-        for node in layer:
+        for node, k in layer:
             for i in range(system.n):
                 child = try_operator("f", i, node)
                 if child is None:
                     continue
                 applications += 1
-                if child not in index:
-                    index[child] = len(nodes)
+                c = index.setdefault(child, len(nodes))
+                if c == len(nodes):
                     nodes.append(child)
-                    nxt.append(child)
-                edges.append((index[node], i, index[child]))
+                    nxt.append((child, c))
+                edges.append((k, i, c))
         depth += 1
         layer = nxt
     completed = depth - 1 if partial else depth

@@ -7,9 +7,10 @@ are tracked formally as integer coefficient vectors over the simple roots
 even when the evaluation covectors are degenerate.
 
 The Weyl action runs on integers: each system keeps its simple roots and
-coroots scaled to integers, a point is carried as integer numerators over one
-denominator together with its integer pairings, and a Fraction is built once
-per output coordinate, at the API boundary.
+coroots scaled to integers (its invariants are computed from those rows), a
+point is carried as integer numerators over one denominator together with its
+integer pairings, and a Fraction is built once per output coordinate, at the
+API boundary.
 
 Weyl group elements are stored as their ShortLex normal form, computed by
 greedy left-descent extraction from the exact action on root coefficients;
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -33,13 +35,12 @@ from .errors import (
 )
 from .linalg import (
     Vec,
+    _eliminate,
     format_vector,
     mat_rank,
     nullspace,
     parse_vector,
-    row_reduce,
     scale_to_primitive_integers,
-    solve_linear,
     vsub,
     zero_vec,
 )
@@ -69,6 +70,8 @@ def validate_gcm(entries) -> KacMoodyMatrix:
     >>> validate_gcm([[2, -1], [-1, 2]]).n
     2
     """
+    if not isinstance(entries, (list, tuple)) or not all(isinstance(row, (list, tuple)) for row in entries):
+        raise FormatError(f"Cartan matrix must be a list of integer rows, got {entries!r}")
     rows = [tuple(row) for row in entries]
     n = len(rows)
     for i, row in enumerate(rows):
@@ -164,15 +167,47 @@ class CosetRep:
         return self.element.length
 
 
-def _integer_supports(vectors, den):
-    # nonzero entries of den * v, as (coordinate, integer) pairs
-    return tuple(tuple((t, int(x * den)) for t, x in enumerate(v) if x) for v in vectors)
+def _scaled_rows(vectors):
+    """The vectors as integer rows over the lcm of all their denominators: (rows, lcm)."""
+    den = lcm(*[x.denominator for v in vectors for x in v])
+    return [[x.numerator * (den // x.denominator) for x in v] for v in vectors], den
 
 
-def _numerators(v):
-    # v as integer numerators over the lcm of its denominators
-    d = lcm(*(x.denominator for x in v))
-    return [x.numerator * (d // x.denominator) for x in v], d
+def _supports(rows):
+    # nonzero entries of each integer row, as (coordinate, integer) pairs
+    return tuple(tuple((t, a) for t, a in enumerate(row) if a) for row in rows)
+
+
+def _symmetrizer(entries):
+    """Coprime positive integers d_i with d_i a_ij = d_j a_ji, solved along each
+    connected component of the Dynkin diagram; every component's first index
+    stands for the same rational 1, and unit is the integer it currently has.
+    Each new d_j is made integral by scaling all of d by the least factor that
+    does it, which is coprime to the new d_j, so d stays coprime throughout."""
+    n = len(entries)
+    d = [0] * n
+    unit = 1
+    for start in range(n):
+        if d[start]:
+            continue
+        d[start] = unit
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j, a in enumerate(entries[i]):
+                if a == 0 or i == j:
+                    continue
+                b = entries[j][i]  # d_j = d_i a / b, with a and b negative
+                if not d[j]:
+                    g = -b // gcd(d[i] * a, b)
+                    if g > 1:
+                        d = [x * g for x in d]
+                        unit *= g
+                    d[j] = d[i] * a // b
+                    queue.append(j)
+                elif d[j] * b != d[i] * a:
+                    raise NotSymmetrizable("inconsistent symmetrizer constraints")
+    return tuple(map(Fraction, d))
 
 
 class RootGeneratingSystem:
@@ -186,24 +221,27 @@ class RootGeneratingSystem:
 
     def __init__(self, gcm: KacMoodyMatrix, simple_roots, simple_coroots, names=None):
         self.gcm = gcm
-        self.n = gcm.n
+        n = self.n = gcm.n
         self.simple_roots = tuple(tuple(Fraction(x) for x in r) for r in simple_roots)
         self.simple_coroots = tuple(tuple(Fraction(x) for x in c) for c in simple_coroots)
-        if not len(self.simple_roots) == len(self.simple_coroots) == self.n:
-            raise FormatError(f"a rank {self.n} system needs {self.n} simple roots and as many coroots")
-        self.rank_x = len(self.simple_roots[0]) if self.n else 0
+        if not len(self.simple_roots) == len(self.simple_coroots) == n:
+            raise FormatError(f"a rank {n} system needs {n} simple roots and as many coroots")
+        self.rank_x = len(self.simple_roots[0]) if n else 0
         if any(len(v) != self.rank_x for v in self.simple_roots + self.simple_coroots):
             raise FormatError(f"simple roots and coroots must all have rank_x = {self.rank_x} coordinates")
-        self.names = tuple(names) if names else tuple(f"a{i + 1}" for i in range(self.n))
-        self._check_realization()
-        self.symmetrizer = self._solve_symmetrizer(self.gcm.entries)
-        self.rho = self._solve_rho()
-        # integer realization: nonzero entries of rden alpha_j and cden alpha_i^v,
-        # and of row i of the Cartan matrix
-        self._rden = lcm(*(x.denominator for r in self.simple_roots for x in r))
-        self._cden = lcm(*(y.denominator for c in self.simple_coroots for y in c))
-        self._root_support = _integer_supports(self.simple_roots, self._rden)
-        self._coroot_support = _integer_supports(self.simple_coroots, self._cden)
+        names = [f"a{i + 1}" for i in range(n)] if names is None else names
+        if not (isinstance(names, (list, tuple)) and len(names) == n and all(isinstance(x, str) for x in names)):
+            raise FormatError(f"names must be a list of {n} strings, got {names!r}")
+        self.names = tuple(names)
+        # integer realization: rden alpha_j and cden alpha_i^v, as rows and as
+        # their nonzero entries, and the nonzero entries of row i of the Cartan matrix
+        roots, self._rden = _scaled_rows(self.simple_roots)
+        coroots, self._cden = _scaled_rows(self.simple_coroots)
+        self._check_realization(roots, coroots)
+        self._invert_coroots(coroots)
+        self.symmetrizer = _symmetrizer(gcm.entries)
+        self._root_support = _supports(roots)
+        self._coroot_support = _supports(coroots)
         self._cartan_support = tuple(
             tuple((j, a) for j, a in enumerate(row) if a) for row in gcm.entries
         )
@@ -213,9 +251,7 @@ class RootGeneratingSystem:
         self._inversion_cache = {}
         self._roots_cache = []  # list of (height, RealRoot), sorted, grows monotonically
         self._roots_cache_bound = 0
-        self._type_cache = None
         self._delta_cov = None
-        self._coroot_inverse = None  # (pivot coordinates, integer inverse there, its denominator)
 
     # -- construction ------------------------------------------------------
 
@@ -223,76 +259,53 @@ class RootGeneratingSystem:
     def from_gcm(cls, entries, names=None) -> "RootGeneratingSystem":
         gcm = validate_gcm(entries)
         n = gcm.n
-        base_rows = [tuple(gcm[i, j] for j in range(n)) for i in range(n)]
+        rows = [list(row) for row in gcm.entries]
+        # a singular matrix gets the first standard rows that raise its rank
+        rank = mat_rank(rows)
         extra = []
-        if mat_rank(base_rows) < n:
-            for k in range(n):
-                cand = [1 if j == k else 0 for j in range(n)]
-                if mat_rank(base_rows + extra + [tuple(cand)]) > mat_rank(base_rows + extra):
-                    extra.append(tuple(cand))
-                if mat_rank(base_rows + extra) == n:
-                    break
+        for k in range(n):
+            if rank == n:
+                break
+            cand = [int(j == k) for j in range(n)]
+            if mat_rank(rows + extra + [cand]) > rank:
+                extra.append(cand)
+                rank += 1
         rank_x = n + len(extra)
-        simple_coroots = [
-            tuple(Fraction(1) if t == i else Fraction(0) for t in range(rank_x)) for i in range(n)
-        ]
-        simple_roots = []
-        for j in range(n):
-            cov = [Fraction(gcm[i, j]) for i in range(n)]
-            cov += [Fraction(row[j]) for row in extra]
-            simple_roots.append(tuple(cov))
+        simple_coroots = [[int(t == i) for t in range(rank_x)] for i in range(n)]
+        simple_roots = [[row[j] for row in rows + extra] for j in range(n)]
         return cls(gcm, simple_roots, simple_coroots, names)
 
-    def _check_realization(self):
-        for i in range(self.n):
-            for j in range(self.n):
-                got = vdot_cov(self.simple_roots[j], self.simple_coroots[i])
-                if got != self.gcm[i, j]:
+    def _check_realization(self, roots, coroots):
+        scale = self._rden * self._cden
+        for i, c in enumerate(coroots):
+            for j, r in enumerate(roots):
+                got = sum(map(mul, r, c))
+                if got != self.gcm[i, j] * scale:
                     raise FormatError(
-                        f"realization mismatch: alpha_{j + 1}(alpha_{i + 1}^v) = {got}, "
+                        f"realization mismatch: alpha_{j + 1}(alpha_{i + 1}^v) = {Fraction(got, scale)}, "
                         f"Cartan matrix says {self.gcm[i, j]}"
                     )
-        if self.n:
-            if mat_rank(self.simple_roots) < self.n:
-                raise FormatError("simple roots are not linearly independent")
-            if mat_rank(self.simple_coroots) < self.n:
-                raise FormatError("simple coroots are not linearly independent")
+        if self.n and mat_rank(roots) < self.n:
+            raise FormatError("simple roots are not linearly independent")
 
-    @staticmethod
-    def _solve_symmetrizer(entries):
-        # d_i a_ij = d_j a_ji, solved per connected component of the Dynkin diagram
-        n = len(entries)
-        d = [None] * n
-        for start in range(n):
-            if d[start] is not None:
-                continue
-            d[start] = Fraction(1)
-            queue = [start]
-            while queue:
-                i = queue.pop()
-                for j in range(n):
-                    if entries[i][j] == 0 or i == j:
-                        continue
-                    val = d[i] * Fraction(entries[i][j], entries[j][i])
-                    if d[j] is None:
-                        d[j] = val
-                        queue.append(j)
-                    elif d[j] != val:
-                        raise NotSymmetrizable("inconsistent symmetrizer constraints")
-        d = scale_to_primitive_integers(d) if n else ()
-        for i in range(n):
-            for j in range(n):
-                if d[i] * entries[i][j] != d[j] * entries[j][i]:
-                    raise NotSymmetrizable("matrix is not symmetrizable")
-        return d
-
-    def _solve_rho(self):
-        if not self.n:
-            return ()
-        sol = solve_linear(self.simple_coroots, (Fraction(1),) * self.n)
-        if sol is None:
-            raise FormatError("no rational rho with rho(alpha_i^v) = 1 exists")
-        return sol
+    def _invert_coroots(self, coroots):
+        """Eliminate [cden C | 1] once, C the coroot matrix: its pivot columns P
+        of C and k (cden C_P)^-1 for an integer k > 0.  They give the integer
+        inverse behind coroot_coordinates, and rho: C_P^-1 (1, ..., 1) on P and
+        0 on the free coordinates."""
+        n, rank_x = self.n, self.rank_x
+        m, pivots, k, _, _ = _eliminate([row + [int(c == i) for c in range(n)] for i, row in enumerate(coroots)])
+        if pivots and pivots[-1] >= rank_x:
+            raise FormatError("simple coroots are not linearly independent")
+        if k < 0:
+            m, k = [[-x for x in row] for row in m], -k
+        inverse = [row[rank_x:] for row in m]
+        rho = [Fraction(0)] * rank_x
+        for p, row in zip(pivots, inverse):
+            rho[p] = Fraction(self._cden * sum(row), k)
+        self.rho = tuple(rho)
+        # the coefficients of v over k: row i of the transposed inverse, times cden, times v on P
+        self._coroot_inverse = (pivots, tuple(tuple(self._cden * row[i] for row in inverse) for i in range(n)), k)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -317,7 +330,7 @@ class RootGeneratingSystem:
         over den = D rden cden are the coordinates of v, and pairs over
         D rden its pairings alpha_j(v).
         """
-        num, d = _numerators(v)
+        (num,), d = _scaled_rows([v])
         pairs = [sum(a * num[t] for t, a in row) for row in self._root_support]
         scale = self._rden * self._cden
         if scale != 1:
@@ -327,8 +340,7 @@ class RootGeneratingSystem:
     def _pairings(self, points):
         """(E, rows): the pairings alpha_j(p_k) of the points p_k as the integers
         rows[k][j] over E = D rden, D the lcm of the points' denominators."""
-        d = lcm(*(x.denominator for p in points for x in p))
-        nums = [[x.numerator * (d // x.denominator) for x in p] for p in points]
+        nums, d = _scaled_rows(points)
         return d * self._rden, [[sum(a * v[t] for t, a in row) for row in self._root_support] for v in nums]
 
     def _reflect_integers(self, num: list, pairs: list, i: int):
@@ -408,28 +420,17 @@ class RootGeneratingSystem:
 
         The coroots are independent, so n pivot coordinates of Y determine the
         coefficients; the inverse of the coroot matrix on those coordinates is
-        reduced once per system, and the rebuilt vector decides the span.
+        built with the system, and the rebuilt vector decides the span.
         """
         if not self.n:
             return None
-        num, d = _numerators(v)
+        (num,), d = _scaled_rows([v])
         sol, den = self._coroot_solve(num)
         return None if sol is None else tuple(Fraction(c, d * den) for c in sol)
 
     def _coroot_solve(self, num: list):
         """Integer core of coroot_coordinates: (sol, den) with num equal to
         sum(sol_i / den alpha_i^v); sol is None outside the span of the coroots."""
-        if self._coroot_inverse is None:
-            n = self.n
-            pivots = row_reduce(self.simple_coroots)[1]
-            block = [
-                [c[p] for c in self.simple_coroots] + [int(k == r) for k in range(n)]
-                for r, p in enumerate(pivots)
-            ]
-            inverse = [row[n:] for row in row_reduce(block)[0]]
-            den = lcm(*(x.denominator for row in inverse for x in row))
-            rows = tuple(tuple(int(x * den) for x in row) for row in inverse)
-            self._coroot_inverse = (pivots, rows, den)
         pivots, rows, den = self._coroot_inverse
         # the coefficients, and cden times their coroot combination, over den
         sol = [sum(a * num[p] for a, p in zip(row, pivots)) for row in rows]
@@ -646,29 +647,39 @@ class RootGeneratingSystem:
 
     def classify_type(self) -> str:
         """"finite", "affine" (corank 1 with positive null covector) or "indefinite"."""
-        if self._type_cache is not None:
-            return self._type_cache
-        a = self.gcm.entries
-        n = self.n
-        sym = [[self.symmetrizer[i] * a[i][j] for j in range(n)] for i in range(n)]
-        # Sylvester: positive definite iff every leading principal minor is positive
-        if all(row_reduce([row[:k] for row in sym[:k]])[2] > 0 for k in range(1, n + 1)):
-            self._type_cache = "finite"
+        return self._type
+
+    @cached_property
+    def _type(self) -> str:
+        # Sylvester: the symmetrized matrix is positive definite iff its leading
+        # principal minors are positive; they are the successive pivots of a
+        # fraction-free elimination without row swaps, which stops at the first
+        # pivot that is not positive
+        m = [[d.numerator * a for a in row] for d, row in zip(self.symmetrizer, self.gcm.entries)]
+        prev = 1
+        for k, top in enumerate(m):
+            pv = top[k]
+            if pv <= 0:
+                break
+            for r in range(k + 1, self.n):
+                f = m[r][k]
+                m[r] = [(pv * x - f * y) // prev for x, y in zip(m[r], top)]
+            prev = pv
+        else:
             return "finite"
-        ker = nullspace(a)  # right kernel of A
-        if len(ker) == 1:
-            c = ker[0]
-            if all(x > 0 for x in c) or all(x < 0 for x in c):
-                self._type_cache = "affine"
-                return "affine"
-        self._type_cache = "indefinite"
+        ker = self._kernel
+        if len(ker) == 1 and (all(x > 0 for x in ker[0]) or all(x < 0 for x in ker[0])):
+            return "affine"
         return "indefinite"
+
+    @cached_property
+    def _kernel(self):
+        """The right kernel of the Cartan matrix."""
+        return nullspace(self.gcm.entries)
 
     def null_root_coeffs(self):
         """Primitive positive integer coefficients of delta (affine type only)."""
-        a = self.gcm.entries
-        n = self.n
-        ker = nullspace(a)
+        ker = self._kernel
         if len(ker) != 1:
             raise CrossCheckMismatch(f"null root needs a one-dimensional kernel, found {len(ker)}")
         c = ker[0]
@@ -723,7 +734,7 @@ class RootGeneratingSystem:
         cap = _TITS_STEP_CAP if self.classify_type() == "indefinite" else _UNWIND_GUARD
         if self._unwind(num, pairs, False, cap) is None:
             return True
-        lnum, d = _numerators(lam)
+        (lnum,), d = _scaled_rows([lam])
         p, q = s.numerator * den, s.denominator * d
         sol, _ = self._coroot_solve([p * a - q * b for a, b in zip(lnum, num)])
         return sol is not None and all(c >= 0 for c in sol)
@@ -741,6 +752,8 @@ class RootGeneratingSystem:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RootGeneratingSystem":
+        if not isinstance(data, dict):
+            raise FormatError("a system file holds a JSON object with a 'cartan_matrix' field")
         if "cartan_matrix" not in data:
             raise FormatError("system file needs a 'cartan_matrix' field")
         gcm_entries = data["cartan_matrix"]
@@ -749,6 +762,8 @@ class RootGeneratingSystem:
             if not ("simple_roots" in data and "simple_coroots" in data):
                 raise FormatError("simple_roots and simple_coroots must be supplied together")
             gcm = validate_gcm(gcm_entries)
+            if not (isinstance(data["simple_roots"], list) and isinstance(data["simple_coroots"], list)):
+                raise FormatError("simple_roots and simple_coroots must be lists of covectors")
             roots = [parse_vector(r) for r in data["simple_roots"]]
             coroots = [parse_vector(c) for c in data["simple_coroots"]]
             rank_x = data.get("rank_x", len(roots[0]) if roots else 0)

@@ -63,6 +63,20 @@ def files(tmp_path):
     }
 
 
+A2 = [[2, -1], [-1, 2]]
+# system files of the exit-contract test, by the name its argv uses
+SYSTEM_FILES = {
+    "hyperbolic": {"cartan_matrix": [[2, -3], [-3, 2]]},
+    "int-matrix": {"cartan_matrix": 5},
+    "int-rows": {"cartan_matrix": [5, 6]},
+    "top-level-int": 5,
+    "int-names": {"cartan_matrix": A2, "names": 5},
+    "string-names": {"cartan_matrix": A2, "names": "xyz"},
+    "few-names": {"cartan_matrix": A2, "names": ["a"]},
+    "int-roots": {"cartan_matrix": A2, "simple_roots": 5, "simple_coroots": [["1", "0"], ["0", "1"]]},
+}
+
+
 def run(capsys, *argv):
     status = main(list(argv))
     captured = capsys.readouterr()
@@ -218,14 +232,49 @@ class TestStatuses:
                 0,
                 {"multiplicity": 1, "freudenthal": None, "agree": None},
             ),
+            # malformed system files, each of which used to end in a TypeError
+            # traceback or be read character by character
+            (["validate", "--system", "int-matrix"], 2, "error: Cartan matrix must be a list of integer rows, got 5\n"),
+            (
+                ["validate", "--system", "int-rows"],
+                2,
+                "error: Cartan matrix must be a list of integer rows, got [5, 6]\n",
+            ),
+            (
+                ["validate", "--system", "top-level-int"],
+                2,
+                "error: a system file holds a JSON object with a 'cartan_matrix' field\n",
+            ),
+            (["validate", "--system", "int-names"], 2, "error: names must be a list of 2 strings, got 5\n"),
+            (["validate", "--system", "string-names"], 2, "error: names must be a list of 2 strings, got 'xyz'\n"),
+            (["validate", "--system", "few-names"], 2, "error: names must be a list of 2 strings, got ['a']\n"),
+            (
+                ["validate", "--system", "int-roots"],
+                2,
+                "error: simple_roots and simple_coroots must be lists of covectors\n",
+            ),
         ],
-        ids=["validate-json", "missing-path", "coordinate-count", "dot-outside-crystal", "mult-without-oracle"],
+        ids=[
+            "validate-json",
+            "missing-path",
+            "coordinate-count",
+            "dot-outside-crystal",
+            "mult-without-oracle",
+            "int-matrix",
+            "int-rows",
+            "top-level-int",
+            "int-names",
+            "string-names",
+            "few-names",
+            "int-roots",
+        ],
     )
     def test_exit_contract(self, files, tmp_path, capsys, argv, status, expected):
         # a dict is the JSON report on stdout (these keys at least), a string the whole stderr
-        hyperbolic = tmp_path / "hyperbolic.json"
-        hyperbolic.write_text(json.dumps({"cartan_matrix": [[2, -3], [-3, 2]]}))
-        named = {**files, "hyperbolic": str(hyperbolic)}
+        named = dict(files)
+        for name, data in SYSTEM_FILES.items():
+            named[name] = str(tmp_path / f"{name}.json")
+            (tmp_path / f"{name}.json").write_text(json.dumps(data))
         got, out, err = run(capsys, *(named.get(a, a) for a in argv))
         assert got == status
         if isinstance(expected, dict):

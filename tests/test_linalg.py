@@ -6,7 +6,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckepaths.linalg import mat_rank, nullspace, row_reduce, solve_linear
+from heckepaths.linalg import mat_rank, nullspace, row_reduce
 
 # zeros and integers are drawn often, so singular and rank-deficient matrices come up
 entries = st.one_of(
@@ -133,27 +133,6 @@ class TestRowReduce:
         assert (reduced, pivots, det) == ref_row_reduce(m)
         assert type(det) is F
         assert all(type(x) is F for row in reduced for x in row)
-
-
-class TestSolveLinear:
-    @settings(max_examples=50, deadline=None)
-    @given(matrices(), st.data())
-    def test_solution_satisfies_the_system(self, m, data):
-        x0 = data.draw(st.lists(entries, min_size=len(m[0]), max_size=len(m[0])))
-        b = apply(m, x0)
-        x = solve_linear(m, b)
-        assert x is not None and apply(m, x) == b
-
-    @settings(max_examples=50, deadline=None)
-    @given(matrices(), st.data())
-    def test_any_rhs(self, m, data):
-        b = tuple(data.draw(st.lists(entries, min_size=len(m), max_size=len(m))))
-        x = solve_linear(m, b)
-        augmented = [list(row) + [c] for row, c in zip(m, b)]
-        if x is None:
-            assert rank_by_minors(augmented) > rank_by_minors(m)
-        else:
-            assert apply(m, x) == b
 
 
 class TestNullspace:

@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 
 from heckepaths import RootGeneratingSystem
 from heckepaths.errors import FormatError, NotDominant, OperatorUndefined
-from heckepaths.linalg import solve_linear
 from heckepaths.model import enumerate_hecke, generate_ls_paths
 from heckepaths.paths import from_segments, is_hecke, is_ls, make_path, root_operator
 
 from conftest import frac_vec
+from test_system_reference import solve_linear
 
 # -- the reference -------------------------------------------------------------
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from heckepaths import RootGeneratingSystem
 from heckepaths.apartment import levels_crossed
 from heckepaths.errors import FormatError, NonLambdaPath, OutOfRange
-from heckepaths.linalg import solve_linear, vadd, vscale
+from heckepaths.linalg import vadd, vscale
 from heckepaths.paths import (
     LambdaPath,
     all_chains,
@@ -29,6 +29,7 @@ from heckepaths.paths import (
 )
 
 from conftest import KERNEL_SYSTEMS, frac_vec
+from test_system_reference import solve_linear
 
 
 @pytest.fixture()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from heckepaths import NotGCM, RootGeneratingSystem, WeylElement, validate_gcm
 from heckepaths.errors import CrossCheckMismatch, FormatError, HeightBoundTooSmall
-from heckepaths.linalg import nullspace, solve_linear
+from heckepaths.linalg import nullspace
 from heckepaths.root_system import vdot_cov
 
 from conftest import (
@@ -17,6 +17,7 @@ from conftest import (
     frac_vec,
     group_elements,
 )
+from test_system_reference import solve_linear
 
 
 class TestValidateGCM:

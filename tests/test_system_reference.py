@@ -1,0 +1,373 @@
+"""System construction against the Fraction routes it replaced.
+
+``RootGeneratingSystem`` scales its simple roots and coroots to integer rows
+once and computes every invariant from them: the realization check and both
+independence ranks, the symmetrizer, one elimination of the coroot matrix
+(which gives the pivot coordinates and integer inverse behind
+``coroot_coordinates``, and rho) and the leading principal minors behind
+``classify_type``, read as the pivots of one fraction-free pass.  The
+references below are the former routes on ``Fraction`` values: the
+realization check by ``vdot_cov``, the symmetrizer solved on ``Fraction``
+ratios, rho by ``solve_linear``, the coroot inverse by ``row_reduce``,
+Sylvester's minors by ``row_reduce`` and the kernel by ``nullspace`` on
+every call.  Both must give equal invariants, or raise the same error, on
+Cartan matrices of rank <= 4 (finite, affine either way round, hyperbolic,
+decomposable and not symmetrizable) and on random rational realizations.
+
+``solve_linear`` lives here now that the library no longer calls it; other
+tests import it from this module.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heckepaths import RootGeneratingSystem, validate_gcm
+from heckepaths.errors import CrossCheckMismatch, FormatError, HPLError, NotSymmetrizable
+from heckepaths.linalg import mat_rank, nullspace, row_reduce, scale_to_primitive_integers
+from heckepaths.root_system import vdot_cov
+
+from test_linalg import apply, entries, matrices, rank_by_minors
+
+# -- the reference -------------------------------------------------------------
+
+
+def solve_linear(rows, rhs):
+    """One exact solution x of A x = b, or None if inconsistent; free
+    variables are set to zero."""
+    ncols = len(rows[0]) if rows else 0
+    m, pivots, _ = row_reduce([*row, b] for row, b in zip(rows, rhs, strict=True))
+    if ncols in pivots:  # a row reads 0 = 1
+        return None
+    x = [F(0)] * ncols
+    for r, col in enumerate(pivots):
+        x[col] = m[r][ncols]
+    return tuple(x)
+
+
+def ref_from_gcm(a):
+    """The realization from_gcm builds: standard coroots, and the matrix columns
+    as roots, with the first standard rows that raise the rank of a singular
+    matrix appended."""
+    n = len(a)
+    base_rows = [tuple(row) for row in a]
+    extra = []
+    if mat_rank(base_rows) < n:
+        for k in range(n):
+            cand = tuple(1 if j == k else 0 for j in range(n))
+            if mat_rank(base_rows + extra + [cand]) > mat_rank(base_rows + extra):
+                extra.append(cand)
+            if mat_rank(base_rows + extra) == n:
+                break
+    rank_x = n + len(extra)
+    coroots = [tuple(F(int(t == i)) for t in range(rank_x)) for i in range(n)]
+    roots = [tuple(F(row[j]) for row in base_rows + extra) for j in range(n)]
+    return roots, coroots
+
+
+def ref_check_realization(a, roots, coroots):
+    n = len(a)
+    for i in range(n):
+        for j in range(n):
+            got = vdot_cov(roots[j], coroots[i])
+            if got != a[i][j]:
+                raise FormatError(
+                    f"realization mismatch: alpha_{j + 1}(alpha_{i + 1}^v) = {got}, Cartan matrix says {a[i][j]}"
+                )
+    if n:
+        if mat_rank(roots) < n:
+            raise FormatError("simple roots are not linearly independent")
+        if mat_rank(coroots) < n:
+            raise FormatError("simple coroots are not linearly independent")
+
+
+def ref_symmetrizer(a):
+    """d_i a_ij = d_j a_ji on Fraction ratios, per connected component."""
+    n = len(a)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = F(1)
+        queue = [start]
+        while queue:
+            i = queue.pop()
+            for j in range(n):
+                if a[i][j] == 0 or i == j:
+                    continue
+                val = d[i] * F(a[i][j], a[j][i])
+                if d[j] is None:
+                    d[j] = val
+                    queue.append(j)
+                elif d[j] != val:
+                    raise NotSymmetrizable("inconsistent symmetrizer constraints")
+    d = scale_to_primitive_integers(d) if n else ()
+    for i in range(n):
+        for j in range(n):
+            if d[i] * a[i][j] != d[j] * a[j][i]:
+                raise NotSymmetrizable("matrix is not symmetrizable")
+    return d
+
+
+def ref_rho(coroots):
+    if not coroots:
+        return ()
+    sol = solve_linear(coroots, (F(1),) * len(coroots))
+    if sol is None:
+        raise FormatError("no rational rho with rho(alpha_i^v) = 1 exists")
+    return sol
+
+
+def ref_classify_type(a, d):
+    """Sylvester's criterion by one row_reduce per leading principal minor,
+    then the kernel of A."""
+    n = len(a)
+    sym = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
+    if all(row_reduce([row[:k] for row in sym[:k]])[2] > 0 for k in range(1, n + 1)):
+        return "finite"
+    ker = nullspace(a)
+    if len(ker) == 1 and (all(x > 0 for x in ker[0]) or all(x < 0 for x in ker[0])):
+        return "affine"
+    return "indefinite"
+
+
+def ref_null_root_coeffs(a):
+    ker = nullspace(a)
+    if len(ker) != 1:
+        raise CrossCheckMismatch(f"null root needs a one-dimensional kernel, found {len(ker)}")
+    c = ker[0]
+    if any(x < 0 for x in c):
+        c = tuple(-x for x in c)
+    return tuple(int(x) for x in scale_to_primitive_integers(c))
+
+
+def ref_coroot_coordinates(coroots, v):
+    """Invert the coroot matrix on its pivot coordinates with row_reduce, then
+    rebuild v from the coefficients; None outside the span."""
+    n = len(coroots)
+    if not n:
+        return None
+    pivots = row_reduce(coroots)[1]
+    block = [[c[p] for c in coroots] + [int(k == r) for k in range(n)] for r, p in enumerate(pivots)]
+    inverse = [row[n:] for row in row_reduce(block)[0]]
+    coeffs = tuple(sum((x * v[p] for x, p in zip(row, pivots)), F(0)) for row in inverse)
+    rebuilt = tuple(sum((c * cr[t] for c, cr in zip(coeffs, coroots)), F(0)) for t in range(len(v)))
+    return coeffs if rebuilt == tuple(v) else None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HPLError as exc:
+        return type(exc), str(exc)
+
+
+def reference_invariants(a, roots, coroots, vectors):
+    """(symmetrizer, rho, type, coroot coordinates of the vectors, null root
+    or its error), in the order the former constructor checked them."""
+    roots = [tuple(F(x) for x in r) for r in roots]
+    coroots = [tuple(F(x) for x in c) for c in coroots]
+    ref_check_realization(a, roots, coroots)
+    d = ref_symmetrizer(a)
+    rho = ref_rho(coroots)
+    coords = [ref_coroot_coordinates(coroots, v) for v in vectors]
+    return d, rho, ref_classify_type(a, d), coords, _outcome(ref_null_root_coeffs, a)
+
+
+def invariants(a, roots, coroots, vectors):
+    system = RootGeneratingSystem(validate_gcm(a), roots, coroots)
+    assert system._coroot_inverse[2] > 0  # _within_reach reads signs off the coefficients
+    coords = [system.coroot_coordinates(v) for v in vectors]
+    return (
+        system.symmetrizer,
+        system.rho,
+        system.classify_type(),
+        coords,
+        _outcome(system.null_root_coeffs),
+    )
+
+
+# -- the draws -------------------------------------------------------------------
+
+CATALOG = {
+    "A1": [[2]],
+    "A2": [[2, -1], [-1, 2]],
+    "B2": [[2, -2], [-1, 2]],
+    "G2": [[2, -1], [-3, 2]],
+    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "F4": [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "A1aff": [[2, -2], [-2, 2]],
+    "A2twisted": [[2, -4], [-1, 2]],
+    "A2aff": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    "C2aff": [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],
+    "twisted": [[2, -1, 0], [-1, 2, -1], [0, -3, 2]],
+    "G2aff": [[2, -1, 0], [-1, 2, -3], [0, -1, 2]],
+    "A3aff": [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-1, 0, -1, 2]],
+    "hyperbolic": [[2, -3], [-3, 2]],
+    "hyperbolic2": [[2, -5], [-1, 2]],
+    "indefinite": [[2, -2, 0], [-2, 2, -1], [0, -1, 2]],
+    "nonsym": [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]],
+    "nonsym4": [[2, -1, 0, -1], [-1, 2, -1, 0], [0, -1, 2, -1], [-2, 0, -1, 2]],
+}
+
+
+def _block_sum(a, b):
+    n, m = len(a), len(b)
+    return [list(row) + [0] * m for row in a] + [[0] * n + list(row) for row in b]
+
+
+@st.composite
+def random_gcms(draw):
+    """Any Kac-Moody matrix of rank <= 4, symmetrizable or not."""
+    n = draw(st.integers(1, 4))
+    a = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                a[i][j], a[j][i] = -draw(st.integers(1, 4)), -draw(st.integers(1, 4))
+    return a
+
+
+@st.composite
+def gcms(draw):
+    """A catalog matrix, a block sum of two, or a random one, with its indices
+    permuted and possibly transposed."""
+    small = [m for m in CATALOG.values() if len(m) <= 2]
+    a = draw(
+        st.one_of(
+            st.sampled_from(list(CATALOG.values())),
+            st.builds(_block_sum, st.sampled_from(small), st.sampled_from(small)),
+            random_gcms(),
+        )
+    )
+    n = len(a)
+    perm = draw(st.permutations(range(n)))
+    a = [[a[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+    if draw(st.booleans()):
+        a = [list(col) for col in zip(*a)]
+    return a
+
+
+small_rationals = st.one_of(st.integers(-3, 3).map(F), st.fractions(-3, 3, max_denominator=5))
+
+
+@st.composite
+def realizations(draw, a):
+    """The from_gcm realization of a, possibly with one more coordinate that
+    every root vanishes on, moved by an invertible rational M: coroots c -> M c,
+    roots r -> r M^-1, which keeps every pairing."""
+    roots, coroots = ref_from_gcm(a)
+    if draw(st.booleans()):
+        roots = [r + (F(0),) for r in roots]
+        coroots = [c + (draw(small_rationals),) for c in coroots]
+    size = len(roots[0])
+    # M = L U, L unit lower triangular and U upper triangular with a nonzero diagonal
+    lower = [[F(int(i == j)) if j >= i else draw(small_rationals) for j in range(size)] for i in range(size)]
+    upper = [
+        [draw(small_rationals) if j > i else F(0) if j < i else draw(small_rationals.filter(bool)) for j in range(size)]
+        for i in range(size)
+    ]
+    m = [[sum((lower[i][k] * upper[k][j] for k in range(size)), F(0)) for j in range(size)] for i in range(size)]
+    reduced = row_reduce([row + [F(int(i == j)) for j in range(size)] for i, row in enumerate(m)])[0]
+    m_inv = [row[size:] for row in reduced]
+    coroots = [tuple(apply(m, c)) for c in coroots]
+    roots = [tuple(sum((r[t] * m_inv[t][s] for t in range(size)), F(0)) for s in range(size)) for r in roots]
+    return roots, coroots
+
+
+@st.composite
+def vectors(draw, coroots):
+    """Combinations of the coroots, which are in their span, and arbitrary
+    points, which need not be."""
+    size = len(coroots[0])
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = draw(st.lists(small_rationals, min_size=len(coroots), max_size=len(coroots)))
+        out.append(tuple(sum((c * cr[t] for c, cr in zip(coeffs, coroots)), F(0)) for t in range(size)))
+    out += draw(st.lists(st.lists(small_rationals, min_size=size, max_size=size).map(tuple), max_size=2))
+    return out
+
+
+# -- the comparison --------------------------------------------------------------
+
+
+def test_catalog_covers_every_kind():
+    kinds = set()
+    for a in CATALOG.values():
+        try:
+            kinds.add(ref_classify_type(a, ref_symmetrizer(a)))
+        except NotSymmetrizable:
+            kinds.add("not symmetrizable")
+    assert kinds == {"finite", "affine", "indefinite", "not symmetrizable"}
+    assert ref_classify_type(CATALOG["A2twisted"], ref_symmetrizer(CATALOG["A2twisted"])) == "affine"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_invariants_match_the_fraction_routes(data):
+    a = data.draw(gcms())
+    roots, coroots = data.draw(st.one_of(st.just(ref_from_gcm(a)), realizations(a)))
+    vs = data.draw(vectors(coroots))
+    expected = _outcome(reference_invariants, a, roots, coroots, vs)
+    assert _outcome(invariants, a, roots, coroots, vs) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(gcms())
+def test_from_gcm_keeps_its_realization(a):
+    roots, coroots = ref_from_gcm(a)
+    try:
+        system = RootGeneratingSystem.from_gcm(a)
+    except HPLError as exc:
+        assert _outcome(reference_invariants, a, roots, coroots, []) == (type(exc), str(exc))
+    else:
+        assert (list(system.simple_roots), list(system.simple_coroots)) == (roots, coroots)
+
+
+@pytest.mark.parametrize(
+    "a, roots, coroots",
+    [
+        (CATALOG["nonsym"], *ref_from_gcm(CATALOG["nonsym"])),
+        ([[2, -2], [-2, 2]], [["2", "-2"], ["-2", "2"]], [["1", "0"], ["0", "1"]]),
+        ([[2, -2], [-2, 2]], [["2", "1"], ["-2", "0"]], [["1", "0"], ["-1", "0"]]),
+        ([[2, -1], [-1, 2]], [["3", "-1"], ["-1", "2"]], [["1/2", "0"], ["0", "1"]]),
+    ],
+    ids=["not-symmetrizable", "dependent-roots", "dependent-coroots", "realization-mismatch"],
+)
+def test_errors_match_the_fraction_routes(a, roots, coroots):
+    expected = _outcome(reference_invariants, a, roots, coroots, [])
+    assert expected[0] in (NotSymmetrizable, FormatError)
+    assert _outcome(invariants, a, roots, coroots, []) == expected
+
+
+# -- solve_linear, against the systems it solves -----------------------------------
+
+
+class TestSolveLinear:
+    @settings(max_examples=50, deadline=None)
+    @given(matrices(), st.data())
+    def test_solution_satisfies_the_system(self, m, data):
+        x0 = data.draw(st.lists(entries, min_size=len(m[0]), max_size=len(m[0])))
+        b = apply(m, x0)
+        x = solve_linear(m, b)
+        assert x is not None and apply(m, x) == b
+
+    @settings(max_examples=50, deadline=None)
+    @given(matrices(), st.data())
+    def test_any_rhs(self, m, data):
+        b = tuple(data.draw(st.lists(entries, min_size=len(m), max_size=len(m))))
+        x = solve_linear(m, b)
+        augmented = [list(row) + [c] for row, c in zip(m, b)]
+        if x is None:
+            assert rank_by_minors(augmented) > rank_by_minors(m)
+        else:
+            assert apply(m, x) == b
+
+    def test_free_variables_are_zero(self):
+        assert solve_linear([(1, 1), (0, 1)], (3, 1)) == (F(2), F(1))
+        assert solve_linear([(1, 0, 2)], (4,)) == (F(4), F(0), F(0))
