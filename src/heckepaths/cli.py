@@ -115,10 +115,8 @@ def cmd_check_ls(args):
         "path": paths.path_to_json_dict(path),
     }
     if path.in_Y:
-        # is_ls keeps what its own cross-check computed; it skips the stats of
-        # a non-Hecke path and the whole cross-check of a constant one
-        st = res.stats if res.stats is not None else paths.stats(path, args.h)
-        hecke = res.hecke if res.hecke is not None else paths.is_hecke(path, args.h).ok
+        st = paths.stats(path, args.h)
+        hecke = paths.is_hecke(path, args.h).ok
         gap = system.rho_value(tuple(a - b for a, b in zip(path.shape, path.nu)))
         report["cross_check"] = {"ddim": st.ddim, "rho_gap": format_rational(gap), "hecke": hecke}
     lines = [f"ls: {'yes' if res.ok else 'no'}"]

@@ -3,6 +3,11 @@
 Chambers in the residue at a point z are Weyl elements relative to the local
 fundamental chamber c_0; a wall through z is "true" when its root takes an
 integer value at z, and only true walls admit folds or contribute parameters.
+Step j of a gallery of type i_1 ... i_n crosses or folds at the wall of
+gamma_j = d_(j-1)(alpha_(i_j)): in the minimal gallery these are the
+inversion sequence of the type word, and a fold at step j reflects the later
+ones by r_(gamma_j) (Gaussent-Littelmann, Duke Math. J. 127, 2005).  An
+unfolded step leaves the positive side of its wall iff gamma_j is positive.
 """
 
 from __future__ import annotations
@@ -15,34 +20,20 @@ from .errors import CrossCheckMismatch, FoldNotApplicable, FormatError, NotHecke
 from .linalg import Vec, format_rational, format_vector, parse_rational, parse_vector
 from .paths import (
     LambdaPath,
-    _breakpoint_chains,
+    _analysed,
     _falling_wall_events,
+    _hecke_chains,
     _piece_before,
     ddim_events,
-    eval_path,
     is_hecke,
 )
-from .root_system import RealRoot, RootGeneratingSystem, WeylElement
+from .root_system import IDENTITY, RealRoot, RootGeneratingSystem, WeylElement
 
 
-def _wall_direction(system, chamber: WeylElement, i: int) -> RealRoot:
-    """Positive root of the wall spanned by the type-i panel of chamber."""
-    beta = system.simple_root_obj(i)
-    for idx in reversed(chamber.word):
-        beta = system.reflect_root(idx, beta)
-    return beta if beta.is_positive else beta.negated()
-
-
-def _on_positive_side(system, chamber: WeylElement, beta: RealRoot) -> bool:
-    """Side of the chamber germ d.c_0 relative to the beta-wall through the point.
-
-    The germ lies on the positive side exactly when d^{-1}(beta) is positive;
-    d^{-1} acts by applying the letters of d's word first-to-last.
-    """
-    img = beta
-    for i in chamber.word:
-        img = system.reflect_root(i, img)
-    return img.is_positive
+def _fold_at(system, gammas: tuple, j: int) -> tuple:
+    """The step roots after a fold at step j: later ones reflected by r_(gamma_j)."""
+    beta = gammas[j - 1]
+    return gammas[:j] + tuple(system.reflect_root_by(beta, g) for g in gammas[j:])
 
 
 @dataclass(frozen=True)
@@ -57,9 +48,19 @@ class GalleryAtPoint:
     def n(self) -> int:
         return len(self.type_word)
 
+    @cached_property
+    def _gammas(self) -> tuple:
+        """gamma_j = d_(j-1)(alpha_(i_j)) per step, signed, from the type word's
+        inversion sequence and the folds."""
+        gammas = self.system._inversions(self.type_word)[0]
+        for j in sorted(self.folds):
+            gammas = _fold_at(self.system, gammas, j)
+        return gammas
+
     def step_root(self, j: int) -> RealRoot:
         """Direction of the wall of step j (1-based), normalized positive."""
-        return _wall_direction(self.system, self.chambers[j - 1], self.type_word[j - 1])
+        beta = self._gammas[j - 1]
+        return beta if beta.is_positive else beta.negated()
 
     @cached_property
     def _point_pairings(self):
@@ -83,6 +84,15 @@ class GalleryAtPoint:
         }
 
 
+def _gallery(system, z, word, folds) -> GalleryAtPoint:
+    """The gallery of type word from c_0 with these folds: d_j = d_(j-1) at a
+    fold and d_(j-1) s_(i_j) otherwise."""
+    chambers = [IDENTITY]
+    for j, i in enumerate(word, start=1):
+        chambers.append(chambers[-1] if j in folds else system.mult(chambers[-1], system.normalize_word((i,))))
+    return GalleryAtPoint(system, z, word, tuple(chambers), frozenset(folds))
+
+
 def gallery_from_json_dict(system: RootGeneratingSystem, data: dict) -> GalleryAtPoint:
     return GalleryAtPoint(
         system,
@@ -98,10 +108,7 @@ def minimal_gallery(system: RootGeneratingSystem, z, word) -> GalleryAtPoint:
     word = tuple(word.word) if isinstance(word, WeylElement) else tuple(word)
     if system.normalize_word(word).length != len(word):
         raise FormatError("gallery type must be a reduced word")
-    chambers = [system.normalize_word(())]
-    for i in word:
-        chambers.append(system.mult(chambers[-1], system.normalize_word((i,))))
-    return GalleryAtPoint(system, tuple(Fraction(x) for x in z), word, tuple(chambers), frozenset())
+    return _gallery(system, tuple(Fraction(x) for x in z), word, ())
 
 
 def fold_gallery(gallery: GalleryAtPoint, chain_roots) -> GalleryAtPoint:
@@ -112,52 +119,26 @@ def fold_gallery(gallery: GalleryAtPoint, chain_roots) -> GalleryAtPoint:
     step crossing that wall from its positive side.
     """
     sys_ = gallery.system
-    chambers = list(gallery.chambers)
-    folds = set(gallery.folds)
-    word = gallery.type_word
     den, (pairs,) = gallery._point_pairings
     for k, beta in enumerate(chain_roots, start=1):
         beta = beta if beta.is_positive else beta.negated()
         if beta.value(pairs) % den:
             raise FoldNotApplicable(k, f"wall of {beta!r} through the point is not true")
-        if _on_positive_side(sys_, chambers[-1], beta):
+        if beta not in sys_._inversions(gallery.chambers[-1].word)[0]:
             raise FoldNotApplicable(k, f"{beta!r} does not separate c_0 from the end chamber")
-        refl = sys_.reflection_element(beta)
-        spot = None
-        for j in range(1, len(word) + 1):
-            if j in folds:
-                continue
-            if _wall_direction(sys_, chambers[j - 1], word[j - 1]) != beta:
-                continue
-            if _on_positive_side(sys_, chambers[j - 1], beta) and not _on_positive_side(
-                sys_, chambers[j], beta
-            ):
-                spot = j
-                break
+        # the first positive crossing of the beta-wall: an unfolded step with gamma_j = beta
+        steps = enumerate(gallery._gammas, start=1)
+        spot = next((j for j, g in steps if g == beta and j not in gallery.folds), None)
         if spot is None:
             raise FoldNotApplicable(k, f"no positive crossing of {beta!r} to fold at")
-        for j in range(spot, len(chambers)):
-            chambers[j] = sys_.mult(refl, chambers[j])
-        folds.add(spot)
-    return GalleryAtPoint(sys_, gallery.point, word, tuple(chambers), frozenset(folds))
+        gallery = _gallery(sys_, gallery.point, gallery.type_word, gallery.folds | {spot})
+    return gallery
 
 
 def neg_count(gallery: GalleryAtPoint) -> int:
-    """Steps whose wall is true and separates the arriving chamber from c_0."""
-    total = 0
-    for j in range(1, gallery.n + 1):
-        if j in gallery.folds:
-            continue
-        if not gallery.step_is_true(j):
-            continue
-        if not _on_positive_side(gallery.system, gallery.chambers[j], gallery.step_root(j)):
-            total += 1
-    return total
-
-
-def _end_contains(system, chamber: WeylElement, direction: Vec) -> bool:
-    """True iff the closed chamber germ contains the ray along direction."""
-    return system.is_dominant(system.act(system.inverse(chamber), direction))
+    """Unfolded true steps whose wall separates the arriving chamber from c_0 (gamma_j > 0)."""
+    steps = enumerate(gallery._gammas, start=1)
+    return sum(1 for j, g in steps if g.is_positive and j not in gallery.folds and gallery.step_is_true(j))
 
 
 def galleries_of_type(system, z, word, target_direction):
@@ -172,21 +153,17 @@ def galleries_of_type(system, z, word, target_direction):
     den, (pairs,) = system._pairings([z])
     out = []
 
-    def extend(chambers, folds):
-        j = len(chambers) - 1
+    def extend(j, end, folds, gammas):
         if j == len(word):
-            if _end_contains(system, chambers[-1], target_direction):
-                out.append(GalleryAtPoint(system, z, word, tuple(chambers), frozenset(folds)))
+            # the closed end chamber germ contains the ray along the target direction
+            if system.is_dominant(system.act(system.inverse(end), target_direction)):
+                out.append(_gallery(system, z, word, folds))
             return
-        i = word[j]
-        extend(chambers + [system.mult(chambers[-1], system.normalize_word((i,)))], folds)
-        beta = _wall_direction(system, chambers[-1], i)
-        if beta.value(pairs) % den == 0 and _on_positive_side(
-            system, chambers[-1], beta
-        ):
-            extend(chambers + [chambers[-1]], folds | {j + 1})
+        extend(j + 1, system.mult(end, system.normalize_word((word[j],))), folds, gammas)
+        if gammas[j].is_positive and gammas[j].value(pairs) % den == 0:
+            extend(j + 1, end, folds | {j + 1}, _fold_at(system, gammas, j + 1))
 
-    extend([system.normalize_word(())], set())
+    extend(0, IDENTITY, frozenset(), system._inversions(word)[0])
     return out
 
 
@@ -201,15 +178,20 @@ class DecoratedHeckePath:
 
 def decorate_with_max_chains(path: LambdaPath, h: int = 20) -> DecoratedHeckePath:
     """Decorate each breakpoint by folding its minimal gallery along the
-    first longest chain (for LS paths these realize codim_tilde = codim)."""
-    check, walks = _breakpoint_chains(path, "hecke", h)
+    first longest chain (for LS paths these realize codim_tilde = codim); kept
+    per path and h."""
+    return _analysed(path, ("decoration", h), lambda: _decorate(path, h))
+
+
+def _decorate(path: LambdaPath, h: int) -> DecoratedHeckePath:
+    check = is_hecke(path, h)
     if not check.ok:
         raise NotHecke(check.reason)
     galleries = []
-    for j, (first, rest) in enumerate(zip(check.certificates, walks), start=1):
-        chain = max([first, *rest], key=lambda c: c.s)
+    for j, chains in enumerate(_hecke_chains(path, h), start=1):
+        chain = max(chains, key=lambda c: c.s)
         g = minimal_gallery(path.system, path.point(j), path.directions[j - 1])
-        galleries.append((first.t, fold_gallery(g, chain.roots)))
+        galleries.append((chain.t, fold_gallery(g, chain.roots)))
     return DecoratedHeckePath(path, tuple(galleries))
 
 
@@ -220,18 +202,12 @@ def enumerate_decorations(path: LambdaPath, h: int = 20):
     if not check.ok:
         raise NotHecke(check.reason or "path is not a Hecke path")
     sys_ = path.system
-    per_breakpoint = []
+    decorations = [()]
     for j in range(1, path.r):
-        t = path.breakpoints[j]
-        z = path.point(j)
-        target = path.direction_vector(j)
         options = []
         for word in _reduced_words(sys_, path.directions[j - 1]):
-            options.extend(galleries_of_type(sys_, z, word, target))
-        per_breakpoint.append((t, options))
-    decorations = [()]
-    for t, options in per_breakpoint:
-        decorations = [dec + ((t, g),) for dec in decorations for g in options]
+            options.extend(galleries_of_type(sys_, path.point(j), word, path.direction_vector(j)))
+        decorations = [dec + ((path.breakpoints[j], g),) for dec in decorations for g in options]
     return [DecoratedHeckePath(path, dec) for dec in decorations]
 
 
@@ -299,19 +275,20 @@ def parameter_pattern(path: LambdaPath, h: int = 20) -> ParameterPattern:
     tags are an interpretation; the pattern length is the contractual part.
     """
     folds = {t: g.folds for t, g in decorate_with_max_chains(path, h).galleries}
-    factors = []
-    groups = []
+    den, rows = path._vertex_pairings
+    factors, groups = [], []
     for t, roots in sorted(ddim_events(path, h), reverse=True):
-        mg = minimal_gallery(path.system, eval_path(path, t), path.directions[_piece_before(path, t)])
-        fold_steps = folds.get(t, frozenset())
-        count = 0
-        for step in range(1, mg.n + 1):
-            if mg.step_is_true(step):
-                factors.append("kappa*" if step in fold_steps else "kappa")
-                count += 1
+        # the walls of the minimal gallery of the incoming direction are its inversion
+        # roots; pi(t) pairs as P_k + s (P_(k+1) - P_k) over den, the rows of a_k and
+        # a_(k+1), with s = p / q = (t - a_k) / (a_(k+1) - a_k): as integers over q den
+        k = _piece_before(path, t)
+        s = (t - path.breakpoints[k]) / (path.breakpoints[k + 1] - path.breakpoints[k])
+        at_t = [s.denominator * a + s.numerator * (b - a) for a, b in zip(rows[k], rows[k + 1])]
+        walls = path.system._inversions(path.directions[k].word)[0]
+        true_steps = [j for j, beta in enumerate(walls, start=1) if beta.value(at_t) % (s.denominator * den) == 0]
+        factors += ["kappa*" if j in folds.get(t, ()) else "kappa" for j in true_steps]
+        count = len(true_steps)
         groups.append((t, count))
         if count != len(roots):
-            raise CrossCheckMismatch(
-                f"pattern factor count {count} != relative length {len(roots)} at t={t}"
-            )
+            raise CrossCheckMismatch(f"pattern factor count {count} != relative length {len(roots)} at t={t}")
     return ParameterPattern(len(factors), tuple(factors), tuple(groups))

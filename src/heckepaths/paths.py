@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import inf
@@ -89,6 +89,14 @@ class LambdaPath:
     def _vertex_pairings(self):
         """(E, rows): alpha_j(pi(a_k)) E as the integers rows[k][j]."""
         return self.system._pairings(self._vertices)
+
+    @cached_property
+    def _analyses(self) -> dict:
+        """The analysis record: results computed once per (what, h); see _analysed."""
+        return {}
+
+    def __getstate__(self):  # a copy starts without the record, whose paused walks do not pickle
+        return {k: v for k, v in self.__dict__.items() if k != "_analyses"}
 
     def direction_vector(self, j: int) -> Vec:
         return self._derivatives[j]
@@ -351,10 +359,6 @@ class CheckResult:
     ok: bool
     certificates: tuple
     reason: str | None = None
-    # from is_ls on a non-constant path in Y: the Hecke verdict of its
-    # cross-check, and the stats it took (None for a path that is not Hecke)
-    hecke: bool | None = field(default=None, compare=False)
-    stats: PathStats | None = field(default=None, compare=False)
 
     def __bool__(self):
         return self.ok
@@ -392,9 +396,36 @@ def _breakpoint_chains(path: LambdaPath, kind: str, h: int):
     return CheckResult(True, tuple(certs)), tuple(walks)
 
 
+def _analysed(path: LambdaPath, key, compute, spoils=None):
+    """compute(), kept in the path's analysis record under key.  When it raises,
+    nothing is kept, and the entry it spoils (a half-drained walk) is dropped,
+    so a repeated call computes again and raises the same."""
+    record = path._analyses
+    if key not in record:
+        try:
+            record[key] = compute()
+        except BaseException:
+            record.pop(spoils, None)
+            raise
+    return record[key]
+
+
+def _hecke_walks(path: LambdaPath, h: int):
+    return _analysed(path, ("hecke", h), lambda: _breakpoint_chains(path, "hecke", h))
+
+
+def _hecke_chains(path: LambdaPath, h: int):
+    """Every Hecke chain at each interior breakpoint of a Hecke path, the first
+    one first, from the shared walks, drained once."""
+    check, walks = _hecke_walks(path, h)
+    return _analysed(
+        path, ("chains", h), lambda: tuple([c, *rest] for c, rest in zip(check.certificates, walks)), ("hecke", h)
+    )
+
+
 def is_hecke(path: LambdaPath, h: int = 20) -> CheckResult:
     """Check the chain condition at every interior breakpoint."""
-    return _breakpoint_chains(path, "hecke", h)[0]
+    return _hecke_walks(path, h)[0]
 
 
 def is_ls(path: LambdaPath, h: int = 20) -> CheckResult:
@@ -404,14 +435,11 @@ def is_ls(path: LambdaPath, h: int = 20) -> CheckResult:
     result = _breakpoint_chains(path, "ls", h)[0]
     if path.in_Y:
         rho_gap = path.system.rho_value(vsub(tuple(path.shape), path.nu))
-        hecke = is_hecke(path, h).ok
-        st = stats(path, h) if hecke else None
-        alt = hecke and st.ddim == rho_gap
+        alt = is_hecke(path, h).ok and stats(path, h).ddim == rho_gap
         if alt != result.ok:
             raise CrossCheckMismatch(
                 f"LS chain search says {result.ok}, Hecke+ddim characterization says {alt}"
             )
-        result = replace(result, hecke=hecke, stats=st)
     return result
 
 
@@ -436,8 +464,12 @@ def stats(path: LambdaPath, h: int = 20) -> PathStats:
     codim counts walls it leaves strictly downward (over t < 1); candidates
     come from the inversion sets of the piece directions, so both sums are
     finite even for infinite root systems.  dim is only defined in finite
-    type, where every positive root can be tallied.
+    type, where every positive root can be tallied.  Kept per path and h.
     """
+    return _analysed(path, ("stats", h), lambda: _tally(path, h))
+
+
+def _tally(path: LambdaPath, h: int) -> PathStats:
     sys_ = path.system
     candidates = set()
     for w in path.directions:

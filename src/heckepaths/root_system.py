@@ -394,16 +394,25 @@ class RootGeneratingSystem:
         e = tuple(1 if j == i else 0 for j in range(self.n))
         return RealRoot(e, e)
 
+    def _reflect_coeffs(self, i: int, c: tuple, cc: tuple):
+        """Formal r_i on a root's coefficient and coroot coefficient tuples."""
+        p = sum(x * c[j] for j, x in self._cartan_support[i])  # beta(alpha_i^v)
+        q = sum(row[i] * x for row, x in zip(self.gcm.entries, cc))  # alpha_i(beta^v)
+        return c[:i] + (c[i] - p,) + c[i + 1 :], cc[:i] + (cc[i] - q,) + cc[i + 1 :]
+
     def reflect_root(self, i: int, root: RealRoot) -> RealRoot:
-        # formal r_i on both coefficient vectors
+        return RealRoot(*self._reflect_coeffs(i, root.coeffs, root.coroot_coeffs))
+
+    def reflect_root_by(self, beta: RealRoot, root: RealRoot) -> RealRoot:
+        """r_beta(root) on both coefficient vectors: root - root(beta^v) beta and
+        root^v - beta(root^v) beta^v, the pairings read off the Cartan matrix."""
         a = self.gcm.entries
-        pair = sum(a[i][j] * c for j, c in enumerate(root.coeffs))
-        coeffs = list(root.coeffs)
-        coeffs[i] -= pair
-        pair_v = sum(a[k][i] * c for k, c in enumerate(root.coroot_coeffs))
-        cc = list(root.coroot_coeffs)
-        cc[i] -= pair_v
-        return RealRoot(tuple(coeffs), tuple(cc))
+        p = sum(b * a[k][j] * c for k, b in enumerate(beta.coroot_coeffs) for j, c in enumerate(root.coeffs))
+        q = sum(c * a[k][j] * b for k, c in enumerate(root.coroot_coeffs) for j, b in enumerate(beta.coeffs))
+        return RealRoot(
+            tuple(x - p * y for x, y in zip(root.coeffs, beta.coeffs)),
+            tuple(x - q * y for x, y in zip(root.coroot_coeffs, beta.coroot_coeffs)),
+        )
 
     def rho_value(self, v: Vec) -> Fraction:
         """rho(v); canonical on the span of the coroots."""
@@ -490,27 +499,6 @@ class RootGeneratingSystem:
     def inverse(self, w: WeylElement) -> WeylElement:
         return self.normalize_word(tuple(reversed(w.word)))
 
-    def reflection_element(self, root: RealRoot) -> WeylElement:
-        """r_beta as a Weyl element, for beta = w(alpha_i) real."""
-        # descend beta to a simple root, recording the conjugating word
-        cur = root if root.is_positive else root.negated()
-        word = []
-        guard = 0
-        while cur.height > 1:
-            for i in range(self.n):
-                img = self.reflect_root(i, cur)
-                if 0 < img.height < cur.height:
-                    word.append(i)
-                    cur = img
-                    break
-            else:
-                raise FormatError(f"{root!r} is not a real root")
-            guard += 1
-            if guard > _UNWIND_GUARD:
-                raise CrossCheckMismatch(f"reflection descent of {root!r} did not terminate")
-        i = cur.coeffs.index(1)
-        return self.normalize_word(tuple(word) + (i,) + tuple(reversed(word)))
-
     # -- inversions, Bruhat order, cosets -----------------------------------
 
     def inversion_set(self, w: WeylElement):
@@ -518,19 +506,20 @@ class RootGeneratingSystem:
 
         Memoized per word; each call returns a fresh list.
         """
-        return list(self._inversions(w)[0])
+        return list(self._inversions(w.word)[0])
 
-    def _inversions(self, w: WeylElement):
-        """The memo behind inversion_set: (its roots, their largest height)."""
-        out = self._inversion_cache.get(w.word)
+    def _inversions(self, word: tuple):
+        """The memo behind inversion_set: the inversion sequence of any word, in order
+        (the walls of the minimal gallery of that type), and its largest height."""
+        out = self._inversion_cache.get(word)
         if out is None:
             roots = []
-            for k, i in enumerate(w.word):
+            for k, i in enumerate(word):
                 beta = self.simple_root_obj(i)
-                for j in reversed(w.word[:k]):
+                for j in reversed(word[:k]):
                     beta = self.reflect_root(j, beta)
                 roots.append(beta)
-            out = self._inversion_cache[w.word] = (tuple(roots), max((r.height for r in roots), default=0))
+            out = self._inversion_cache[word] = (tuple(roots), max((r.height for r in roots), default=0))
         return out
 
     def is_left_descent(self, i: int, w: WeylElement) -> bool:
@@ -609,31 +598,31 @@ class RootGeneratingSystem:
         Breadth-first closure of the simple roots under the simple
         reflections; exhaustive because every positive real root descends to
         a simple root through positive roots of strictly smaller height.
-        In finite type the closure is finite, and h may be math.inf.
+        In finite type the closure is finite, and h may be math.inf.  It runs on
+        integer tuples and builds one RealRoot per root it keeps.
         """
         if h < 1:
             return []
-        if h <= self._roots_cache_bound:
-            return [r for ht, r in self._roots_cache if ht <= h]
-        seen = {r for _, r in self._roots_cache}
-        frontier = list(seen) if seen else [self.simple_root_obj(i) for i in range(self.n)]
-        for r in frontier:
-            seen.add(r)
-        while frontier:
-            new = []
-            for beta in frontier:
-                for i in range(self.n):
-                    img = self.reflect_root(i, beta)
-                    if img.is_positive and img.height <= h and img not in seen:
-                        seen.add(img)
-                        new.append(img)
-            frontier = new
-        self._roots_cache = sorted(((r.height, r) for r in seen), key=lambda p: (p[0], p[1].coeffs))
-        self._roots_cache_bound = h
+        if h > self._roots_cache_bound:
+            kept = {r.coeffs: r for _, r in self._roots_cache}
+            found = {r.coeffs: r.coroot_coeffs for r in kept.values() or map(self.simple_root_obj, range(self.n))}
+            frontier = list(found.items())
+            while frontier:
+                new = []
+                for c, cc in frontier:
+                    for i in range(self.n):
+                        img, img_cc = self._reflect_coeffs(i, c, cc)
+                        if img[i] >= 0 and sum(img) <= h and img not in found:
+                            found[img] = img_cc
+                            new.append((img, img_cc))
+                frontier = new
+            order = sorted(found, key=lambda c: (sum(c), c))
+            self._roots_cache = [(sum(c), kept.get(c) or RealRoot(c, found[c])) for c in order]
+            self._roots_cache_bound = h
         return [r for ht, r in self._roots_cache if ht <= h]
 
     def check_height(self, w: WeylElement, h: int):
-        worst = self._inversions(w)[1]
+        worst = self._inversions(w.word)[1]
         if worst > h:
             raise HeightBoundTooSmall(worst, h)
 
@@ -641,7 +630,7 @@ class RootGeneratingSystem:
         """Number of inversion roots of w taking an integer value at x."""
         self.check_height(w, h)
         den, (pairs,) = self._pairings([x])
-        return sum(1 for beta in self._inversions(w)[0] if beta.value(pairs) % den == 0)
+        return sum(1 for beta in self._inversions(w.word)[0] if beta.value(pairs) % den == 0)
 
     # -- type classification and the Tits cone ------------------------------
 

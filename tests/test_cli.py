@@ -170,26 +170,29 @@ class TestStatuses:
 
     @pytest.mark.parametrize("name,ls", [("fold", True), ("rise", False)])
     def test_check_ls_walks_once(self, files, capsys, monkeypatch, name, ls):
-        # check-ls reports the cross-check that is_ls computed, not a second run
+        # check-ls reports the cross-check that is_ls computed, not a second run:
+        # one Hecke breakpoint walk and one stats computation
         from heckepaths import paths
 
-        calls = {"is_hecke": 0, "stats": 0}
+        calls = {"hecke": 0, "stats": 0}
+        walk, tally = paths._breakpoint_chains, paths._tally
 
-        def counted(fn):
-            def wrapper(*args, **kwargs):
-                calls[fn.__name__] += 1
-                return fn(*args, **kwargs)
+        def counted_walk(path, kind, h):
+            calls["hecke"] += kind == "hecke"
+            return walk(path, kind, h)
 
-            return wrapper
+        def counted_tally(path, h):
+            calls["stats"] += 1
+            return tally(path, h)
 
-        monkeypatch.setattr(paths, "is_hecke", counted(paths.is_hecke))
-        monkeypatch.setattr(paths, "stats", counted(paths.stats))
+        monkeypatch.setattr(paths, "_breakpoint_chains", counted_walk)
+        monkeypatch.setattr(paths, "_tally", counted_tally)
         status, out, _ = run(
             capsys, "check-ls", "--system", files["a1"], "--path", files[name], "--format", "json"
         )
         assert status == (0 if ls else 1)
         assert json.loads(out)["cross_check"]["hecke"] is ls
-        assert calls == {"is_hecke": 1, "stats": 1}
+        assert calls == {"hecke": 1, "stats": 1}
 
     def test_bad_bounds(self, files, capsys):
         status, _, err = run(capsys, "validate", "--system", files["a1"], "--h", "0")

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction as F
 from math import inf
 from pathlib import Path
@@ -479,3 +481,133 @@ def test_path_invariants_make_no_root_eval_call(monkeypatch, system, data):
         except HPLError:
             pass
     assert done and calls == []
+
+
+# -- the analysis record -----------------------------------------------------------
+
+
+def _outcome(fn, *args):
+    from heckepaths.errors import HPLError
+
+    try:
+        return fn(*args)
+    except HPLError as exc:
+        return type(exc), str(exc)
+
+
+def _recognize(path, h):
+    """The recognize pipeline: is_hecke, then for a Hecke path is_ls, stats,
+    codim_tilde of the max-chain decoration and the parameter pattern."""
+    from heckepaths import galleries
+
+    if is_hecke(path, h).ok:
+        is_ls(path, h)
+        stats(path, h)
+        galleries.codim_tilde(galleries.decorate_with_max_chains(path, h), h)
+        galleries.parameter_pattern(path, h)
+
+
+@pytest.mark.parametrize("system, data", _golden_paths())
+def test_one_chain_analysis_per_path_and_h(monkeypatch, system, data):
+    # each interior breakpoint gets one Hecke walk and at most one LS walk per
+    # (path, h), and the stats are computed once; equal calls later reuse them
+    from collections import Counter
+
+    from heckepaths import paths
+
+    walks, tallies = [], []
+    chain_walk, tally = paths._chain_walk, paths._tally
+
+    def counted_walk(*args, **kwargs):
+        walks.append((args[5], args[6]))  # (kind, t)
+        return chain_walk(*args, **kwargs)
+
+    def counted_tally(path, h):
+        tallies.append(h)
+        return tally(path, h)
+
+    monkeypatch.setattr(paths, "_chain_walk", counted_walk)
+    monkeypatch.setattr(paths, "_tally", counted_tally)
+    path = path_from_json_dict(system, data)
+    interior = set(path.breakpoints[1:-1])
+    for run, h in enumerate((20, 20, 4, 4)):
+        walks.clear()
+        tallies.clear()
+        raised = _outcome(_recognize, path, h) is not None
+        hecke = Counter(t for kind, t in walks if kind == "hecke")
+        ls = Counter(t for kind, t in walks if kind == "ls")
+        assert set(hecke) <= interior and set(hecke.values()) <= {1}
+        assert set(ls) <= interior and set(ls.values()) <= {1}
+        assert len(tallies) <= 1
+        if run % 2 and not before:  # the same h again after a run that kept its results
+            assert not hecke and not tallies
+        before = raised
+        if run == 0 and path.shape_is_dominant and is_hecke(path).ok:
+            assert set(hecke) == interior and tallies == [20]
+
+
+@pytest.mark.parametrize("system, data", _golden_paths())
+def test_analysed_calls_match_fresh_calls(system, data):
+    # on one path, in recognize order and again, at small and default h: each
+    # call gives what it gives on a fresh path, raised errors included, and
+    # the record leaves equality, hashing and repr alone
+    from heckepaths.galleries import codim_tilde, decorate_with_max_chains, parameter_pattern
+
+    calls = (
+        is_hecke,
+        is_ls,
+        stats,
+        lambda p, h: codim_tilde(decorate_with_max_chains(p, h), h),
+        parameter_pattern,
+    )
+    path = path_from_json_dict(system, data)
+    for h in (2, 3, 20, 2, 3, 20):
+        for call in calls + calls:
+            assert _outcome(call, path, h) == _outcome(call, path_from_json_dict(system, data), h)
+    fresh = path_from_json_dict(system, data)
+    assert path._analyses and path == fresh and hash(path) == hash(fresh) and repr(path) == repr(fresh)
+    # a copy starts without the record, which holds paused walks
+    for copied in (pickle.loads(pickle.dumps(path)), copy.deepcopy(path), copy.copy(path)):
+        assert copied == path and "_analyses" not in vars(copied)
+        assert _outcome(parameter_pattern, copied, 20) == _outcome(parameter_pattern, fresh, 20)
+
+
+def test_small_h_still_raises_after_a_default_h_success():
+    from heckepaths.errors import HeightBoundTooSmall
+
+    raised = 0
+    for param in _golden_paths():
+        system, data = param.values
+        path = path_from_json_dict(system, data)
+        if not (path.shape_is_dominant and is_hecke(path, 20).ok):
+            continue
+        fresh = _outcome(is_hecke, path_from_json_dict(system, data), 2)
+        assert _outcome(is_hecke, path, 2) == fresh
+        raised += isinstance(fresh, tuple) and fresh[0] is HeightBoundTooSmall
+    assert raised
+
+
+def test_a_drain_that_raises_leaves_no_half_drained_walk(monkeypatch):
+    # draining the Hecke walks of A2-pool45 expands more cosets than its first
+    # chains did; make those expansions raise, then let them succeed
+    from heckepaths import paths
+    from heckepaths.errors import HeightBoundTooSmall
+    from heckepaths.galleries import decorate_with_max_chains
+
+    (system, data) = next(p.values for p in _golden_paths() if p.id == "A2-pool45")
+    path = path_from_json_dict(system, data)
+    assert is_hecke(path).ok
+    candidates = paths._chain_candidates
+
+    def failing(*args):
+        raise HeightBoundTooSmall(99, 20)
+
+    monkeypatch.setattr(paths, "_chain_candidates", failing)
+    first = _outcome(decorate_with_max_chains, path, 20)
+    assert first == (HeightBoundTooSmall, str(HeightBoundTooSmall(99, 20)))
+    assert _outcome(decorate_with_max_chains, path, 20) == first
+    monkeypatch.setattr(paths, "_chain_candidates", candidates)
+    fresh = path_from_json_dict(system, data)
+    assert paths._hecke_chains(path, 20) == paths._hecke_chains(fresh, 20)
+    assert any(len(chains) > 1 for chains in paths._hecke_chains(fresh, 20))
+    assert decorate_with_max_chains(path) == decorate_with_max_chains(fresh)

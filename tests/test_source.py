@@ -75,6 +75,7 @@ ENTRY_POINTS = {
     "concat",
     "all_chains",
     "find_chain",
+    "eval_path",
     "bruhat_leq",  # RootGeneratingSystem: the Bruhat order
     "tits_cone_membership",  # RootGeneratingSystem: membership with its witness
     "endpoint_counts",  # CrystalGraph: the weight table of the crystal

@@ -14,10 +14,14 @@ every call.  Both must give equal invariants, or raise the same error, on
 Cartan matrices of rank <= 4 (finite, affine either way round, hyperbolic,
 decomposable and not symmetrizable) and on random rational realizations.
 
+The positive-root closure runs on integer coefficient tuples; its reference
+is the former closure on ``RealRoot`` objects through ``reflect_root``.
+
 ``solve_linear`` lives here now that the library no longer calls it; other
 tests import it from this module.
 """
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -155,6 +159,23 @@ def ref_coroot_coordinates(coroots, v):
     coeffs = tuple(sum((x * v[p] for x, p in zip(row, pivots)), F(0)) for row in inverse)
     rebuilt = tuple(sum((c * cr[t] for c, cr in zip(coeffs, coroots)), F(0)) for t in range(len(v)))
     return coeffs if rebuilt == tuple(v) else None
+
+
+def ref_real_roots_up_to_height(system, h):
+    """The breadth-first closure of the simple roots under reflect_root, on
+    RealRoot objects, sorted by (height, coeffs)."""
+    seen = {system.simple_root_obj(i) for i in range(system.n)}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for beta in frontier:
+            for i in range(system.n):
+                img = system.reflect_root(i, beta)
+                if img.is_positive and img.height <= h and img not in seen:
+                    seen.add(img)
+                    new.append(img)
+        frontier = new
+    return sorted(seen, key=lambda r: (r.height, r.coeffs)) if h >= 1 else []
 
 
 def _outcome(fn, *args):
@@ -327,6 +348,31 @@ def test_from_gcm_keeps_its_realization(a):
         assert _outcome(reference_invariants, a, roots, coroots, []) == (type(exc), str(exc))
     else:
         assert (list(system.simple_roots), list(system.simple_coroots)) == (roots, coroots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gcms(), st.lists(st.integers(0, 7), min_size=1, max_size=3))
+def test_real_roots_match_the_realroot_closure(a, bounds):
+    # the closure on integer tuples, cold and grown bound by bound on one
+    # system, against the RealRoot closure run afresh for each bound
+    try:
+        system = RootGeneratingSystem.from_gcm(a)
+    except HPLError:
+        return
+    for h in bounds:
+        got = system.real_roots_up_to_height(h)
+        expected = ref_real_roots_up_to_height(RootGeneratingSystem.from_gcm(a), h)
+        assert [(r.coeffs, r.coroot_coeffs) for r in got] == [(r.coeffs, r.coroot_coeffs) for r in expected]
+
+
+@pytest.mark.parametrize("name", ["A3", "B3", "F4", "G2aff", "hyperbolic", "indefinite"])
+def test_real_roots_of_the_catalog_match_the_realroot_closure(name):
+    system = RootGeneratingSystem.from_gcm(CATALOG[name])
+    h = math.inf if system.classify_type() == "finite" else 9
+    got = system.real_roots_up_to_height(h)
+    assert [(r.coeffs, r.coroot_coeffs) for r in got] == [
+        (r.coeffs, r.coroot_coeffs) for r in ref_real_roots_up_to_height(system, h)
+    ]
 
 
 @pytest.mark.parametrize(
