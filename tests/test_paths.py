@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from heckepaths import RootGeneratingSystem
 from heckepaths.apartment import levels_crossed
-from heckepaths.errors import FormatError, NonLambdaPath, OutOfRange
+from heckepaths.errors import FormatError, HPLError, NonLambdaPath, OutOfRange
 from heckepaths.linalg import vadd, vscale
 from heckepaths.paths import (
     LambdaPath,
@@ -487,8 +487,6 @@ def test_path_invariants_make_no_root_eval_call(monkeypatch, system, data):
 
 
 def _outcome(fn, *args):
-    from heckepaths.errors import HPLError
-
     try:
         return fn(*args)
     except HPLError as exc:
