@@ -33,7 +33,7 @@ from .root_system import IDENTITY, RealRoot, RootGeneratingSystem, WeylElement
 def _fold_at(system, gammas: tuple, j: int) -> tuple:
     """The step roots after a fold at step j: later ones reflected by r_(gamma_j)."""
     beta = gammas[j - 1]
-    return gammas[:j] + tuple(system.reflect_root_by(beta, g) for g in gammas[j:])
+    return gammas[:j] + tuple(system._reflect_root_by(beta, g) for g in gammas[j:])
 
 
 @dataclass(frozen=True)

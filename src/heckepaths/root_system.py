@@ -403,7 +403,7 @@ class RootGeneratingSystem:
     def reflect_root(self, i: int, root: RealRoot) -> RealRoot:
         return RealRoot(*self._reflect_coeffs(i, root.coeffs, root.coroot_coeffs))
 
-    def reflect_root_by(self, beta: RealRoot, root: RealRoot) -> RealRoot:
+    def _reflect_root_by(self, beta: RealRoot, root: RealRoot) -> RealRoot:
         """r_beta(root) on both coefficient vectors: root - root(beta^v) beta and
         root^v - beta(root^v) beta^v, the pairings read off the Cartan matrix."""
         a = self.gcm.entries
