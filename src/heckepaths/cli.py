@@ -23,7 +23,7 @@ DEFAULT_HEIGHT = 20
 DEFAULT_DEPTH_CAP = 200
 
 
-def _emit(report: dict, fmt: str, text_lines=None, dot: str | None = None):
+def _emit(report: dict, fmt: str, text_lines: list, dot: str | None = None):
     if fmt == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
     elif fmt == "dot":
@@ -31,8 +31,7 @@ def _emit(report: dict, fmt: str, text_lines=None, dot: str | None = None):
             raise FormatError("dot output is only available for the crystal command")
         print(dot)
     else:
-        for line in text_lines if text_lines is not None else [json.dumps(report, sort_keys=True)]:
-            print(line)
+        print("\n".join(text_lines))
 
 
 def _parse_point(text: str, system: RootGeneratingSystem):
@@ -50,25 +49,25 @@ def _load_system(args) -> RootGeneratingSystem:
     return RootGeneratingSystem.load(args.system)
 
 
-def _load_path(system, args):
+def _load_path(args):
+    """The --path file, over the --system file's system (path.system)."""
+    system = _load_system(args)
     if not args.path:
         raise FormatError("--path FILE is required")
     return paths.load_path(system, args.path)
 
 
 def _cert_dicts(certs):
-    out = []
-    for c in certs:
-        out.append(
-            {
-                "t": format_rational(c.t),
-                "kind": c.kind,
-                "roots": [list(b.coeffs) for b in c.roots],
-                "xis": [format_vector(x) for x in c.xis],
-                "cosets": [[i + 1 for i in w.word] for w in c.cosets],
-            }
-        )
-    return out
+    return [
+        {
+            "t": format_rational(c.t),
+            "kind": c.kind,
+            "roots": [list(b.coeffs) for b in c.roots],
+            "xis": [format_vector(x) for x in c.xis],
+            "cosets": [[i + 1 for i in w.word] for w in c.cosets],
+        }
+        for c in certs
+    ]
 
 
 def cmd_validate(args):
@@ -85,72 +84,46 @@ def cmd_validate(args):
     return 0
 
 
-def cmd_check_hecke(args):
-    system = _load_system(args)
-    path = _load_path(system, args)
-    res = paths.is_hecke(path, args.h)
+def _check(args, kind):
+    """check-hecke or check-ls; an LS check of a path in Y reports its cross-check."""
+    path = _load_path(args)
+    res = paths.is_hecke(path, args.h) if kind == "hecke" else paths.is_ls(path, args.h)
     report = {
         "ok": res.ok,
-        "check": "hecke",
+        "check": kind,
         "reason": res.reason,
         "certificates": _cert_dicts(res.certificates),
         "path": paths.path_to_json_dict(path),
     }
-    lines = [f"hecke: {'yes' if res.ok else 'no'}"]
-    if res.reason:
-        lines.append(res.reason)
-    _emit(report, args.format, lines)
+    if kind == "ls" and path.in_Y:
+        st = paths.stats(path, args.h)
+        hecke = paths.is_hecke(path, args.h).ok
+        gap = path.system.rho_value(tuple(a - b for a, b in zip(path.shape, path.nu)))
+        report["cross_check"] = {"ddim": st.ddim, "rho_gap": format_rational(gap), "hecke": hecke}
+    _emit(report, args.format, [f"{kind}: {'yes' if res.ok else 'no'}"] + ([res.reason] if res.reason else []))
     return 0 if res.ok else 1
+
+
+def cmd_check_hecke(args):
+    return _check(args, "hecke")
 
 
 def cmd_check_ls(args):
-    system = _load_system(args)
-    path = _load_path(system, args)
-    res = paths.is_ls(path, args.h)
-    report = {
-        "ok": res.ok,
-        "check": "ls",
-        "reason": res.reason,
-        "certificates": _cert_dicts(res.certificates),
-        "path": paths.path_to_json_dict(path),
-    }
-    if path.in_Y:
-        st = paths.stats(path, args.h)
-        hecke = paths.is_hecke(path, args.h).ok
-        gap = system.rho_value(tuple(a - b for a, b in zip(path.shape, path.nu)))
-        report["cross_check"] = {"ddim": st.ddim, "rho_gap": format_rational(gap), "hecke": hecke}
-    lines = [f"ls: {'yes' if res.ok else 'no'}"]
-    if res.reason:
-        lines.append(res.reason)
-    _emit(report, args.format, lines)
-    return 0 if res.ok else 1
+    return _check(args, "ls")
 
 
 def cmd_stats(args):
-    system = _load_system(args)
-    path = _load_path(system, args)
+    path = _load_path(args)
     st = paths.stats(path, args.h)
-    report = {
-        "ddim": st.ddim,
-        "codim": st.codim,
-        "dim": st.dim,
-        "pos": {repr(k): v for k, v in sorted(st.pos.items(), key=lambda kv: kv[0].coeffs)},
-        "neg": {repr(k): v for k, v in sorted(st.neg.items(), key=lambda kv: kv[0].coeffs)},
-        "pos_reverse": {
-            repr(k): v for k, v in sorted(st.pos_reverse.items(), key=lambda kv: kv[0].coeffs)
-        },
-        "neg_reverse": {
-            repr(k): v for k, v in sorted(st.neg_reverse.items(), key=lambda kv: kv[0].coeffs)
-        },
-        "path": paths.path_to_json_dict(path),
-    }
+    report = {"ddim": st.ddim, "codim": st.codim, "dim": st.dim, "path": paths.path_to_json_dict(path)}
+    for name in ("pos", "neg", "pos_reverse", "neg_reverse"):
+        report[name] = {repr(k): v for k, v in sorted(getattr(st, name).items(), key=lambda kv: kv[0].coeffs)}
     _emit(report, args.format, [f"ddim={st.ddim} codim={st.codim} dim={st.dim}"])
     return 0
 
 
 def cmd_apply_op(args):
-    system = _load_system(args)
-    path = _load_path(system, args)
+    path = _load_path(args)
     out = paths.root_operator(args.kind, args.index - 1, path)
     report = {"ok": True, "result": paths.path_to_json_dict(out)}
     _emit(report, args.format, [json.dumps(report["result"], sort_keys=True)])
@@ -161,9 +134,8 @@ def cmd_crystal(args):
     system = _load_system(args)
     lam = _parse_point(args.lam, system)
     graph = model.generate_ls_paths(system, lam, args.depth_cap)
-    report = graph.to_json_dict()
     lines = [f"nodes={len(graph.nodes)} edges={len(graph.edges)} partial={graph.partial}"]
-    _emit(report, args.format, lines, dot=graph.to_dot())
+    _emit(graph.to_json_dict(), args.format, lines, dot=graph.to_dot() if args.format == "dot" else None)
     return 0
 
 
@@ -178,8 +150,7 @@ def cmd_mult(args):
     except CrossCheckMismatch:
         raise
     except HPLError:
-        oracle = None
-        agree = None
+        oracle = agree = None
     report = {"multiplicity": count, "freudenthal": oracle, "agree": agree}
     lines = [str(count)]
     if oracle is not None:
@@ -205,40 +176,36 @@ def cmd_enumerate_hecke(args):
             for w in witnesses
         ],
     }
-    lines = [f"count={len(witnesses)}"] + [repr(w.path) for w in witnesses]
+    lines = [f"count={len(witnesses)}"]
+    if args.format == "text":  # each repr builds the path's vertices
+        lines += [repr(w.path) for w in witnesses]
     _emit(report, args.format, lines)
     return 0
 
 
 def cmd_gallery(args):
-    system = _load_system(args)
-    path = _load_path(system, args)
+    path = _load_path(args)
     decorated = galleries.decorate_with_max_chains(path, args.h)
     total = galleries.codim_tilde(decorated, args.h)
     report = {
         "codim_tilde": total,
         "codim": paths.stats(path, args.h).codim,
-        "galleries": [
-            {"t": format_rational(t), **g.to_json_dict()} for t, g in decorated.galleries
-        ],
+        "galleries": [{"t": format_rational(t), **g.to_json_dict()} for t, g in decorated.galleries],
     }
-    lines = [f"codim_tilde={total}"]
-    for t, g in decorated.galleries:
-        lines.append(
-            f"t={format_rational(t)} type={[i + 1 for i in g.type_word]} folds={sorted(g.folds)} "
-            f"true={list(g.trueness())} neg={galleries.neg_count(g)}"
-        )
+    lines = [f"codim_tilde={total}"] + [
+        f"t={format_rational(t)} type={[i + 1 for i in g.type_word]} folds={sorted(g.folds)} "
+        f"true={list(g.trueness())} neg={galleries.neg_count(g)}"
+        for t, g in decorated.galleries
+    ]
     _emit(report, args.format, lines)
     return 0
 
 
 def cmd_pattern(args):
-    system = _load_system(args)
-    path = _load_path(system, args)
+    path = _load_path(args)
     pat = galleries.parameter_pattern(path, args.h)
-    report = pat.to_json_dict()
     lines = [f"N={pat.length} factors={' '.join(pat.factors) if pat.factors else '(empty)'}"]
-    _emit(report, args.format, lines)
+    _emit(pat.to_json_dict(), args.format, lines)
     return 0
 
 

@@ -84,13 +84,15 @@ class GalleryAtPoint:
         }
 
 
-def _gallery(system, z, word, folds) -> GalleryAtPoint:
+def _gallery(system, z, word, folds, pairings) -> GalleryAtPoint:
     """The gallery of type word from c_0 with these folds: d_j = d_(j-1) at a
-    fold and d_(j-1) s_(i_j) otherwise."""
+    fold and d_(j-1) s_(i_j) otherwise; pairings are z's _point_pairings."""
     chambers = [IDENTITY]
     for j, i in enumerate(word, start=1):
         chambers.append(chambers[-1] if j in folds else system.mult(chambers[-1], system.normalize_word((i,))))
-    return GalleryAtPoint(system, z, word, tuple(chambers), frozenset(folds))
+    gallery = GalleryAtPoint(system, z, word, tuple(chambers), frozenset(folds))
+    vars(gallery)["_point_pairings"] = pairings  # the cached_property's value, known already
+    return gallery
 
 
 def gallery_from_json_dict(system: RootGeneratingSystem, data: dict) -> GalleryAtPoint:
@@ -108,7 +110,8 @@ def minimal_gallery(system: RootGeneratingSystem, z, word) -> GalleryAtPoint:
     word = tuple(word.word) if isinstance(word, WeylElement) else tuple(word)
     if system.normalize_word(word).length != len(word):
         raise FormatError("gallery type must be a reduced word")
-    return _gallery(system, tuple(Fraction(x) for x in z), word, ())
+    z = tuple(Fraction(x) for x in z)
+    return _gallery(system, z, word, (), system._pairings([z]))
 
 
 def fold_gallery(gallery: GalleryAtPoint, chain_roots) -> GalleryAtPoint:
@@ -131,7 +134,7 @@ def fold_gallery(gallery: GalleryAtPoint, chain_roots) -> GalleryAtPoint:
         spot = next((j for j, g in steps if g == beta and j not in gallery.folds), None)
         if spot is None:
             raise FoldNotApplicable(k, f"no positive crossing of {beta!r} to fold at")
-        gallery = _gallery(sys_, gallery.point, gallery.type_word, gallery.folds | {spot})
+        gallery = _gallery(sys_, gallery.point, gallery.type_word, gallery.folds | {spot}, (den, (pairs,)))
     return gallery
 
 
@@ -157,7 +160,7 @@ def galleries_of_type(system, z, word, target_direction):
         if j == len(word):
             # the closed end chamber germ contains the ray along the target direction
             if system.is_dominant(system.act(system.inverse(end), target_direction)):
-                out.append(_gallery(system, z, word, folds))
+                out.append(_gallery(system, z, word, folds, (den, (pairs,))))
             return
         extend(j + 1, system.mult(end, system.normalize_word((word[j],))), folds, gammas)
         if gammas[j].is_positive and gammas[j].value(pairs) % den == 0:
@@ -187,10 +190,11 @@ def _decorate(path: LambdaPath, h: int) -> DecoratedHeckePath:
     check = is_hecke(path, h)
     if not check.ok:
         raise NotHecke(check.reason)
+    den, rows = path._vertex_pairings
     galleries = []
     for j, chains in enumerate(_hecke_chains(path, h), start=1):
         chain = max(chains, key=lambda c: c.s)
-        g = minimal_gallery(path.system, path.point(j), path.directions[j - 1])
+        g = _gallery(path.system, path.point(j), path.directions[j - 1].word, (), (den, (rows[j],)))
         galleries.append((chain.t, fold_gallery(g, chain.roots)))
     return DecoratedHeckePath(path, tuple(galleries))
 
@@ -232,10 +236,11 @@ def codim_tilde(decorated: DecoratedHeckePath, h: int = 20) -> int:
     want = {path.breakpoints[j] for j in range(1, path.r)}
     if have != want:
         raise FormatError("decoration must cover exactly the interior breakpoints")
-    total = sys_.relative_length(tuple(path.start), path.directions[0], h)
+    den, rows = path._vertex_pairings
+    total = sys_._relative_length(path.directions[0], den, rows[0], h)
     for _, gallery in decorated.galleries:
         total += neg_count(gallery)
-    for t, roots in _falling_wall_events(sys_, path._vertex_pairings[0], path._pieces(), h, at_end=False):
+    for t, roots in _falling_wall_events(sys_, den, path._pieces(), h, at_end=False):
         if 0 < t and t not in have:  # walls left negatively inside (0, 1)
             total += len(roots)
     return total

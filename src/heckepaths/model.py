@@ -30,7 +30,7 @@ from .paths import (
     straight_path,
     try_operator,
 )
-from .root_system import RootGeneratingSystem, dominance_difference
+from .root_system import IDENTITY, RootGeneratingSystem, dominance_difference
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -268,20 +268,20 @@ class HeckePathWitness:
 
 
 def _cosets_up_to_length(system: RootGeneratingSystem, lam, max_len: int):
-    """Map each orbit vector of lam whose minimal coset representative has
-    length <= max_len to that representative."""
-    lam = tuple(Fraction(x) for x in lam)
-    out = {lam: system.coset_of_vector(lam, lam).element}
-    layer = [lam]
+    """Map each orbit vector of the dominant lam whose minimal coset representative
+    has length <= max_len to that representative.  When alpha_i(v) > 0 for v = w(lam),
+    w minimal, the rep of s_i v is s_i w: w^-1 alpha_i > 0 as lam is dominant."""
+    layer = [(tuple(Fraction(x) for x in lam), IDENTITY)]
+    out = dict(layer)
     for _ in range(max_len):
         nxt = []
-        for v in layer:
+        for v, w in layer:
             for i in range(system.n):
                 if system.pairing(i, v) > 0:
                     img = system.simple_reflection(i, v)
                     if img not in out:
-                        out[img] = system.coset_of_vector(img, lam).element
-                        nxt.append(img)
+                        out[img] = rep = system.normalize_word((i,) + w.word)
+                        nxt.append((img, rep))
         layer = nxt
     return out
 

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import inf
+from math import inf, lcm
 
 from .apartment import levels_crossed
 from .errors import (
@@ -34,7 +34,6 @@ from .linalg import (
     Vec,
     format_rational,
     format_vector,
-    is_integral_vec,
     is_zero_vec,
     parse_vector,
     vadd,
@@ -69,26 +68,44 @@ class LambdaPath:
     # dict, not the frozen __setattr__, and adds no field that __eq__ or __hash__ read.
 
     @cached_property
+    def _shape_point(self):
+        """The shape as the integer point (numerators, pairings, den) of _integer_point."""
+        return self.system._integer_point(self.shape)
+
+    @cached_property
     def shape_is_dominant(self) -> bool:
-        return self.system.is_dominant(self.shape)
+        return all(p >= 0 for p in self._shape_point[1])
 
     @cached_property
-    def _derivatives(self) -> tuple:
-        """tau_j(shape) for each piece j."""
-        return tuple(self.system.act(w, self.shape) for w in self.directions)
+    def _direction_rows(self) -> tuple:
+        """tau_k(shape) per piece as integer (numerators, pairings) at the shape's
+        scale: the shape's integer point reflected along the rep's word."""
+        num, pairs, _ = self._shape_point
+        return tuple(self.system._act_integers(w.word, num, pairs) for w in self.directions)
 
     @cached_property
-    def _vertices(self) -> tuple:
-        """pi(a_0), ..., pi(a_r)."""
-        out = [tuple(self.start)]
-        for t0, t1, der in self.segments():
-            out.append(vadd(out[-1], vscale(t1 - t0, der)))
-        return tuple(out)
+    def _vertex_rows(self):
+        """(D, nums, pairs): pi(a_k) as the integer row nums[k] over D and alpha_j(pi(a_k))
+        as pairs[k][j] over D / cden, summed piece by piece from the start and each
+        tau_k(shape); with B the lcm of the breakpoints' denominators, a_k B is an integer."""
+        snum, spairs, d0 = self.system._integer_point(self.start)
+        d1 = self._shape_point[2]
+        b = lcm(*[t.denominator for t in self.breakpoints])
+        den = lcm(d0, d1 * b)
+        m0, m1 = den // d0, den // (d1 * b)
+        times = [t.numerator * (b // t.denominator) for t in self.breakpoints]
+        nums, pairs = [[x * m0 for x in snum]], [[x * m0 for x in spairs]]
+        for (qn, qp), a0, a1 in zip(self._direction_rows, times, times[1:]):
+            c = (a1 - a0) * m1
+            nums.append([x + c * y for x, y in zip(nums[-1], qn)])
+            pairs.append([x + c * y for x, y in zip(pairs[-1], qp)])
+        return den, nums, pairs
 
-    @cached_property
+    @property
     def _vertex_pairings(self):
         """(E, rows): alpha_j(pi(a_k)) E as the integers rows[k][j]."""
-        return self.system._pairings(self._vertices)
+        den, _, rows = self._vertex_rows
+        return den // self.system._cden, rows
 
     @cached_property
     def _analyses(self) -> dict:
@@ -99,11 +116,12 @@ class LambdaPath:
         return {k: v for k, v in self.__dict__.items() if k != "_analyses"}
 
     def direction_vector(self, j: int) -> Vec:
-        return self._derivatives[j]
+        """tau_j(shape), built from its integer row on each call."""
+        return tuple(Fraction(x, self._shape_point[2]) for x in self._direction_rows[j][0])
 
     def segments(self):
         """List of (t0, t1, derivative) triples covering [0, 1]."""
-        return list(zip(self.breakpoints, self.breakpoints[1:], self._derivatives))
+        return list(zip(self.breakpoints, self.breakpoints[1:], map(self.direction_vector, range(self.r))))
 
     def _pieces(self):
         """(coset rep, t0, t1, P0, P1) per piece, P the _vertex_pairings rows at its ends."""
@@ -111,27 +129,30 @@ class LambdaPath:
         return zip(self.directions, self.breakpoints, self.breakpoints[1:], rows, rows[1:])
 
     def point(self, j: int) -> Vec:
-        """pi(a_j)."""
-        return self._vertices[j]
+        """pi(a_j), built from its integer row on each call."""
+        den, rows, _ = self._vertex_rows
+        return tuple(Fraction(x, den) for x in rows[j])
 
     @property
     def endpoint(self) -> Vec:
-        return self._vertices[-1]
+        return self.point(-1)
 
     @property
     def nu(self) -> Vec:
-        return vsub(self._vertices[-1], self._vertices[0])
+        den, rows, _ = self._vertex_rows
+        return tuple(Fraction(b - a, den) for a, b in zip(rows[0], rows[-1]))
+
+    def _in_Y_at(self, k: int) -> bool:
+        """Whether the shape and pi(a_k) lie in Y, read on their integer rows."""
+        (den, rows, _), (num, _, lden) = self._vertex_rows, self._shape_point
+        return all(x % lden == 0 for x in num) and all(x % den == 0 for x in rows[k])
 
     @property
     def in_Y(self) -> bool:
-        return (
-            is_integral_vec(self.start)
-            and is_integral_vec(self.shape)
-            and is_integral_vec(self.endpoint)
-        )
+        return self._in_Y_at(0) and self._in_Y_at(-1)
 
     def __repr__(self):
-        pts = " -> ".join(str(tuple(map(format_rational, v))) for v in self._vertices)
+        pts = " -> ".join(str(tuple(map(format_rational, self.point(k)))) for k in range(self.r + 1))
         return f"LambdaPath({pts})"
 
 
@@ -218,7 +239,7 @@ def eval_path(path: LambdaPath, t) -> Vec:
     if t < 0 or t > 1:
         raise OutOfRange(f"t = {t} outside [0, 1]")
     k = _piece_before(path, t)
-    return vadd(path._vertices[k], vscale(t - path.breakpoints[k], path._derivatives[k]))
+    return vadd(path.point(k), vscale(t - path.breakpoints[k], path.direction_vector(k)))
 
 
 def reverse_path(path: LambdaPath) -> LambdaPath:
@@ -259,26 +280,29 @@ class ChainCertificate:
         return len(self.roots)
 
 
-def _chain_candidates(system, shape, den, pairs, rep, xi, kind, a_j, h):
-    """Usable chain roots at coset rep, whose vector is xi, with the filter
-    that failed when empty; the point's pairings are the integers pairs over den."""
+def _chain_candidates(system, shape, den, pairs, rep, xi, kind, t, h):
+    """Usable chain roots at coset rep, with the filter that failed when empty; xi = rep(shape)
+    is an integer point at the scale of shape = (numerators, E), its pairings over E."""
     system.check_height(rep, h)
+    lam, xi_den = shape
     out = []
     blocked = set()
-    for beta in system.inversion_set(rep):
+    for beta in system._inversions(rep.word)[0]:
         if beta.value(pairs) % den:
             # integrality at the point: condition vii.  For LS it stands for ii only
             # in an integral realization (by induction over earlier breakpoints),
             # so ii keeps its own test below
             blocked.add("vii" if kind == "hecke" else "ii")
             continue
-        xi_new = system.reflect_by_root(beta, xi)
-        new_rep = system.coset_of_vector(xi_new, shape).element
+        xi_new = system._reflect_by_root(beta, *xi)
+        new_rep, dom = system._unwound(*xi_new, xi_den * system._cden)
+        if dom != lam:
+            raise FormatError("vector is not in the Weyl orbit of the shape")
         if kind == "ls":
             if new_rep.length != rep.length - 1:
                 blocked.add("iii")
                 continue
-            if (Fraction(a_j) * system.root_eval(beta, xi)).denominator != 1:  # beta(r_beta xi) = -beta(xi)
+            if t.numerator * beta.value(xi[1]) % (t.denominator * xi_den):  # beta(r_beta xi) = -beta(xi)
                 blocked.add("ii")
                 continue
         out.append((beta, xi_new, new_rep))
@@ -287,7 +311,8 @@ def _chain_candidates(system, shape, den, pairs, rep, xi, kind, a_j, h):
 
 def _chain_walk(system, shape, xp, xi_from, start, kind, a_j, h, target=None, blocked=None):
     """Depth-first walk over the chains from xi_from, of coset rep start, at the
-    point x whose integer pairings are xp = (E, pairings), in a fixed order.
+    point x whose integer pairings are xp = (E, pairings), in a fixed order; each
+    xi is an integer point at the scale of the shape's, shape = (num, pairs, den).
 
     With a target rep, yields every chain ending at it and cuts a branch once
     its coset is no longer than the target: coset lengths fall strictly along
@@ -296,16 +321,21 @@ def _chain_walk(system, shape, xp, xi_from, start, kind, a_j, h, target=None, bl
     collects the conditions that removed first-step roots.
     """
     t = Fraction(a_j if a_j is not None else 0)
+    lam = (tuple(shape[0]), shape[2] // system._cden)
     seen = set()
+
+    def certificate(roots, xis, cosets):
+        vectors = tuple(tuple(Fraction(x, shape[2]) for x in num) for num, _ in xis)
+        return ChainCertificate(t, kind, roots, vectors, cosets)
 
     def walk(rep, roots, xis, cosets):
         if target is not None:
             if rep == target:
-                yield ChainCertificate(t, kind, roots, xis, cosets)
+                yield certificate(roots, xis, cosets)
                 return
             if rep.length <= target.length:
                 return
-        cands, why = _chain_candidates(system, shape, *xp, rep, xis[-1], kind, a_j, h)
+        cands, why = _chain_candidates(system, lam, *xp, rep, xis[-1], kind, t, h)
         if blocked is not None and not roots:
             blocked.update(why)
         for beta, xi_new, new_rep in cands:
@@ -314,7 +344,7 @@ def _chain_walk(system, shape, xp, xi_from, start, kind, a_j, h, target=None, bl
             chain = (roots + (beta,), xis + (xi_new,), cosets + (new_rep,))
             if target is None:
                 seen.add(new_rep)
-                yield ChainCertificate(t, kind, *chain)
+                yield certificate(*chain)
             yield from walk(new_rep, *chain)
 
     return walk(start, (), (xi_from,), (start,))
@@ -326,12 +356,15 @@ def _walk_vectors(system, shape, x, xi_from, kind, a_j, h, xi_to=None):
         raise FormatError(f"unknown chain kind {kind!r}")
     if len(x) != system.rank_x:
         raise FormatError(f"point has {len(x)} coordinates, system has rank {system.rank_x}")
+    if kind == "ls" and a_j is None:
+        raise FormatError("an LS chain needs its breakpoint time a_j, and none was given")
     shape = tuple(map(Fraction, shape))
-    xi_from = tuple(map(Fraction, xi_from))
-    start = system.coset_of_vector(xi_from, shape).element
+    start = system.coset_of_vector(tuple(map(Fraction, xi_from)), shape).element
     target = None if xi_to is None else system.coset_of_vector(tuple(map(Fraction, xi_to)), shape).element
     den, (pairs,) = system._pairings([tuple(map(Fraction, x))])
-    return _chain_walk(system, shape, (den, pairs), xi_from, start, kind, a_j, h, target)
+    lam = system._integer_point(shape)
+    xi = system._act_integers(start.word, *lam[:2])
+    return _chain_walk(system, lam, (den, pairs), xi, start, kind, a_j, h, target)
 
 
 def chain_targets(system, shape, x, xi_from, h, a_j=None):
@@ -376,7 +409,7 @@ def _breakpoint_chains(path: LambdaPath, kind: str, h: int):
     if not path.shape_is_dominant:
         what = "Hecke" if kind == "hecke" else "LS"
         raise NotDominant(f"{what} recognition applies to dominant-shape paths")
-    if kind == "ls" and not (is_integral_vec(path.start) and is_integral_vec(path.shape)):
+    if kind == "ls" and not path._in_Y_at(0):
         return CheckResult(False, (), "path does not start in Y with integral shape"), ()
     certs, walks = [], []
     den, rows = path._vertex_pairings
@@ -384,7 +417,7 @@ def _breakpoint_chains(path: LambdaPath, kind: str, h: int):
         t = path.breakpoints[j]
         blocked = set()
         walk = _chain_walk(
-            path.system, path.shape, (den, rows[j]), path.direction_vector(j - 1), path.directions[j - 1],
+            path.system, path._shape_point, (den, rows[j]), path._direction_rows[j - 1], path.directions[j - 1],
             kind, t, h, path.directions[j], blocked,
         )
         cert = next(walk, None)

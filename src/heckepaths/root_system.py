@@ -246,7 +246,6 @@ class RootGeneratingSystem:
             tuple((j, a) for j, a in enumerate(row) if a) for row in gcm.entries
         )
         self._norm_cache = {}
-        self._act_cache = {}
         self._unwind_cache = {}
         self._inversion_cache = {}
         self._roots_cache = []  # list of (height, RealRoot), sorted, grows monotonically
@@ -343,52 +342,36 @@ class RootGeneratingSystem:
         nums, d = _scaled_rows(points)
         return d * self._rden, [[sum(a * v[t] for t, a in row) for row in self._root_support] for v in nums]
 
-    def _reflect_integers(self, num: list, pairs: list, i: int):
-        """r_i on an integer point in place, carrying its pairings along the
-        Cartan matrix: alpha_j(r_i v) = alpha_j(v) - alpha_i(v) a_ij, exact
-        because alpha_j(alpha_i^v) = a_ij holds in the realization."""
-        p = pairs[i]
+    def _subtract_coroot(self, num: list, pairs: list, i: int, m: int):
+        """v - (m / E) alpha_i^v on an integer point in place, E its pairings' denominator,
+        carrying the pairings along the Cartan matrix (alpha_j(alpha_i^v) = a_ij holds in
+        the realization); with m = pairs[i] it is r_i."""
         for t, y in self._coroot_support[i]:
-            num[t] -= p * y
+            num[t] -= m * y
         for j, a in self._cartan_support[i]:
-            pairs[j] -= p * a
+            pairs[j] -= m * a
+
+    def _act_integers(self, word, num, pairs):
+        """w(v) on an integer point, w the word's element, as new lists."""
+        num, pairs = list(num), list(pairs)
+        for i in reversed(word):
+            if pairs[i]:
+                self._subtract_coroot(num, pairs, i, pairs[i])
+        return num, pairs
+
+    def _reflect_by_root(self, beta: RealRoot, num, pairs):
+        """r_beta(v) = v - beta(v) beta^v on an integer point, as new lists:
+        beta^v is sum_i c_i alpha_i^v over its coroot coefficients c_i."""
+        b = beta.value(pairs)
+        num, pairs = list(num), list(pairs)
+        for i, c in enumerate(beta.coroot_coeffs):
+            if c:
+                self._subtract_coroot(num, pairs, i, b * c)
+        return num, pairs
 
     def act(self, w: WeylElement, v: Vec) -> Vec:
-        key = (w.word, tuple(v))
-        out = self._act_cache.get(key)
-        if out is None:
-            num, pairs, den = self._integer_point(v)
-            for i in reversed(w.word):
-                if pairs[i]:
-                    self._reflect_integers(num, pairs, i)
-            out = self._act_cache[key] = tuple(Fraction(x, den) for x in num)
-        return out
-
-    def _covector(self, coeffs) -> Vec:
-        """sum_j c_j alpha_j as a covector on Y."""
-        cov = [Fraction(0)] * self.rank_x
-        for j, c in enumerate(coeffs):
-            if c:
-                for t in range(self.rank_x):
-                    cov[t] += c * self.simple_roots[j][t]
-        return tuple(cov)
-
-    def root_covector(self, root: RealRoot) -> Vec:
-        return self._covector(root.coeffs)
-
-    def root_eval(self, root: RealRoot, v: Vec) -> Fraction:
-        return vdot_cov(self.root_covector(root), v)
-
-    def reflect_by_root(self, root: RealRoot, v: Vec) -> Vec:
-        """r_beta(v) = v - beta(v) beta^v, on the numerators of _integer_point."""
         num, pairs, den = self._integer_point(v)
-        c = sum(k * p for k, p in zip(root.coeffs, pairs))  # beta(v) D rden
-        if c == 0:
-            return tuple(v)
-        for k, support in zip(root.coroot_coeffs, self._coroot_support):
-            for t, y in support:
-                num[t] -= c * k * y
-        return tuple(Fraction(x, den) for x in num)
+        return tuple(Fraction(x, den) for x in self._act_integers(w.word, num, pairs)[0])
 
     def simple_root_obj(self, i: int) -> RealRoot:
         e = tuple(1 if j == i else 0 for j in range(self.n))
@@ -559,7 +542,7 @@ class RootGeneratingSystem:
             else:
                 return letters
             letters.append(i)
-            self._reflect_integers(num, pairs, i)
+            self._subtract_coroot(num, pairs, i, pairs[i])
         return None
 
     def orbit_unwind(self, v: Vec, antidominant=False):
@@ -570,17 +553,24 @@ class RootGeneratingSystem:
         FormatError when that takes more than _UNWIND_GUARD reflections, as it
         does forever for a vector outside the Tits cone.
         """
-        key = (tuple(v), antidominant)
+        num, pairs, den = self._integer_point(v)
+        w, v0 = self._unwound(num, pairs, den, antidominant)
+        return tuple(Fraction(x, den) for x in v0), w
+
+    def _unwound(self, num, pairs, den, antidominant=False):
+        """orbit_unwind on an integer point of _integer_point, numerators over den: (w, the
+        numerators of v0), memoized on the numerators alone, as scaling changes no letter."""
+        key = (tuple(num), antidominant)
         out = self._unwind_cache.get(key)
         if out is None:
-            num, pairs, den = self._integer_point(v)
+            num, pairs = list(num), list(pairs)
             letters = self._unwind(num, pairs, antidominant, _UNWIND_GUARD)
             if letters is None:
                 why = f"outside the Tits cone: its unwind passed {_UNWIND_GUARD} reflections"
-                if not antidominant and self.classify_type() == "affine" and not self._outside_by_level(v):
+                if not antidominant and self.classify_type() == "affine" and not self._outside_by_level(key[0]):
                     why = f"in the Tits cone, but its minimal coset word is longer than {_UNWIND_GUARD} letters"
-                raise FormatError(f"vector ({','.join(format_vector(v))}) {why}")
-            out = self._unwind_cache[key] = (tuple(Fraction(x, den) for x in num), self.normalize_word(letters))
+                raise FormatError(f"vector ({','.join(format_vector([Fraction(x, den) for x in key[0]]))}) {why}")
+            out = self._unwind_cache[key] = (self.normalize_word(letters), tuple(num))
         return out
 
     def coset_of_vector(self, xi: Vec, lam: Vec, antidominant=False) -> CosetRep:
@@ -628,8 +618,12 @@ class RootGeneratingSystem:
 
     def relative_length(self, x: Vec, w: WeylElement, h: int) -> int:
         """Number of inversion roots of w taking an integer value at x."""
-        self.check_height(w, h)
         den, (pairs,) = self._pairings([x])
+        return self._relative_length(w, den, pairs, h)
+
+    def _relative_length(self, w: WeylElement, den, pairs, h: int) -> int:
+        """relative_length at the point whose pairings are the integers pairs over den."""
+        self.check_height(w, h)
         return sum(1 for beta in self._inversions(w.word)[0] if beta.value(pairs) % den == 0)
 
     # -- type classification and the Tits cone ------------------------------
@@ -679,7 +673,8 @@ class RootGeneratingSystem:
     def delta_covector(self) -> Vec:
         """delta as a covector on Y (affine type only); delta(v) is the level of v."""
         if self._delta_cov is None:
-            self._delta_cov = self._covector(self.null_root_coeffs())
+            pairs = list(zip(self.null_root_coeffs(), self.simple_roots))
+            self._delta_cov = tuple(sum((c * r[t] for c, r in pairs), Fraction(0)) for t in range(self.rank_x))
         return self._delta_cov
 
     def _outside_by_level(self, v) -> bool:

@@ -37,6 +37,7 @@ from heckepaths.paths import (
 from heckepaths.root_system import dominance_difference
 
 from conftest import all_words, frac_vec
+from test_chain_reference import root_eval
 
 
 @contextlib.contextmanager
@@ -117,10 +118,10 @@ def random_hecke_paths(system, shapes, count, seed, h=20):
             rep = system.coset_of_vector(xi, lam).element
             times = set()
             for beta in system.inversion_set(rep):
-                slope = system.root_eval(beta, xi)
+                slope = root_eval(system, beta, xi)
                 if slope == 0:
                     continue
-                u0 = system.root_eval(beta, x)
+                u0 = root_eval(system, beta, x)
                 for m in levels_crossed(u0, u0 + slope * (1 - t)):
                     if m != u0:  # walls met strictly inside (t, 1)
                         times.add(t + (m - u0) / slope)

@@ -1,4 +1,13 @@
-"""The shared breakpoint pass against chain searches run from scratch.
+"""The chain walk against its Fraction reference, and the shared breakpoint
+pass against chain searches run from scratch.
+
+The walk carries each direction xi as integer numerators and pairings at the
+scale of the shape's integer point.  The reference below is the former
+candidate routine on Fraction vectors: ``reflect_by_root``, the coset rep from
+``coset_of_vector`` and LS condition ii from ``root_eval``.  Both must give the
+same candidates and blocked conditions for both kinds on A2, B2, G2, A3,
+A1^(1) and ``B2rational``.  ``root_covector``, ``root_eval`` and
+``reflect_by_root`` live here now that the library no longer calls them.
 
 ``is_hecke``, ``is_ls`` and ``decorate_with_max_chains`` take their chains
 from one walk per breakpoint.  Here each breakpoint is searched again on its
@@ -8,18 +17,132 @@ paths are the golden CLI paths and the A2 Hecke loops.
 """
 
 import json
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckepaths import RootGeneratingSystem
-from heckepaths.errors import NotHecke
+from heckepaths.errors import FormatError, HPLError, NotHecke
 from heckepaths.galleries import decorate_with_max_chains, fold_gallery, minimal_gallery
 from heckepaths.linalg import is_integral_vec
 from heckepaths.model import enumerate_hecke
-from heckepaths.paths import all_chains, find_chain, is_hecke, is_ls, path_from_json_dict
+from heckepaths.paths import _chain_candidates, all_chains, find_chain, is_hecke, is_ls, path_from_json_dict
+from heckepaths.root_system import vdot_cov
 
-from conftest import frac_vec
+from conftest import KERNEL_SYSTEMS, coroot_combination, frac_vec
+from test_system_reference import solve_linear
+
+# -- the Fraction reference ------------------------------------------------------
+
+
+def root_covector(system, root):
+    """sum_j c_j alpha_j as a covector on Y."""
+    pairs = list(zip(root.coeffs, system.simple_roots))
+    return tuple(sum((c * alpha[t] for c, alpha in pairs), F(0)) for t in range(system.rank_x))
+
+
+def root_eval(system, root, v):
+    """beta(v) as a Fraction."""
+    return vdot_cov(root_covector(system, root), v)
+
+
+def reflect_by_root(system, root, v):
+    """r_beta(v) = v - beta(v) beta^v on Fraction vectors."""
+    c = root_eval(system, root, v)
+    return tuple(F(x) - c * y for x, y in zip(v, coroot_combination(system, root.coroot_coeffs)))
+
+
+def ref_chain_candidates(system, shape, den, pairs, rep, xi, kind, a_j, h):
+    """The former candidate routine, on the Fraction vector xi."""
+    system.check_height(rep, h)
+    out = []
+    blocked = set()
+    for beta in system.inversion_set(rep):
+        if beta.value(pairs) % den:
+            blocked.add("vii" if kind == "hecke" else "ii")
+            continue
+        xi_new = reflect_by_root(system, beta, xi)
+        new_rep = system.coset_of_vector(xi_new, shape).element
+        if kind == "ls":
+            if new_rep.length != rep.length - 1:
+                blocked.add("iii")
+                continue
+            if (F(a_j) * root_eval(system, beta, xi)).denominator != 1:
+                blocked.add("ii")
+                continue
+        out.append((beta, xi_new, new_rep))
+    return out, blocked
+
+
+CANDIDATE_SYSTEMS = {
+    name: RootGeneratingSystem.from_json_dict(data)
+    for name, data in {
+        "A2": KERNEL_SYSTEMS["A2"],
+        "B2": KERNEL_SYSTEMS["B2"],
+        "G2": {"cartan_matrix": [[2, -1], [-3, 2]]},
+        "A3": {"cartan_matrix": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]},
+        "A1aff": KERNEL_SYSTEMS["A1aff"],
+        "B2rational": KERNEL_SYSTEMS["B2rational"],
+    }.items()
+}
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HPLError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    name=st.sampled_from(sorted(CANDIDATE_SYSTEMS)),
+    shape_pairs=st.lists(st.fractions(0, 3, max_denominator=3), min_size=3, max_size=3),
+    point_pairs=st.lists(st.fractions(-4, 4, max_denominator=2), min_size=3, max_size=3),
+    extra=st.fractions(-2, 2, max_denominator=5),
+    word=st.lists(st.integers(0, 2), max_size=6),
+    a_j=st.fractions(0, 1, max_denominator=6),
+    kind=st.sampled_from(["hecke", "ls"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_candidates_match_fraction_reference(name, shape_pairs, point_pairs, extra, word, a_j, kind):
+    system = CANDIDATE_SYSTEMS[name]
+    shape = solve_linear(system.simple_roots, shape_pairs[: system.n])
+    x = solve_linear(system.simple_roots, point_pairs[: system.n])
+    x = x[:-1] + (x[-1] + extra,)  # off the span of the pairings in A1^(1)
+    w = system.normalize_word([i % system.n for i in word])
+    rep = system.coset_of_vector(system.act(w, shape), shape).element
+    xi = system.act(rep, shape)
+    den, (pairs,) = system._pairings([x])
+    expect = _outcome(ref_chain_candidates, system, shape, den, pairs, rep, xi, kind, a_j, 20)
+    num, lam_pairs, lam_den = system._integer_point(shape)
+    lam = (tuple(num), lam_den // system._cden)
+    xi_int = system._act_integers(rep.word, num, lam_pairs)
+    got = _outcome(_chain_candidates, system, lam, den, pairs, rep, xi_int, kind, a_j, 20)
+    if isinstance(expect, tuple) and isinstance(expect[0], type):
+        assert got == expect
+        return
+    cands, blocked = got
+    assert blocked == expect[1]
+    assert [(beta, tuple(F(v, lam_den) for v in n), r) for beta, (n, _), r in cands] == expect[0]
+    for _, (n, p), _ in cands:  # the pairings travel with the numerators
+        v = tuple(F(c, lam_den) for c in n)
+        assert [F(c, lam[1]) for c in p] == [system.pairing(j, v) for j in range(system.n)]
+
+
+def test_ls_chain_without_breakpoint_time_is_a_format_error(a2):
+    lam = frac_vec(1, 1)
+    longest = a2.act(a2.normalize_word((0, 1, 0)), lam)
+    with pytest.raises(FormatError, match="breakpoint time a_j"):
+        find_chain(a2, longest, lam, a2.zero(), lam, kind="ls")
+    with pytest.raises(FormatError, match="breakpoint time a_j"):
+        all_chains(a2, lam, a2.zero(), longest, lam, 20, kind="ls")
+    # the Hecke kind keeps a_j = None, stamped as t = 0
+    cert = find_chain(a2, longest, lam, a2.zero(), lam)
+    assert cert is not None and cert.t == 0
+    assert find_chain(a2, a2.act(a2.normalize_word((0,)), lam), lam, a2.zero(), lam, kind="ls", a_j=F(1)) is not None
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 

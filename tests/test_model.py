@@ -4,6 +4,7 @@ import pytest
 
 from heckepaths.errors import CapHit, NotDominant, UnsupportedType
 from heckepaths.model import (
+    _cosets_up_to_length,
     enumerate_hecke,
     freudenthal_multiplicity,
     generate_ls_paths,
@@ -13,6 +14,7 @@ from heckepaths.paths import from_segments, is_hecke, is_ls, stats
 from heckepaths.root_system import RootGeneratingSystem, dominance_difference
 
 from conftest import coroot_combination, frac_vec, group_elements
+from test_system_reference import solve_linear
 
 
 class TestGenerateLS:
@@ -278,3 +280,35 @@ def _highest_root_coroot(system):
     roots = system.real_roots_up_to_height(10)
     best = max(roots, key=lambda r: r.height)
     return coroot_combination(system, best.coroot_coeffs)
+
+
+class TestCosetsUpToLength:
+    """The orbit walk's reps, read off as s_i w, against coset_of_vector.
+    Shapes are given by their pairings alpha_j(lam), some of them on walls."""
+
+    CASES = {
+        "A2": ([[2, -1], [-1, 2]], [(1, 1), (2, 0), (0, 1), (0, 0)]),
+        "B2": ([[2, -2], [-1, 2]], [(1, 1), (0, 2), (1, 0)]),
+        "G2": ([[2, -1], [-3, 2]], [(1, 1), (1, 0), (0, 2)]),
+        "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [(1, 0, 1), (0, 1, 0), (1, 1, 1)]),
+        "A1aff": ([[2, -2], [-2, 2]], [(1, 1), (1, 0), (0, 2)]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("max_len", [0, 1, 3, 6])
+    def test_matches_coset_of_vector(self, name, max_len):
+        entries, shapes = self.CASES[name]
+        system = RootGeneratingSystem.from_gcm(entries)
+        for pairs in shapes:
+            lam = solve_linear(system.simple_roots, frac_vec(*pairs))
+            assert [system.pairing(j, lam) for j in range(system.n)] == list(pairs)
+            got = _cosets_up_to_length(system, lam, max_len)
+            for v, rep in got.items():
+                assert system.coset_of_vector(v, lam).element == rep and rep.length <= max_len
+            # every orbit vector whose rep is short enough, from the group elements up to that length
+            expect = set()
+            for w in group_elements(system, max_len):
+                v = system.act(w, lam)
+                if system.coset_of_vector(v, lam).length <= max_len:
+                    expect.add(v)
+            assert set(got) == expect

@@ -25,6 +25,7 @@ from heckepaths.model import enumerate_hecke, generate_ls_paths
 from heckepaths.paths import from_segments, is_hecke, is_ls, make_path, root_operator
 
 from conftest import frac_vec
+from test_paths import ref_point
 from test_system_reference import solve_linear
 
 # -- the reference -------------------------------------------------------------
@@ -32,7 +33,7 @@ from test_system_reference import solve_linear
 
 def _profile(path, i):
     """Per-segment values of alpha_i along the path: (t0, t1, u0, u1)."""
-    us = [path.system.pairing(i, x) for x in path._vertices]
+    us = [path.system.pairing(i, ref_point(path, k)) for k in range(path.r + 1)]
     return list(zip(path.breakpoints, path.breakpoints[1:], us, us[1:]))
 
 

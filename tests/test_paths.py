@@ -31,6 +31,7 @@ from heckepaths.paths import (
 )
 
 from conftest import KERNEL_SYSTEMS, frac_vec
+from test_chain_reference import root_eval
 from test_system_reference import solve_linear
 
 
@@ -270,7 +271,7 @@ class TestChainCertificateProperties:
         res = is_hecke(theta_path)
         for cert in res.certificates:
             for i, beta in enumerate(cert.roots):
-                assert a2.root_eval(beta, cert.xis[i]) < 0
+                assert root_eval(a2, beta, cert.xis[i]) < 0
                 assert a2.bruhat_leq(cert.cosets[i + 1], cert.cosets[i])
                 assert cert.cosets[i + 1] != cert.cosets[i]
 
@@ -331,10 +332,10 @@ def ref_stats(path):
     for k in range(path.r):
         dur, der = path.breakpoints[k + 1] - path.breakpoints[k], ref_derivative(path, k)
         for beta in candidates:
-            slope = sys_.root_eval(beta, der)
+            slope = root_eval(sys_, beta, der)
             if slope == 0:
                 continue
-            u0 = sys_.root_eval(beta, cur)
+            u0 = root_eval(sys_, beta, cur)
             u1 = u0 + slope * dur
             forward, backward = (pos, neg_rev) if slope > 0 else (neg, pos_rev)
             forward[beta] = forward.get(beta, 0) + len(levels_crossed(u0, u1))
@@ -347,9 +348,9 @@ def ref_stats(path):
         for k in range(path.r):
             dur, der = path.breakpoints[k + 1] - path.breakpoints[k], ref_derivative(path, k)
             for beta in sys_.real_roots_up_to_height(inf):
-                slope = sys_.root_eval(beta, der)
+                slope = root_eval(sys_, beta, der)
                 if slope > 0:
-                    u0 = sys_.root_eval(beta, cur)
+                    u0 = root_eval(sys_, beta, cur)
                     dim += len(levels_crossed(u0, u0 + slope * dur))
             cur = vadd(cur, vscale(dur, der))
     return sum(pos_rev.values()), sum(neg.values()), dim, (pos, neg, pos_rev, neg_rev)
@@ -376,7 +377,7 @@ def check_geometry(path):
     ddim, codim, dim, tallies = ref_stats(path)
     assert (got.ddim, got.codim, got.dim) == (ddim, codim, dim)
     assert (got.pos, got.neg, got.pos_reverse, got.neg_reverse) == tallies
-    views = {"_derivatives", "_vertices", "_vertex_pairings", "shape_is_dominant"}
+    views = {"_shape_point", "_direction_rows", "_vertex_rows", "shape_is_dominant"}
     assert views <= set(vars(path)) and not views & set(vars(twin))
     assert hash(path) == hash_before == hash(twin)
     assert path == twin and twin in {path}
@@ -430,24 +431,29 @@ BIG = 2**61 - 1
 )
 @settings(max_examples=80, deadline=None)
 def test_vertex_pairings_match_root_eval(name, pairs, start, words, cuts):
-    # root values on the integer view against the Fraction covector reference
+    # the integer rows against the Fraction reference: vertices summed piece by
+    # piece with vadd and vscale, root values from the Fraction covector
     system = SYSTEMS[name]
     shape = solve_linear(system.simple_roots, pairs[: system.n])
     bps = sorted(cuts - {0, 1})[: len(words) - 1]
     words = [[i % system.n for i in w] for w in words[: len(bps) + 1]]
     path = make_path(system, shape, start[: system.rank_x], words, [F(0), *bps, F(1)])
     den, rows = path._vertex_pairings
-    assert den > 0 and len(rows) == path.r + 1
+    vden, vrows, _ = path._vertex_rows
+    assert den > 0 and len(rows) == len(vrows) == path.r + 1
     roots = system.real_roots_up_to_height(4)
-    for x, row in zip(path._vertices, rows):
+    for k, (row, vrow) in enumerate(zip(rows, vrows)):
+        x = ref_point(path, k)
+        assert all(type(a) is int for a in vrow) and tuple(F(a, vden) for a in vrow) == x
         for beta in roots + [b.negated() for b in roots]:
-            value = system.root_eval(beta, x)
+            value = root_eval(system, beta, x)
             assert type(beta.value(row)) is int
             assert F(beta.value(row), den) == value
             assert (beta.value(row) % den == 0) is (value.denominator == 1)
         for w in path.directions:
-            expect = sum(1 for b in system.inversion_set(w) if system.root_eval(b, x).denominator == 1)
+            expect = sum(1 for b in system.inversion_set(w) if root_eval(system, b, x).denominator == 1)
             assert system.relative_length(x, w, 20) == expect
+            assert system._relative_length(w, den, row, 20) == expect
     for (w, t0, t1, p0, p1), k in zip(path._pieces(), range(path.r)):
         assert (w, t0, t1, p0, p1) == (path.directions[k], *path.breakpoints[k : k + 2], rows[k], rows[k + 1])
 
@@ -455,20 +461,21 @@ def test_vertex_pairings_match_root_eval(name, pairs, start, words, cuts):
 @pytest.mark.parametrize("system, data", _golden_paths())
 def test_path_invariants_make_no_root_eval_call(monkeypatch, system, data):
     """stats, ddim_events, codim_tilde and is_hecke read root values on the
-    path's integer view; root_eval (the Fraction reference) is not called."""
-    from heckepaths import galleries
+    path's integer view: no Fraction covector is evaluated (vdot_cov, the core
+    of the root_eval reference, is not called)."""
+    from heckepaths import galleries, root_system
     from heckepaths.errors import HPLError
     from heckepaths.paths import ddim_events
 
     path = path_from_json_dict(system, data)
     calls, done = [], []
-    root_eval = RootGeneratingSystem.root_eval
+    vdot_cov = root_system.vdot_cov
 
-    def counting(self, beta, v):
+    def counting(cov, v):
         calls.append(1)
-        return root_eval(self, beta, v)
+        return vdot_cov(cov, v)
 
-    monkeypatch.setattr(RootGeneratingSystem, "root_eval", counting)
+    monkeypatch.setattr(root_system, "vdot_cov", counting)
     for run in (
         lambda: stats(path),
         lambda: ddim_events(path),
@@ -481,6 +488,35 @@ def test_path_invariants_make_no_root_eval_call(monkeypatch, system, data):
         except HPLError:
             pass
     assert done and calls == []
+
+
+@pytest.mark.parametrize("system, data", _golden_paths())
+def test_checks_build_no_fraction_vertices(monkeypatch, system, data):
+    """is_hecke, is_ls, stats and ddim_events read the path's integer rows and
+    build no Fraction vertex or direction; parameter_pattern builds only the
+    point of each breakpoint gallery, once."""
+    from heckepaths.galleries import parameter_pattern
+    from heckepaths.paths import ddim_events
+
+    path = path_from_json_dict(system, data)
+    built = []
+    point, direction = LambdaPath.point, LambdaPath.direction_vector
+
+    def counting_point(self, j):
+        built.append(j % (self.r + 1))
+        return point(self, j)
+
+    def counting_direction(self, j):
+        built.append(("direction", j))
+        return direction(self, j)
+
+    monkeypatch.setattr(LambdaPath, "point", counting_point)
+    monkeypatch.setattr(LambdaPath, "direction_vector", counting_direction)
+    for check in (is_hecke, is_ls, stats, ddim_events):
+        _outcome(check, path, 20)
+    assert built == []
+    if not isinstance(_outcome(parameter_pattern, path, 20), tuple):  # a pattern, not an error
+        assert built == list(range(1, path.r))
 
 
 # -- the analysis record -----------------------------------------------------------

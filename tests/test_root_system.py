@@ -17,6 +17,7 @@ from conftest import (
     frac_vec,
     group_elements,
 )
+from test_chain_reference import reflect_by_root, root_covector, root_eval
 from test_gallery_reference import reflection_element
 from test_system_reference import solve_linear
 
@@ -214,7 +215,7 @@ class TestRealRoots:
         for beta in a2.real_roots_up_to_height(2):
             refl = reflection_element(a2, beta)
             assert a2.inversion_set(refl)  # sanity: nontrivial
-            cov = a2.root_covector(beta)
+            cov = root_covector(a2, beta)
             cv = coroot_combination(a2, beta.coroot_coeffs)
             # alpha(alpha^v) = 2 for every real root
             assert sum(a * b for a, b in zip(cov, cv)) == 2
@@ -469,8 +470,10 @@ class TestExactKernel:
         if negate:
             beta = beta.negated()
         expect = sum((c * ref_pairing(system, j, v) for j, c in enumerate(beta.coeffs)), F(0))
-        assert system.root_eval(beta, v) == expect
-        assert system.root_eval(beta, v) == expect  # covector now cached
+        assert root_eval(system, beta, v) == expect
+        # the library's route: the root's coefficients on the point's integer pairings
+        _, pairs, den = system._integer_point(v)
+        assert F(beta.value(pairs), den // system._cden) == expect
 
     @given(pairs=st.lists(st.tuples(kernel_entries, kernel_entries), max_size=6), extra=st.integers(1, 2))
     @settings(max_examples=200, deadline=None)
@@ -578,14 +581,18 @@ class TestExactKernel:
         beta = roots[k % len(roots)].negated() if negate else roots[k % len(roots)]
         coroot = coroot_combination(system, beta.coroot_coeffs)
         # alpha(alpha^v) = 2 for every real root
-        assert sum(a * b for a, b in zip(system.root_covector(beta), coroot)) == 2
+        assert sum(a * b for a, b in zip(root_covector(system, beta), coroot)) == 2
         value = sum((c * ref_pairing(system, j, v) for j, c in enumerate(beta.coeffs)), F(0))
         expect = tuple(F(x) - value * y for x, y in zip(v, coroot))
+        assert reflect_by_root(system, beta, v) == expect
         for owner in (system, SHARED[name]):
-            got = owner.reflect_by_root(beta, v)
+            # the library's route on the integer point; the pairings move with it
+            num, pairs, den = owner._integer_point(v)
+            got_num, got_pairs = owner._reflect_by_root(beta, num, pairs)
+            got = tuple(F(x, den) for x in got_num)
             assert got == expect
-            assert all(type(x) is F for x in got) or value == 0
-            assert owner.reflect_by_root(beta, got) == tuple(F(x) for x in v)
+            assert [F(p, den // owner._cden) for p in got_pairs] == [ref_pairing(owner, j, expect) for j in range(owner.n)]
+            assert owner._reflect_by_root(beta, got_num, got_pairs) == (num, pairs)
 
     @given(
         name=system_names,

@@ -70,6 +70,7 @@ def test_no_unused_module_imports():
 ENTRY_POINTS = {
     "build_parser",
     "gallery_from_json_dict",
+    "minimal_gallery",
     "enumerate_decorations",
     "reverse_path",
     "concat",
@@ -78,6 +79,7 @@ ENTRY_POINTS = {
     "eval_path",
     "bruhat_leq",  # RootGeneratingSystem: the Bruhat order
     "tits_cone_membership",  # RootGeneratingSystem: membership with its witness
+    "relative_length",  # RootGeneratingSystem: at a Fraction point; codim_tilde reads integer rows
     "endpoint_counts",  # CrystalGraph: the weight table of the crystal
 }
 
