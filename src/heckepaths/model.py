@@ -24,13 +24,13 @@ from .linalg import (
 )
 from .paths import (
     LambdaPath,
+    _chain_walk,
     _falling_wall_events,
-    chain_targets,
     path_to_json_dict,
     straight_path,
     try_operator,
 )
-from .root_system import IDENTITY, RootGeneratingSystem, dominance_difference
+from .root_system import IDENTITY, RootGeneratingSystem, _along, dominance_difference
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -268,20 +268,23 @@ class HeckePathWitness:
 
 
 def _cosets_up_to_length(system: RootGeneratingSystem, lam, max_len: int):
-    """Map each orbit vector of the dominant lam whose minimal coset representative
-    has length <= max_len to that representative.  When alpha_i(v) > 0 for v = w(lam),
-    w minimal, the rep of s_i v is s_i w: w^-1 alpha_i > 0 as lam is dominant."""
-    layer = [(tuple(Fraction(x) for x in lam), IDENTITY)]
-    out = dict(layer)
+    """Map the numerators of each orbit vector v of the dominant lam, an integer point,
+    whose minimal coset representative has length <= max_len to (v's pairings, that
+    representative).  When alpha_i(v) > 0 for v = w(lam), w minimal, the rep of s_i v
+    is s_i w: w^-1 alpha_i > 0 as lam is dominant."""
+    out = {tuple(lam[0]): (lam[1], IDENTITY)}
+    layer = list(out)
     for _ in range(max_len):
         nxt = []
-        for v, w in layer:
+        for v in layer:
+            p, w = out[v]
             for i in range(system.n):
-                if system.pairing(i, v) > 0:
-                    img = system.simple_reflection(i, v)
-                    if img not in out:
-                        out[img] = rep = system.normalize_word((i,) + w.word)
-                        nxt.append((img, rep))
+                if p[i] > 0:
+                    img, img_p = list(v), list(p)
+                    system._subtract_coroot(img, img_p, i, p[i])
+                    if tuple(img) not in out:
+                        nxt.append(tuple(img))
+                        out[nxt[-1]] = (img_p, system.normalize_word((i,) + w.word))
         layer = nxt
     return out
 
@@ -301,9 +304,10 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     and holds W lam; and since lam - w lam lies in Q^v_+ for every w (Kac,
     Infinite-dimensional Lie algebras, Prop. 3.12), (1 - t) lam minus the
     dominant conjugate of y1 - x lies in the real cone spanned by the simple
-    coroots.  The test reads this scale-free form on integers; in affine type
-    it reads the level without unwinding, and a point whose membership stays
-    unknown (indefinite type) is kept.
+    coroots.  The search carries x and xi as integer points, xi at the shape's
+    scale with its coset rep, and reads this test scale-free on them; in affine
+    type it reads the level without unwinding, and a point whose membership
+    stays unknown (indefinite type) is kept.
     """
     lam = tuple(Fraction(x) for x in lam)
     y0 = tuple(Fraction(x) for x in y0)
@@ -322,28 +326,31 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
         return []
     max_len = 2 * sum(gap)
     found = {}
+    lamp, y1p, cden = system._integer_point(lam), system._integer_point(y1), system._cden
 
     def descend(x, t, xi, reps, times, certs):
         # reps, times and certs: the coset reps and start times of the pieces so far, the chains between them
-        if vsub(y1, x) == vscale(ONE - t, xi):
+        end = _along(x, ONE - t, xi)
+        if not any(_along(y1p, -1, end)[0]):
             found.setdefault(LambdaPath(system, lam, y0, reps, times + (ONE,)), certs)
-        den, (px, pxi) = system._pairings([x, xi])
-        p, q = (ONE - t).numerator, (ONE - t).denominator  # the piece's ends x and x + (p / q) xi, over den q
-        piece = (reps[-1], t, ONE, [q * a for a in px], [q * a + p * b for a, b in zip(px, pxi)])
-        for ta, _ in _falling_wall_events(system, den * q, [piece], h, at_end=False):
+        piece = (reps[-1], t, ONE, [end[2] // x[2] * a for a in x[1]], end[1])
+        for ta, _ in _falling_wall_events(system, end[2] // cden, [piece], h, at_end=False):
             if ta == t:  # walls at the fold point itself; only those inside (t, 1) count
                 continue
-            z = vadd(x, vscale(ta - t, xi))
-            if not system._within_reach(lam, vsub(y1, z), ONE - ta):
+            z = _along(x, ta - t, xi)
+            if not system._within_reach(lamp, _along(y1p, -1, z), ONE - ta):
                 continue
-            targets = chain_targets(system, lam, z, xi, h, ta)
-            for xi_new, cert in sorted(targets.items(), key=lambda kv: kv[0]):
-                descend(z, ta, xi_new, reps + (cert.cosets[-1],), times + (ta,), certs + (cert,))
+            walk = _chain_walk(system, lamp, (z[2] // cden, z[1]), xi[:2], reps[-1], "hecke", ta, h)
+            # each reached xi has lamp's denominator, so its numerators order it as a vector
+            reached = [(system._act_integers(c.cosets[-1].word, *lamp[:2]), c) for c in walk]
+            for (num, pairs), cert in sorted(reached, key=lambda nc: nc[0][0]):
+                descend(z, ta, (num, pairs, lamp[2]), reps + (cert.cosets[-1],), times + (ta,), certs + (cert,))
 
-    if not system._within_reach(lam, nu, ONE):
+    if not system._within_reach(lamp, system._integer_point(nu), ONE):
         return []
-    for start_vec, rep in sorted(_cosets_up_to_length(system, lam, max_len).items()):
-        descend(y0, ZERO, start_vec, (rep,), (ZERO,), ())
+    y0p = system._integer_point(y0)
+    for num, (pairs, rep) in sorted(_cosets_up_to_length(system, lamp, max_len).items()):
+        descend(y0p, ZERO, (num, pairs, lamp[2]), (rep,), (ZERO,), ())
     ordered = sorted(
         found.items(), key=lambda kv: (kv[0].breakpoints, tuple(w.word for w in kv[0].directions))
     )

@@ -19,7 +19,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import inf, lcm
+from math import inf
 
 from .apartment import levels_crossed
 from .errors import (
@@ -42,7 +42,7 @@ from .linalg import (
     vsub,
     zero_vec,
 )
-from .root_system import IDENTITY, RootGeneratingSystem, WeylElement
+from .root_system import IDENTITY, RootGeneratingSystem, WeylElement, _along
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -87,19 +87,13 @@ class LambdaPath:
     def _vertex_rows(self):
         """(D, nums, pairs): pi(a_k) as the integer row nums[k] over D and alpha_j(pi(a_k))
         as pairs[k][j] over D / cden, summed piece by piece from the start and each
-        tau_k(shape); with B the lcm of the breakpoints' denominators, a_k B is an integer."""
-        snum, spairs, d0 = self.system._integer_point(self.start)
+        tau_k(shape); D is the last vertex's denominator, a multiple of the others."""
         d1 = self._shape_point[2]
-        b = lcm(*[t.denominator for t in self.breakpoints])
-        den = lcm(d0, d1 * b)
-        m0, m1 = den // d0, den // (d1 * b)
-        times = [t.numerator * (b // t.denominator) for t in self.breakpoints]
-        nums, pairs = [[x * m0 for x in snum]], [[x * m0 for x in spairs]]
-        for (qn, qp), a0, a1 in zip(self._direction_rows, times, times[1:]):
-            c = (a1 - a0) * m1
-            nums.append([x + c * y for x, y in zip(nums[-1], qn)])
-            pairs.append([x + c * y for x, y in zip(pairs[-1], qp)])
-        return den, nums, pairs
+        pts = [self.system._integer_point(self.start)]
+        for (qn, qp), t0, t1 in zip(self._direction_rows, self.breakpoints, self.breakpoints[1:]):
+            pts.append(_along(pts[-1], t1 - t0, (qn, qp, d1)))
+        den = pts[-1][2]
+        return den, [[x * (den // d) for x in n] for n, _, d in pts], [[x * (den // d) for x in p] for _, p, d in pts]
 
     @property
     def _vertex_pairings(self):
@@ -179,10 +173,11 @@ def from_segments(system: RootGeneratingSystem, start, segments, antidominant=Fa
     shape = zero_vec(system.rank_x)
     for dom, _ in doms:
         shape = vadd(shape, dom)
-    k = next(i for i, x in enumerate(shape) if x != 0)
+    k = next((i for i, x in enumerate(shape) if x != 0), None)
     pieces = []
     for disp, (dom, w) in zip(displacements, doms):
-        c = dom[k] / shape[k]
+        # positive multiples of one shape sum to a nonzero one, so a zero sum fails here
+        c = ZERO if k is None else dom[k] / shape[k]
         if c <= 0 or vscale(c, shape) != dom:
             raise NonLambdaPath("segment directions lie in different Weyl orbits")
         if pieces and pieces[-1][1] == w:
@@ -365,16 +360,6 @@ def _walk_vectors(system, shape, x, xi_from, kind, a_j, h, xi_to=None):
     lam = system._integer_point(shape)
     xi = system._act_integers(start.word, *lam[:2])
     return _chain_walk(system, lam, (den, pairs), xi, start, kind, a_j, h, target)
-
-
-def chain_targets(system, shape, x, xi_from, h, a_j=None):
-    """Every direction reachable from xi_from by a Hecke chain at x.
-
-    Maps the reached vector to one witnessing certificate, stamped with the
-    time a_j (prefixes of valid chains are valid chains, so this is a plain
-    reachability closure).
-    """
-    return {c.xis[-1]: c for c in _walk_vectors(system, shape, x, xi_from, "hecke", a_j, h)}
 
 
 def all_chains(system, shape, x, xi_from, xi_to, h, kind="hecke", a_j=None):

@@ -173,6 +173,14 @@ def _scaled_rows(vectors):
     return [[x.numerator * (den // x.denominator) for x in v] for v in vectors], den
 
 
+def _along(u, c, v):
+    """u + c v on integer points (num, pairs, den) of _integer_point, over lcm(den_u, q den_v), c = p / q."""
+    (un, up, ud), (vn, vp, vd), p, q = u, v, c.numerator, c.denominator
+    den = lcm(ud, q * vd)
+    a, b = den // ud, p * (den // (q * vd))
+    return [a * x + b * y for x, y in zip(un, vn)], [a * x + b * y for x, y in zip(up, vp)], den
+
+
 def _supports(rows):
     # nonzero entries of each integer row, as (coordinate, integer) pairs
     return tuple(tuple((t, a) for t, a in enumerate(row) if a) for row in rows)
@@ -707,20 +715,20 @@ class RootGeneratingSystem:
         _, w = self.orbit_unwind(v)
         return ("in", self.inverse(w))  # witness w with w(v) dominant
 
-    def _within_reach(self, lam: Vec, v: Vec, s: Fraction) -> bool:
+    def _within_reach(self, lam, v, s: Fraction) -> bool:
         """Whether v / s (s > 0) is in the Tits cone with its dominant conjugate in lam
         minus the real cone of the simple coroots, read scale-free on integers as
-        s lam minus the dominant conjugate of v.  A vector whose unwind passes its
-        cap (in indefinite type the step cap of tits_cone_membership) counts as in reach."""
-        num, pairs, den = self._integer_point(v)
+        s lam minus the dominant conjugate of v; lam and v are integer points of
+        _integer_point.  A vector whose unwind passes its cap (in indefinite type
+        the step cap of tits_cone_membership) counts as in reach."""
+        num, pairs, den = list(v[0]), list(v[1]), v[2]
         if self._outside_by_level(num):
             return False
         cap = _TITS_STEP_CAP if self.classify_type() == "indefinite" else _UNWIND_GUARD
         if self._unwind(num, pairs, False, cap) is None:
             return True
-        (lnum,), d = _scaled_rows([lam])
-        p, q = s.numerator * den, s.denominator * d
-        sol, _ = self._coroot_solve([p * a - q * b for a, b in zip(lnum, num)])
+        p, q = s.numerator * den, s.denominator * lam[2]
+        sol, _ = self._coroot_solve([p * a - q * b for a, b in zip(lam[0], num)])
         return sol is not None and all(c >= 0 for c in sol)
 
     # -- serialization -------------------------------------------------------

@@ -27,7 +27,6 @@ from heckepaths.model import (
     multiplicity,
 )
 from heckepaths.paths import (
-    chain_targets,
     from_segments,
     is_hecke,
     is_ls,
@@ -37,7 +36,7 @@ from heckepaths.paths import (
 from heckepaths.root_system import dominance_difference
 
 from conftest import all_words, frac_vec
-from test_chain_reference import root_eval
+from test_chain_reference import chain_targets, root_eval
 
 
 @contextlib.contextmanager
@@ -102,10 +101,11 @@ def random_hecke_paths(system, shapes, count, seed, h=20):
     rng = random.Random(seed)
     out = []
     seen = set()
-    orbits = {
-        lam: sorted(_cosets_up_to_length(system, lam, 2 * int(system.rho_value(lam))))
-        for lam in shapes
-    }
+    orbits = {}
+    for lam in shapes:  # the orbit walk's numerators, all over the shape's denominator
+        point = system._integer_point(lam)
+        cosets = _cosets_up_to_length(system, point, 2 * int(system.rho_value(lam)))
+        orbits[lam] = [tuple(F(x, point[2]) for x in num) for num in sorted(cosets)]
     guard = 0
     while len(out) < count and guard < 100 * count:
         guard += 1

@@ -6,8 +6,9 @@ scale of the shape's integer point.  The reference below is the former
 candidate routine on Fraction vectors: ``reflect_by_root``, the coset rep from
 ``coset_of_vector`` and LS condition ii from ``root_eval``.  Both must give the
 same candidates and blocked conditions for both kinds on A2, B2, G2, A3,
-A1^(1) and ``B2rational``.  ``root_covector``, ``root_eval`` and
-``reflect_by_root`` live here now that the library no longer calls them.
+A1^(1) and ``B2rational``.  ``root_covector``, ``root_eval``,
+``reflect_by_root`` and ``chain_targets`` live here now that the library no
+longer calls them.
 
 ``is_hecke``, ``is_ls`` and ``decorate_with_max_chains`` take their chains
 from one walk per breakpoint.  Here each breakpoint is searched again on its
@@ -29,7 +30,15 @@ from heckepaths.errors import FormatError, HPLError, NotHecke
 from heckepaths.galleries import decorate_with_max_chains, fold_gallery, minimal_gallery
 from heckepaths.linalg import is_integral_vec
 from heckepaths.model import enumerate_hecke
-from heckepaths.paths import _chain_candidates, all_chains, find_chain, is_hecke, is_ls, path_from_json_dict
+from heckepaths.paths import (
+    _chain_candidates,
+    _walk_vectors,
+    all_chains,
+    find_chain,
+    is_hecke,
+    is_ls,
+    path_from_json_dict,
+)
 from heckepaths.root_system import vdot_cov
 
 from conftest import KERNEL_SYSTEMS, coroot_combination, frac_vec
@@ -53,6 +62,13 @@ def reflect_by_root(system, root, v):
     """r_beta(v) = v - beta(v) beta^v on Fraction vectors."""
     c = root_eval(system, root, v)
     return tuple(F(x) - c * y for x, y in zip(v, coroot_combination(system, root.coroot_coeffs)))
+
+
+def chain_targets(system, shape, x, xi_from, h, a_j=None):
+    """Every direction reachable from xi_from by a Hecke chain at x, as a Fraction
+    vector mapped to one witnessing certificate stamped with the time a_j: the
+    chain walk entered from vectors, each unwound to its coset rep."""
+    return {c.xis[-1]: c for c in _walk_vectors(system, shape, x, xi_from, "hecke", a_j, h)}
 
 
 def ref_chain_candidates(system, shape, den, pairs, rep, xi, kind, a_j, h):

@@ -1,7 +1,7 @@
 """enumerate_hecke against a brute-force reference enumerator.
 
 The reference shares none of the search logic of ``model.enumerate_hecke``
-(no fold times from inversion roots, no ``chain_targets``, no reachability
+(no fold times from inversion roots, no chain walk, no reachability
 prune).  It builds every piecewise-linear path that could be a Hecke path
 and keeps those that ``is_hecke`` accepts and that end at y1:
 
@@ -127,7 +127,7 @@ def test_enumerate_hecke_equals_reference(system, lam, y0, y1, h):
 
 
 
-# (id, system, shape, y0, y1, witnesses, chain_targets calls)
+# (id, system, shape, y0, y1, witnesses, fold-point chain walks)
 WORK_CASES = [
     ("A2-22-11", A2, (2, 2), (0, 0), (1, 1), 3, 7),
     ("B2-23-11", B2, (2, 3), (0, 0), (1, 1), 5, 12),
@@ -139,21 +139,44 @@ WORK_CASES = [
     "system,lam,y0,y1,witnesses,calls", [c[1:] for c in WORK_CASES], ids=[c[0] for c in WORK_CASES]
 )
 def test_chain_targets_calls(monkeypatch, system, lam, y0, y1, witnesses, calls):
-    """chain_targets runs only at fold points from which y1 is in reach.
+    """The chain targets of a fold point are walked only where y1 is in reach.
 
     Reach is tested once per fold point, before the chain walk there.  When
-    it was tested at the entry of each child instead, after chain_targets
-    had run, these queries made 13, 28 and 69 calls.
+    it was tested at the entry of each child instead, after the walk had
+    run, these queries made 13, 28 and 69 walks.
     """
     from heckepaths import model
 
     calls_made = []
-    chain_targets = model.chain_targets
+    chain_walk = model._chain_walk
 
     def counting(*args, **kwargs):
         calls_made.append(1)
-        return chain_targets(*args, **kwargs)
+        return chain_walk(*args, **kwargs)
 
-    monkeypatch.setattr(model, "chain_targets", counting)
+    monkeypatch.setattr(model, "_chain_walk", counting)
     assert len(enumerate_hecke(system, lam, y0, y1, H)) == witnesses
     assert len(calls_made) == calls
+
+
+@pytest.mark.parametrize(
+    "system,lam,y0,y1,witnesses", [c[1:6] for c in WORK_CASES], ids=[c[0] for c in WORK_CASES]
+)
+def test_enumeration_unwinds_no_vector(monkeypatch, system, lam, y0, y1, witnesses):
+    """The search walks each fold point's chains from the coset rep and the
+    integer direction it carries, so it never unwinds a vector."""
+    calls = []
+
+    def counting(name):
+        method = getattr(RootGeneratingSystem, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return method(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("coset_of_vector", "orbit_unwind"):
+        monkeypatch.setattr(RootGeneratingSystem, name, counting(name))
+    assert len(enumerate_hecke(system, lam, y0, y1, H)) == witnesses
+    assert calls == []

@@ -1,6 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckepaths.errors import CapHit, NotDominant, UnsupportedType
 from heckepaths.model import (
@@ -211,6 +214,35 @@ class TestEnumerateHecke:
             assert rebuilt == w.path  # shape, start, coset reps and breakpoints
 
 
+# (system, shape, nu) with witnesses from 0 to nu; the simple roots of from_gcm
+# take integer values on Y, so every wall is carried by a shift in Y to a wall
+TRANSLATION_CASES = {
+    "A2-21": ([[2, -1], [-1, 2]], (2, 1), (0, 0)),
+    "A2-22": ([[2, -1], [-1, 2]], (2, 2), (1, 1)),
+    "B2-23": ([[2, -2], [-1, 2]], (2, 3), (1, 1)),
+    "B2-12": ([[2, -2], [-1, 2]], (1, 2), (0, 1)),
+    "G2-21": ([[2, -1], [-3, 2]], (2, 1), (0, 0)),
+    "A1aff-002": ([[2, -2], [-2, 2]], (0, 0, 2), (-2, -1, 2)),
+    "A1aff-012": ([[2, -2], [-2, 2]], (0, 1, 2), (0, -1, 2)),
+}
+
+
+@given(case=st.sampled_from(sorted(TRANSLATION_CASES)), shift=st.lists(st.integers(-4, 4), min_size=3, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_enumeration_commutes_with_translation(case, shift):
+    """enumerate_hecke(lam, y0, y0 + nu) is the y0 = 0 result moved by y0: the same
+    directions, fold times and certificates (times, roots, cosets and xi's)."""
+    entries, lam, nu = TRANSLATION_CASES[case]
+    system = RootGeneratingSystem.from_gcm(entries)
+    y0 = tuple(shift[: len(lam)])
+    base = enumerate_hecke(system, lam, (0,) * len(lam), nu)
+    moved = enumerate_hecke(system, lam, y0, tuple(a + b for a, b in zip(y0, nu)))
+    assert base and len(moved) == len(base)
+    for w, v in zip(base, moved):
+        assert v.path == replace(w.path, start=y0)  # shape, start, directions and breakpoints
+        assert v.certificates == w.certificates
+
+
 class TestOracleAgreement:
     @pytest.mark.parametrize("lam", [(1,), (2,), (3,)])
     def test_a1(self, a1, lam):
@@ -283,8 +315,9 @@ def _highest_root_coroot(system):
 
 
 class TestCosetsUpToLength:
-    """The orbit walk's reps, read off as s_i w, against coset_of_vector.
-    Shapes are given by their pairings alpha_j(lam), some of them on walls."""
+    """The orbit walk's reps, read off as s_i w, against coset_of_vector, and its
+    integer points against their Fraction vectors and pairings.  Shapes are given
+    by their pairings alpha_j(lam), some of them on walls."""
 
     CASES = {
         "A2": ([[2, -1], [-1, 2]], [(1, 1), (2, 0), (0, 1), (0, 0)]),
@@ -302,7 +335,13 @@ class TestCosetsUpToLength:
         for pairs in shapes:
             lam = solve_linear(system.simple_roots, frac_vec(*pairs))
             assert [system.pairing(j, lam) for j in range(system.n)] == list(pairs)
-            got = _cosets_up_to_length(system, lam, max_len)
+            point = system._integer_point(lam)
+            got = {}
+            for num, (p, rep) in _cosets_up_to_length(system, point, max_len).items():
+                v = tuple(F(x, point[2]) for x in num)
+                pairs_den = point[2] // system._cden
+                assert [F(a, pairs_den) for a in p] == [system.pairing(j, v) for j in range(system.n)]
+                got[v] = rep
             for v, rep in got.items():
                 assert system.coset_of_vector(v, lam).element == rep and rep.length <= max_len
             # every orbit vector whose rep is short enough, from the group elements up to that length

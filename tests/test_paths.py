@@ -16,7 +16,6 @@ from heckepaths.linalg import vadd, vscale
 from heckepaths.paths import (
     LambdaPath,
     all_chains,
-    chain_targets,
     concat,
     eval_path,
     find_chain,
@@ -31,7 +30,7 @@ from heckepaths.paths import (
 )
 
 from conftest import KERNEL_SYSTEMS, frac_vec
-from test_chain_reference import root_eval
+from test_chain_reference import chain_targets, root_eval
 from test_system_reference import solve_linear
 
 
@@ -120,6 +119,14 @@ class TestConcat:
         p2 = straight_path(a2, frac_vec(2, 1), frac_vec(1, 1))
         with pytest.raises(NonLambdaPath):
             concat(p1, p2)
+
+    def test_central_directions_summing_to_zero_flagged(self):
+        # c = (1, 1, 0) is central in A1^(1): c and -c are their own dominant
+        # conjugates, in different Weyl orbits, and their sum is the zero shape
+        system = RootGeneratingSystem.from_gcm([[2, -2], [-2, 2]])
+        c = frac_vec(1, 1, 0)
+        with pytest.raises(NonLambdaPath, match="different Weyl orbits"):
+            concat(straight_path(system, c), straight_path(system, frac_vec(-1, -1, 0)))
 
     def test_compatible_orbit_merges(self, a2):
         # a path of shape s_2(1,1) continues a (1,1)-path inside one orbit

@@ -625,7 +625,7 @@ class TestExactKernel:
             v = tuple(F(x) for x in v_any[: system.rank_x])
         v = tuple(s * x for x in v)
         expect = ref_within_reach(system, lam, tuple(x / s for x in v))
-        assert system._within_reach(lam, v, s) is expect
+        assert system._within_reach(system._integer_point(lam), system._integer_point(v), s) is expect
         if shape == "orbit":
             assert expect is (in_span and all(c >= 0 for c in below[: system.n]))
 
@@ -640,7 +640,7 @@ class TestExactKernel:
             ref_within_reach(system, lam, v)  # orbit_unwind gives up
         with pytest.raises(FormatError, match="outside the Tits cone"):
             system.orbit_unwind(v, antidominant=True)  # positive level: v is not in minus the Tits cone
-        assert system._within_reach(lam, v, F(1)) is True
+        assert system._within_reach(system._integer_point(lam), system._integer_point(v), F(1)) is True
 
     @given(name=system_names, raw=st.lists(st.integers(0, 2), max_size=10))
     @settings(max_examples=80, deadline=None)

@@ -44,6 +44,19 @@ def test_doctests():
     assert {name: r.failed for name, r in results.items() if r.failed} == {}
 
 
+def test_no_next_without_default():
+    # next(it) without a default lets StopIteration escape as a traceback, or end
+    # an enclosing generator without a word; give a default and test for it
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "next":
+                if len(node.args) + len(node.keywords) < 2:
+                    found.append(f"{module.name}:{node.lineno}")
+    assert not found, f"next() without a default in the library: {found}"
+
+
 def _import_bindings(tree):
     """(name, line) for each name a module-level import binds, __future__ aside."""
     for node in tree.body:
@@ -80,6 +93,7 @@ ENTRY_POINTS = {
     "bruhat_leq",  # RootGeneratingSystem: the Bruhat order
     "tits_cone_membership",  # RootGeneratingSystem: membership with its witness
     "relative_length",  # RootGeneratingSystem: at a Fraction point; codim_tilde reads integer rows
+    "simple_reflection",  # RootGeneratingSystem: r_i on a Fraction vector; perfbench/record.py calls it
     "endpoint_counts",  # CrystalGraph: the weight table of the crystal
 }
 
