@@ -16,7 +16,6 @@ from .linalg import (
     Vec,
     format_vector,
     is_integral_vec,
-    is_zero_vec,
     vadd,
     vscale,
     vsub,
@@ -248,7 +247,7 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
     def mult(nu):
         # weights of V(lam) lie in the Tits cone; the oracle unwinds nothing outside
         # it (_DualData has refused indefinite type, where the level rule says nothing)
-        if system._outside_by_level(nu):
+        if system._outside_by_level(system._pairings([nu])[1][0]):
             return 0
         dom, _ = system.orbit_unwind(nu)
         if not is_integral_vec(dom):
@@ -309,30 +308,31 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     type it reads the level without unwinding, and a point whose membership
     stays unknown (indefinite type) is kept.
     """
-    lam = tuple(Fraction(x) for x in lam)
-    y0 = tuple(Fraction(x) for x in y0)
-    y1 = tuple(Fraction(x) for x in y1)
-    if not system.is_dominant(lam):
+    lam, y0, y1 = (tuple(Fraction(x) for x in v) for v in (lam, y0, y1))
+    lamp, y0p, y1p = map(system._integer_point, (lam, y0, y1))
+    if any(p < 0 for p in lamp[1]):
         raise NotDominant("enumerate_hecke needs a dominant shape")
-    if not (is_integral_vec(lam) and is_integral_vec(y0) and is_integral_vec(y1)):
+    scale, cden = system._rden * system._cden, system._cden
+    if any(v[2] != scale for v in (lamp, y0p, y1p)):
         raise FormatError("enumerate_hecke endpoints and shape must lie in Y")
-    if is_zero_vec(lam):
-        if y0 == y1:
-            return [HeckePathWitness(straight_path(system, lam, y0), ())]
+    if not any(lamp[0]):
+        return [HeckePathWitness(straight_path(system, lam, y0), ())] if y0 == y1 else []
+    nup = _along(y1p, -1, y0p)
+    gap, den = system._coroot_solve([a - b for a, b in zip(lamp[0], nup[0])])  # lam - nu over the coroots
+    if gap is None or any(c < 0 or c % (den * scale) for c in gap):
         return []
-    nu = vsub(y1, y0)
-    gap = dominance_difference(system, lam, nu)
-    if gap is None:
-        return []
-    max_len = 2 * sum(gap)
+    max_len = 2 * sum(gap) // (den * scale)
     found = {}
-    lamp, y1p, cden = system._integer_point(lam), system._integer_point(y1), system._cden
 
-    def descend(x, t, xi, reps, times, certs):
-        # reps, times and certs: the coset reps and start times of the pieces so far, the chains between them
+    def descend(pts, xis, reps, times, certs):
+        # per piece so far: its start point, integer direction xi at lamp's scale, coset rep and
+        # start time; certs: the chains between them.  A path found takes the rows summed here
+        x, t, xi = pts[-1], times[-1], (*xis[-1], lamp[2])
         end = _along(x, ONE - t, xi)
         if not any(_along(y1p, -1, end)[0]):
-            found.setdefault(LambdaPath(system, lam, y0, reps, times + (ONE,)), certs)
+            path = LambdaPath(system, lam, y0, reps, times + (ONE,))
+            vars(path).update(_shape_point=lamp, _direction_rows=xis, _vertex_points=[*pts, end])
+            found.setdefault(path, certs)
         piece = (reps[-1], t, ONE, [end[2] // x[2] * a for a in x[1]], end[1])
         for ta, _ in _falling_wall_events(system, end[2] // cden, [piece], h, at_end=False):
             if ta == t:  # walls at the fold point itself; only those inside (t, 1) count
@@ -340,17 +340,15 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
             z = _along(x, ta - t, xi)
             if not system._within_reach(lamp, _along(y1p, -1, z), ONE - ta):
                 continue
-            walk = _chain_walk(system, lamp, (z[2] // cden, z[1]), xi[:2], reps[-1], "hecke", ta, h)
+            walk = _chain_walk(system, lamp, (z[2] // cden, z[1]), xis[-1], reps[-1], "hecke", ta, h)
             # each reached xi has lamp's denominator, so its numerators order it as a vector
-            reached = [(system._act_integers(c.cosets[-1].word, *lamp[:2]), c) for c in walk]
-            for (num, pairs), cert in sorted(reached, key=lambda nc: nc[0][0]):
-                descend(z, ta, (num, pairs, lamp[2]), reps + (cert.cosets[-1],), times + (ta,), certs + (cert,))
+            for c in sorted(walk, key=lambda c: c._xi_points[1][-1][0]):
+                descend(pts + (z,), xis + c._xi_points[1][-1:], reps + c.cosets[-1:], times + (ta,), certs + (c,))
 
-    if not system._within_reach(lamp, system._integer_point(nu), ONE):
+    if not system._within_reach(lamp, nup, ONE):
         return []
-    y0p = system._integer_point(y0)
     for num, (pairs, rep) in sorted(_cosets_up_to_length(system, lamp, max_len).items()):
-        descend(y0p, ZERO, (num, pairs, lamp[2]), (rep,), (ZERO,), ())
+        descend((y0p,), ((list(num), pairs),), (rep,), (ZERO,), ())
     ordered = sorted(
         found.items(), key=lambda kv: (kv[0].breakpoints, tuple(w.word for w in kv[0].directions))
     )

@@ -84,15 +84,17 @@ class LambdaPath:
         return tuple(self.system._act_integers(w.word, num, pairs) for w in self.directions)
 
     @cached_property
-    def _vertex_rows(self):
-        """(D, nums, pairs): pi(a_k) as the integer row nums[k] over D and alpha_j(pi(a_k))
-        as pairs[k][j] over D / cden, summed piece by piece from the start and each
-        tau_k(shape); D is the last vertex's denominator, a multiple of the others."""
-        d1 = self._shape_point[2]
+    def _vertex_points(self) -> list:
+        """pi(a_k) as integer points, summed piece by piece from the start and each tau_k(shape)."""
         pts = [self.system._integer_point(self.start)]
         for (qn, qp), t0, t1 in zip(self._direction_rows, self.breakpoints, self.breakpoints[1:]):
-            pts.append(_along(pts[-1], t1 - t0, (qn, qp, d1)))
-        den = pts[-1][2]
+            pts.append(_along(pts[-1], t1 - t0, (qn, qp, self._shape_point[2])))
+        return pts
+
+    @cached_property
+    def _vertex_rows(self):
+        """(D, nums, pairs): the vertex points as integer rows over D, the last one's den (pairs over D / cden)."""
+        pts, den = self._vertex_points, self._vertex_points[-1][2]
         return den, [[x * (den // d) for x in n] for n, _, d in pts], [[x * (den // d) for x in p] for _, p, d in pts]
 
     @property
@@ -260,6 +262,26 @@ def concat(p1: LambdaPath, p2: LambdaPath) -> LambdaPath:
 # -- chains ------------------------------------------------------------------
 
 
+class _XiPoints(tuple):
+    """(den, points): a walked chain's xi's as integer points (numerators, pairings) over den."""
+
+
+class _Xis:
+    """ChainCertificate.xis, a data descriptor: xi's given as _XiPoints stay readable
+    in _xi_points and become Fraction vectors on first read (by ==, hash and repr too)."""
+
+    def __get__(self, cert, owner=None):
+        if cert is None:  # no class default, so the field stays a required argument
+            raise AttributeError("xis")
+        if "xis" not in vars(cert):
+            den, points = cert._xi_points
+            vars(cert)["xis"] = tuple(tuple(Fraction(x, den) for x in num) for num, _ in points)
+        return vars(cert)["xis"]
+
+    def __set__(self, cert, xis):
+        vars(cert)["_xi_points" if type(xis) is _XiPoints else "xis"] = xis
+
+
 @dataclass(frozen=True)
 class ChainCertificate:
     """Witness for the breakpoint condition of a Hecke or LS path."""
@@ -267,7 +289,7 @@ class ChainCertificate:
     t: Fraction
     kind: str  # "hecke" or "ls"
     roots: tuple  # tuple[RealRoot]
-    xis: tuple  # tuple[Vec], length s + 1
+    xis: tuple = _Xis()  # tuple[Vec], length s + 1
     cosets: tuple  # tuple[WeylElement] minimal reps, length s + 1
 
     @property
@@ -320,8 +342,7 @@ def _chain_walk(system, shape, xp, xi_from, start, kind, a_j, h, target=None, bl
     seen = set()
 
     def certificate(roots, xis, cosets):
-        vectors = tuple(tuple(Fraction(x, shape[2]) for x in num) for num, _ in xis)
-        return ChainCertificate(t, kind, roots, vectors, cosets)
+        return ChainCertificate(t, kind, roots, _XiPoints((shape[2], xis)), cosets)
 
     def walk(rep, roots, xis, cosets):
         if target is not None:
@@ -452,8 +473,9 @@ def is_ls(path: LambdaPath, h: int = 20) -> CheckResult:
         return CheckResult(True, ())
     result = _breakpoint_chains(path, "ls", h)[0]
     if path.in_Y:
+        # ddim as stats counts it: a root falling on a piece is an inversion root of its rep (dominant shape)
         rho_gap = path.system.rho_value(vsub(tuple(path.shape), path.nu))
-        alt = is_hecke(path, h).ok and stats(path, h).ddim == rho_gap
+        alt = is_hecke(path, h).ok and sum(len(roots) for _, roots in ddim_events(path, h)) == rho_gap
         if alt != result.ok:
             raise CrossCheckMismatch(
                 f"LS chain search says {result.ok}, Hecke+ddim characterization says {alt}"
@@ -541,10 +563,11 @@ def _falling_wall_events(sys_: RootGeneratingSystem, den, pieces, h: int, at_end
 def ddim_events(path: LambdaPath, h: int = 20):
     """Times t > 0 where walls are reached from above: list of (t, [roots]).
 
-    Groups the ddim count by time; the roots at time t are exactly the true
-    walls counted by the relative length of the incoming direction there.
+    Groups the ddim count by time; the roots at time t are exactly the true walls counted
+    by the relative length of the incoming direction there.  Kept per path and h; a fresh list.
     """
-    return _falling_wall_events(path.system, path._vertex_pairings[0], path._pieces(), h, at_end=True)
+    den = path._vertex_pairings[0]
+    return list(_analysed(path, ("ddim", h), lambda: _falling_wall_events(path.system, den, path._pieces(), h, True)))
 
 
 # -- root operators ------------------------------------------------------------

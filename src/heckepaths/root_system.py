@@ -258,7 +258,6 @@ class RootGeneratingSystem:
         self._inversion_cache = {}
         self._roots_cache = []  # list of (height, RealRoot), sorted, grows monotonically
         self._roots_cache_bound = 0
-        self._delta_cov = None
 
     # -- construction ------------------------------------------------------
 
@@ -571,14 +570,14 @@ class RootGeneratingSystem:
         key = (tuple(num), antidominant)
         out = self._unwind_cache.get(key)
         if out is None:
-            num, pairs = list(num), list(pairs)
-            letters = self._unwind(num, pairs, antidominant, _UNWIND_GUARD)
+            v0, p0 = list(num), list(pairs)
+            letters = self._unwind(v0, p0, antidominant, _UNWIND_GUARD)
             if letters is None:
                 why = f"outside the Tits cone: its unwind passed {_UNWIND_GUARD} reflections"
-                if not antidominant and self.classify_type() == "affine" and not self._outside_by_level(key[0]):
+                if not antidominant and self.classify_type() == "affine" and not self._outside_by_level(pairs):
                     why = f"in the Tits cone, but its minimal coset word is longer than {_UNWIND_GUARD} letters"
-                raise FormatError(f"vector ({','.join(format_vector([Fraction(x, den) for x in key[0]]))}) {why}")
-            out = self._unwind_cache[key] = (self.normalize_word(letters), tuple(num))
+                raise FormatError(f"vector ({','.join(format_vector([Fraction(x, den) for x in num]))}) {why}")
+            out = self._unwind_cache[key] = (self.normalize_word(letters), tuple(v0))
         return out
 
     def coset_of_vector(self, xi: Vec, lam: Vec, antidominant=False) -> CosetRep:
@@ -678,21 +677,19 @@ class RootGeneratingSystem:
             c = tuple(-x for x in c)
         return tuple(int(x) for x in scale_to_primitive_integers(c))
 
-    def delta_covector(self) -> Vec:
-        """delta as a covector on Y (affine type only); delta(v) is the level of v."""
-        if self._delta_cov is None:
-            pairs = list(zip(self.null_root_coeffs(), self.simple_roots))
-            self._delta_cov = tuple(sum((c * r[t] for c, r in pairs), Fraction(0)) for t in range(self.rank_x))
-        return self._delta_cov
+    @cached_property
+    def _level_coeffs(self):
+        """The null root's coefficients in affine type, where delta(v) is the level of v; else None."""
+        return self.null_root_coeffs() if self.classify_type() == "affine" else None
 
-    def _outside_by_level(self, v) -> bool:
-        """Whether the affine level rule puts v, or any positive multiple of it,
-        outside the Tits cone: in affine type iff its level is negative, or zero
-        with a nonzero pairing; never in other types."""
-        if self.classify_type() != "affine":
+    def _outside_by_level(self, pairs) -> bool:
+        """Whether the affine level rule puts a point with these integer pairings (over any
+        positive denominator) outside the Tits cone: in affine type iff its level sum_j c_j
+        alpha_j(v) is negative, or zero with a nonzero pairing; never in other types."""
+        if self._level_coeffs is None:
             return False
-        level = vdot_cov(self.delta_covector(), v)
-        return level < 0 or level == 0 and any(self.pairing(i, v) for i in range(self.n))
+        level = sum(map(mul, self._level_coeffs, pairs))
+        return level < 0 or level == 0 and any(pairs)
 
     def tits_cone_membership(self, v: Vec, step_cap: int = _TITS_STEP_CAP):
         """Decide v in T; returns ("in", witness) / ("out", None) / ("unknown", None).
@@ -703,16 +700,13 @@ class RootGeneratingSystem:
         Indefinite type: in once an unwind of at most step_cap reflections
         ends, "unknown" otherwise.
         """
-        kind = self.classify_type()
-        v = tuple(Fraction(x) for x in v)
-        if kind == "indefinite":
-            letters = self._unwind(*self._integer_point(v)[:2], False, step_cap)
-            if letters is None:
-                return ("unknown", None)
-            return ("in", self.normalize_word(letters[::-1]))
-        if self._outside_by_level(v):
+        num, pairs, den = self._integer_point(tuple(map(Fraction, v)))
+        if self.classify_type() == "indefinite":
+            letters = self._unwind(num, pairs, False, step_cap)
+            return ("unknown", None) if letters is None else ("in", self.normalize_word(letters[::-1]))
+        if self._outside_by_level(pairs):
             return ("out", None)
-        _, w = self.orbit_unwind(v)
+        w, _ = self._unwound(num, pairs, den)
         return ("in", self.inverse(w))  # witness w with w(v) dominant
 
     def _within_reach(self, lam, v, s: Fraction) -> bool:
@@ -722,7 +716,7 @@ class RootGeneratingSystem:
         _integer_point.  A vector whose unwind passes its cap (in indefinite type
         the step cap of tits_cone_membership) counts as in reach."""
         num, pairs, den = list(v[0]), list(v[1]), v[2]
-        if self._outside_by_level(num):
+        if self._outside_by_level(pairs):
             return False
         cap = _TITS_STEP_CAP if self.classify_type() == "indefinite" else _UNWIND_GUARD
         if self._unwind(num, pairs, False, cap) is None:

@@ -10,6 +10,11 @@ A1^(1) and ``B2rational``.  ``root_covector``, ``root_eval``,
 ``reflect_by_root`` and ``chain_targets`` live here now that the library no
 longer calls them.
 
+A certificate keeps its xi's as the walk's integer points and builds ``xis``
+on first read.  For the certificates of ``enumerate_hecke``, ``is_hecke`` and
+``is_ls``, ``xis`` must be the Fraction vectors of the former walk, and ``==``,
+``hash`` and ``repr`` those of a certificate built from them.
+
 ``is_hecke``, ``is_ls`` and ``decorate_with_max_chains`` take their chains
 from one walk per breakpoint.  Here each breakpoint is searched again on its
 own: the certificates must be those of ``find_chain``, and every decoration
@@ -31,6 +36,8 @@ from heckepaths.galleries import decorate_with_max_chains, fold_gallery, minimal
 from heckepaths.linalg import is_integral_vec
 from heckepaths.model import enumerate_hecke
 from heckepaths.paths import (
+    ChainCertificate,
+    LambdaPath,
     _chain_candidates,
     _walk_vectors,
     all_chains,
@@ -231,3 +238,46 @@ def test_decoration_folds_along_first_longest_chain(path):
         gallery = fold_gallery(minimal_gallery(path.system, z, path.directions[j - 1]), chain.roots)
         expected.append((t, gallery))
     assert list(decorate_with_max_chains(path).galleries) == expected
+
+
+def _fresh(path):
+    """The same path with an empty analysis record, so its certificates are new."""
+    return LambdaPath(path.system, path.shape, path.start, path.directions, path.breakpoints)
+
+
+def _enumerated_certificates():
+    out = []
+    queries = {"A2": ((2, 2), (1, 1)), "B2": ((2, 3), (1, 1)), "G2": ((2, 1), (0, 0)), "A1aff": ((0, 0, 2), (-2, -1, 2))}
+    for name, (lam, y1) in queries.items():
+        system = CANDIDATE_SYSTEMS[name]
+        for k, w in enumerate(enumerate_hecke(system, lam, system.zero(), y1)):
+            out += [pytest.param(system, lam, c, id=f"{name}-{k}-{j}") for j, c in enumerate(w.certificates)]
+    return out
+
+
+def _check_certificate(system, shape, cert):
+    """xis against the Fraction vectors of the former walk: xi_0 = tau_0(shape) and
+    xi_k = r_(beta_k)(xi_(k-1)), each tau_k(shape); ==, hash and repr as for the
+    certificate built from those vectors.  Hashing comes first, before xis is read."""
+    xis = [system.act(cert.cosets[0], shape)]
+    for beta, rep in zip(cert.roots, cert.cosets[1:]):
+        xis.append(reflect_by_root(system, beta, xis[-1]))
+        assert xis[-1] == system.act(rep, shape)
+    ref = ChainCertificate(cert.t, cert.kind, cert.roots, tuple(xis), cert.cosets)
+    assert "xis" not in vars(cert)  # built on first read, not by the walk
+    assert hash(cert) == hash(ref) and cert == ref and repr(cert) == repr(ref)
+    assert cert.xis == tuple(xis) and all(type(x) is F for xi in cert.xis for x in xi)
+
+
+@pytest.mark.parametrize("system, shape, cert", _enumerated_certificates())
+def test_enumerated_certificate_xis_equal_the_fraction_walk(system, shape, cert):
+    _check_certificate(system, tuple(map(F, shape)), cert)
+
+
+@pytest.mark.parametrize("path", PATHS)
+@pytest.mark.parametrize("check", [is_hecke, is_ls])
+def test_recognized_certificate_xis_equal_the_fraction_walk(path, check):
+    if not path.shape_is_dominant:
+        return
+    for cert in check(_fresh(path)).certificates:
+        _check_certificate(path.system, path.shape, cert)

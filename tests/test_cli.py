@@ -379,6 +379,36 @@ class TestReports:
         report = json.loads(out1)
         assert report["count"] == 3
 
+    @pytest.mark.parametrize(
+        "lam, y0, y1, status, message",
+        [
+            ("-1,0", "0,0", "0,0", 1, "no: enumerate_hecke needs a dominant shape"),
+            ("1/2,1/2", "0,0", "0,0", 2, "error: enumerate_hecke endpoints and shape must lie in Y"),
+            ("1,1", "0,0", "1/3,0", 2, "error: enumerate_hecke endpoints and shape must lie in Y"),
+            ("-1/2,0", "1/2,0", "0,0", 1, "no: enumerate_hecke needs a dominant shape"),
+        ],
+        ids=["not-dominant", "shape-off-Y", "y1-off-Y", "both"],
+    )
+    def test_enumerate_entry_errors(self, files, capsys, lam, y0, y1, status, message):
+        got = run(capsys, "enumerate-hecke", "--system", files["a2"], f"--lambda={lam}", f"--y0={y0}", f"--y1={y1}")
+        assert got == (status, "", message + "\n")
+
+    def test_enumerate_zero_shape_is_the_constant_path(self, files, capsys):
+        status, out, _ = run(
+            capsys, "enumerate-hecke", "--system", files["a2"], "--lambda", "0,0",
+            "--y0=1,-2", "--y1=1,-2", "--format", "json",
+        )
+        assert status == 0 and json.loads(out) == {
+            "count": 1,
+            "paths": [
+                {
+                    "path": {"lambda": ["0", "0"], "start": ["1", "-2"], "directions": [[]], "breakpoints": ["0", "1"]},
+                    "certificates": [],
+                    "ls": True,
+                }
+            ],
+        }
+
     def test_enumerate_affine_depth_four(self, tmp_path, capsys):
         # pinned on the code before the reachability prune (8.5 s there):
         # the exact JSON bytes of a level-2 A1^(1) query at endpoint depth 4

@@ -180,3 +180,36 @@ def test_enumeration_unwinds_no_vector(monkeypatch, system, lam, y0, y1, witness
         monkeypatch.setattr(RootGeneratingSystem, name, counting(name))
     assert len(enumerate_hecke(system, lam, y0, y1, H)) == witnesses
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "system,lam,y0,y1,witnesses", [c[1:6] for c in WORK_CASES[:2]], ids=[c[0] for c in WORK_CASES[:2]]
+)
+def test_enumerate_query_builds_no_root_closure(monkeypatch, tmp_path, capsys, system, lam, y0, y1, witnesses):
+    """A finite-type hpl enumerate-hecke query reads each witness's LS cross-check off
+    its ddim events, so it never tallies stats or closes the positive roots."""
+    import json
+
+    from heckepaths import paths
+    from heckepaths.cli import main
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        RootGeneratingSystem, "real_roots_up_to_height", counting("roots", RootGeneratingSystem.real_roots_up_to_height)
+    )
+    monkeypatch.setattr(paths, "_tally", counting("tally", paths._tally))
+    sys_file = tmp_path / "system.json"
+    sys_file.write_text(json.dumps({"cartan_matrix": [list(row) for row in system.gcm.entries]}))
+    argv = [f"--{k}={','.join(map(str, v))}" for k, v in (("lambda", lam), ("y0", y0), ("y1", y1))]
+    assert main(["enumerate-hecke", "--system", str(sys_file), *argv, "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["count"] == witnesses and any(p["ls"] for p in report["paths"])
+    assert calls == []

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckepaths.errors import CapHit, NotDominant, UnsupportedType
+from heckepaths.errors import CapHit, FormatError, NotDominant, UnsupportedType
 from heckepaths.model import (
     _cosets_up_to_length,
     enumerate_hecke,
@@ -173,6 +173,21 @@ class TestEnumerateHecke:
         assert w.certificates == () and is_hecke(w.path).ok
         assert enumerate_hecke(a2, frac_vec(0, 0), y0, frac_vec(1, -1)) == []
 
+    @pytest.mark.parametrize(
+        "lam, y0, y1, error",
+        [
+            ((-1, 0), (0, 0), (0, 0), NotDominant),  # pairings (-2, 1)
+            ((F(1, 2), F(1, 2)), (0, 0), (0, 0), FormatError),  # dominant, not in Y
+            ((1, 1), (F(1, 2), 0), (0, 0), FormatError),
+            ((1, 1), (0, 0), (0, F(-1, 3)), FormatError),
+            ((F(-1, 2), 0), (0, 0), (F(1, 2), 0), NotDominant),  # both: dominance is checked first
+        ],
+        ids=["not-dominant", "shape-off-Y", "y0-off-Y", "y1-off-Y", "both"],
+    )
+    def test_entry_errors(self, a2, lam, y0, y1, error):
+        with pytest.raises(error, match="dominant shape" if error is NotDominant else "must lie in Y"):
+            enumerate_hecke(a2, lam, y0, y1)
+
     def test_a2_loop_counts(self, a2):
         res = enumerate_hecke(a2, frac_vec(1, 1), frac_vec(0, 0), frac_vec(0, 0))
         assert len(res) == 3
@@ -241,6 +256,40 @@ def test_enumeration_commutes_with_translation(case, shift):
     for w, v in zip(base, moved):
         assert v.path == replace(w.path, start=y0)  # shape, start, directions and breakpoints
         assert v.certificates == w.certificates
+
+
+# (Cartan matrix, shapes in the coroot basis of from_gcm, each with a pairing 0, and endpoints
+# y1, None for every weight of V(lam))
+WITNESS_ROW_CASES = {
+    "A2": ([[2, -1], [-1, 2]], [(2, 1), (1, 2)], None),
+    "B2": ([[2, -2], [-1, 2]], [(1, 1), (1, 2)], None),
+    "G2": ([[2, -1], [-3, 2]], [(2, 1), (3, 2)], None),
+    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [(1, 1, 1), (1, 2, 1)], None),
+    "A1aff": ([[2, -2], [-2, 2]], [(0, 0, 2), (0, 1, 2)], [(-2, -1, 2), (-1, -1, 2), (0, -2, 2), (0, -1, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_ROW_CASES))
+def test_witnesses_carry_the_rows_of_a_fresh_path(name):
+    """Each witness holds the shape point, direction rows and vertex points the search
+    summed, before any reader asks for them; they equal those a fresh path with the
+    same fields computes, and so do the vertex rows read from them."""
+    from heckepaths.paths import LambdaPath
+
+    entries, shapes, targets = WITNESS_ROW_CASES[name]
+    system = RootGeneratingSystem.from_gcm(entries)
+    origin = (0,) * system.rank_x
+    count = 0
+    for lam in shapes:
+        assert 0 in [system.pairing(j, frac_vec(*lam)) for j in range(system.n)]
+        ys = targets or sorted({p.endpoint for p in generate_ls_paths(system, lam).nodes})
+        for w in (w for y1 in ys for w in enumerate_hecke(system, lam, origin, y1)):
+            received = {k: vars(w.path)[k] for k in ("_shape_point", "_direction_rows", "_vertex_points")}
+            fresh = LambdaPath(system, w.path.shape, w.path.start, w.path.directions, w.path.breakpoints)
+            assert received == {k: getattr(fresh, k) for k in received}
+            assert w.path._vertex_rows == fresh._vertex_rows
+            count += 1
+    assert count >= 10
 
 
 class TestOracleAgreement:

@@ -2,6 +2,7 @@ import copy
 import json
 import pickle
 from fractions import Fraction as F
+from functools import cache
 from math import inf
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from heckepaths.paths import (
     LambdaPath,
     all_chains,
     concat,
+    ddim_events,
     eval_path,
     find_chain,
     is_hecke,
@@ -28,9 +30,11 @@ from heckepaths.paths import (
     stats,
     straight_path,
 )
+from heckepaths.model import enumerate_hecke, generate_ls_paths
 
 from conftest import KERNEL_SYSTEMS, frac_vec
 from test_chain_reference import chain_targets, root_eval
+from test_model import WITNESS_ROW_CASES
 from test_system_reference import solve_linear
 
 
@@ -413,6 +417,53 @@ def test_cached_geometry_matches_accumulation(name, pairs, anti, start, words, c
     words = [[i % system.n for i in w] for w in words[: len(bps) + 1]]
     path = make_path(system, shape, start[: system.rank_x], words, [F(0), *bps, F(1)])
     check_geometry(path)
+
+
+# the five systems of the ddim identity: the Cartan matrices of the witness-row cases
+DDIM_SYSTEMS = {name: RootGeneratingSystem.from_gcm(case[0]) for name, case in WITNESS_ROW_CASES.items()}
+
+
+@cache
+def _hecke_pool(name):
+    """The enumerated Hecke paths of the witness-row case, from 0 to each of its endpoints."""
+    system = DDIM_SYSTEMS[name]
+    _, shapes, targets = WITNESS_ROW_CASES[name]
+    out = []
+    for lam in shapes:
+        ys = targets or sorted({p.endpoint for p in generate_ls_paths(system, lam).nodes})
+        out += [w.path for y1 in ys for w in enumerate_hecke(system, lam, system.zero(), y1)]
+    return out
+
+
+@given(
+    name=st.sampled_from(sorted(DDIM_SYSTEMS)),
+    hecke=st.booleans(),
+    index=st.integers(0, 10**6),
+    pairs=st.lists(st.integers(0, 3), min_size=3, max_size=3),
+    start=st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3),
+    words=st.lists(st.lists(st.integers(0, 2), max_size=5), min_size=1, max_size=4),
+    cuts=st.sets(st.fractions(0, 1, max_denominator=12), max_size=5),
+)
+@settings(max_examples=120, deadline=None)
+def test_stats_ddim_counts_the_ddim_event_roots(name, hecke, index, pairs, start, words, cuts):
+    """On a dominant shape a root that falls on a piece is an inversion root of its
+    rep, so the roots of the ddim events are the walls stats counts in ddim; is_ls
+    reads its cross-check off the events and agrees with the stats route."""
+    system = DDIM_SYSTEMS[name]
+    if hecke:
+        pool = _hecke_pool(name)
+        path = pool[index % len(pool)]
+    else:
+        shape = solve_linear(system.simple_roots, [F(p) for p in pairs[: system.n]])
+        bps = sorted(cuts - {0, 1})[: len(words) - 1]
+        words = [[i % system.n for i in w] for w in words[: len(bps) + 1]]
+        path = make_path(system, shape, start[: system.rank_x], words, [F(0), *bps, F(1)])
+    events = ddim_events(path)
+    assert stats(path).ddim == sum(len(roots) for _, roots in events)
+    assert ddim_events(path) == events and ddim_events(path) is not events
+    if path.in_Y and not path.is_constant:
+        gap = system.rho_value(tuple(a - b for a, b in zip(path.shape, path.nu)))
+        assert is_ls(path).ok == (is_hecke(path).ok and stats(path).ddim == gap)
 
 
 def _golden_paths():
