@@ -96,10 +96,11 @@ def _check(args, kind):
         "path": paths.path_to_json_dict(path),
     }
     if kind == "ls" and path.in_Y:
-        st = paths.stats(path, args.h)
+        # ddim as is_ls read it: the roots of the path's ddim events
+        ddim = sum(len(roots) for _, roots in paths.ddim_events(path, args.h))
         hecke = paths.is_hecke(path, args.h).ok
         gap = path.system.rho_value(tuple(a - b for a, b in zip(path.shape, path.nu)))
-        report["cross_check"] = {"ddim": st.ddim, "rho_gap": format_rational(gap), "hecke": hecke}
+        report["cross_check"] = {"ddim": ddim, "rho_gap": format_rational(gap), "hecke": hecke}
     _emit(report, args.format, [f"{kind}: {'yes' if res.ok else 'no'}"] + ([res.reason] if res.reason else []))
     return 0 if res.ok else 1
 

@@ -64,10 +64,10 @@ class GalleryAtPoint:
 
     @cached_property
     def _point_pairings(self):
-        return self.system._pairings([self.point])
+        return self.system._pairings(self.point)
 
     def step_is_true(self, j: int) -> bool:
-        den, (pairs,) = self._point_pairings
+        den, pairs = self._point_pairings
         return self.step_root(j).value(pairs) % den == 0
 
     def trueness(self):
@@ -111,7 +111,7 @@ def minimal_gallery(system: RootGeneratingSystem, z, word) -> GalleryAtPoint:
     if system.normalize_word(word).length != len(word):
         raise FormatError("gallery type must be a reduced word")
     z = tuple(Fraction(x) for x in z)
-    return _gallery(system, z, word, (), system._pairings([z]))
+    return _gallery(system, z, word, (), system._pairings(z))
 
 
 def fold_gallery(gallery: GalleryAtPoint, chain_roots) -> GalleryAtPoint:
@@ -122,7 +122,7 @@ def fold_gallery(gallery: GalleryAtPoint, chain_roots) -> GalleryAtPoint:
     step crossing that wall from its positive side.
     """
     sys_ = gallery.system
-    den, (pairs,) = gallery._point_pairings
+    den, pairs = gallery._point_pairings
     for k, beta in enumerate(chain_roots, start=1):
         beta = beta if beta.is_positive else beta.negated()
         if beta.value(pairs) % den:
@@ -134,7 +134,7 @@ def fold_gallery(gallery: GalleryAtPoint, chain_roots) -> GalleryAtPoint:
         spot = next((j for j, g in steps if g == beta and j not in gallery.folds), None)
         if spot is None:
             raise FoldNotApplicable(k, f"no positive crossing of {beta!r} to fold at")
-        gallery = _gallery(sys_, gallery.point, gallery.type_word, gallery.folds | {spot}, (den, (pairs,)))
+        gallery = _gallery(sys_, gallery.point, gallery.type_word, gallery.folds | {spot}, (den, pairs))
     return gallery
 
 
@@ -153,14 +153,14 @@ def galleries_of_type(system, z, word, target_direction):
     """
     word = tuple(word)
     z = tuple(Fraction(x) for x in z)
-    den, (pairs,) = system._pairings([z])
+    den, pairs = system._pairings(z)
     out = []
 
     def extend(j, end, folds, gammas):
         if j == len(word):
             # the closed end chamber germ contains the ray along the target direction
             if system.is_dominant(system.act(system.inverse(end), target_direction)):
-                out.append(_gallery(system, z, word, folds, (den, (pairs,))))
+                out.append(_gallery(system, z, word, folds, (den, pairs)))
             return
         extend(j + 1, system.mult(end, system.normalize_word((word[j],))), folds, gammas)
         if gammas[j].is_positive and gammas[j].value(pairs) % den == 0:
@@ -194,7 +194,7 @@ def _decorate(path: LambdaPath, h: int) -> DecoratedHeckePath:
     galleries = []
     for j, chains in enumerate(_hecke_chains(path, h), start=1):
         chain = max(chains, key=lambda c: c.s)
-        g = _gallery(path.system, path.point(j), path.directions[j - 1].word, (), (den, (rows[j],)))
+        g = _gallery(path.system, path.point(j), path.directions[j - 1].word, (), (den, rows[j]))
         galleries.append((chain.t, fold_gallery(g, chain.roots)))
     return DecoratedHeckePath(path, tuple(galleries))
 

@@ -29,7 +29,7 @@ from .paths import (
     straight_path,
     try_operator,
 )
-from .root_system import IDENTITY, RootGeneratingSystem, _along, dominance_difference
+from .root_system import IDENTITY, RootGeneratingSystem, _along, _coroot_gap, dominance_difference
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -182,11 +182,9 @@ class _DualData:
         return v
 
     def pair(self, coeffs, v) -> Fraction:
-        """(dual root with these coefficients, v), for v in Y x Q."""
-        return sum(
-            (Fraction(c) * self.dsym[i] * self.system.pairing(i, v) for i, c in enumerate(coeffs) if c),
-            ZERO,
-        )
+        """(dual root with these coefficients, v), for v in Y x Q, read off v's integer pairings."""
+        den, pairs = self.system._pairings(v)
+        return Fraction(sum(c * d.numerator * p for c, d, p in zip(coeffs, self.dsym, pairs)), den)
 
 
 def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) -> int:
@@ -247,7 +245,7 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
     def mult(nu):
         # weights of V(lam) lie in the Tits cone; the oracle unwinds nothing outside
         # it (_DualData has refused indefinite type, where the level rule says nothing)
-        if system._outside_by_level(system._pairings([nu])[1][0]):
+        if system._outside_by_level(system._pairings(nu)[1]):
             return 0
         dom, _ = system.orbit_unwind(nu)
         if not is_integral_vec(dom):
@@ -318,10 +316,10 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     if not any(lamp[0]):
         return [HeckePathWitness(straight_path(system, lam, y0), ())] if y0 == y1 else []
     nup = _along(y1p, -1, y0p)
-    gap, den = system._coroot_solve([a - b for a, b in zip(lamp[0], nup[0])])  # lam - nu over the coroots
-    if gap is None or any(c < 0 or c % (den * scale) for c in gap):
+    gap = _coroot_gap(system, lamp, nup)  # lam - nu over the coroots
+    if gap is None:
         return []
-    max_len = 2 * sum(gap) // (den * scale)
+    max_len = 2 * sum(gap)
     found = {}
 
     def descend(pts, xis, reps, times, certs):

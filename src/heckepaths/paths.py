@@ -152,6 +152,21 @@ class LambdaPath:
         return f"LambdaPath({pts})"
 
 
+def _from_reps(system: RootGeneratingSystem, shape: Vec, start: Vec, pieces) -> LambdaPath:
+    """The path of this shape from start whose pieces are (coset rep, end time), in
+    order, with equal neighbouring reps merged into one piece."""
+    if len(start) != system.rank_x:
+        raise FormatError(f"start has {len(start)} coordinates, system has rank {system.rank_x}")
+    reps, times = [], [ZERO]
+    for w, t in pieces:
+        if reps and reps[-1] == w:
+            times[-1] = t
+        else:
+            reps.append(w)
+            times.append(t)
+    return LambdaPath(system, shape, start, tuple(reps), tuple(times))
+
+
 def from_segments(system: RootGeneratingSystem, start, segments, antidominant=False) -> LambdaPath:
     """Canonical path from raw (duration, derivative) pieces.
 
@@ -170,53 +185,43 @@ def from_segments(system: RootGeneratingSystem, start, segments, antidominant=Fa
             continue
         displacements.append(disp)
     if not displacements:
-        return LambdaPath(system, zero_vec(system.rank_x), start, (IDENTITY,), (ZERO, ONE))
+        return _from_reps(system, zero_vec(system.rank_x), start, [(IDENTITY, ONE)])
     doms = [system.orbit_unwind(disp, antidominant=antidominant) for disp in displacements]
     shape = zero_vec(system.rank_x)
     for dom, _ in doms:
         shape = vadd(shape, dom)
     k = next((i for i, x in enumerate(shape) if x != 0), None)
-    pieces = []
-    for disp, (dom, w) in zip(displacements, doms):
+    pieces, t = [], ZERO
+    for dom, w in doms:
         # positive multiples of one shape sum to a nonzero one, so a zero sum fails here
         c = ZERO if k is None else dom[k] / shape[k]
         if c <= 0 or vscale(c, shape) != dom:
             raise NonLambdaPath("segment directions lie in different Weyl orbits")
-        if pieces and pieces[-1][1] == w:
-            pieces[-1] = (pieces[-1][0] + c, w)
-        else:
-            pieces.append((c, w))
-    if sum(p[0] for p in pieces) != 1:
+        t += c
+        pieces.append((w, t))
+    if t != 1:
         raise CrossCheckMismatch("segment fractions of the shape do not sum to 1")
-    breakpoints = [ZERO]
-    for c, _ in pieces:
-        breakpoints.append(breakpoints[-1] + c)
-    breakpoints[-1] = ONE
-    return LambdaPath(system, shape, start, tuple(w for _, w in pieces), tuple(breakpoints))
+    return _from_reps(system, shape, start, pieces)
 
 
 def make_path(system: RootGeneratingSystem, shape, start, direction_words, breakpoints) -> LambdaPath:
-    """Build a path from a shape, direction words and breakpoint times."""
+    """Build a path from a shape, direction words and breakpoint times; each piece's
+    coset rep comes from one integer unwind of w(shape)."""
     shape = tuple(Fraction(x) for x in shape)
-    anti = False
-    if not system.is_dominant(shape):
-        if system.is_antidominant(shape):
-            anti = True
-        else:
-            raise NotDominant("path shape must be dominant (or antidominant)")
+    num, pairs, den = system._integer_point(shape)
+    anti = any(p < 0 for p in pairs)
+    if anti and any(p > 0 for p in pairs):
+        raise NotDominant("path shape must be dominant (or antidominant)")
     bps = [Fraction(b) for b in breakpoints]
     if len(bps) != len(direction_words) + 1 or bps[0] != 0 or bps[-1] != 1:
         raise FormatError("breakpoints must run from 0 to 1 with one piece per direction")
     if any(b1 <= b0 for b0, b1 in zip(bps, bps[1:])):
         raise FormatError("breakpoints must be strictly increasing")
-    segs = []
-    for word, b0, b1 in zip(direction_words, bps, bps[1:]):
+    pieces = []
+    for word, t in zip(direction_words, bps[1:]):
         w = word if isinstance(word, WeylElement) else system.normalize_word(word)
-        segs.append((b1 - b0, system.act(w, shape)))
-    path = from_segments(system, start, segs, antidominant=anti)
-    if not is_zero_vec(shape) and path.shape != shape:
-        raise FormatError("directions and breakpoints do not match the declared shape")
-    return path
+        pieces.append((system._unwound(*system._act_integers(w.word, num, pairs), den, anti)[0], t))
+    return _from_reps(system, shape, tuple(Fraction(x) for x in start), pieces)
 
 
 def straight_path(system: RootGeneratingSystem, lam, start=None) -> LambdaPath:
@@ -240,9 +245,9 @@ def eval_path(path: LambdaPath, t) -> Vec:
 
 
 def reverse_path(path: LambdaPath) -> LambdaPath:
-    segs = [(t1 - t0, vneg(der)) for t0, t1, der in reversed(path.segments())]
-    anti = path.shape_is_dominant and not path.is_constant
-    return from_segments(path.system, path.endpoint, segs, antidominant=anti)
+    """The path run backwards: shape -lambda, the reps in reverse order, times 1 - t."""
+    ends = [ONE - t for t in reversed(path.breakpoints[:-1])]
+    return _from_reps(path.system, vneg(path.shape), path.endpoint, zip(reversed(path.directions), ends))
 
 
 def concat(p1: LambdaPath, p2: LambdaPath) -> LambdaPath:
@@ -370,17 +375,14 @@ def _walk_vectors(system, shape, x, xi_from, kind, a_j, h, xi_to=None):
     """_chain_walk between vectors, each unwound once to its coset rep."""
     if kind not in ("hecke", "ls"):
         raise FormatError(f"unknown chain kind {kind!r}")
-    if len(x) != system.rank_x:
-        raise FormatError(f"point has {len(x)} coordinates, system has rank {system.rank_x}")
     if kind == "ls" and a_j is None:
         raise FormatError("an LS chain needs its breakpoint time a_j, and none was given")
     shape = tuple(map(Fraction, shape))
     start = system.coset_of_vector(tuple(map(Fraction, xi_from)), shape).element
     target = None if xi_to is None else system.coset_of_vector(tuple(map(Fraction, xi_to)), shape).element
-    den, (pairs,) = system._pairings([tuple(map(Fraction, x))])
     lam = system._integer_point(shape)
     xi = system._act_integers(start.word, *lam[:2])
-    return _chain_walk(system, lam, (den, pairs), xi, start, kind, a_j, h, target)
+    return _chain_walk(system, lam, system._pairings(tuple(map(Fraction, x))), xi, start, kind, a_j, h, target)
 
 
 def all_chains(system, shape, x, xi_from, xi_to, h, kind="hecke", a_j=None):
@@ -597,19 +599,13 @@ def _reflect_piece(path: LambdaPath, i: int, t_lo, t_hi) -> LambdaPath:
     """The path with s_i applied over [t_lo, t_hi].  A piece of rep w along
     which alpha_i moves takes the rep s_i w, minimal in its coset by Deodhar's
     lemma because s_i w(lambda) != w(lambda); a flat piece keeps w."""
-    reps, times = [], [ZERO]
+    pieces = []
     for w, t0, t1, p0, p1 in path._pieces():
         cuts = sorted({t0, t1, *(t for t in (t_lo, t_hi) if t0 < t < t1)})
         for a, b in zip(cuts, cuts[1:]):
-            v = w
-            if t_lo <= a and b <= t_hi and p0[i] != p1[i]:
-                v = path.system.normalize_word((i,) + w.word)
-            if reps and reps[-1] == v:
-                times[-1] = b
-            else:
-                reps.append(v)
-                times.append(b)
-    return LambdaPath(path.system, path.shape, path.start, tuple(reps), tuple(times))
+            moved = t_lo <= a and b <= t_hi and p0[i] != p1[i]
+            pieces.append((path.system.normalize_word((i,) + w.word) if moved else w, b))
+    return _from_reps(path.system, path.shape, path.start, pieces)
 
 
 def root_operator(kind: str, i: int, path: LambdaPath) -> LambdaPath:
@@ -701,10 +697,6 @@ def path_from_json_dict(system: RootGeneratingSystem, data: dict) -> LambdaPath:
     if any(i.denominator != 1 for word in words for i in word):
         raise FormatError("generator indices in directions must be integers")
     words = [tuple(int(i) - 1 for i in word) for word in words]
-    if len(shape) != system.rank_x or len(start) != system.rank_x:
-        raise FormatError(
-            f"path vectors have {len(shape)} coordinates, system has rank {system.rank_x}"
-        )
     return make_path(system, shape, start, words, bps)
 
 

@@ -41,7 +41,6 @@ from .linalg import (
     nullspace,
     parse_vector,
     scale_to_primitive_integers,
-    vsub,
     zero_vec,
 )
 
@@ -306,10 +305,11 @@ class RootGeneratingSystem:
         if k < 0:
             m, k = [[-x for x in row] for row in m], -k
         inverse = [row[rank_x:] for row in m]
-        rho = [Fraction(0)] * rank_x
+        rho = [0] * rank_x  # k rho, on integers
         for p, row in zip(pivots, inverse):
-            rho[p] = Fraction(self._cden * sum(row), k)
-        self.rho = tuple(rho)
+            rho[p] = self._cden * sum(row)
+        self._rho = (rho, k)
+        self.rho = tuple(Fraction(x, k) for x in rho)
         # the coefficients of v over k: row i of the transposed inverse, times cden, times v on P
         self._coroot_inverse = (pivots, tuple(tuple(self._cden * row[i] for row in inverse) for i in range(n)), k)
 
@@ -320,22 +320,23 @@ class RootGeneratingSystem:
 
     def pairing(self, i: int, v: Vec) -> Fraction:
         """alpha_i(v)."""
-        return vdot_cov(self.simple_roots[i], v)
+        den, pairs = self._pairings(v)
+        return Fraction(pairs[i], den)
 
     def simple_reflection(self, i: int, v: Vec) -> Vec:
         """r_i(v) = v - alpha_i(v) alpha_i^v."""
-        c = self.pairing(i, v)
-        if c == 0:
-            return tuple(v)
-        return tuple(x - c * y for x, y in zip(v, self.simple_coroots[i]))
+        return self.act(WeylElement((i,)), v)
 
     def _integer_point(self, v: Vec):
         """v as integer numerators over one denominator, with its pairings.
 
         With D the lcm of v's denominators, returns (num, pairs, den): num
         over den = D rden cden are the coordinates of v, and pairs over
-        D rden its pairings alpha_j(v).
+        D rden its pairings alpha_j(v).  Raises FormatError unless v has
+        rank_x coordinates.
         """
+        if len(v) != self.rank_x:
+            raise FormatError(f"vector has {len(v)} coordinates, system has rank {self.rank_x}")
         (num,), d = _scaled_rows([v])
         pairs = [sum(a * num[t] for t, a in row) for row in self._root_support]
         scale = self._rden * self._cden
@@ -343,11 +344,11 @@ class RootGeneratingSystem:
             num = [x * scale for x in num]
         return num, pairs, d * scale
 
-    def _pairings(self, points):
-        """(E, rows): the pairings alpha_j(p_k) of the points p_k as the integers
-        rows[k][j] over E = D rden, D the lcm of the points' denominators."""
-        nums, d = _scaled_rows(points)
-        return d * self._rden, [[sum(a * v[t] for t, a in row) for row in self._root_support] for v in nums]
+    def _pairings(self, v: Vec):
+        """(E, pairs): the pairings alpha_j(v) as the integers pairs[j] over E = D rden,
+        D the lcm of v's denominators."""
+        _, pairs, den = self._integer_point(v)
+        return den // self._cden, pairs
 
     def _subtract_coroot(self, num: list, pairs: list, i: int, m: int):
         """v - (m / E) alpha_i^v on an integer point in place, E its pairings' denominator,
@@ -406,13 +407,11 @@ class RootGeneratingSystem:
 
     def rho_value(self, v: Vec) -> Fraction:
         """rho(v); canonical on the span of the coroots."""
-        return vdot_cov(self.rho, v)
+        (rho, k), (num, _, den) = self._rho, self._integer_point(v)
+        return Fraction(sum(map(mul, rho, num)), k * den)
 
     def is_dominant(self, v: Vec) -> bool:
-        return all(self.pairing(i, v) >= 0 for i in range(self.n))
-
-    def is_antidominant(self, v: Vec) -> bool:
-        return all(self.pairing(i, v) <= 0 for i in range(self.n))
+        return all(p >= 0 for p in self._integer_point(v)[1])
 
     def coroot_coordinates(self, v: Vec):
         """Coefficients of v over the simple coroots, or None if outside their span.
@@ -423,7 +422,7 @@ class RootGeneratingSystem:
         """
         if not self.n:
             return None
-        (num,), d = _scaled_rows([v])
+        num, _, d = self._integer_point(v)
         sol, den = self._coroot_solve(num)
         return None if sol is None else tuple(Fraction(c, d * den) for c in sol)
 
@@ -625,8 +624,7 @@ class RootGeneratingSystem:
 
     def relative_length(self, x: Vec, w: WeylElement, h: int) -> int:
         """Number of inversion roots of w taking an integer value at x."""
-        den, (pairs,) = self._pairings([x])
-        return self._relative_length(w, den, pairs, h)
+        return self._relative_length(w, *self._pairings(x), h)
 
     def _relative_length(self, w: WeylElement, den, pairs, h: int) -> int:
         """relative_length at the point whose pairings are the integers pairs over den."""
@@ -771,30 +769,15 @@ class RootGeneratingSystem:
         return f"RootGeneratingSystem({self.gcm.entries!r})"
 
 
-def vdot_cov(cov, v) -> Fraction:
-    """cov(v) as an exact Fraction, for entries that are ints or Fractions.
-
-    Zero entries of cov are skipped.  The sum runs over integer numerators
-    on one common denominator, so a single Fraction is built at the end.
-    """
-    num, den = 0, 1
-    for a, b in zip(cov, v, strict=True):
-        if a:
-            n = a.numerator * b.numerator
-            d = a.denominator * b.denominator
-            if d == den:
-                num += n
-            else:
-                num, den = num * d + n * den, den * d
-    return Fraction(num, den)
-
-
 def dominance_difference(system: RootGeneratingSystem, lam: Vec, mu: Vec):
     """Coefficients of lam - mu over the simple coroots if non-negative integers, else None."""
-    diff = vsub(tuple(Fraction(x) for x in lam), tuple(Fraction(x) for x in mu))
-    coords = system.coroot_coordinates(diff)
-    if coords is None:
+    return _coroot_gap(system, system._integer_point(lam), system._integer_point(mu))
+
+
+def _coroot_gap(system: RootGeneratingSystem, lam, mu):
+    """dominance_difference on integer points of _integer_point."""
+    num, _, den = _along(lam, -1, mu)
+    sol, sden = system._coroot_solve(num)
+    if sol is None or any(c < 0 or c % (den * sden) for c in sol):
         return None
-    if any(c < 0 or Fraction(c).denominator != 1 for c in coords):
-        return None
-    return tuple(int(c) for c in coords)
+    return tuple(c // (den * sden) for c in sol)

@@ -46,10 +46,9 @@ from heckepaths.paths import (
     is_ls,
     path_from_json_dict,
 )
-from heckepaths.root_system import vdot_cov
 
 from conftest import KERNEL_SYSTEMS, coroot_combination, frac_vec
-from test_system_reference import solve_linear
+from test_system_reference import solve_linear, vdot_cov
 
 # -- the Fraction reference ------------------------------------------------------
 
@@ -138,7 +137,7 @@ def test_candidates_match_fraction_reference(name, shape_pairs, point_pairs, ext
     w = system.normalize_word([i % system.n for i in word])
     rep = system.coset_of_vector(system.act(w, shape), shape).element
     xi = system.act(rep, shape)
-    den, (pairs,) = system._pairings([x])
+    den, pairs = system._pairings(x)
     expect = _outcome(ref_chain_candidates, system, shape, den, pairs, rep, xi, kind, a_j, 20)
     num, lam_pairs, lam_den = system._integer_point(shape)
     lam = (tuple(num), lam_den // system._cden)

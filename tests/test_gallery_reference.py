@@ -86,7 +86,7 @@ def _on_positive_side(system, chamber, beta):
 
 
 def _is_true(gallery, beta):
-    den, (pairs,) = gallery.system._pairings([gallery.point])
+    den, pairs = gallery.system._pairings(gallery.point)
     return beta.value(pairs) % den == 0
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from heckepaths import RootGeneratingSystem
 from heckepaths.apartment import levels_crossed
 from heckepaths.errors import FormatError, HPLError, NonLambdaPath, OutOfRange
-from heckepaths.linalg import vadd, vscale
+from heckepaths.linalg import nullspace, vadd, vscale
 from heckepaths.paths import (
     LambdaPath,
     all_chains,
@@ -21,6 +21,7 @@ from heckepaths.paths import (
     ddim_events,
     eval_path,
     find_chain,
+    from_segments,
     is_hecke,
     is_ls,
     make_path,
@@ -30,12 +31,14 @@ from heckepaths.paths import (
     stats,
     straight_path,
 )
-from heckepaths.model import enumerate_hecke, generate_ls_paths
+from heckepaths.model import enumerate_hecke, freudenthal_multiplicity, generate_ls_paths, multiplicity
+from heckepaths.root_system import WeylElement
 
 from conftest import KERNEL_SYSTEMS, frac_vec
-from test_chain_reference import chain_targets, root_eval
+from test_chain_reference import CANDIDATE_SYSTEMS, chain_targets, root_eval
 from test_model import WITNESS_ROW_CASES
-from test_system_reference import solve_linear
+from test_root_system import ref_act
+from test_system_reference import solve_linear, vdot_cov
 
 
 @pytest.fixture()
@@ -419,6 +422,92 @@ def test_cached_geometry_matches_accumulation(name, pairs, anti, start, words, c
     check_geometry(path)
 
 
+# -- paths from their coset reps, against the former segments route ------------------
+
+
+def ref_make_path(system, shape, start, words, bps):
+    """The former make_path: act each word on the shape as a Fraction vector, then let
+    from_segments unwind each displacement back to its coset rep."""
+    shape = tuple(F(x) for x in shape)
+    pairs = [vdot_cov(alpha, shape) for alpha in system.simple_roots]
+    anti = any(p < 0 for p in pairs)
+    segs = [(b1 - b0, ref_act(system, w, shape)) for w, b0, b1 in zip(words, bps, bps[1:])]
+    return from_segments(system, start, segs, antidominant=anti)
+
+
+def ref_reverse_path(path):
+    """The former reverse_path: the segments run backwards with negated derivatives."""
+    segs = [(t1 - t0, tuple(-x for x in der)) for t0, t1, der in reversed(path.segments())]
+    anti = path.shape_is_dominant and not path.is_constant
+    return from_segments(path.system, path.endpoint, segs, antidominant=anti)
+
+
+@given(
+    name=st.sampled_from(sorted(CANDIDATE_SYSTEMS)),
+    pairs=st.lists(st.sampled_from([0, 0, 1, 2, F(1, 2), F(5, 3)]), min_size=3, max_size=3),
+    central=st.fractions(-2, 2, max_denominator=3),
+    anti=st.booleans(),
+    start=st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3),
+    words=st.lists(st.lists(st.integers(0, 2), max_size=5), min_size=1, max_size=4),
+    cuts=st.sets(st.fractions(0, 1, max_denominator=12), max_size=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_paths_from_reps_equal_the_segments_route(name, pairs, central, anti, start, words, cuts):
+    # shapes on walls (zero pairings), central shapes of A1^(1) (all pairings zero,
+    # moved along the kernel of the simple roots), the zero shape and antidominant shapes
+    system = CANDIDATE_SYSTEMS[name]
+    shape = solve_linear(system.simple_roots, [F(p) for p in pairs[: system.n]])
+    for basis in nullspace(system.simple_roots):
+        shape = tuple(x + central * b for x, b in zip(shape, basis))
+    if anti:
+        shape = tuple(-x for x in shape)
+    bps = [F(0), *sorted(cuts - {0, 1})[: len(words) - 1], F(1)]
+    words = [tuple(i % system.n for i in w) for w in words[: len(bps) - 1]]
+    start = tuple(start[: system.rank_x])
+    path = make_path(system, shape, start, words, bps)
+    expect = ref_make_path(system, shape, start, words, bps)
+    assert path == expect
+    assert (path.shape, path.start, path.directions, path.breakpoints) == (
+        expect.shape, expect.start, expect.directions, expect.breakpoints
+    )
+    assert all(type(x) is F for x in path.shape + path.start + path.breakpoints)
+    assert make_path(system, shape, start, [system.normalize_word(w) for w in words], bps) == path
+    back = reverse_path(path)
+    assert back == ref_reverse_path(path)
+    assert all(type(x) is F for x in back.shape + back.start + back.breakpoints)
+    assert reverse_path(back) == path
+
+
+@pytest.mark.parametrize("bad", [lambda v: (*v, F(5)), lambda v: v[:1]], ids=["long", "short"])
+def test_vectors_of_the_wrong_rank_are_refused(a2, bad):
+    # the integer kernels read coordinates through the root supports, so without a
+    # length check a 3-vector on A2 lost its last coordinate and a 1-vector hit an IndexError
+    lam, w = frac_vec(2, 1), WeylElement((0,))
+    calls = [
+        lambda: enumerate_hecke(a2, lam, frac_vec(0, 0), bad(lam)),
+        lambda: enumerate_hecke(a2, lam, bad(frac_vec(0, 0)), lam),
+        lambda: make_path(a2, lam, bad(frac_vec(0, 0)), [()], [0, 1]),
+        lambda: make_path(a2, bad(lam), frac_vec(0, 0), [()], [0, 1]),
+        lambda: from_segments(a2, bad(frac_vec(0, 0)), [(1, lam)]),
+        lambda: straight_path(a2, lam, bad(frac_vec(0, 0))),
+        lambda: straight_path(a2, bad(lam)),
+        lambda: a2.act(w, bad(frac_vec(1, 2))),
+        lambda: a2.orbit_unwind(bad(frac_vec(1, 2))),
+        lambda: a2.tits_cone_membership(bad(frac_vec(1, 2))),
+        lambda: a2.relative_length(bad(frac_vec(1, 2)), w, 5),
+        lambda: a2.coroot_coordinates(bad(frac_vec(1, 2))),
+        lambda: a2.pairing(0, bad(frac_vec(1, 2))),
+        lambda: a2.is_dominant(bad(frac_vec(1, 2))),
+        lambda: a2.rho_value(bad(frac_vec(1, 2))),
+        lambda: generate_ls_paths(a2, bad(frac_vec(1, 1))),
+        lambda: multiplicity(a2, frac_vec(1, 1), bad(frac_vec(0, 0))),
+        lambda: freudenthal_multiplicity(a2, frac_vec(1, 1), bad(frac_vec(0, 0))),
+    ]
+    for call in calls:
+        with pytest.raises(FormatError, match="system has rank 2"):
+            call()
+
+
 # the five systems of the ddim identity: the Cartan matrices of the witness-row cases
 DDIM_SYSTEMS = {name: RootGeneratingSystem.from_gcm(case[0]) for name, case in WITNESS_ROW_CASES.items()}
 
@@ -519,21 +608,21 @@ def test_vertex_pairings_match_root_eval(name, pairs, start, words, cuts):
 @pytest.mark.parametrize("system, data", _golden_paths())
 def test_path_invariants_make_no_root_eval_call(monkeypatch, system, data):
     """stats, ddim_events, codim_tilde and is_hecke read root values on the
-    path's integer view: no Fraction covector is evaluated (vdot_cov, the core
-    of the root_eval reference, is not called)."""
-    from heckepaths import galleries, root_system
+    path's integer rows: no point's pairings are computed again (_pairings,
+    the route from a vector to its pairings, is not called)."""
+    from heckepaths import galleries
     from heckepaths.errors import HPLError
     from heckepaths.paths import ddim_events
 
     path = path_from_json_dict(system, data)
     calls, done = [], []
-    vdot_cov = root_system.vdot_cov
+    pairings = RootGeneratingSystem._pairings
 
-    def counting(cov, v):
+    def counting(self, v):
         calls.append(1)
-        return vdot_cov(cov, v)
+        return pairings(self, v)
 
-    monkeypatch.setattr(root_system, "vdot_cov", counting)
+    monkeypatch.setattr(RootGeneratingSystem, "_pairings", counting)
     for run in (
         lambda: stats(path),
         lambda: ddim_events(path),

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from heckepaths import NotGCM, RootGeneratingSystem, WeylElement, validate_gcm
 from heckepaths.errors import CrossCheckMismatch, FormatError, HeightBoundTooSmall
 from heckepaths.linalg import nullspace
-from heckepaths.root_system import vdot_cov
 
 from conftest import (
     KERNEL_SYSTEMS,
@@ -19,7 +18,7 @@ from conftest import (
 )
 from test_chain_reference import reflect_by_root, root_covector, root_eval
 from test_gallery_reference import reflection_element
-from test_system_reference import solve_linear
+from test_system_reference import solve_linear, vdot_cov
 
 
 class TestValidateGCM:
@@ -561,6 +560,25 @@ class TestExactKernel:
             vdot_cov(cov + [1] * extra, v)
         with pytest.raises(ValueError):
             vdot_cov(cov, v + [F(1, 3)] * extra)
+
+    @given(name=system_names, v=kernel_points, dominant=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_pairings_dominance_and_rho_match_vdot_cov(self, name, v, dominant):
+        # pairing, simple_reflection, is_dominant and rho_value read the integer
+        # point; the reference is the former Fraction kernel on the covectors
+        system = SHARED[name]
+        v = tuple(v[: system.rank_x])
+        if dominant:
+            v = point_with_pairings(system, [abs(F(x)) for x in v])
+        pairs = [vdot_cov(alpha, v) for alpha in system.simple_roots]
+        for i, p in enumerate(pairs):
+            got = system.pairing(i, v)
+            assert got == p and type(got) is F
+            assert system.simple_reflection(i, v) == ref_reflect(system, i, v)
+        assert system.is_dominant(v) is all(p >= 0 for p in pairs)
+        assert not dominant or system.is_dominant(v)
+        rho = system.rho_value(v)
+        assert rho == vdot_cov(system.rho, v) and type(rho) is F
 
     @given(
         name=st.sampled_from(sorted(KERNEL_SYSTEMS) + ["A1wide"]),

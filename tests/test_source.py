@@ -94,6 +94,7 @@ ENTRY_POINTS = {
     "tits_cone_membership",  # RootGeneratingSystem: membership with its witness
     "relative_length",  # RootGeneratingSystem: at a Fraction point; codim_tilde reads integer rows
     "simple_reflection",  # RootGeneratingSystem: r_i on a Fraction vector; perfbench/record.py calls it
+    "pairing",  # RootGeneratingSystem: alpha_i(v) as a Fraction; the library reads _pairings
     "endpoint_counts",  # CrystalGraph: the weight table of the crystal
 }
 

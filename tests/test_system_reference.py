@@ -17,8 +17,9 @@ decomposable and not symmetrizable) and on random rational realizations.
 The positive-root closure runs on integer coefficient tuples; its reference
 is the former closure on ``RealRoot`` objects through ``reflect_root``.
 
-``solve_linear`` lives here now that the library no longer calls it; other
-tests import it from this module.
+``solve_linear`` and ``vdot_cov`` (the former ``Fraction`` kernel of
+``pairing``, ``is_dominant`` and ``rho_value``) live here now that the
+library no longer calls them; other tests import them from this module.
 """
 
 import math
@@ -31,11 +32,28 @@ from hypothesis import strategies as st
 from heckepaths import RootGeneratingSystem, validate_gcm
 from heckepaths.errors import CrossCheckMismatch, FormatError, HPLError, NotSymmetrizable
 from heckepaths.linalg import mat_rank, nullspace, row_reduce, scale_to_primitive_integers
-from heckepaths.root_system import vdot_cov
 
 from test_linalg import apply, entries, matrices, rank_by_minors
 
 # -- the reference -------------------------------------------------------------
+
+
+def vdot_cov(cov, v) -> F:
+    """cov(v) as an exact Fraction, for entries that are ints or Fractions.
+
+    Zero entries of cov are skipped.  The sum runs over integer numerators
+    on one common denominator, so a single Fraction is built at the end.
+    """
+    num, den = 0, 1
+    for a, b in zip(cov, v, strict=True):
+        if a:
+            n = a.numerator * b.numerator
+            d = a.denominator * b.denominator
+            if d == den:
+                num += n
+            else:
+                num, den = num * d + n * den, den * d
+    return F(num, den)
 
 
 def solve_linear(rows, rhs):
