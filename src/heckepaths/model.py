@@ -12,15 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import CapHit, CrossCheckMismatch, FormatError, NotDominant, UnsupportedType
-from .linalg import (
-    Vec,
-    format_vector,
-    is_integral_vec,
-    vadd,
-    vscale,
-    vsub,
-    zero_vec,
-)
+from .linalg import Vec, format_vector, is_integral_vec, vsub
 from .paths import (
     LambdaPath,
     _chain_walk,
@@ -174,17 +166,12 @@ class _DualData:
             out += [(tuple(k * c for c in self.delta), self.system.n - 1) for k in range(1, h + 1)]
         return out
 
-    def dual_vector(self, coeffs) -> Vec:
-        v = zero_vec(self.system.rank_x)
-        for i, c in enumerate(coeffs):
-            if c:
-                v = vadd(v, vscale(c, self.system.simple_coroots[i]))
-        return v
-
     def pair(self, coeffs, v) -> Fraction:
-        """(dual root with these coefficients, v), for v in Y x Q, read off v's integer pairings."""
-        den, pairs = self.system._pairings(v)
-        return Fraction(sum(c * d.numerator * p for c, d, p in zip(coeffs, self.dsym, pairs)), den)
+        """(dual root with these coefficients, v), for v an integer point of _integer_point,
+        read off its integer pairings."""
+        _, pairs, den = v
+        total = sum(c * d.numerator * p for c, d, p in zip(coeffs, self.dsym, pairs))
+        return Fraction(total, den // self.system._cden)
 
 
 def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) -> int:
@@ -202,34 +189,37 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
     dual = _DualData(system)
     if cache is None:
         cache = {}
+    lamp = system._integer_point(lam)
+    unit = lamp[2] // system._cden  # the denominator of lam's pairings
 
     def dominant_mult(nu):
         if nu == lam:
             return 1
         if nu in cache:
             return cache[nu]
-        diff = dominance_difference(system, lam, nu)
+        nup = system._integer_point(nu)
+        diff = _coroot_gap(system, lamp, nup)
         if diff is None:
             cache[nu] = 0
             return 0
         height = sum(diff)
         total = ZERO
         for coeffs, root_mult in dual.roots_up_to_height(height):
-            step = dual.dual_vector(coeffs)
+            step = [0] * system.rank_x, [0] * system.n, lamp[2]  # sum_i c_i alpha_i^v at lam's scale
+            for i, c in enumerate(coeffs):
+                if c:
+                    system._subtract_coroot(step[0], step[1], i, -c * unit)
             k = 1
             while True:
-                upper = vadd(nu, vscale(k, step))
-                if dominance_difference(system, lam, upper) is None:
+                upper = _along(nup, k, step)
+                if _coroot_gap(system, lamp, upper) is None:
                     break
-                m = mult(upper)
+                m = mult(tuple(Fraction(x, upper[2]) for x in upper[0]))
                 if m:
-                    total += root_mult * m * (dual.pair(coeffs, nu) + k * dual.pair(coeffs, step))
+                    total += root_mult * m * dual.pair(coeffs, upper)
                 k += 1
-        lam_minus_nu = vsub(lam, nu)
-        coords = system.coroot_coordinates(lam_minus_nu)
-        denom = dual.pair(tuple(coords), vadd(lam, nu)) + 2 * sum(
-            Fraction(c) * d for c, d in zip(coords, dual.dsym)
-        )
+        coords = system.coroot_coordinates(vsub(lam, nu))
+        denom = dual.pair(coords, _along(lamp, ONE, nup)) + 2 * sum(c * d for c, d in zip(coords, dual.dsym))
         if denom <= 0:
             raise CrossCheckMismatch(
                 f"Freudenthal denominator {denom} at ({','.join(format_vector(nu))}) is not positive"

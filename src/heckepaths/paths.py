@@ -40,7 +40,6 @@ from .linalg import (
     vneg,
     vscale,
     vsub,
-    zero_vec,
 )
 from .root_system import IDENTITY, RootGeneratingSystem, WeylElement, _along
 
@@ -115,10 +114,6 @@ class LambdaPath:
         """tau_j(shape), built from its integer row on each call."""
         return tuple(Fraction(x, self._shape_point[2]) for x in self._direction_rows[j][0])
 
-    def segments(self):
-        """List of (t0, t1, derivative) triples covering [0, 1]."""
-        return list(zip(self.breakpoints, self.breakpoints[1:], map(self.direction_vector, range(self.r))))
-
     def _pieces(self):
         """(coset rep, t0, t1, P0, P1) per piece, P the _vertex_pairings rows at its ends."""
         rows = self._vertex_pairings[1]
@@ -167,43 +162,6 @@ def _from_reps(system: RootGeneratingSystem, shape: Vec, start: Vec, pieces) -> 
     return LambdaPath(system, shape, start, tuple(reps), tuple(times))
 
 
-def from_segments(system: RootGeneratingSystem, start, segments, antidominant=False) -> LambdaPath:
-    """Canonical path from raw (duration, derivative) pieces.
-
-    Zero-displacement pieces are dropped (they are reparametrization slack);
-    the remaining displacements must have Weyl-conjugate directions, and the
-    canonical speed is fixed so the piece durations sum to one.
-    """
-    start = tuple(Fraction(x) for x in start)
-    displacements = []
-    for dur, der in segments:
-        dur = Fraction(dur)
-        if dur < 0:
-            raise FormatError("negative segment duration")
-        disp = vscale(dur, tuple(Fraction(x) for x in der))
-        if dur == 0 or is_zero_vec(disp):
-            continue
-        displacements.append(disp)
-    if not displacements:
-        return _from_reps(system, zero_vec(system.rank_x), start, [(IDENTITY, ONE)])
-    doms = [system.orbit_unwind(disp, antidominant=antidominant) for disp in displacements]
-    shape = zero_vec(system.rank_x)
-    for dom, _ in doms:
-        shape = vadd(shape, dom)
-    k = next((i for i, x in enumerate(shape) if x != 0), None)
-    pieces, t = [], ZERO
-    for dom, w in doms:
-        # positive multiples of one shape sum to a nonzero one, so a zero sum fails here
-        c = ZERO if k is None else dom[k] / shape[k]
-        if c <= 0 or vscale(c, shape) != dom:
-            raise NonLambdaPath("segment directions lie in different Weyl orbits")
-        t += c
-        pieces.append((w, t))
-    if t != 1:
-        raise CrossCheckMismatch("segment fractions of the shape do not sum to 1")
-    return _from_reps(system, shape, start, pieces)
-
-
 def make_path(system: RootGeneratingSystem, shape, start, direction_words, breakpoints) -> LambdaPath:
     """Build a path from a shape, direction words and breakpoint times; each piece's
     coset rep comes from one integer unwind of w(shape)."""
@@ -225,10 +183,12 @@ def make_path(system: RootGeneratingSystem, shape, start, direction_words, break
 
 
 def straight_path(system: RootGeneratingSystem, lam, start=None) -> LambdaPath:
-    lam = tuple(Fraction(x) for x in lam)
-    if start is None:
-        start = system.zero()
-    return from_segments(system, start, [(ONE, lam)])
+    """The one-piece path from start (0 by default) along lam: its shape is the dominant
+    conjugate of lam, from one integer unwind of lam, which also gives the piece's rep."""
+    num, pairs, den = system._integer_point(tuple(Fraction(x) for x in lam))
+    w, dom = system._unwound(num, pairs, den)
+    start = system.zero() if start is None else tuple(Fraction(x) for x in start)
+    return _from_reps(system, tuple(Fraction(x, den) for x in dom), start, [(w, ONE)])
 
 
 def _piece_before(path: LambdaPath, t) -> int:
@@ -251,17 +211,40 @@ def reverse_path(path: LambdaPath) -> LambdaPath:
 
 
 def concat(p1: LambdaPath, p2: LambdaPath) -> LambdaPath:
-    """Littelmann concatenation, renormalized to canonical form.
+    """Littelmann concatenation: p1, then p2 translated to p1's endpoint (p2.start is
+    not read), renormalized to canonical form.
 
-    Raises NonLambdaPath when the two paths' directions do not lie in a
-    common Weyl orbit.
+    Constant paths drop out.  p1 fixes the chamber: antidominant iff p1 is not
+    constant and its shape is not dominant.  One integer unwind of each direction
+    row of a path p gives the piece's rep and p's conjugate mu_p in that chamber;
+    the shape is the sum of the mu_p, and p's times are scaled by c_p with
+    mu_p = c_p shape.  Raises NonLambdaPath when some mu_p is no positive multiple
+    of the shape (directions in different Weyl orbits, also when the mu_p sum to zero).
     """
     if p1.system is not p2.system:
         raise FormatError("paths live over different systems")
-    segs = [(t1 - t0, der) for t0, t1, der in p1.segments()]
-    segs += [(t1 - t0, der) for t0, t1, der in p2.segments()]
+    system = p1.system
     anti = not p1.shape_is_dominant and not p1.is_constant
-    return from_segments(p1.system, p1.start, segs, antidominant=anti)
+    parts = []  # (mu_p, piece reps, piece end times) per non-constant path p
+    for p in (p1, p2):
+        if not p.is_constant:
+            den = p._shape_point[2]
+            unwound = [system._unwound(num, pairs, den, anti) for num, pairs in p._direction_rows]
+            parts.append((tuple(Fraction(x, den) for x in unwound[0][1]), [w for w, _ in unwound], p.breakpoints[1:]))
+    shape = system.zero()
+    for mu, _, _ in parts:
+        shape = vadd(shape, mu)
+    if not parts:
+        return _from_reps(system, shape, p1.start, [(IDENTITY, ONE)])
+    k = next((i for i, x in enumerate(shape) if x != 0), None)
+    pieces, offset = [], ZERO
+    for mu, reps, ends in parts:
+        c = ZERO if k is None else mu[k] / shape[k]
+        if c <= 0 or vscale(c, shape) != mu:
+            raise NonLambdaPath("segment directions lie in different Weyl orbits")
+        pieces += [(w, offset + c * t) for w, t in zip(reps, ends)]
+        offset += c
+    return _from_reps(system, shape, p1.start, pieces)
 
 
 # -- chains ------------------------------------------------------------------

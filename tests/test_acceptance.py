@@ -27,7 +27,6 @@ from heckepaths.model import (
     multiplicity,
 )
 from heckepaths.paths import (
-    from_segments,
     is_hecke,
     is_ls,
     stats,
@@ -37,6 +36,7 @@ from heckepaths.root_system import dominance_difference
 
 from conftest import all_words, frac_vec
 from test_chain_reference import chain_targets, root_eval
+from test_path_reference import from_segments
 
 
 @contextlib.contextmanager

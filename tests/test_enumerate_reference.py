@@ -21,7 +21,9 @@ import pytest
 
 from heckepaths import RootGeneratingSystem
 from heckepaths.model import enumerate_hecke
-from heckepaths.paths import from_segments, is_hecke
+from heckepaths.paths import is_hecke
+
+from test_path_reference import from_segments
 
 H = 20
 

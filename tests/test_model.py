@@ -13,10 +13,11 @@ from heckepaths.model import (
     generate_ls_paths,
     multiplicity,
 )
-from heckepaths.paths import from_segments, is_hecke, is_ls, stats
+from heckepaths.paths import is_hecke, is_ls, stats
 from heckepaths.root_system import RootGeneratingSystem, dominance_difference
 
 from conftest import coroot_combination, frac_vec, group_elements
+from test_path_reference import from_segments, segments
 from test_system_reference import solve_linear
 
 
@@ -224,7 +225,7 @@ class TestEnumerateHecke:
         witnesses = [w for y1 in targets for w in enumerate_hecke(system, lam, origin, y1)]
         assert len(witnesses) >= len(targets)
         for w in witnesses:
-            pieces = [(t1 - t0, der) for t0, t1, der in w.path.segments()]
+            pieces = [(t1 - t0, der) for t0, t1, der in segments(w.path)]
             rebuilt = from_segments(system, w.path.start, pieces)
             assert rebuilt == w.path  # shape, start, coset reps and breakpoints
 

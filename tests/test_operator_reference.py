@@ -22,9 +22,10 @@ from hypothesis import strategies as st
 from heckepaths import RootGeneratingSystem
 from heckepaths.errors import FormatError, NotDominant, OperatorUndefined
 from heckepaths.model import enumerate_hecke, generate_ls_paths
-from heckepaths.paths import from_segments, is_hecke, is_ls, make_path, root_operator
+from heckepaths.paths import is_hecke, is_ls, make_path, root_operator
 
 from conftest import frac_vec
+from test_path_reference import from_segments, segments
 from test_paths import ref_point
 from test_system_reference import solve_linear
 
@@ -70,7 +71,7 @@ def _intervals_at_level(profile, c):
 
 def _reflect_piece(path, i, t_lo, t_hi):
     segs = []
-    for t0, t1, der in path.segments():
+    for t0, t1, der in segments(path):
         cuts = sorted({t0, t1, *(t for t in (t_lo, t_hi) if t0 < t < t1)})
         for a, b in zip(cuts, cuts[1:]):
             d = der

@@ -6,7 +6,6 @@ from heckepaths.errors import OperatorUndefined
 from heckepaths.paths import (
     concat,
     eval_path,
-    from_segments,
     is_hecke,
     make_path,
     root_operator,
@@ -16,6 +15,7 @@ from heckepaths.paths import (
 )
 
 from conftest import frac_vec
+from test_path_reference import from_segments, segments
 
 
 @pytest.fixture()
@@ -105,7 +105,7 @@ class TestEtilde:
         # cutting at (q, theta) and re-concatenating reproduces the path
         p = make_path(a1, (F(1),), (F(0),), [(0,), ()], [F(0), F(3, 4), F(1)])
         q, theta = F(1, 2), F(1)
-        segs = p.segments()
+        segs = segments(p)
 
         def cut(lo, hi):
             pieces = []

@@ -21,7 +21,6 @@ from heckepaths.paths import (
     ddim_events,
     eval_path,
     find_chain,
-    from_segments,
     is_hecke,
     is_ls,
     make_path,
@@ -37,6 +36,7 @@ from heckepaths.root_system import WeylElement
 from conftest import KERNEL_SYSTEMS, frac_vec
 from test_chain_reference import CANDIDATE_SYSTEMS, chain_targets, root_eval
 from test_model import WITNESS_ROW_CASES
+from test_path_reference import from_segments, segments
 from test_root_system import ref_act
 from test_system_reference import solve_linear, vdot_cov
 
@@ -437,7 +437,7 @@ def ref_make_path(system, shape, start, words, bps):
 
 def ref_reverse_path(path):
     """The former reverse_path: the segments run backwards with negated derivatives."""
-    segs = [(t1 - t0, tuple(-x for x in der)) for t0, t1, der in reversed(path.segments())]
+    segs = [(t1 - t0, tuple(-x for x in der)) for t0, t1, der in reversed(segments(path))]
     anti = path.shape_is_dominant and not path.is_constant
     return from_segments(path.system, path.endpoint, segs, antidominant=anti)
 
@@ -488,7 +488,6 @@ def test_vectors_of_the_wrong_rank_are_refused(a2, bad):
         lambda: enumerate_hecke(a2, lam, bad(frac_vec(0, 0)), lam),
         lambda: make_path(a2, lam, bad(frac_vec(0, 0)), [()], [0, 1]),
         lambda: make_path(a2, bad(lam), frac_vec(0, 0), [()], [0, 1]),
-        lambda: from_segments(a2, bad(frac_vec(0, 0)), [(1, lam)]),
         lambda: straight_path(a2, lam, bad(frac_vec(0, 0))),
         lambda: straight_path(a2, bad(lam)),
         lambda: a2.act(w, bad(frac_vec(1, 2))),
