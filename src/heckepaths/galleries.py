@@ -21,8 +21,8 @@ from .linalg import Vec, format_rational, format_vector, parse_rational, parse_v
 from .paths import (
     LambdaPath,
     _analysed,
-    _falling_wall_events,
     _hecke_chains,
+    _path_wall_events,
     _piece_before,
     ddim_events,
     is_hecke,
@@ -240,8 +240,9 @@ def codim_tilde(decorated: DecoratedHeckePath, h: int = 20) -> int:
     total = sys_._relative_length(path.directions[0], den, rows[0], h)
     for _, gallery in decorated.galleries:
         total += neg_count(gallery)
-    for t, roots in _falling_wall_events(sys_, den, path._pieces(), h, at_end=False):
-        if 0 < t and t not in have:  # walls left negatively inside (0, 1)
+    big, events = _path_wall_events(path, h, at_end=False)
+    for n, roots in events:
+        if 0 < n and Fraction(n, big) not in have:  # walls left negatively inside (0, 1)
             total += len(roots)
     return total
 

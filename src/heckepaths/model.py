@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .errors import CapHit, CrossCheckMismatch, FormatError, NotDominant, UnsupportedType
 from .linalg import Vec, format_vector, is_integral_vec, vsub
@@ -154,7 +155,7 @@ class _DualData:
         if kind == "indefinite":
             raise UnsupportedType("Freudenthal oracle supports finite and untwisted affine type only")
         self.dual = RootGeneratingSystem.from_gcm(list(zip(*system.gcm.entries)))  # transposed matrix
-        self.dsym = self.dual.symmetrizer
+        self.dsym = self.dual._symmetrizer
         # the null root of the dual spans the left kernel of A
         self.delta = self.dual.null_root_coeffs() if kind == "affine" else None
 
@@ -170,7 +171,7 @@ class _DualData:
         """(dual root with these coefficients, v), for v an integer point of _integer_point,
         read off its integer pairings."""
         _, pairs, den = v
-        total = sum(c * d.numerator * p for c, d, p in zip(coeffs, self.dsym, pairs))
+        total = sum(c * d * p for c, d, p in zip(coeffs, self.dsym, pairs))
         return Fraction(total, den // self.system._cden)
 
 
@@ -211,7 +212,7 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
                     system._subtract_coroot(step[0], step[1], i, -c * unit)
             k = 1
             while True:
-                upper = _along(nup, k, step)
+                upper = _along(nup, (k, 1), step)
                 if _coroot_gap(system, lamp, upper) is None:
                     break
                 m = mult(tuple(Fraction(x, upper[2]) for x in upper[0]))
@@ -219,7 +220,7 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
                     total += root_mult * m * dual.pair(coeffs, upper)
                 k += 1
         coords = system.coroot_coordinates(vsub(lam, nu))
-        denom = dual.pair(coords, _along(lamp, ONE, nup)) + 2 * sum(c * d for c, d in zip(coords, dual.dsym))
+        denom = dual.pair(coords, _along(lamp, (1, 1), nup)) + 2 * sum(c * d for c, d in zip(coords, dual.dsym))
         if denom <= 0:
             raise CrossCheckMismatch(
                 f"Freudenthal denominator {denom} at ({','.join(format_vector(nu))}) is not positive"
@@ -292,9 +293,10 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     Infinite-dimensional Lie algebras, Prop. 3.12), (1 - t) lam minus the
     dominant conjugate of y1 - x lies in the real cone spanned by the simple
     coroots.  The search carries x and xi as integer points, xi at the shape's
-    scale with its coset rep, and reads this test scale-free on them; in affine
-    type it reads the level without unwinding, and a point whose membership
-    stays unknown (indefinite type) is kept.
+    scale with its coset rep, and t as a reduced integer pair, and reads this
+    test scale-free on them; in affine type it reads the level without
+    unwinding, and a point whose membership stays unknown (indefinite type)
+    is kept.
     """
     lam, y0, y1 = (tuple(Fraction(x) for x in v) for v in (lam, y0, y1))
     lamp, y0p, y1p = map(system._integer_point, (lam, y0, y1))
@@ -305,38 +307,47 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
         raise FormatError("enumerate_hecke endpoints and shape must lie in Y")
     if not any(lamp[0]):
         return [HeckePathWitness(straight_path(system, lam, y0), ())] if y0 == y1 else []
-    nup = _along(y1p, -1, y0p)
+    nup = _along(y1p, (-1, 1), y0p)
     gap = _coroot_gap(system, lamp, nup)  # lam - nu over the coroots
     if gap is None:
         return []
     max_len = 2 * sum(gap)
     found = {}
 
-    def descend(pts, xis, reps, times, certs):
+    def descend(pts, xis, reps, times, certs, t):
         # per piece so far: its start point, integer direction xi at lamp's scale, coset rep and
-        # start time; certs: the chains between them.  A path found takes the rows summed here
-        x, t, xi = pts[-1], times[-1], (*xis[-1], lamp[2])
-        end = _along(x, ONE - t, xi)
-        if not any(_along(y1p, -1, end)[0]):
+        # start time; certs: the chains between them; t: the last time as a reduced pair (n, d).
+        # A path found takes the rows summed here
+        x, xi, (n, d) = pts[-1], (*xis[-1], lamp[2]), t
+        end = _along(x, (d - n, d), xi)
+        if not any(_along(y1p, (-1, 1), end)[0]):
             path = LambdaPath(system, lam, y0, reps, times + (ONE,))
             vars(path).update(_shape_point=lamp, _direction_rows=xis, _vertex_points=[*pts, end])
             found.setdefault(path, certs)
-        piece = (reps[-1], t, ONE, [end[2] // x[2] * a for a in x[1]], end[1])
-        for ta, _ in _falling_wall_events(system, end[2] // cden, [piece], h, at_end=False):
+        piece = (reps[-1], t, (1, 1), [end[2] // x[2] * a for a in x[1]], end[1])
+        big, events = _falling_wall_events(system, end[2] // cden, [piece], h, at_end=False)
+        for e, _ in events:
+            g = gcd(e, big)
+            ta = na, da = e // g, big // g
             if ta == t:  # walls at the fold point itself; only those inside (t, 1) count
                 continue
-            z = _along(x, ta - t, xi)
-            if not system._within_reach(lamp, _along(y1p, -1, z), ONE - ta):
+            p, q = na * d - n * da, da * d  # ta - t
+            g = gcd(p, q)
+            z = _along(x, (p // g, q // g), xi)
+            if not system._within_reach(lamp, _along(y1p, (-1, 1), z), (da - na, da)):
                 continue
-            walk = _chain_walk(system, lamp, (z[2] // cden, z[1]), xis[-1], reps[-1], "hecke", ta, h)
+            at = Fraction(na, da)
+            walk = _chain_walk(system, lamp, (z[2] // cden, z[1]), xis[-1], reps[-1], "hecke", at, h)
             # each reached xi has lamp's denominator, so its numerators order it as a vector
             for c in sorted(walk, key=lambda c: c._xi_points[1][-1][0]):
-                descend(pts + (z,), xis + c._xi_points[1][-1:], reps + c.cosets[-1:], times + (ta,), certs + (c,))
+                descend(
+                    pts + (z,), xis + c._xi_points[1][-1:], reps + c.cosets[-1:], times + (at,), certs + (c,), ta
+                )
 
-    if not system._within_reach(lamp, nup, ONE):
+    if not system._within_reach(lamp, nup, (1, 1)):
         return []
     for num, (pairs, rep) in sorted(_cosets_up_to_length(system, lamp, max_len).items()):
-        descend((y0p,), ((list(num), pairs),), (rep,), (ZERO,), ())
+        descend((y0p,), ((list(num), pairs),), (rep,), (ZERO,), (), (0, 1))
     ordered = sorted(
         found.items(), key=lambda kv: (kv[0].breakpoints, tuple(w.word for w in kv[0].directions))
     )

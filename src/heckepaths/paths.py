@@ -19,7 +19,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import inf
+from math import inf, lcm
+from operator import mul
 
 from .apartment import levels_crossed
 from .errors import (
@@ -39,7 +40,6 @@ from .linalg import (
     vadd,
     vneg,
     vscale,
-    vsub,
 )
 from .root_system import IDENTITY, RootGeneratingSystem, WeylElement, _along
 
@@ -87,7 +87,8 @@ class LambdaPath:
         """pi(a_k) as integer points, summed piece by piece from the start and each tau_k(shape)."""
         pts = [self.system._integer_point(self.start)]
         for (qn, qp), t0, t1 in zip(self._direction_rows, self.breakpoints, self.breakpoints[1:]):
-            pts.append(_along(pts[-1], t1 - t0, (qn, qp, self._shape_point[2])))
+            step = t1 - t0
+            pts.append(_along(pts[-1], (step.numerator, step.denominator), (qn, qp, self._shape_point[2])))
         return pts
 
     @cached_property
@@ -314,10 +315,11 @@ def _chain_candidates(system, shape, den, pairs, rep, xi, kind, t, h):
     return out, blocked
 
 
-def _chain_walk(system, shape, xp, xi_from, start, kind, a_j, h, target=None, blocked=None):
+def _chain_walk(system, shape, xp, xi_from, start, kind, t, h, target=None, blocked=None):
     """Depth-first walk over the chains from xi_from, of coset rep start, at the
-    point x whose integer pairings are xp = (E, pairings), in a fixed order; each
-    xi is an integer point at the scale of the shape's, shape = (num, pairs, den).
+    point x = pi(t) whose integer pairings are xp = (E, pairings), in a fixed order;
+    each xi is an integer point at the scale of the shape's, shape = (num, pairs, den),
+    and each certificate is stamped with the Fraction t.
 
     With a target rep, yields every chain ending at it and cuts a branch once
     its coset is no longer than the target: coset lengths fall strictly along
@@ -325,7 +327,6 @@ def _chain_walk(system, shape, xp, xi_from, start, kind, a_j, h, target=None, bl
     coset, the first found, and expands each coset once.  blocked, if given,
     collects the conditions that removed first-step roots.
     """
-    t = Fraction(a_j if a_j is not None else 0)
     lam = (tuple(shape[0]), shape[2] // system._cden)
     seen = set()
 
@@ -365,7 +366,8 @@ def _walk_vectors(system, shape, x, xi_from, kind, a_j, h, xi_to=None):
     target = None if xi_to is None else system.coset_of_vector(tuple(map(Fraction, xi_to)), shape).element
     lam = system._integer_point(shape)
     xi = system._act_integers(start.word, *lam[:2])
-    return _chain_walk(system, lam, system._pairings(tuple(map(Fraction, x))), xi, start, kind, a_j, h, target)
+    t = Fraction(0 if a_j is None else a_j)
+    return _chain_walk(system, lam, system._pairings(tuple(map(Fraction, x))), xi, start, kind, t, h, target)
 
 
 def all_chains(system, shape, x, xi_from, xi_to, h, kind="hecke", a_j=None):
@@ -458,9 +460,12 @@ def is_ls(path: LambdaPath, h: int = 20) -> CheckResult:
         return CheckResult(True, ())
     result = _breakpoint_chains(path, "ls", h)[0]
     if path.in_Y:
-        # ddim as stats counts it: a root falling on a piece is an inversion root of its rep (dominant shape)
-        rho_gap = path.system.rho_value(vsub(tuple(path.shape), path.nu))
-        alt = is_hecke(path, h).ok and sum(len(roots) for _, roots in ddim_events(path, h)) == rho_gap
+        # ddim as stats counts it: a root falling on a piece is an inversion root of its rep (dominant shape);
+        # gap is rho(lam - nu) k lden den, lam's numerators over lden and nu's over the vertex rows' den
+        (rho, k), (lam, _, lden), (den, rows, _) = path.system._rho, path._shape_point, path._vertex_rows
+        gap = sum(map(mul, rho, lam)) * den - sum(r * (b - a) for r, a, b in zip(rho, rows[0], rows[-1])) * lden
+        ddim = sum(len(roots) for _, roots in _ddim_walls(path, h)[1])
+        alt = is_hecke(path, h).ok and ddim * k * lden * den == gap
         if alt != result.ok:
             raise CrossCheckMismatch(
                 f"LS chain search says {result.ok}, Hecke+ddim characterization says {alt}"
@@ -526,33 +531,55 @@ def _tally(path: LambdaPath, h: int) -> PathStats:
 
 def _falling_wall_events(sys_: RootGeneratingSystem, den, pieces, h: int, at_end: bool):
     """Times where an inversion root of a piece direction falls through an
-    integer level, grouped as sorted (t, [roots]).  pieces holds (coset rep,
-    t0, t1, P0, P1) tuples, P0 and P1 the integer pairings of the piece's ends
-    over den; a piece counts the crossings at t1 but not at t0 when at_end,
-    and the other way round otherwise.  With t0 = a / b and t1 - t0 = c / b,
-    beta meets m at t0 + (t1 - t0) (m den - u0) / (u1 - u0), one Fraction."""
-    events = {}
-    for w, t0, t1, p0, p1 in pieces:
+    integer level, as (L, events): events holds sorted (n, [roots]) for the
+    times n / L, L the lcm of the denominators b q below.  pieces holds (coset rep,
+    t0, t1, P0, P1) tuples, the times as integer pairs (a, b) for a / b, and P0
+    and P1 the integer pairings of the piece's ends over den; a piece counts the
+    crossings at t1 but not at t0 when at_end, and the other way round otherwise.
+    With t0 = a / b, t1 - t0 = c / b and q = u0 - u1 > 0, beta meets m at
+    (a q + c (u0 - m den)) / (b q)."""
+    falls = []  # (a q + c u0, c den, b q, levels, beta) per falling root of a piece
+    for w, (a0, b0), (a1, b1), p0, p1 in pieces:
         sys_.check_height(w, h)
-        a, b = t0.numerator * t1.denominator, t0.denominator * t1.denominator
-        c = t1.numerator * t0.denominator - a
-        for beta in sys_.inversion_set(w):
+        b = lcm(b0, b1)
+        a = a0 * (b // b0)
+        c = a1 * (b // b1) - a
+        for beta in sys_._inversions(w.word)[0]:
             u0, u1 = beta.value(p0), beta.value(p1)
-            if u1 >= u0:
-                continue
-            for m in levels_crossed(u1, u0, den) if at_end else levels_crossed(u0, u1, den):
-                events.setdefault(Fraction(a * (u1 - u0) + c * (m * den - u0), b * (u1 - u0)), []).append(beta)
-    return sorted(events.items())
+            if u1 < u0:
+                levels = levels_crossed(u1, u0, den) if at_end else levels_crossed(u0, u1, den)
+                if levels:
+                    falls.append((a * (u0 - u1) + c * u0, c * den, b * (u0 - u1), levels, beta))
+    big = lcm(*[d for _, _, d, _, _ in falls])
+    events = {}
+    for base, step, d, levels, beta in falls:
+        f = big // d
+        for m in levels:
+            events.setdefault((base - step * m) * f, []).append(beta)
+    return big, sorted(events.items())
+
+
+def _path_wall_events(path: LambdaPath, h: int, at_end: bool):
+    """_falling_wall_events over the pieces of the path."""
+    den, rows = path._vertex_pairings
+    times = [(t.numerator, t.denominator) for t in path.breakpoints]
+    return _falling_wall_events(path.system, den, zip(path.directions, times, times[1:], rows, rows[1:]), h, at_end)
+
+
+def _ddim_walls(path: LambdaPath, h: int):
+    """The falling-wall events at the ends of the pieces, kept per path and h."""
+    return _analysed(path, ("ddim", h), lambda: _path_wall_events(path, h, True))
 
 
 def ddim_events(path: LambdaPath, h: int = 20):
     """Times t > 0 where walls are reached from above: list of (t, [roots]).
 
     Groups the ddim count by time; the roots at time t are exactly the true walls counted
-    by the relative length of the incoming direction there.  Kept per path and h; a fresh list.
+    by the relative length of the incoming direction there.  A fresh list on each call,
+    from the integer events kept per path and h.
     """
-    den = path._vertex_pairings[0]
-    return list(_analysed(path, ("ddim", h), lambda: _falling_wall_events(path.system, den, path._pieces(), h, True)))
+    big, events = _ddim_walls(path, h)
+    return [(Fraction(n, big), roots) for n, roots in events]
 
 
 # -- root operators ------------------------------------------------------------

@@ -173,8 +173,9 @@ def _scaled_rows(vectors):
 
 
 def _along(u, c, v):
-    """u + c v on integer points (num, pairs, den) of _integer_point, over lcm(den_u, q den_v), c = p / q."""
-    (un, up, ud), (vn, vp, vd), p, q = u, v, c.numerator, c.denominator
+    """u + c v on integer points (num, pairs, den) of _integer_point, over lcm(den_u, q den_v),
+    for c = p / q given as the integer pair (p, q) in lowest terms, q > 0."""
+    (un, up, ud), (vn, vp, vd), (p, q) = u, v, c
     den = lcm(ud, q * vd)
     a, b = den // ud, p * (den // (q * vd))
     return [a * x + b * y for x, y in zip(un, vn)], [a * x + b * y for x, y in zip(up, vp)], den
@@ -214,7 +215,7 @@ def _symmetrizer(entries):
                     queue.append(j)
                 elif d[j] * b != d[i] * a:
                     raise NotSymmetrizable("inconsistent symmetrizer constraints")
-    return tuple(map(Fraction, d))
+    return tuple(d)
 
 
 class RootGeneratingSystem:
@@ -229,12 +230,15 @@ class RootGeneratingSystem:
     def __init__(self, gcm: KacMoodyMatrix, simple_roots, simple_coroots, names=None):
         self.gcm = gcm
         n = self.n = gcm.n
-        self.simple_roots = tuple(tuple(Fraction(x) for x in r) for r in simple_roots)
-        self.simple_coroots = tuple(tuple(Fraction(x) for x in c) for c in simple_coroots)
-        if not len(self.simple_roots) == len(self.simple_coroots) == n:
+        # exact entries; an int or a Fraction is taken as it is
+        roots, coroots = (
+            [[x if type(x) in (int, Fraction) else Fraction(x) for x in v] for v in vs]
+            for vs in (simple_roots, simple_coroots)
+        )
+        if not len(roots) == len(coroots) == n:
             raise FormatError(f"a rank {n} system needs {n} simple roots and as many coroots")
-        self.rank_x = len(self.simple_roots[0]) if n else 0
-        if any(len(v) != self.rank_x for v in self.simple_roots + self.simple_coroots):
+        self.rank_x = len(roots[0]) if n else 0
+        if any(len(v) != self.rank_x for v in roots + coroots):
             raise FormatError(f"simple roots and coroots must all have rank_x = {self.rank_x} coordinates")
         names = [f"a{i + 1}" for i in range(n)] if names is None else names
         if not (isinstance(names, (list, tuple)) and len(names) == n and all(isinstance(x, str) for x in names)):
@@ -242,11 +246,11 @@ class RootGeneratingSystem:
         self.names = tuple(names)
         # integer realization: rden alpha_j and cden alpha_i^v, as rows and as
         # their nonzero entries, and the nonzero entries of row i of the Cartan matrix
-        roots, self._rden = _scaled_rows(self.simple_roots)
-        coroots, self._cden = _scaled_rows(self.simple_coroots)
+        roots, self._rden = self._root_rows = _scaled_rows(roots)
+        coroots, self._cden = self._coroot_rows = _scaled_rows(coroots)
         self._check_realization(roots, coroots)
         self._invert_coroots(coroots)
-        self.symmetrizer = _symmetrizer(gcm.entries)
+        self._symmetrizer = _symmetrizer(gcm.entries)
         self._root_support = _supports(roots)
         self._coroot_support = _supports(coroots)
         self._cartan_support = tuple(
@@ -309,9 +313,29 @@ class RootGeneratingSystem:
         for p, row in zip(pivots, inverse):
             rho[p] = self._cden * sum(row)
         self._rho = (rho, k)
-        self.rho = tuple(Fraction(x, k) for x in rho)
         # the coefficients of v over k: row i of the transposed inverse, times cden, times v on P
         self._coroot_inverse = (pivots, tuple(tuple(self._cden * row[i] for row in inverse) for i in range(n)), k)
+
+    # The Fraction views of the integer data, built on first read.
+
+    @cached_property
+    def simple_roots(self) -> tuple:
+        rows, den = self._root_rows
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+    @cached_property
+    def simple_coroots(self) -> tuple:
+        rows, den = self._coroot_rows
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+
+    @cached_property
+    def symmetrizer(self) -> tuple:
+        return tuple(map(Fraction, self._symmetrizer))
+
+    @cached_property
+    def rho(self) -> Vec:
+        rho, k = self._rho
+        return tuple(Fraction(x, k) for x in rho)
 
     # -- basic geometry ----------------------------------------------------
 
@@ -557,7 +581,8 @@ class RootGeneratingSystem:
         Repeatedly reflects at the least index whose pairing has the wrong
         sign; the collected word is reduced and minimal in w W_{v0}.  Raises
         FormatError when that takes more than _UNWIND_GUARD reflections, as it
-        does forever for a vector outside the Tits cone.
+        does forever for a vector outside the Tits cone; in affine type the
+        level rule refuses such a vector before the first reflection.
         """
         num, pairs, den = self._integer_point(v)
         w, v0 = self._unwound(num, pairs, den, antidominant)
@@ -570,11 +595,18 @@ class RootGeneratingSystem:
         out = self._unwind_cache.get(key)
         if out is None:
             v0, p0 = list(num), list(pairs)
-            letters = self._unwind(v0, p0, antidominant, _UNWIND_GUARD)
+            # in affine type the level rule decides the Tits cone (its negative, for the
+            # antidominant chamber), and a point inside it unwinds in finitely many steps
+            outside = self._outside_by_level([-p for p in pairs] if antidominant else pairs)
+            letters = None if outside else self._unwind(v0, p0, antidominant, _UNWIND_GUARD)
             if letters is None:
-                why = f"outside the Tits cone: its unwind passed {_UNWIND_GUARD} reflections"
-                if not antidominant and self.classify_type() == "affine" and not self._outside_by_level(pairs):
-                    why = f"in the Tits cone, but its minimal coset word is longer than {_UNWIND_GUARD} letters"
+                neg = "has its negative " if antidominant else ""
+                if outside:
+                    why = f"{neg or 'is '}outside the Tits cone by the affine level rule"
+                elif self._level_coeffs is not None:
+                    why = f"{neg}in the Tits cone, but its minimal coset word is longer than {_UNWIND_GUARD} letters"
+                else:
+                    why = f"outside the Tits cone: its unwind passed {_UNWIND_GUARD} reflections"
                 raise FormatError(f"vector ({','.join(format_vector([Fraction(x, den) for x in num]))}) {why}")
             out = self._unwind_cache[key] = (self.normalize_word(letters), tuple(v0))
         return out
@@ -643,7 +675,7 @@ class RootGeneratingSystem:
         # principal minors are positive; they are the successive pivots of a
         # fraction-free elimination without row swaps, which stops at the first
         # pivot that is not positive
-        m = [[d.numerator * a for a in row] for d, row in zip(self.symmetrizer, self.gcm.entries)]
+        m = [[d * a for a in row] for d, row in zip(self._symmetrizer, self.gcm.entries)]
         prev = 1
         for k, top in enumerate(m):
             pv = top[k]
@@ -707,19 +739,20 @@ class RootGeneratingSystem:
         w, _ = self._unwound(num, pairs, den)
         return ("in", self.inverse(w))  # witness w with w(v) dominant
 
-    def _within_reach(self, lam, v, s: Fraction) -> bool:
+    def _within_reach(self, lam, v, s) -> bool:
         """Whether v / s (s > 0) is in the Tits cone with its dominant conjugate in lam
         minus the real cone of the simple coroots, read scale-free on integers as
         s lam minus the dominant conjugate of v; lam and v are integer points of
-        _integer_point.  A vector whose unwind passes its cap (in indefinite type
-        the step cap of tits_cone_membership) counts as in reach."""
+        _integer_point, and s = p / q is given as the integer pair (p, q).  A
+        vector whose unwind passes its cap (in indefinite type the step cap of
+        tits_cone_membership) counts as in reach."""
         num, pairs, den = list(v[0]), list(v[1]), v[2]
         if self._outside_by_level(pairs):
             return False
         cap = _TITS_STEP_CAP if self.classify_type() == "indefinite" else _UNWIND_GUARD
         if self._unwind(num, pairs, False, cap) is None:
             return True
-        p, q = s.numerator * den, s.denominator * lam[2]
+        p, q = s[0] * den, s[1] * lam[2]
         sol, _ = self._coroot_solve([p * a - q * b for a, b in zip(lam[0], num)])
         return sol is not None and all(c >= 0 for c in sol)
 
@@ -776,7 +809,7 @@ def dominance_difference(system: RootGeneratingSystem, lam: Vec, mu: Vec):
 
 def _coroot_gap(system: RootGeneratingSystem, lam, mu):
     """dominance_difference on integer points of _integer_point."""
-    num, _, den = _along(lam, -1, mu)
+    num, _, den = _along(lam, (-1, 1), mu)
     sol, sden = system._coroot_solve(num)
     if sol is None or any(c < 0 or c % (den * sden) for c in sol):
         return None

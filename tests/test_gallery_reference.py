@@ -41,7 +41,9 @@ from heckepaths.galleries import (
     parameter_pattern,
 )
 from heckepaths.model import enumerate_hecke
-from heckepaths.paths import _breakpoint_chains, _falling_wall_events, _piece_before, ddim_events, eval_path
+from heckepaths.paths import _breakpoint_chains, _piece_before, ddim_events, eval_path
+
+from test_wall_events_reference import ref_falling_wall_events
 
 # -- the reference -------------------------------------------------------------
 
@@ -192,7 +194,7 @@ def ref_codim_tilde(decorated, h=20):
     have = {t for t, _ in decorated.galleries}
     total = sys_.relative_length(tuple(path.start), path.directions[0], h)
     total += sum(ref_neg_count(g) for _, g in decorated.galleries)
-    for t, roots in _falling_wall_events(sys_, path._vertex_pairings[0], path._pieces(), h, at_end=False):
+    for t, roots in ref_falling_wall_events(sys_, path._vertex_pairings[0], path._pieces(), h, at_end=False):
         if 0 < t and t not in have:
             total += len(roots)
     return total

@@ -309,7 +309,7 @@ def test_level_rule_on_integer_pairings_matches_delta_covector(name, coroot_coef
         return
     assert (system.tits_cone_membership(v)[0] == "out") is outside
     if outside:  # in reach of nothing, before any unwind
-        assert not system._within_reach(system._integer_point(system.zero()), (num, pairs, den), F(1))
+        assert not system._within_reach(system._integer_point(system.zero()), (num, pairs, den), (1, 1))
 
 
 @pytest.mark.parametrize("name", ["A1aff", "A2aff", "twisted-3", "twisted-2"])
@@ -361,6 +361,21 @@ class TestTitsCone:
         monkeypatch.setattr(root_system, "_UNWIND_GUARD", 200)
         with pytest.raises(FormatError, match="outside the Tits cone"):
             hyp.orbit_unwind(v)
+
+    def test_level_rule_refuses_before_the_unwind(self):
+        # (0, 0, -1) has level -1 on A1^(1), and (0, 0, 1) level 1: the first is outside the
+        # Tits cone, the second outside its negative, and neither reflects once to show it
+        from time import perf_counter
+
+        from heckepaths.paths import straight_path
+
+        a1aff = RootGeneratingSystem.from_gcm([[2, -2], [-2, 2]])  # cold caches
+        t0 = perf_counter()
+        with pytest.raises(FormatError, match=r"\(0,0,-1\) is outside the Tits cone by the affine level rule"):
+            straight_path(a1aff, frac_vec(0, 0, -1))
+        with pytest.raises(FormatError, match="has its negative outside the Tits cone by the affine level rule"):
+            a1aff.orbit_unwind(frac_vec(0, 0, 1), antidominant=True)
+        assert perf_counter() - t0 < 0.05
 
 
 class TestSerialization:
@@ -717,7 +732,7 @@ class TestExactKernel:
             v = tuple(F(x) for x in v_any[: system.rank_x])
         v = tuple(s * x for x in v)
         expect = ref_within_reach(system, lam, tuple(x / s for x in v))
-        assert system._within_reach(system._integer_point(lam), system._integer_point(v), s) is expect
+        assert system._within_reach(system._integer_point(lam), system._integer_point(v), (s.numerator, s.denominator)) is expect
         if shape == "orbit":
             assert expect is (in_span and all(c >= 0 for c in below[: system.n]))
 
@@ -732,7 +747,7 @@ class TestExactKernel:
             ref_within_reach(system, lam, v)  # orbit_unwind gives up
         with pytest.raises(FormatError, match="outside the Tits cone"):
             system.orbit_unwind(v, antidominant=True)  # positive level: v is not in minus the Tits cone
-        assert system._within_reach(system._integer_point(lam), system._integer_point(v), F(1)) is True
+        assert system._within_reach(system._integer_point(lam), system._integer_point(v), (1, 1)) is True
 
     @given(name=system_names, raw=st.lists(st.integers(0, 2), max_size=10))
     @settings(max_examples=80, deadline=None)

@@ -1,0 +1,90 @@
+"""The falling-wall events of a path against the Fraction route they replaced.
+
+``paths._falling_wall_events`` finds the times where an inversion root of a
+piece's direction falls through an integer level as integer numerators over
+one denominator L, grouped and sorted as integers; ``ddim_events`` builds one
+``Fraction`` per group, ``is_ls`` counts the integer events, and
+``enumerate_hecke`` takes its fold times from them.  The reference below is
+the former kernel: one ``Fraction`` per event, grouped in a dict keyed by it.
+Both must give the same times, the same groups in the same order, and the
+same roots in the same order in each group, or raise the same error, for
+both values of ``at_end``, on random paths over A2, B2, G2 and A1^(1).
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heckepaths.apartment import levels_crossed
+from heckepaths.errors import HPLError
+from heckepaths.paths import _falling_wall_events, _path_wall_events, ddim_events, make_path
+
+from test_chain_reference import CANDIDATE_SYSTEMS
+from test_path_reference import _vector, paths
+
+
+def ref_falling_wall_events(sys_, den, pieces, h, at_end):
+    """Times where an inversion root of a piece direction falls through an
+    integer level, grouped as sorted (t, [roots]).  pieces holds (coset rep,
+    t0, t1, P0, P1) tuples, the times Fractions, P0 and P1 the integer pairings
+    of the piece's ends over den; a piece counts the crossings at t1 but not at
+    t0 when at_end, and the other way round otherwise.  With t0 = a / b and
+    t1 - t0 = c / b, beta meets m at t0 + (t1 - t0) (m den - u0) / (u1 - u0)."""
+    events = {}
+    for w, t0, t1, p0, p1 in pieces:
+        sys_.check_height(w, h)
+        a, b = t0.numerator * t1.denominator, t0.denominator * t1.denominator
+        c = t1.numerator * t0.denominator - a
+        for beta in sys_.inversion_set(w):
+            u0, u1 = beta.value(p0), beta.value(p1)
+            if u1 >= u0:
+                continue
+            for m in levels_crossed(u1, u0, den) if at_end else levels_crossed(u0, u1, den):
+                events.setdefault(F(a * (u1 - u0) + c * (m * den - u0), b * (u1 - u0)), []).append(beta)
+    return sorted(events.items())
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except HPLError as exc:
+        return type(exc), str(exc)
+
+
+def _integer_route(path, h, at_end):
+    big, events = _path_wall_events(path, h, at_end)
+    assert big > 0 and all(type(n) is int for n, _ in events)
+    return [(F(n, big), roots) for n, roots in events]
+
+
+@given(
+    name=st.sampled_from(["A2", "B2", "G2", "A1aff"]),
+    pairs=st.lists(st.sampled_from([0, 1, 2, 3, F(1, 2), F(5, 3)]), min_size=3, max_size=3),
+    h=st.sampled_from([2, 20]),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_events_match_the_fraction_route(name, pairs, h, data):
+    system = CANDIDATE_SYSTEMS[name]
+    path = data.draw(paths(system, _vector(system, pairs, 0)))
+    den = path._vertex_pairings[0]
+    for at_end in (True, False):
+        expected = _outcome(ref_falling_wall_events, system, den, path._pieces(), h, at_end)
+        assert _outcome(_integer_route, path, h, at_end) == expected
+    events = _outcome(ddim_events, path, h)
+    assert events == _outcome(ref_falling_wall_events, system, den, path._pieces(), h, True)
+    assert isinstance(events, tuple) or all(type(t) is F for t, _ in events)
+
+
+@pytest.mark.parametrize("at_end", [True, False])
+def test_events_of_a_piece_that_starts_late(a2, at_end):
+    # one piece of direction s1 s2 (lambda) from t = 1/3, as enumerate_hecke asks for it: the times
+    # keep their order and groups past the shared denominator
+    path = make_path(a2, (F(3), F(3)), (F(1, 2), F(-1, 3)), [(0,), (0, 1)], [F(0), F(1, 3), F(1)])
+    den, rows = path._vertex_pairings
+    piece = (path.directions[1], F(1, 3), F(1), rows[1], rows[2])
+    big, events = _falling_wall_events(a2, den, [(piece[0], (1, 3), (1, 1), *piece[3:])], 20, at_end)
+    expected = ref_falling_wall_events(a2, den, [piece], 20, at_end)
+    assert expected and [(F(n, big), roots) for n, roots in events] == expected
