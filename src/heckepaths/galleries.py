@@ -151,22 +151,19 @@ def galleries_of_type(system, z, word, target_direction):
     Folds are offered only at true walls with the repeated chamber on the
     positive side; ghost walls are always crossed.
     """
-    word = tuple(word)
-    z = tuple(Fraction(x) for x in z)
+    word, z = tuple(word), tuple(Fraction(x) for x in z)
     den, pairs = system._pairings(z)
-    out = []
-
-    def extend(j, end, folds, gammas):
+    out, todo = [], [(0, IDENTITY, frozenset(), system._inversions(word)[0])]
+    while todo:  # depth first, each crossing before the fold at the same step
+        j, end, folds, gammas = todo.pop()
         if j == len(word):
             # the closed end chamber germ contains the ray along the target direction
             if system.is_dominant(system.act(system.inverse(end), target_direction)):
                 out.append(_gallery(system, z, word, folds, (den, pairs)))
-            return
-        extend(j + 1, system.mult(end, system.normalize_word((word[j],))), folds, gammas)
+            continue
         if gammas[j].is_positive and gammas[j].value(pairs) % den == 0:
-            extend(j + 1, end, folds | {j + 1}, _fold_at(system, gammas, j + 1))
-
-    extend(0, IDENTITY, frozenset(), system._inversions(word)[0])
+            todo.append((j + 1, end, folds | {j + 1}, _fold_at(system, gammas, j + 1)))
+        todo.append((j + 1, system.mult(end, system.normalize_word((word[j],))), folds, gammas))
     return out
 
 
@@ -181,12 +178,12 @@ class DecoratedHeckePath:
 
 def decorate_with_max_chains(path: LambdaPath, h: int = 20) -> DecoratedHeckePath:
     """Decorate each breakpoint by folding its minimal gallery along the
-    first longest chain (for LS paths these realize codim_tilde = codim); kept
-    per path and h."""
-    return _analysed(path, ("decoration", h), lambda: _decorate(path, h))
+    first longest chain (for LS paths these realize codim_tilde = codim); the
+    galleries are kept per path and h, apart from the path, which keeps them."""
+    return DecoratedHeckePath(path, _analysed(path, ("decoration", h), lambda: _decorate(path, h)))
 
 
-def _decorate(path: LambdaPath, h: int) -> DecoratedHeckePath:
+def _decorate(path: LambdaPath, h: int) -> tuple:
     check = is_hecke(path, h)
     if not check.ok:
         raise NotHecke(check.reason)
@@ -196,7 +193,7 @@ def _decorate(path: LambdaPath, h: int) -> DecoratedHeckePath:
         chain = max(chains, key=lambda c: c.s)
         g = _gallery(path.system, path.point(j), path.directions[j - 1].word, (), (den, rows[j]))
         galleries.append((chain.t, fold_gallery(g, chain.roots)))
-    return DecoratedHeckePath(path, tuple(galleries))
+    return tuple(galleries)
 
 
 def enumerate_decorations(path: LambdaPath, h: int = 20):

@@ -187,63 +187,63 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
     mu = tuple(Fraction(x) for x in mu)
     if not system.is_dominant(lam) or not is_integral_vec(lam):
         raise NotDominant("Freudenthal needs a dominant highest weight in Y")
-    dual = _DualData(system)
-    if cache is None:
-        cache = {}
-    lamp = system._integer_point(lam)
-    unit = lamp[2] // system._cden  # the denominator of lam's pairings
+    ctx = (system, _DualData(system), lam, system._integer_point(lam), {} if cache is None else cache)
+    return _weight_mult(ctx, mu)
 
-    def dominant_mult(nu):
-        if nu == lam:
-            return 1
-        if nu in cache:
-            return cache[nu]
-        nup = system._integer_point(nu)
-        diff = _coroot_gap(system, lamp, nup)
-        if diff is None:
-            cache[nu] = 0
-            return 0
-        height = sum(diff)
-        total = ZERO
-        for coeffs, root_mult in dual.roots_up_to_height(height):
-            step = [0] * system.rank_x, [0] * system.n, lamp[2]  # sum_i c_i alpha_i^v at lam's scale
-            for i, c in enumerate(coeffs):
-                if c:
-                    system._subtract_coroot(step[0], step[1], i, -c * unit)
-            k = 1
-            while True:
-                upper = _along(nup, (k, 1), step)
-                if _coroot_gap(system, lamp, upper) is None:
-                    break
-                m = mult(tuple(Fraction(x, upper[2]) for x in upper[0]))
-                if m:
-                    total += root_mult * m * dual.pair(coeffs, upper)
-                k += 1
-        coords = system.coroot_coordinates(vsub(lam, nu))
-        denom = dual.pair(coords, _along(lamp, (1, 1), nup)) + 2 * sum(c * d for c, d in zip(coords, dual.dsym))
-        if denom <= 0:
-            raise CrossCheckMismatch(
-                f"Freudenthal denominator {denom} at ({','.join(format_vector(nu))}) is not positive"
-            )
-        value = 2 * total / denom
-        if value.denominator != 1 or value < 0:
-            raise CrossCheckMismatch(
-                f"Freudenthal multiplicity {value} at ({','.join(format_vector(nu))}) is not a natural number"
-            )
-        cache[nu] = int(value)
+
+def _weight_mult(ctx, nu) -> int:
+    """The multiplicity of nu in freudenthal_multiplicity's V(lam), over ctx = (system,
+    the dual's root data, lam, lam's integer point, the cache)."""
+    system = ctx[0]
+    # weights of V(lam) lie in the Tits cone; the oracle unwinds nothing outside
+    # it (_DualData has refused indefinite type, where the level rule says nothing)
+    if system._outside_by_level(system._pairings(nu)[1]):
+        return 0
+    dom, _ = system.orbit_unwind(nu)
+    if not is_integral_vec(dom):
+        return 0
+    return _dominant_mult(ctx, dom)
+
+
+def _dominant_mult(ctx, nu) -> int:
+    """_weight_mult at a dominant nu: the Freudenthal recursion, kept in the cache."""
+    system, dual, lam, lamp, cache = ctx
+    if nu == lam:
+        return 1
+    if nu in cache:
         return cache[nu]
-
-    def mult(nu):
-        # weights of V(lam) lie in the Tits cone; the oracle unwinds nothing outside
-        # it (_DualData has refused indefinite type, where the level rule says nothing)
-        if system._outside_by_level(system._pairings(nu)[1]):
-            return 0
-        dom, _ = system.orbit_unwind(nu)
-        if not is_integral_vec(dom):
-            return 0
-        return dominant_mult(dom)
-
-    return mult(mu)
+    nup = system._integer_point(nu)
+    diff = _coroot_gap(system, lamp, nup)
+    if diff is None:
+        cache[nu] = 0
+        return 0
+    unit = lamp[2] // system._cden  # the denominator of lam's pairings
+    total = ZERO
+    for coeffs, root_mult in dual.roots_up_to_height(sum(diff)):
+        step = [0] * system.rank_x, [0] * system.n, lamp[2]  # sum_i c_i alpha_i^v at lam's scale
+        for i, c in enumerate(coeffs):
+            if c:
+                system._subtract_coroot(step[0], step[1], i, -c * unit)
+        k = 1
+        while True:
+            upper = _along(nup, (k, 1), step)
+            if _coroot_gap(system, lamp, upper) is None:
+                break
+            m = _weight_mult(ctx, tuple(Fraction(x, upper[2]) for x in upper[0]))
+            if m:
+                total += root_mult * m * dual.pair(coeffs, upper)
+            k += 1
+    coords = system.coroot_coordinates(vsub(lam, nu))
+    denom = dual.pair(coords, _along(lamp, (1, 1), nup)) + 2 * sum(c * d for c, d in zip(coords, dual.dsym))
+    if denom <= 0:
+        raise CrossCheckMismatch(f"Freudenthal denominator {denom} at ({','.join(format_vector(nu))}) is not positive")
+    value = 2 * total / denom
+    if value.denominator != 1 or value < 0:
+        raise CrossCheckMismatch(
+            f"Freudenthal multiplicity {value} at ({','.join(format_vector(nu))}) is not a natural number"
+        )
+    cache[nu] = int(value)
+    return cache[nu]
 
 
 # -- exhaustive Hecke enumeration ---------------------------------------------------
@@ -302,7 +302,7 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     lamp, y0p, y1p = map(system._integer_point, (lam, y0, y1))
     if any(p < 0 for p in lamp[1]):
         raise NotDominant("enumerate_hecke needs a dominant shape")
-    scale, cden = system._rden * system._cden, system._cden
+    scale = system._rden * system._cden
     if any(v[2] != scale for v in (lamp, y0p, y1p)):
         raise FormatError("enumerate_hecke endpoints and shape must lie in Y")
     if not any(lamp[0]):
@@ -311,44 +311,47 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     gap = _coroot_gap(system, lamp, nup)  # lam - nu over the coroots
     if gap is None:
         return []
-    max_len = 2 * sum(gap)
-    found = {}
-
-    def descend(pts, xis, reps, times, certs, t):
-        # per piece so far: its start point, integer direction xi at lamp's scale, coset rep and
-        # start time; certs: the chains between them; t: the last time as a reduced pair (n, d).
-        # A path found takes the rows summed here
-        x, xi, (n, d) = pts[-1], (*xis[-1], lamp[2]), t
-        end = _along(x, (d - n, d), xi)
-        if not any(_along(y1p, (-1, 1), end)[0]):
-            path = LambdaPath(system, lam, y0, reps, times + (ONE,))
-            vars(path).update(_shape_point=lamp, _direction_rows=xis, _vertex_points=[*pts, end])
-            found.setdefault(path, certs)
-        piece = (reps[-1], t, (1, 1), [end[2] // x[2] * a for a in x[1]], end[1])
-        big, events = _falling_wall_events(system, end[2] // cden, [piece], h, at_end=False)
-        for e, _ in events:
-            g = gcd(e, big)
-            ta = na, da = e // g, big // g
-            if ta == t:  # walls at the fold point itself; only those inside (t, 1) count
-                continue
-            p, q = na * d - n * da, da * d  # ta - t
-            g = gcd(p, q)
-            z = _along(x, (p // g, q // g), xi)
-            if not system._within_reach(lamp, _along(y1p, (-1, 1), z), (da - na, da)):
-                continue
-            at = Fraction(na, da)
-            walk = _chain_walk(system, lamp, (z[2] // cden, z[1]), xis[-1], reps[-1], "hecke", at, h)
-            # each reached xi has lamp's denominator, so its numerators order it as a vector
-            for c in sorted(walk, key=lambda c: c._xi_points[1][-1][0]):
-                descend(
-                    pts + (z,), xis + c._xi_points[1][-1:], reps + c.cosets[-1:], times + (at,), certs + (c,), ta
-                )
-
     if not system._within_reach(lamp, nup, (1, 1)):
         return []
-    for num, (pairs, rep) in sorted(_cosets_up_to_length(system, lamp, max_len).items()):
-        descend((y0p,), ((list(num), pairs),), (rep,), (ZERO,), (), (0, 1))
+    found = {}
+    ctx = (system, lam, lamp, y0, y1p, h, found)
+    for num, (pairs, rep) in sorted(_cosets_up_to_length(system, lamp, 2 * sum(gap)).items()):
+        _descend(ctx, (y0p,), ((list(num), pairs),), (rep,), (ZERO,), (), (0, 1))
     ordered = sorted(
         found.items(), key=lambda kv: (kv[0].breakpoints, tuple(w.word for w in kv[0].directions))
     )
     return [HeckePathWitness(p, c) for p, c in ordered]
+
+
+def _descend(ctx, pts, xis, reps, times, certs, t):
+    """The search of enumerate_hecke from its last piece, over ctx = (system, lam, lam's
+    integer point, y0, y1's integer point, h, the dict of paths found).  Per piece so far:
+    its start point, integer direction xi at the shape's scale, coset rep and start time;
+    certs: the chains between them; t: the last time as a reduced pair (n, d).  A path
+    found takes the rows summed here."""
+    system, lam, lamp, y0, y1p, h, found = ctx
+    x, xi, (n, d) = pts[-1], (*xis[-1], lamp[2]), t
+    end = _along(x, (d - n, d), xi)
+    if not any(_along(y1p, (-1, 1), end)[0]):
+        path = LambdaPath(system, lam, y0, reps, times + (ONE,))
+        vars(path).update(_shape_point=lamp, _direction_rows=xis, _vertex_points=[*pts, end])
+        found.setdefault(path, certs)
+    piece = (reps[-1], t, (1, 1), [end[2] // x[2] * a for a in x[1]], end[1])
+    big, events = _falling_wall_events(system, end[2] // system._cden, [piece], h, at_end=False)
+    for e, _ in events:
+        g = gcd(e, big)
+        ta = na, da = e // g, big // g
+        if ta == t:  # walls at the fold point itself; only those inside (t, 1) count
+            continue
+        p, q = na * d - n * da, da * d  # ta - t
+        g = gcd(p, q)
+        z = _along(x, (p // g, q // g), xi)
+        if not system._within_reach(lamp, _along(y1p, (-1, 1), z), (da - na, da)):
+            continue
+        at = Fraction(na, da)
+        walk = _chain_walk(system, lamp, (z[2] // system._cden, z[1]), xis[-1], reps[-1], "hecke", at, h)
+        # each reached xi has lamp's denominator, so its numerators order it as a vector
+        for c in sorted(walk, key=lambda c: c._xi_points[1][-1][0]):
+            _descend(
+                ctx, pts + (z,), xis + c._xi_points[1][-1:], reps + c.cosets[-1:], times + (at,), certs + (c,), ta
+            )

@@ -328,31 +328,29 @@ def _chain_walk(system, shape, xp, xi_from, start, kind, t, h, target=None, bloc
     collects the conditions that removed first-step roots.
     """
     lam = (tuple(shape[0]), shape[2] // system._cden)
-    seen = set()
+    return _walk((system, lam, shape[2], xp, kind, t, h, target, blocked, set()), start, (), (xi_from,), (start,))
 
-    def certificate(roots, xis, cosets):
-        return ChainCertificate(t, kind, roots, _XiPoints((shape[2], xis)), cosets)
 
-    def walk(rep, roots, xis, cosets):
-        if target is not None:
-            if rep == target:
-                yield certificate(roots, xis, cosets)
-                return
-            if rep.length <= target.length:
-                return
-        cands, why = _chain_candidates(system, lam, *xp, rep, xis[-1], kind, t, h)
-        if blocked is not None and not roots:
-            blocked.update(why)
-        for beta, xi_new, new_rep in cands:
-            if target is None and new_rep in seen:
-                continue
-            chain = (roots + (beta,), xis + (xi_new,), cosets + (new_rep,))
-            if target is None:
-                seen.add(new_rep)
-                yield certificate(*chain)
-            yield from walk(new_rep, *chain)
-
-    return walk(start, (), (xi_from,), (start,))
+def _walk(ctx, rep, roots, xis, cosets):
+    """The chains of _chain_walk that extend (roots, xis, cosets), which ends at rep;
+    ctx holds the walk's fixed data and the set of cosets seen."""
+    system, lam, den, xp, kind, t, h, target, blocked, seen = ctx
+    if target is not None:
+        if rep == target:
+            yield ChainCertificate(t, kind, roots, _XiPoints((den, xis)), cosets)
+        if rep.length <= target.length:
+            return
+    cands, why = _chain_candidates(system, lam, *xp, rep, xis[-1], kind, t, h)
+    if blocked is not None and not roots:
+        blocked.update(why)
+    for beta, xi_new, new_rep in cands:
+        if target is None and new_rep in seen:
+            continue
+        chain = roots + (beta,), xis + (xi_new,), cosets + (new_rep,)
+        if target is None:
+            seen.add(new_rep)
+            yield ChainCertificate(t, kind, chain[0], _XiPoints((den, chain[1])), chain[2])
+        yield from _walk(ctx, new_rep, *chain)
 
 
 def _walk_vectors(system, shape, x, xi_from, kind, a_j, h, xi_to=None):

@@ -13,8 +13,8 @@ integer pairings, and a Fraction is built once per output coordinate, at the
 API boundary.
 
 Weyl group elements are stored as their ShortLex normal form, computed by
-greedy left-descent extraction from the exact action on root coefficients;
-equal group elements therefore always carry identical words.
+greedy left-descent extraction, each descent read off the sign of an integer
+root height; equal group elements therefore always carry identical words.
 """
 
 from __future__ import annotations
@@ -410,22 +410,23 @@ class RootGeneratingSystem:
         return RealRoot(e, e)
 
     def _reflect_coeffs(self, i: int, c: tuple, cc: tuple):
-        """Formal r_i on a root's coefficient and coroot coefficient tuples."""
-        p = sum(x * c[j] for j, x in self._cartan_support[i])  # beta(alpha_i^v)
-        q = sum(row[i] * x for row, x in zip(self.gcm.entries, cc))  # alpha_i(beta^v)
+        """Formal r_i on a root's coefficient and coroot coefficient tuples, over the support
+        of row i of the Cartan matrix, which column i shares."""
+        a = self.gcm.entries
+        p = q = 0
+        for j, x in self._cartan_support[i]:
+            p += x * c[j]  # beta(alpha_i^v)
+            q += a[j][i] * cc[j]  # alpha_i(beta^v)
         return c[:i] + (c[i] - p,) + c[i + 1 :], cc[:i] + (cc[i] - q,) + cc[i + 1 :]
 
-    def reflect_root(self, i: int, root: RealRoot) -> RealRoot:
-        return RealRoot(*self._reflect_coeffs(i, root.coeffs, root.coroot_coeffs))
-
     def _reflect_root_by(self, beta: RealRoot, root: RealRoot) -> RealRoot:
-        """r_beta(root) on both coefficient vectors: root - root(beta^v) beta and
-        root^v - beta(root^v) beta^v, the pairings read off the Cartan matrix."""
-        a = self.gcm.entries
-        p = sum(b * a[k][j] * c for k, b in enumerate(beta.coroot_coeffs) for j, c in enumerate(root.coeffs))
-        q = sum(c * a[k][j] * b for k, c in enumerate(root.coroot_coeffs) for j, b in enumerate(beta.coeffs))
+        """r_beta(root) on both coefficient vectors: root - root(beta^v) beta and root^v -
+        beta(root^v) beta^v, the pairings read off the Cartan rows on the coroots' supports."""
+        support, c, b = self._cartan_support, root.coeffs, beta.coeffs
+        p = sum(k * a * c[j] for i, k in enumerate(beta.coroot_coeffs) if k for j, a in support[i])
+        q = sum(k * a * b[j] for i, k in enumerate(root.coroot_coeffs) if k for j, a in support[i])
         return RealRoot(
-            tuple(x - p * y for x, y in zip(root.coeffs, beta.coeffs)),
+            tuple(x - p * y for x, y in zip(c, b)),
             tuple(x - q * y for x, y in zip(root.coroot_coeffs, beta.coroot_coeffs)),
         )
 
@@ -483,28 +484,30 @@ class RootGeneratingSystem:
         cached = self._norm_cache.get(word)
         if cached is not None:
             return cached
-        # matrix of w^{-1} on root coefficients; column i is w^{-1}(alpha_i), and
-        # r_i (alpha_c) = alpha_c - a_ic alpha_i
-        ident = [[int(r == c) for c in range(self.n)] for r in range(self.n)]
-        inv = [list(row) for row in ident]
-        for i in word:  # r_i inv: row i takes a_ik times row k off, for every k
-            support = self._cartan_support[i]
-            inv[i] = [x - sum(a * inv[k][t] for k, a in support) for t, x in enumerate(inv[i])]
-        out = []
-        while inv != ident:
-            for i in range(self.n):
-                if all(row[i] <= 0 for row in inv):  # a left descent of w
-                    out.append(i)
-                    for row in inv:  # inv r_i: column c takes a_ic times column i off
-                        p = row[i]
-                        for c, a in self._cartan_support[i]:
-                            row[c] -= p * a
-                    break
-            else:  # pragma: no cover - impossible for a genuine group element
-                raise CrossCheckMismatch(f"no left descent found for the word {word}")
+        # the least left descent, reflected away until none is left
+        out, p, i = [], self._heights(word), 0
+        while i < self.n:
+            if p[i] < 0:
+                out.append(i)
+                self._heights((i,), p)
+                i = 0
+            else:
+                i += 1
         result = WeylElement(tuple(out))
         self._norm_cache[word] = result
         return result
+
+    def _heights(self, word, p=None) -> list:
+        """The heights of w^-1(alpha_i), w the word's element, or with p given, the word
+        applied to the heights p in place.  i is a left descent of w exactly when its height
+        is negative (Kac, Infinite-dimensional Lie algebras, Lemma 3.11); the heights are the
+        pairings of w(v) for any v with every alpha_i(v) = 1, carried as in _subtract_coroot."""
+        p = [1] * self.n if p is None else p
+        for i in reversed(word):
+            m = p[i]
+            for j, a in self._cartan_support[i]:
+                p[j] -= m * a
+        return p
 
     def mult(self, w1: WeylElement, w2: WeylElement) -> WeylElement:
         return self.normalize_word(w1.word + w2.word)
@@ -528,20 +531,16 @@ class RootGeneratingSystem:
         if out is None:
             roots = []
             for k, i in enumerate(word):
-                beta = self.simple_root_obj(i)
+                c = cc = tuple(int(j == i) for j in range(self.n))
                 for j in reversed(word[:k]):
-                    beta = self.reflect_root(j, beta)
-                roots.append(beta)
+                    c, cc = self._reflect_coeffs(j, c, cc)
+                roots.append(RealRoot(c, cc))
             out = self._inversion_cache[word] = (tuple(roots), max((r.height for r in roots), default=0))
         return out
 
     def is_left_descent(self, i: int, w: WeylElement) -> bool:
         """True iff length(s_i w) < length(w)."""
-        if not w.word:
-            return False
-        if w.word[0] == i:
-            return True
-        return self.normalize_word((i,) + w.word).length < w.length
+        return self._heights(w.word)[i] < 0
 
     def bruhat_leq(self, w: WeylElement, w2: WeylElement) -> bool:
         """Bruhat-Chevalley order, by the lifting property.
@@ -608,7 +607,9 @@ class RootGeneratingSystem:
                 else:
                     why = f"outside the Tits cone: its unwind passed {_UNWIND_GUARD} reflections"
                 raise FormatError(f"vector ({','.join(format_vector([Fraction(x, den) for x in num]))}) {why}")
-            out = self._unwind_cache[key] = (self.normalize_word(letters), tuple(v0))
+            # w is the minimal rep, so each wrong-signed pairing marks a left descent of what is
+            # left of w, and the letters are already w's ShortLex-least word
+            out = self._unwind_cache[key] = (WeylElement(tuple(letters)), tuple(v0))
         return out
 
     def coset_of_vector(self, xi: Vec, lam: Vec, antidominant=False) -> CosetRep:

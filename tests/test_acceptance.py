@@ -37,6 +37,7 @@ from heckepaths.root_system import dominance_difference
 from conftest import all_words, frac_vec
 from test_chain_reference import chain_targets, root_eval
 from test_path_reference import from_segments
+from test_system_reference import reflect_root
 
 
 @contextlib.contextmanager
@@ -275,6 +276,24 @@ def test_criterion_6b_codim_tilde_strict_on_some_non_ls(systems, a2_suite):
         assert witnesses, "no non-LS Hecke path has all decorations strictly above codim"
 
 
+def test_criterion_6b_witness_report(a2_suite):
+    """Print why 6b fails: each non-LS Hecke path of the A2 suite, its codim, and the
+    codim_tilde of each of its decorations, with the type and folds of its
+    galleries.  Run with -s to see the lines.  Every such path has a decoration
+    with codim_tilde equal to codim: the one folded along the longest chains."""
+    witnesses = [path for _, path in a2_suite if is_hecke(path).ok and not is_ls(path).ok]
+    assert witnesses
+    for path in witnesses:
+        cd = stats(path).codim
+        print(f"6b WITNESS {path!r} directions {list(path.directions)} codim {cd}")
+        tildes = []
+        for dec in enumerate_decorations(path):
+            tildes.append(codim_tilde(dec))
+            galleries = [(g.type_word, sorted(g.folds)) for _, g in dec.galleries]
+            print(f"6b WITNESS   decoration (type, folds) {galleries}: codim_tilde {tildes[-1]}")
+        assert min(tildes) == codim_tilde(decorate_with_max_chains(path)) == cd
+
+
 def test_criterion_7_affine_smoke(systems):
     with criterion(7, "affine smoke test"):
         aff = systems["a1aff"]
@@ -283,7 +302,7 @@ def test_criterion_7_affine_smoke(systems):
             for i in range(2):
                 beta = aff.simple_root_obj(i)
                 for j in reversed(word):
-                    beta = aff.reflect_root(j, beta)
+                    beta = reflect_root(aff, j, beta)
                 if beta.is_positive and beta.height <= 10:
                     brute.add(beta.coeffs)
         assert {r.coeffs for r in aff.real_roots_up_to_height(10)} == brute

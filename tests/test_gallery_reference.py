@@ -43,6 +43,7 @@ from heckepaths.galleries import (
 from heckepaths.model import enumerate_hecke
 from heckepaths.paths import _breakpoint_chains, _piece_before, ddim_events, eval_path
 
+from test_system_reference import reflect_root
 from test_wall_events_reference import ref_falling_wall_events
 
 # -- the reference -------------------------------------------------------------
@@ -56,7 +57,7 @@ def reflection_element(system, root):
     guard = 0
     while cur.height > 1:
         for i in range(system.n):
-            img = system.reflect_root(i, cur)
+            img = reflect_root(system, i, cur)
             if 0 < img.height < cur.height:
                 word.append(i)
                 cur = img
@@ -74,7 +75,7 @@ def _wall_direction(system, chamber, i):
     """Positive root of the wall spanned by the type-i panel of chamber."""
     beta = system.simple_root_obj(i)
     for idx in reversed(chamber.word):
-        beta = system.reflect_root(idx, beta)
+        beta = reflect_root(system, idx, beta)
     return beta if beta.is_positive else beta.negated()
 
 
@@ -83,7 +84,7 @@ def _on_positive_side(system, chamber, beta):
     d^-1 applying the letters of d's word first to last."""
     img = beta
     for i in chamber.word:
-        img = system.reflect_root(i, img)
+        img = reflect_root(system, i, img)
     return img.is_positive
 
 

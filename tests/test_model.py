@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -401,3 +403,42 @@ class TestCosetsUpToLength:
                 if system.coset_of_vector(v, lam).length <= max_len:
                     expect.add(v)
             assert set(got) == expect
+
+
+@pytest.mark.parametrize(
+    "entries, pairs, drop",
+    [([[2, -1], [-1, 2]], (1, 1), (1, 1)), ([[2, -2], [-1, 2]], (2, 0), (1, 1)), ([[2, -2], [-2, 2]], (2, 0), (2, 1))],
+    ids=["A2", "B2", "A1aff"],
+)
+@pytest.mark.parametrize("use", ["enumerate", "recognize", "decorations", "freudenthal"])
+def test_system_dies_with_its_results_without_the_cyclic_collector(entries, pairs, drop, use):
+    # no reference cycle holds a system, its memos or a path's analysis record:
+    # reference counting alone frees them once the caller drops what it holds
+    from heckepaths.galleries import codim_tilde, decorate_with_max_chains, enumerate_decorations, parameter_pattern
+
+    def recognized(witnesses):
+        for w in witnesses:
+            is_ls(w.path), stats(w.path), parameter_pattern(w.path), codim_tilde(decorate_with_max_chains(w.path))
+        return [w.path for w in witnesses]
+
+    uses = {
+        "enumerate": lambda witnesses: witnesses,
+        "recognize": recognized,
+        "decorations": lambda witnesses: [enumerate_decorations(w.path) for w in witnesses],
+        "freudenthal": lambda witnesses: freudenthal_multiplicity(witnesses[0].path.system, lam, y1),
+    }
+    gc.disable()
+    try:
+        system = RootGeneratingSystem.from_gcm(entries)
+        ref = weakref.ref(system)
+        lam = solve_linear(system.simple_roots, frac_vec(*pairs))
+        y1 = tuple(x - sum(c * cr[t] for c, cr in zip(drop, system.simple_coroots)) for t, x in enumerate(lam))
+        witnesses = enumerate_hecke(system, lam, system.zero(), y1)
+        assert any(w.path.r > 1 for w in witnesses)
+        held = uses[use](witnesses)
+        del system, witnesses
+        assert (ref() is None) == (use == "freudenthal")  # a multiplicity holds no system
+        del held
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -18,7 +18,7 @@ from conftest import (
 )
 from test_chain_reference import reflect_by_root, root_covector, root_eval
 from test_gallery_reference import reflection_element
-from test_system_reference import solve_linear, vdot_cov
+from test_system_reference import reflect_root, solve_linear, vdot_cov
 
 
 class TestValidateGCM:
@@ -203,7 +203,7 @@ class TestRealRoots:
             for i in range(2):
                 beta = a1aff.simple_root_obj(i)
                 for j in reversed(word):
-                    beta = a1aff.reflect_root(j, beta)
+                    beta = reflect_root(a1aff, j, beta)
                 if beta.is_positive and beta.height <= 10:
                     seen.add(beta.coeffs)
         ours = {r.coeffs for r in a1aff.real_roots_up_to_height(10)}

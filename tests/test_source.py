@@ -131,3 +131,39 @@ def test_public_names_have_library_callers():
         and used[node.name] == _references(node)[node.name]
     ]
     assert not orphans, f"public names with no caller elsewhere in the library: {orphans}"
+
+
+def _recursive_nested_functions(function):
+    """The nested functions defined in function's body that reach their own name,
+    directly or through the other nested functions defined there."""
+    nested = {
+        node.name: node
+        for node in ast.walk(function)
+        if node is not function and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    calls = {
+        name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and n.id in nested}
+        for name, node in nested.items()
+    }
+    for name, node in nested.items():
+        seen, todo = set(), list(calls[name])
+        while todo:
+            other = todo.pop()
+            if other not in seen:
+                seen.add(other)
+                todo += calls[other]
+        if name in seen:
+            yield node
+
+
+def test_no_recursive_nested_functions():
+    # a nested function that reaches its own name holds itself through a closure
+    # cell: a reference cycle that leaves everything it closes over (a system and
+    # its memos) to the cyclic collector; recurse through a module-level function
+    found = []
+    for module in sorted(SRC.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{module.name}:{g.lineno} {g.name}" for g in _recursive_nested_functions(node)]
+    assert not found, f"recursive nested functions in the library: {sorted(set(found))}"

@@ -15,11 +15,19 @@ Cartan matrices of rank <= 4 (finite, affine either way round, hyperbolic,
 decomposable and not symmetrizable) and on random rational realizations.
 
 The positive-root closure runs on integer coefficient tuples; its reference
-is the former closure on ``RealRoot`` objects through ``reflect_root``.
+is the former closure on ``RealRoot`` objects through ``reflect_root``, which
+reads the whole row and column i of the Cartan matrix.
 
-``solve_linear`` and ``vdot_cov`` (the former ``Fraction`` kernel of
-``pairing``, ``is_dominant`` and ``rho_value``) live here now that the
-library no longer calls them; other tests import them from this module.
+Normal forms read each left descent off the sign of an integer root height,
+and the inversion sequence reflects coefficient tuples; the references are
+the former routes: ``normalize_word`` on the matrix of w^-1 over the root
+coefficients, scanning its columns for a non-positive one, and
+``_inversions`` reflecting ``RealRoot`` by ``RealRoot``.  The unwind keeps
+its letters as the coset rep's word, which must be that rep's normal form.
+
+``reflect_root``, ``solve_linear`` and ``vdot_cov`` (the former ``Fraction``
+kernel of ``pairing``, ``is_dominant`` and ``rho_value``) live here now that
+the library no longer calls them; other tests import them from this module.
 """
 
 import math
@@ -30,6 +38,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckepaths import RootGeneratingSystem, validate_gcm
+from heckepaths.root_system import RealRoot, WeylElement
 from heckepaths.errors import CrossCheckMismatch, FormatError, HPLError, NotSymmetrizable
 from heckepaths.linalg import mat_rank, nullspace, row_reduce, scale_to_primitive_integers
 
@@ -179,6 +188,56 @@ def ref_coroot_coordinates(coroots, v):
     return coeffs if rebuilt == tuple(v) else None
 
 
+def reflect_root(system, i, root):
+    """r_i on a real root and its coroot, over the whole row and column i of the Cartan matrix."""
+    a, c, cc = system.gcm.entries, root.coeffs, root.coroot_coeffs
+    p = sum(a[i][j] * c[j] for j in range(system.n))  # beta(alpha_i^v)
+    q = sum(a[k][i] * cc[k] for k in range(system.n))  # alpha_i(beta^v)
+    return RealRoot(c[:i] + (c[i] - p,) + c[i + 1 :], cc[:i] + (cc[i] - q,) + cc[i + 1 :])
+
+
+def ref_reflect_root_by(system, beta, root):
+    """r_beta(root), its pairings summed over all n^2 entries of the Cartan matrix."""
+    a, n = system.gcm.entries, system.n
+    p = sum(beta.coroot_coeffs[k] * a[k][j] * root.coeffs[j] for k in range(n) for j in range(n))
+    q = sum(root.coroot_coeffs[k] * a[k][j] * beta.coeffs[j] for k in range(n) for j in range(n))
+    return RealRoot(
+        tuple(x - p * y for x, y in zip(root.coeffs, beta.coeffs)),
+        tuple(x - q * y for x, y in zip(root.coroot_coeffs, beta.coroot_coeffs)),
+    )
+
+
+def ref_normalize_word(system, word):
+    """The ShortLex-least reduced word from the matrix of w^-1 on root coefficients:
+    column i is w^-1(alpha_i), and i is a left descent when it has no positive entry."""
+    n, a = system.n, system.gcm.entries
+    ident = [[int(r == c) for c in range(n)] for r in range(n)]
+    inv = [list(row) for row in ident]
+    for i in word:  # r_i inv: row i takes a_ik times row k off, for every k
+        inv[i] = [x - sum(a[i][k] * inv[k][t] for k in range(n)) for t, x in enumerate(inv[i])]
+    out = []
+    while inv != ident:
+        i = next(i for i in range(n) if all(row[i] <= 0 for row in inv))
+        out.append(i)
+        for row in inv:  # inv r_i: column c takes a_ic times column i off
+            p = row[i]
+            for c in range(n):
+                row[c] -= p * a[i][c]
+    return WeylElement(tuple(out))
+
+
+def ref_inversions(system, word):
+    """beta_k = r_i1 ... r_i(k-1)(alpha_ik) for each letter, reflected RealRoot by
+    RealRoot, and the largest height."""
+    roots = []
+    for k, i in enumerate(word):
+        beta = system.simple_root_obj(i)
+        for j in reversed(word[:k]):
+            beta = reflect_root(system, j, beta)
+        roots.append(beta)
+    return tuple(roots), max((r.height for r in roots), default=0)
+
+
 def ref_real_roots_up_to_height(system, h):
     """The breadth-first closure of the simple roots under reflect_root, on
     RealRoot objects, sorted by (height, coeffs)."""
@@ -188,7 +247,7 @@ def ref_real_roots_up_to_height(system, h):
         new = []
         for beta in frontier:
             for i in range(system.n):
-                img = system.reflect_root(i, beta)
+                img = reflect_root(system, i, beta)
                 if img.is_positive and img.height <= h and img not in seen:
                     seen.add(img)
                     new.append(img)
@@ -391,6 +450,69 @@ def test_real_roots_of_the_catalog_match_the_realroot_closure(name):
     assert [(r.coeffs, r.coroot_coeffs) for r in got] == [
         (r.coeffs, r.coroot_coeffs) for r in ref_real_roots_up_to_height(system, h)
     ]
+
+
+def _system(a):
+    try:
+        return RootGeneratingSystem.from_gcm(a)
+    except NotSymmetrizable:
+        return None
+
+
+def _words(n, max_size=8):
+    return st.lists(st.integers(0, n - 1), max_size=max_size).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gcms(), st.data())
+def test_normal_forms_and_descents_match_the_matrix_route(a, data):
+    system = _system(a)
+    if system is None:
+        return
+    for word in data.draw(st.lists(_words(system.n), min_size=1, max_size=4)):
+        w = system.normalize_word(word)
+        assert w == ref_normalize_word(system, word)
+        for i in range(system.n):
+            assert system.is_left_descent(i, w) == (ref_normalize_word(system, (i,) + w.word).length < w.length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gcms(), st.data())
+def test_inversions_match_the_realroot_route(a, data):
+    system = _system(a)
+    if system is None:
+        return
+    for word in data.draw(st.lists(_words(system.n), min_size=1, max_size=3)):
+        roots, top = system._inversions(word)
+        expected, expected_top = ref_inversions(system, word)
+        assert [(r.coeffs, r.coroot_coeffs) for r in roots] == [(r.coeffs, r.coroot_coeffs) for r in expected]
+        assert top == expected_top
+        for beta in roots[:3]:
+            for gamma in roots:
+                got, ref = system._reflect_root_by(beta, gamma), ref_reflect_root_by(system, beta, gamma)
+                assert (got.coeffs, got.coroot_coeffs) == (ref.coeffs, ref.coroot_coeffs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(gcms(), st.data())
+def test_unwind_words_are_the_minimal_reps_normal_forms(a, data):
+    # v = w(v0), v0 dominant or antidominant, is in the Tits cone or its negative,
+    # so the unwind ends after l(rep) steps in every type
+    system = _system(a)
+    if system is None:
+        return
+    antidominant = data.draw(st.booleans())
+    sign = -1 if antidominant else 1
+    d = data.draw(st.lists(st.integers(0, 2), min_size=system.n, max_size=system.n))
+    v0 = solve_linear(system.simple_roots, [F(sign * x) for x in d])
+    w = system.normalize_word(data.draw(_words(system.n)))
+    v = system.act(w, v0)
+    dom, rep = system.orbit_unwind(v, antidominant=antidominant)
+    assert dom == v0 and system.act(rep, dom) == v
+    assert rep == ref_normalize_word(system, rep.word) and rep.length <= w.length
+    # minimal in rep W_v0: no right descent among the simple reflections fixing v0
+    for j in (j for j in range(system.n) if d[j] == 0):
+        assert ref_normalize_word(system, rep.word + (j,)).length > rep.length
 
 
 @pytest.mark.parametrize(
