@@ -95,14 +95,28 @@ def _gallery(system, z, word, folds, pairings) -> GalleryAtPoint:
     return gallery
 
 
+def _indices(items, what: str, top: int) -> tuple:
+    """A JSON list of integers from 1 to top, as 0-based indices."""
+    if not isinstance(items, list) or not all(type(i) is int and 1 <= i <= top for i in items):
+        raise FormatError(f"{what} must be a list of integers from 1 to {top}, got {items!r}")
+    return tuple(i - 1 for i in items)
+
+
 def gallery_from_json_dict(system: RootGeneratingSystem, data: dict) -> GalleryAtPoint:
-    return GalleryAtPoint(
-        system,
-        parse_vector(data["point"]),
-        tuple(i - 1 for i in data["type"]),
-        tuple(system.normalize_word(tuple(i - 1 for i in w)) for w in data["chambers"]),
-        frozenset(data["folds"]),
-    )
+    """The gallery of to_json_dict, rebuilt from its point, type and folds, and refused
+    unless its chambers are the ones to_json_dict writes for it."""
+    if not isinstance(data, dict):
+        raise FormatError("a gallery is a JSON object with point, type, chambers and folds")
+    try:
+        z, word, chambers, folds = parse_vector(data["point"]), data["type"], data["chambers"], data["folds"]
+    except KeyError as exc:
+        raise FormatError(f"gallery is missing field {exc}") from exc
+    word = _indices(word, "gallery type", system.n)
+    folds = {j + 1 for j in _indices(folds, "gallery folds", len(word))}
+    gallery = _gallery(system, z, word, folds, system._pairings(z))
+    if chambers != [[i + 1 for i in d.word] for d in gallery.chambers]:
+        raise FormatError(f"gallery chambers {chambers!r} are not the ones of its type and folds")
+    return gallery
 
 
 def minimal_gallery(system: RootGeneratingSystem, z, word) -> GalleryAtPoint:
@@ -262,11 +276,19 @@ class ParameterPattern:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ParameterPattern":
-        return cls(
-            data["n"],
-            tuple(data["factors"]),
-            tuple((parse_rational(g["t"]), g["count"]) for g in data["groups"]),
-        )
+        try:
+            n, factors, groups = data["n"], data["factors"], data["groups"]
+            groups = tuple((parse_rational(g["t"]), g["count"]) for g in groups)
+        except KeyError as exc:
+            raise FormatError(f"parameter pattern is missing field {exc}") from exc
+        except TypeError as exc:
+            raise FormatError("a parameter pattern is a JSON object with n, factors and a list of groups") from exc
+        if not (isinstance(factors, list) and all(f in ("kappa", "kappa*") for f in factors)):
+            raise FormatError(f"pattern factors must be a list of 'kappa' and 'kappa*', got {factors!r}")
+        counts = [c for _, c in groups]
+        if any(type(c) is not int or c < 0 for c in [n, *counts]) or not n == len(factors) == sum(counts):
+            raise FormatError("pattern n must count its factors, and its group counts must sum to n")
+        return cls(n, tuple(factors), groups)
 
 
 def parameter_pattern(path: LambdaPath, h: int = 20) -> ParameterPattern:

@@ -1,7 +1,7 @@
-"""Small exact linear algebra over Fraction.
+"""Rational literals and vectors at the API boundary, and exact elimination.
 
-Vectors are plain tuples of Fraction, matrices are tuples of row tuples.
-Sizes here are tiny (a handful of rows), so clarity beats asymptotics.
+Vectors cross the API as tuples of Fraction; inside the library they are
+integer points (see root_system).  The one elimination runs on integers.
 
 >>> parse_rational("-3/4")
 Fraction(-3, 4)
@@ -12,7 +12,7 @@ Fraction(-3, 4)
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .errors import FormatError
 
@@ -50,35 +50,6 @@ def parse_vector(items) -> Vec:
 
 def format_vector(v: Vec) -> list:
     return [format_rational(x) for x in v]
-
-
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
-def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
-def vscale(c, u: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in u)
-
-
-def is_zero_vec(u: Vec) -> bool:
-    return all(a == 0 for a in u)
-
-
-def is_integral_vec(u: Vec) -> bool:
-    return all(Fraction(a).denominator == 1 for a in u)
 
 
 def _eliminate(rows):
@@ -124,25 +95,6 @@ def _eliminate(rows):
     return m, pivots, prev, sign, scales
 
 
-def row_reduce(rows):
-    """Exact reduced row echelon form of a matrix given as an iterable of rows.
-
-    Returns (reduced rows, pivot columns, determinant); the determinant is 0
-    unless the matrix is square and invertible.  Entries are ints or
-    Fractions.  The elimination runs on integers (_eliminate); the reduced
-    rows are its rows over the last pivot, and the determinant is sign x last
-    pivot / product of the row scales.
-
-    >>> reduced, pivots, det = row_reduce([(0, 2), (1, 3)])
-    >>> reduced == [[1, 0], [0, 1]], pivots, det
-    (True, [0, 1], Fraction(-2, 1))
-    """
-    m, pivots, prev, sign, scales = _eliminate(rows)
-    reduced = [[Fraction(x, prev) for x in row] for row in m]
-    square = len(pivots) == len(m) == (len(m[0]) if m else 0)
-    return reduced, pivots, Fraction(sign * prev, scales) if square else Fraction(0)
-
-
 def mat_rank(rows) -> int:
     """Rank of a matrix given as an iterable of rows.
 
@@ -150,33 +102,3 @@ def mat_rank(rows) -> int:
     1
     """
     return len(_eliminate(rows)[1])
-
-
-def nullspace(rows):
-    """Basis of the right kernel of A, as a list of vectors.
-
-    >>> nullspace([(2, -2), (-2, 2)])
-    [(Fraction(1, 1), Fraction(1, 1))]
-    """
-    m, pivots, _ = row_reduce(rows)
-    ncols = len(m[0]) if m else 0
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, col in enumerate(pivots):
-            v[col] = -m[r][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-def scale_to_primitive_integers(v: Vec) -> Vec:
-    """Scale a nonzero rational vector to coprime integers, keeping its sign."""
-    den = lcm(*(Fraction(x).denominator for x in v))
-    ints = [int(Fraction(x) * den) for x in v]
-    g = gcd(*ints)
-    if g == 0:
-        raise ValueError("zero vector has no primitive form")
-    return tuple(Fraction(x // g) for x in ints)

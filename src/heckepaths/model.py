@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import CapHit, CrossCheckMismatch, FormatError, NotDominant, UnsupportedType
-from .linalg import Vec, format_vector, is_integral_vec, vsub
+from .linalg import Vec, format_vector
 from .paths import (
     LambdaPath,
     _chain_walk,
@@ -73,9 +73,10 @@ class CrystalGraph:
 def _crystal_shape(system: RootGeneratingSystem, lam) -> Vec:
     """lam as an exact vector, refused unless it is dominant and in Y."""
     lam = tuple(Fraction(x) for x in lam)
-    if not system.is_dominant(lam):
+    _, pairs, den = system._integer_point(lam)
+    if any(p < 0 for p in pairs):
         raise NotDominant("crystal generation needs a dominant shape")
-    if not is_integral_vec(lam):
+    if den != system._rden * system._cden:
         raise NotDominant("crystal generation needs a shape in Y")
     return lam
 
@@ -154,7 +155,7 @@ class _DualData:
         kind = system.classify_type()
         if kind == "indefinite":
             raise UnsupportedType("Freudenthal oracle supports finite and untwisted affine type only")
-        self.dual = RootGeneratingSystem.from_gcm(list(zip(*system.gcm.entries)))  # transposed matrix
+        self.dual = system._dual
         self.dsym = self.dual._symmetrizer
         # the null root of the dual spans the left kernel of A
         self.delta = self.dual.null_root_coeffs() if kind == "affine" else None
@@ -181,41 +182,44 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
     Standard Freudenthal recursion over dominant weights; in untwisted affine
     type the imaginary roots n*delta enter with multiplicity = rank of the
     underlying finite-type subsystem.  A dict may be passed as cache to share
-    the recursion between calls with the same lam.
+    the recursion between calls with the same lam.  It runs on integer points.
     """
-    lam = tuple(Fraction(x) for x in lam)
-    mu = tuple(Fraction(x) for x in mu)
-    if not system.is_dominant(lam) or not is_integral_vec(lam):
+    lam, mu = (tuple(Fraction(x) for x in v) for v in (lam, mu))
+    lamp = system._integer_point(lam)
+    if any(p < 0 for p in lamp[1]) or lamp[2] != system._rden * system._cden:
         raise NotDominant("Freudenthal needs a dominant highest weight in Y")
-    ctx = (system, _DualData(system), lam, system._integer_point(lam), {} if cache is None else cache)
-    return _weight_mult(ctx, mu)
+    ctx = (system, _DualData(system), lamp, {} if cache is None else cache)
+    return _weight_mult(ctx, system._integer_point(mu))
 
 
 def _weight_mult(ctx, nu) -> int:
-    """The multiplicity of nu in freudenthal_multiplicity's V(lam), over ctx = (system,
-    the dual's root data, lam, lam's integer point, the cache)."""
-    system = ctx[0]
+    """The multiplicity of the integer point nu in freudenthal_multiplicity's V(lam), over
+    ctx = (system, the dual's root data, lam's integer point, the cache)."""
+    system, lamp = ctx[0], ctx[2]
+    num, pairs, den = nu
     # weights of V(lam) lie in the Tits cone; the oracle unwinds nothing outside
     # it (_DualData has refused indefinite type, where the level rule says nothing)
-    if system._outside_by_level(system._pairings(nu)[1]):
+    if system._outside_by_level(pairs):
         return 0
-    dom, _ = system.orbit_unwind(nu)
-    if not is_integral_vec(dom):
+    _, dom, dom_pairs = system._unwound(num, pairs, den)
+    if any(x % den for x in dom):  # not in Y
         return 0
-    return _dominant_mult(ctx, dom)
+    f = den // lamp[2]  # nu's denominators are multiples of lam's, which is in Y
+    return _dominant_mult(ctx, ([x // f for x in dom], [p // f for p in dom_pairs], lamp[2]))
 
 
 def _dominant_mult(ctx, nu) -> int:
-    """_weight_mult at a dominant nu: the Freudenthal recursion, kept in the cache."""
-    system, dual, lam, lamp, cache = ctx
-    if nu == lam:
+    """_weight_mult at a dominant integer point nu at lam's scale: the Freudenthal
+    recursion, kept in the cache under nu's numerators."""
+    system, dual, lamp, cache = ctx
+    key = tuple(nu[0])
+    if nu[0] == lamp[0]:
         return 1
-    if nu in cache:
-        return cache[nu]
-    nup = system._integer_point(nu)
-    diff = _coroot_gap(system, lamp, nup)
+    if key in cache:
+        return cache[key]
+    diff = _coroot_gap(system, lamp, nu)
     if diff is None:
-        cache[nu] = 0
+        cache[key] = 0
         return 0
     unit = lamp[2] // system._cden  # the denominator of lam's pairings
     total = ZERO
@@ -226,24 +230,23 @@ def _dominant_mult(ctx, nu) -> int:
                 system._subtract_coroot(step[0], step[1], i, -c * unit)
         k = 1
         while True:
-            upper = _along(nup, (k, 1), step)
+            upper = _along(nu, (k, 1), step)
             if _coroot_gap(system, lamp, upper) is None:
                 break
-            m = _weight_mult(ctx, tuple(Fraction(x, upper[2]) for x in upper[0]))
+            m = _weight_mult(ctx, upper)
             if m:
                 total += root_mult * m * dual.pair(coeffs, upper)
             k += 1
-    coords = system.coroot_coordinates(vsub(lam, nu))
-    denom = dual.pair(coords, _along(lamp, (1, 1), nup)) + 2 * sum(c * d for c, d in zip(coords, dual.dsym))
+    denom = dual.pair(diff, _along(lamp, (1, 1), nu)) + 2 * sum(c * d for c, d in zip(diff, dual.dsym))
     if denom <= 0:
-        raise CrossCheckMismatch(f"Freudenthal denominator {denom} at ({','.join(format_vector(nu))}) is not positive")
+        weight = format_vector([Fraction(x, lamp[2]) for x in key])
+        raise CrossCheckMismatch(f"Freudenthal denominator {denom} at ({','.join(weight)}) is not positive")
     value = 2 * total / denom
     if value.denominator != 1 or value < 0:
-        raise CrossCheckMismatch(
-            f"Freudenthal multiplicity {value} at ({','.join(format_vector(nu))}) is not a natural number"
-        )
-    cache[nu] = int(value)
-    return cache[nu]
+        weight = format_vector([Fraction(x, lamp[2]) for x in key])
+        raise CrossCheckMismatch(f"Freudenthal multiplicity {value} at ({','.join(weight)}) is not a natural number")
+    cache[key] = int(value)
+    return cache[key]
 
 
 # -- exhaustive Hecke enumeration ---------------------------------------------------

@@ -31,16 +31,7 @@ from .errors import (
     OperatorUndefined,
     OutOfRange,
 )
-from .linalg import (
-    Vec,
-    format_rational,
-    format_vector,
-    is_zero_vec,
-    parse_vector,
-    vadd,
-    vneg,
-    vscale,
-)
+from .linalg import Vec, format_rational, format_vector, parse_vector
 from .root_system import IDENTITY, RootGeneratingSystem, WeylElement, _along
 
 ZERO = Fraction(0)
@@ -61,7 +52,7 @@ class LambdaPath:
 
     @property
     def is_constant(self) -> bool:
-        return is_zero_vec(self.shape)
+        return not any(self._shape_point[0])
 
     # Computed once per path, on first use.  A cached_property writes the instance
     # dict, not the frozen __setattr__, and adds no field that __eq__ or __hash__ read.
@@ -187,7 +178,7 @@ def straight_path(system: RootGeneratingSystem, lam, start=None) -> LambdaPath:
     """The one-piece path from start (0 by default) along lam: its shape is the dominant
     conjugate of lam, from one integer unwind of lam, which also gives the piece's rep."""
     num, pairs, den = system._integer_point(tuple(Fraction(x) for x in lam))
-    w, dom = system._unwound(num, pairs, den)
+    w, dom, _ = system._unwound(num, pairs, den)
     start = system.zero() if start is None else tuple(Fraction(x) for x in start)
     return _from_reps(system, tuple(Fraction(x, den) for x in dom), start, [(w, ONE)])
 
@@ -202,13 +193,16 @@ def eval_path(path: LambdaPath, t) -> Vec:
     if t < 0 or t > 1:
         raise OutOfRange(f"t = {t} outside [0, 1]")
     k = _piece_before(path, t)
-    return vadd(path.point(k), vscale(t - path.breakpoints[k], path.direction_vector(k)))
+    s = t - path.breakpoints[k]
+    direction = (*path._direction_rows[k], path._shape_point[2])
+    num, _, den = _along(path._vertex_points[k], (s.numerator, s.denominator), direction)
+    return tuple(Fraction(x, den) for x in num)
 
 
 def reverse_path(path: LambdaPath) -> LambdaPath:
     """The path run backwards: shape -lambda, the reps in reverse order, times 1 - t."""
     ends = [ONE - t for t in reversed(path.breakpoints[:-1])]
-    return _from_reps(path.system, vneg(path.shape), path.endpoint, zip(reversed(path.directions), ends))
+    return _from_reps(path.system, tuple(-x for x in path.shape), path.endpoint, zip(reversed(path.directions), ends))
 
 
 def concat(p1: LambdaPath, p2: LambdaPath) -> LambdaPath:
@@ -231,17 +225,15 @@ def concat(p1: LambdaPath, p2: LambdaPath) -> LambdaPath:
         if not p.is_constant:
             den = p._shape_point[2]
             unwound = [system._unwound(num, pairs, den, anti) for num, pairs in p._direction_rows]
-            parts.append((tuple(Fraction(x, den) for x in unwound[0][1]), [w for w, _ in unwound], p.breakpoints[1:]))
-    shape = system.zero()
-    for mu, _, _ in parts:
-        shape = vadd(shape, mu)
+            parts.append((tuple(Fraction(x, den) for x in unwound[0][1]), [u[0] for u in unwound], p.breakpoints[1:]))
+    shape = tuple(map(sum, zip(system.zero(), *(mu for mu, _, _ in parts))))
     if not parts:
         return _from_reps(system, shape, p1.start, [(IDENTITY, ONE)])
     k = next((i for i, x in enumerate(shape) if x != 0), None)
     pieces, offset = [], ZERO
     for mu, reps, ends in parts:
         c = ZERO if k is None else mu[k] / shape[k]
-        if c <= 0 or vscale(c, shape) != mu:
+        if c <= 0 or any(c * a != b for a, b in zip(shape, mu)):
             raise NonLambdaPath("segment directions lie in different Weyl orbits")
         pieces += [(w, offset + c * t) for w, t in zip(reps, ends)]
         offset += c
@@ -301,7 +293,7 @@ def _chain_candidates(system, shape, den, pairs, rep, xi, kind, t, h):
             blocked.add("vii" if kind == "hecke" else "ii")
             continue
         xi_new = system._reflect_by_root(beta, *xi)
-        new_rep, dom = system._unwound(*xi_new, xi_den * system._cden)
+        new_rep, dom, _ = system._unwound(*xi_new, xi_den * system._cden)
         if dom != lam:
             raise FormatError("vector is not in the Weyl orbit of the shape")
         if kind == "ls":

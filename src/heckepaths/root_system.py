@@ -38,10 +38,7 @@ from .linalg import (
     _eliminate,
     format_vector,
     mat_rank,
-    nullspace,
     parse_vector,
-    scale_to_primitive_integers,
-    zero_vec,
 )
 
 _UNWIND_GUARD = 1_000_000
@@ -340,7 +337,7 @@ class RootGeneratingSystem:
     # -- basic geometry ----------------------------------------------------
 
     def zero(self) -> Vec:
-        return zero_vec(self.rank_x)
+        return (Fraction(0),) * self.rank_x
 
     def pairing(self, i: int, v: Vec) -> Fraction:
         """alpha_i(v)."""
@@ -584,12 +581,12 @@ class RootGeneratingSystem:
         level rule refuses such a vector before the first reflection.
         """
         num, pairs, den = self._integer_point(v)
-        w, v0 = self._unwound(num, pairs, den, antidominant)
+        w, v0, _ = self._unwound(num, pairs, den, antidominant)
         return tuple(Fraction(x, den) for x in v0), w
 
     def _unwound(self, num, pairs, den, antidominant=False):
-        """orbit_unwind on an integer point of _integer_point, numerators over den: (w, the
-        numerators of v0), memoized on the numerators alone, as scaling changes no letter."""
+        """orbit_unwind on an integer point of _integer_point, numerators over den: (w, v0's
+        numerators, v0's pairings), memoized on the numerators alone, as scaling changes no letter."""
         key = (tuple(num), antidominant)
         out = self._unwind_cache.get(key)
         if out is None:
@@ -609,7 +606,7 @@ class RootGeneratingSystem:
                 raise FormatError(f"vector ({','.join(format_vector([Fraction(x, den) for x in num]))}) {why}")
             # w is the minimal rep, so each wrong-signed pairing marks a left descent of what is
             # left of w, and the letters are already w's ShortLex-least word
-            out = self._unwind_cache[key] = (WeylElement(tuple(letters)), tuple(v0))
+            out = self._unwind_cache[key] = (WeylElement(tuple(letters)), tuple(v0), tuple(p0))
         return out
 
     def coset_of_vector(self, xi: Vec, lam: Vec, antidominant=False) -> CosetRep:
@@ -689,24 +686,35 @@ class RootGeneratingSystem:
         else:
             return "finite"
         ker = self._kernel
-        if len(ker) == 1 and (all(x > 0 for x in ker[0]) or all(x < 0 for x in ker[0])):
-            return "affine"
-        return "indefinite"
+        return "affine" if len(ker) == 1 and all(x > 0 for x in ker[0]) else "indefinite"
 
     @cached_property
     def _kernel(self):
-        """The right kernel of the Cartan matrix."""
-        return nullspace(self.gcm.entries)
+        """The right kernel of the Cartan matrix, one primitive integer vector per free column f
+        of its elimination, positive at f: x_f = the last pivot, x_p = -m[r][f], over their gcd."""
+        m, pivots, last, _, _ = _eliminate(self.gcm.entries)
+        ker = []
+        for f in range(self.n):
+            if f not in pivots:
+                x = [0] * self.n
+                x[f] = last
+                for row, p in zip(m, pivots):
+                    x[p] = -row[f]
+                g = gcd(*x) if last > 0 else -gcd(*x)
+                ker.append(tuple(c // g for c in x))
+        return ker
+
+    @cached_property
+    def _dual(self) -> "RootGeneratingSystem":
+        """The system on the transposed Cartan matrix, whose roots are this system's coroots."""
+        return RootGeneratingSystem.from_gcm(list(zip(*self.gcm.entries)))
 
     def null_root_coeffs(self):
         """Primitive positive integer coefficients of delta (affine type only)."""
         ker = self._kernel
         if len(ker) != 1:
             raise CrossCheckMismatch(f"null root needs a one-dimensional kernel, found {len(ker)}")
-        c = ker[0]
-        if any(x < 0 for x in c):
-            c = tuple(-x for x in c)
-        return tuple(int(x) for x in scale_to_primitive_integers(c))
+        return tuple(-x for x in ker[0]) if any(x < 0 for x in ker[0]) else ker[0]
 
     @cached_property
     def _level_coeffs(self):
@@ -737,7 +745,7 @@ class RootGeneratingSystem:
             return ("unknown", None) if letters is None else ("in", self.normalize_word(letters[::-1]))
         if self._outside_by_level(pairs):
             return ("out", None)
-        w, _ = self._unwound(num, pairs, den)
+        w, _, _ = self._unwound(num, pairs, den)
         return ("in", self.inverse(w))  # witness w with w(v) dominant
 
     def _within_reach(self, lam, v, s) -> bool:

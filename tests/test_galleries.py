@@ -1,14 +1,17 @@
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from heckepaths.errors import FoldNotApplicable, NotHecke
+from heckepaths.errors import FoldNotApplicable, FormatError, NotHecke
 from heckepaths.galleries import (
     DecoratedHeckePath,
+    ParameterPattern,
     codim_tilde,
     decorate_with_max_chains,
     enumerate_decorations,
     fold_gallery,
+    gallery_from_json_dict,
     minimal_gallery,
     neg_count,
     parameter_pattern,
@@ -182,3 +185,68 @@ class TestParameterPattern:
         bad = make_path(a1, (F(1),), (F(0),), [(), (0,)], [F(0), F(1, 2), F(1)])
         with pytest.raises(NotHecke):
             parameter_pattern(bad)
+
+
+class TestJsonLoaders:
+    """gallery_from_json_dict and ParameterPattern.from_json_dict refuse malformed
+    input with FormatError, and read back what to_json_dict writes."""
+
+    @pytest.fixture()
+    def folded(self, a2, theta_path):
+        return decorate_with_max_chains(theta_path).galleries[0][1]
+
+    def test_gallery_round_trip(self, a2, folded):
+        assert folded.folds
+        data = json.loads(json.dumps(folded.to_json_dict()))
+        back = gallery_from_json_dict(a2, data)
+        assert back == folded and back.to_json_dict() == folded.to_json_dict()
+
+    @pytest.mark.parametrize("field", ["point", "type", "chambers", "folds"])
+    def test_gallery_missing_field(self, a2, folded, field):
+        data = folded.to_json_dict()
+        del data[field]
+        with pytest.raises(FormatError, match=f"missing field '{field}'"):
+            gallery_from_json_dict(a2, data)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"type": ["x"]},
+            {"type": [1.0, 2, 1]},
+            {"type": [0, 2, 1]},
+            {"point": ["1"]},
+            {"folds": [5]},
+            {"folds": ["2"]},
+            {"chambers": [[], [1], [1], [1, 2, 1]]},
+            {"chambers": "e"},
+        ],
+        ids="type-text type-float type-zero point-short fold-past-end fold-text chambers chambers-text".split(),
+    )
+    def test_gallery_malformed(self, a2, folded, change):
+        data = {**folded.to_json_dict(), **change}
+        with pytest.raises(FormatError):
+            gallery_from_json_dict(a2, data)
+
+    def test_pattern_round_trip(self, theta_path):
+        pattern = parameter_pattern(theta_path)
+        assert ParameterPattern.from_json_dict(json.loads(json.dumps(pattern.to_json_dict()))) == pattern
+
+    @pytest.mark.parametrize(
+        "change, match",
+        [
+            ({"factors": None}, "missing field 'factors'"),
+            ({"n": None}, "missing field 'n'"),
+            ({"groups": None}, "missing field 'groups'"),
+            ({"groups": [{"t": "1/2"}]}, "missing field 'count'"),
+            ({"groups": 3}, "list of groups"),
+            ({"factors": ["lambda"]}, "kappa"),
+            ({"n": 7}, "count its factors"),
+            ({"groups": [{"t": "1/2", "count": 2}]}, "sum to n"),
+        ],
+        ids="no-factors no-n no-groups no-count groups-number factor-name n-miscounts groups-miscount".split(),
+    )
+    def test_pattern_malformed(self, theta_path, change, match):
+        data = {**parameter_pattern(theta_path).to_json_dict(), **change}
+        data = {k: v for k, v in data.items() if v is not None}
+        with pytest.raises(FormatError, match=match):
+            ParameterPattern.from_json_dict(data)

@@ -1,59 +1,22 @@
-"""Property tests of the exact row reduction against from-scratch references."""
+"""Property tests of the exact elimination against from-scratch references.
+
+``row_reduce`` and ``nullspace`` read their results off the library's
+``_eliminate``; they live in ``test_system_reference`` with the strategies
+and the minor-based rank used here.
+"""
 
 from fractions import Fraction as F
-from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckepaths.linalg import mat_rank, nullspace, row_reduce
+from heckepaths.linalg import mat_rank
 
-# zeros and integers are drawn often, so singular and rank-deficient matrices come up
-entries = st.one_of(
-    st.just(F(0)),
-    st.integers(-2, 2).map(F),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
-)
-
-
-def matrices(min_size=1, max_size=4):
-    return st.integers(min_size, max_size).flatmap(
-        lambda rows: st.integers(min_size, max_size).flatmap(
-            lambda cols: st.lists(
-                st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
-            )
-        )
-    )
-
+from test_system_reference import apply, cofactor_det, entries, matrices, nullspace, rank_by_minors, row_reduce
 
 square_matrices = st.integers(1, 4).flatmap(
     lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
 )
-
-
-def cofactor_det(m):
-    """Laplace expansion along the first row."""
-    if not m:
-        return F(1)
-    return sum(
-        (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
-        for j in range(len(m))
-        if m[0][j]
-    )
-
-
-def rank_by_minors(m):
-    """The largest k with a nonzero k x k minor."""
-    for k in range(min(len(m), len(m[0])), 0, -1):
-        for rows in combinations(range(len(m)), k):
-            for cols in combinations(range(len(m[0])), k):
-                if cofactor_det([[m[r][c] for c in cols] for r in rows]):
-                    return k
-    return 0
-
-
-def apply(m, x):
-    return tuple(sum((a * b for a, b in zip(row, x)), F(0)) for row in m)
 
 
 def ref_row_reduce(rows):

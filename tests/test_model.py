@@ -2,21 +2,24 @@ import gc
 import weakref
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckepaths.errors import CapHit, FormatError, NotDominant, UnsupportedType
+from heckepaths.errors import CapHit, CrossCheckMismatch, FormatError, HPLError, NotDominant, UnsupportedType
+from heckepaths.linalg import format_vector
 from heckepaths.model import (
     _cosets_up_to_length,
+    _DualData,
     enumerate_hecke,
     freudenthal_multiplicity,
     generate_ls_paths,
     multiplicity,
 )
 from heckepaths.paths import is_hecke, is_ls, stats
-from heckepaths.root_system import RootGeneratingSystem, dominance_difference
+from heckepaths.root_system import RootGeneratingSystem, _along, _coroot_gap, dominance_difference
 
 from conftest import coroot_combination, frac_vec, group_elements
 from test_path_reference import from_segments, segments
@@ -128,13 +131,13 @@ class TestFreudenthal:
 
         a3 = RootGeneratingSystem.from_gcm([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
         unwinds, inverses = [], []
-        unwind = a3.orbit_unwind
+        unwind = a3._unwound
 
-        def counting_unwind(v, antidominant=False):
-            unwinds.append(v)
-            return unwind(v, antidominant)
+        def counting_unwind(num, pairs, den, antidominant=False):
+            unwinds.append(num)
+            return unwind(num, pairs, den, antidominant)
 
-        monkeypatch.setattr(a3, "orbit_unwind", counting_unwind)
+        monkeypatch.setattr(a3, "_unwound", counting_unwind)
         monkeypatch.setattr(a3, "inverse", inverses.append)
         cache = {}
         mus = [frac_vec(0, 0, 0), frac_vec(1, 0, 1), frac_vec(0, 2, 0), frac_vec(2, 0, 2), frac_vec(1, 2, 1)]
@@ -150,6 +153,136 @@ class TestFreudenthal:
         indef = RootGeneratingSystem.from_gcm([[2, -3], [-3, 2]])
         with pytest.raises(UnsupportedType):
             freudenthal_multiplicity(indef, indef.zero(), indef.zero())
+
+    def test_dual_system_built_once_per_system(self, monkeypatch):
+        built = []
+        from_gcm = RootGeneratingSystem.from_gcm.__func__
+
+        def counting_from_gcm(cls, entries, names=None):
+            built.append(entries)
+            return from_gcm(cls, entries, names)
+
+        a1aff = RootGeneratingSystem.from_gcm([[2, -2], [-2, 2]])
+        monkeypatch.setattr(RootGeneratingSystem, "from_gcm", classmethod(counting_from_gcm))
+        lam = _fundamental_coweight(a1aff)
+        delta = _delta_coroot(a1aff)
+        values = [
+            freudenthal_multiplicity(a1aff, lam, tuple(a - n * b for a, b in zip(lam, delta))) for n in range(4)
+        ]
+        assert values == [1, 1, 2, 3]
+        assert built == [[(2, -2), (-2, 2)]]
+
+
+# -- the former oracle, on Fraction vectors ---------------------------------------
+
+
+def ref_freudenthal_multiplicity(system, lam, mu, cache=None):
+    """The Fraction oracle freudenthal_multiplicity replaced: every raised weight becomes a
+    Fraction vector again, unwound by orbit_unwind and tested for Y on its coordinates, and
+    the denominator solves lam - nu by coroot_coordinates; the cache is keyed by dominant
+    Fraction vectors."""
+    lam = tuple(F(x) for x in lam)
+    mu = tuple(F(x) for x in mu)
+    if not system.is_dominant(lam) or any(x.denominator != 1 for x in lam):
+        raise NotDominant("Freudenthal needs a dominant highest weight in Y")
+    ctx = (system, _DualData(system), lam, system._integer_point(lam), {} if cache is None else cache)
+    return _ref_weight_mult(ctx, mu)
+
+
+def _ref_weight_mult(ctx, nu):
+    system = ctx[0]
+    if system._outside_by_level(system._pairings(nu)[1]):
+        return 0
+    dom, _ = system.orbit_unwind(nu)
+    if any(x.denominator != 1 for x in dom):
+        return 0
+    return _ref_dominant_mult(ctx, dom)
+
+
+def _ref_dominant_mult(ctx, nu):
+    system, dual, lam, lamp, cache = ctx
+    if nu == lam:
+        return 1
+    if nu in cache:
+        return cache[nu]
+    nup = system._integer_point(nu)
+    diff = _coroot_gap(system, lamp, nup)
+    if diff is None:
+        cache[nu] = 0
+        return 0
+    unit = lamp[2] // system._cden
+    total = F(0)
+    for coeffs, root_mult in dual.roots_up_to_height(sum(diff)):
+        step = [0] * system.rank_x, [0] * system.n, lamp[2]
+        for i, c in enumerate(coeffs):
+            if c:
+                system._subtract_coroot(step[0], step[1], i, -c * unit)
+        k = 1
+        while True:
+            upper = _along(nup, (k, 1), step)
+            if _coroot_gap(system, lamp, upper) is None:
+                break
+            m = _ref_weight_mult(ctx, tuple(F(x, upper[2]) for x in upper[0]))
+            if m:
+                total += root_mult * m * dual.pair(coeffs, upper)
+            k += 1
+    coords = system.coroot_coordinates(tuple(a - b for a, b in zip(lam, nu)))
+    denom = dual.pair(coords, _along(lamp, (1, 1), nup)) + 2 * sum(c * d for c, d in zip(coords, dual.dsym))
+    if denom <= 0:
+        raise CrossCheckMismatch(f"Freudenthal denominator {denom} at ({','.join(format_vector(nu))}) is not positive")
+    value = 2 * total / denom
+    if value.denominator != 1 or value < 0:
+        raise CrossCheckMismatch(
+            f"Freudenthal multiplicity {value} at ({','.join(format_vector(nu))}) is not a natural number"
+        )
+    cache[nu] = int(value)
+    return cache[nu]
+
+
+def _oracle_outcome(oracle, *args):
+    try:
+        return oracle(*args)
+    except HPLError as exc:
+        return type(exc), str(exc)
+
+
+# the golden hpl mult shapes, and the two twisted matrices the oracle gets wrong
+ORACLE_CASES = {
+    "A2": ([[2, -1], [-1, 2]], [(2, 1), (3, 3)]),
+    "B2": ([[2, -2], [-1, 2]], [(2, 2), (1, 1)]),
+    "G2": ([[2, -1], [-3, 2]], [(4, 2)]),
+    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [(1, 2, 1), (2, 3, 2)]),
+    "A1aff": ([[2, -2], [-2, 2]], [(0, 0, 1), (1, 1, 2)]),
+    "twisted": ([[2, -1, 0], [-1, 2, -1], [0, -3, 2]], [(0, 0, 0, 1)]),
+    "twisted2": ([[2, -1, 0], [-2, 2, -2], [0, -1, 2]], [(0, 0, 0, 1)]),
+}
+
+
+def _oracle_weights(system, lam):
+    """lam minus small coroot combinations, one simple reflection of each, three
+    points off Y, -lam (outside the Tits cone in affine type) and 2 lam."""
+    out = []
+    for coeffs in product(range(3), repeat=system.n):
+        mu = tuple(a - b for a, b in zip(lam, coroot_combination(system, coeffs)))
+        out += [mu, system.simple_reflection(sum(coeffs) % system.n, mu)]
+    out += [tuple(x + F(1, 2) for x in mu) for mu in out[:3]]
+    return out + [tuple(-x for x in lam), tuple(2 * x for x in lam)]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_oracle_matches_the_fraction_oracle(name):
+    # the same values, exception types and messages, each call on its own and
+    # with one cache shared across the weights, each route on its own system
+    entries, shapes = ORACLE_CASES[name]
+    for lam in shapes:
+        lam = frac_vec(*lam)
+        mus = _oracle_weights(RootGeneratingSystem.from_gcm(entries), lam)
+        for shared in (False, True):
+            outcomes = []
+            for oracle in (freudenthal_multiplicity, ref_freudenthal_multiplicity):
+                system, cache = RootGeneratingSystem.from_gcm(entries), {} if shared else None
+                outcomes.append([_oracle_outcome(oracle, system, lam, mu, cache) for mu in mus])
+            assert outcomes[0] == outcomes[1]
 
 
 class TestEnumerateHecke:
@@ -345,7 +478,7 @@ def _fundamental_coweight(system):
 
 
 def _delta_coroot(system):
-    from heckepaths.linalg import nullspace, scale_to_primitive_integers
+    from test_system_reference import nullspace, scale_to_primitive_integers
 
     a = system.gcm.entries
     n = system.n

@@ -13,7 +13,8 @@ G2, A3, A1^(1) and B2 on rational roots and coroots: non-dominant lambda,
 mixed signs, constant paths and central A1^(1) directions.
 
 Other tests build their raw-piece paths through ``from_segments`` and
-``segments`` from this module.
+``segments`` from this module, and take from it the ``Fraction`` vector
+helpers ``vadd``, ``vscale`` and ``is_zero_vec`` that the library no longer has.
 """
 
 from fractions import Fraction
@@ -24,16 +25,29 @@ from hypothesis import strategies as st
 
 from heckepaths import RootGeneratingSystem
 from heckepaths.errors import CrossCheckMismatch, FormatError, HPLError, NonLambdaPath
-from heckepaths.linalg import is_zero_vec, nullspace, vadd, vscale, zero_vec
 from heckepaths.model import enumerate_hecke, generate_ls_paths
 from heckepaths.paths import ONE, ZERO, _from_reps, concat, make_path, straight_path
 from heckepaths.root_system import IDENTITY
 
 from conftest import frac_vec
 from test_chain_reference import CANDIDATE_SYSTEMS
-from test_system_reference import solve_linear
+from test_system_reference import nullspace, solve_linear
 
 F = Fraction
+
+
+def vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vscale(c, u):
+    c = Fraction(c)
+    return tuple(c * a for a in u)
+
+
+def is_zero_vec(u):
+    return all(a == 0 for a in u)
+
 
 # -- the reference -------------------------------------------------------------
 
@@ -61,9 +75,9 @@ def from_segments(system: RootGeneratingSystem, start, segments, antidominant=Fa
             continue
         displacements.append(disp)
     if not displacements:
-        return _from_reps(system, zero_vec(system.rank_x), start, [(IDENTITY, ONE)])
+        return _from_reps(system, system.zero(), start, [(IDENTITY, ONE)])
     doms = [system.orbit_unwind(disp, antidominant=antidominant) for disp in displacements]
-    shape = zero_vec(system.rank_x)
+    shape = system.zero()
     for dom, _ in doms:
         shape = vadd(shape, dom)
     k = next((i for i, x in enumerate(shape) if x != 0), None)

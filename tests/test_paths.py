@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from heckepaths import RootGeneratingSystem
 from heckepaths.apartment import levels_crossed
 from heckepaths.errors import FormatError, HPLError, NonLambdaPath, OutOfRange
-from heckepaths.linalg import nullspace, vadd, vscale
 from heckepaths.paths import (
     LambdaPath,
     all_chains,
@@ -36,9 +35,9 @@ from heckepaths.root_system import WeylElement
 from conftest import KERNEL_SYSTEMS, frac_vec
 from test_chain_reference import CANDIDATE_SYSTEMS, chain_targets, root_eval
 from test_model import WITNESS_ROW_CASES
-from test_path_reference import from_segments, segments
+from test_path_reference import from_segments, segments, vadd, vscale
 from test_root_system import ref_act
-from test_system_reference import solve_linear, vdot_cov
+from test_system_reference import nullspace, solve_linear, vdot_cov
 
 
 @pytest.fixture()

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from heckepaths import NotGCM, RootGeneratingSystem, WeylElement, validate_gcm
 from heckepaths.errors import CrossCheckMismatch, FormatError, HeightBoundTooSmall
-from heckepaths.linalg import nullspace
 
 from conftest import (
     KERNEL_SYSTEMS,
@@ -18,7 +17,7 @@ from conftest import (
 )
 from test_chain_reference import reflect_by_root, root_covector, root_eval
 from test_gallery_reference import reflection_element
-from test_system_reference import reflect_root, solve_linear, vdot_cov
+from test_system_reference import nullspace, reflect_root, solve_linear, vdot_cov
 
 
 class TestValidateGCM:

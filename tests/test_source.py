@@ -95,6 +95,7 @@ ENTRY_POINTS = {
     "relative_length",  # RootGeneratingSystem: at a Fraction point; codim_tilde reads integer rows
     "simple_reflection",  # RootGeneratingSystem: r_i on a Fraction vector; perfbench/record.py calls it
     "pairing",  # RootGeneratingSystem: alpha_i(v) as a Fraction; the library reads _pairings
+    "coroot_coordinates",  # RootGeneratingSystem: over the coroots as Fractions; the library reads _coroot_solve
     "endpoint_counts",  # CrystalGraph: the weight table of the crystal
 }
 
@@ -107,30 +108,35 @@ def _references(node):
     )
 
 
-def _public_definitions(tree):
-    """Top-level public functions and classes, and the public methods and
-    properties in the body of each top-level class, as (qualified name, node)."""
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(tree):
+    """Top-level functions and classes, and the methods and properties in the body
+    of each top-level class, public and private, dunders aside, as (qualified name, node)."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_dunder(node.name):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
                     yield f"{node.name}.{item.name}", item
 
 
 def test_public_names_have_library_callers():
+    # public and private alike: a private helper left without a caller is dead code
     trees = {m.name: ast.parse(m.read_text(encoding="utf-8")) for m in sorted(SRC.glob("*.py"))}
     used = sum((_references(tree) for tree in trees.values()), Counter())
     orphans = [
         f"{module}:{qualname}"
         for module, tree in trees.items()
-        for qualname, node in _public_definitions(tree)
+        for qualname, node in _definitions(tree)
         if node.name not in ENTRY_POINTS
         # uses inside its own body (recursion) do not count
         and used[node.name] == _references(node)[node.name]
     ]
-    assert not orphans, f"public names with no caller elsewhere in the library: {orphans}"
+    assert not orphans, f"names with no caller elsewhere in the library: {orphans}"
 
 
 def _recursive_nested_functions(function):

@@ -28,21 +28,113 @@ its letters as the coset rep's word, which must be that rep's normal form.
 ``reflect_root``, ``solve_linear`` and ``vdot_cov`` (the former ``Fraction``
 kernel of ``pairing``, ``is_dominant`` and ``rho_value``) live here now that
 the library no longer calls them; other tests import them from this module.
+So do ``row_reduce``, ``nullspace`` and ``scale_to_primitive_integers``, the
+former ``Fraction`` elimination helpers, still read off the library's
+``_eliminate``, and the matrix strategies and minor-based rank that
+``test_linalg`` checks them with.  The Cartan kernel, which the library reads
+as primitive integer vectors off ``_eliminate``, must span the kernel of
+``nullspace``.
 """
 
 import math
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckepaths import RootGeneratingSystem, validate_gcm
 from heckepaths.root_system import RealRoot, WeylElement
 from heckepaths.errors import CrossCheckMismatch, FormatError, HPLError, NotSymmetrizable
-from heckepaths.linalg import mat_rank, nullspace, row_reduce, scale_to_primitive_integers
+from heckepaths.linalg import _eliminate, mat_rank
 
-from test_linalg import apply, entries, matrices, rank_by_minors
+# -- the elimination and the strategies that test it -------------------------------
+
+
+def row_reduce(rows):
+    """Exact reduced row echelon form of a matrix given as an iterable of rows.
+
+    Returns (reduced rows, pivot columns, determinant); the determinant is 0
+    unless the matrix is square and invertible.  Entries are ints or
+    Fractions.  The reduced rows are _eliminate's rows over its last pivot,
+    and the determinant is sign x last pivot / product of the row scales.
+    """
+    m, pivots, prev, sign, scales = _eliminate(rows)
+    reduced = [[F(x, prev) for x in row] for row in m]
+    square = len(pivots) == len(m) == (len(m[0]) if m else 0)
+    return reduced, pivots, F(sign * prev, scales) if square else F(0)
+
+
+def nullspace(rows):
+    """Basis of the right kernel of A, as a list of vectors: one per free column,
+    1 there and 0 at the other free columns."""
+    m, pivots, _ = row_reduce(rows)
+    ncols = len(m[0]) if m else 0
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [F(0)] * ncols
+        v[fc] = F(1)
+        for r, col in enumerate(pivots):
+            v[col] = -m[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def scale_to_primitive_integers(v):
+    """Scale a nonzero rational vector to coprime integers, keeping its sign."""
+    den = math.lcm(*(F(x).denominator for x in v))
+    ints = [int(F(x) * den) for x in v]
+    g = math.gcd(*ints)
+    if g == 0:
+        raise ValueError("zero vector has no primitive form")
+    return tuple(F(x // g) for x in ints)
+
+
+# zeros and integers are drawn often, so singular and rank-deficient matrices come up
+entries = st.one_of(
+    st.just(F(0)),
+    st.integers(-2, 2).map(F),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+
+def matrices(min_size=1, max_size=4):
+    return st.integers(min_size, max_size).flatmap(
+        lambda rows: st.integers(min_size, max_size).flatmap(
+            lambda cols: st.lists(
+                st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+            )
+        )
+    )
+
+
+def cofactor_det(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return F(1)
+    return sum(
+        (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def rank_by_minors(m):
+    """The largest k with a nonzero k x k minor."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in combinations(range(len(m)), k):
+            for cols in combinations(range(len(m[0])), k):
+                if cofactor_det([[m[r][c] for c in cols] for r in rows]):
+                    return k
+    return 0
+
+
+def apply(m, x):
+    return tuple(sum((a * b for a, b in zip(row, x)), F(0)) for row in m)
+
 
 # -- the reference -------------------------------------------------------------
 
@@ -413,6 +505,22 @@ def test_invariants_match_the_fraction_routes(data):
     vs = data.draw(vectors(coroots))
     expected = _outcome(reference_invariants, a, roots, coroots, vs)
     assert _outcome(invariants, a, roots, coroots, vs) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(gcms())
+@example(_block_sum(CATALOG["A1aff"], CATALOG["A1aff"]))  # corank 2
+@example(_block_sum(CATALOG["A2twisted"], CATALOG["A1aff"]))  # corank 2, transposed parts
+@example(_block_sum(CATALOG["A2"], CATALOG["A1aff"]))  # corank 1, zero on a block
+def test_kernel_is_the_primitive_nullspace(a):
+    # one primitive integer vector per free column, positive there: the nullspace
+    # basis vector of that column scaled to coprime integers, so both span one kernel
+    system = _system(a)
+    if system is None:
+        return
+    basis = nullspace(a)
+    assert system._kernel == [tuple(int(x) for x in scale_to_primitive_integers(v)) for v in basis]
+    assert len(basis) == len(a) - mat_rank(a)
 
 
 @settings(max_examples=100, deadline=None)
