@@ -125,6 +125,8 @@ def cmd_stats(args):
 
 def cmd_apply_op(args):
     path = _load_path(args)
+    if not 1 <= args.index <= path.system.n:
+        raise FormatError(f"generator index {args.index} out of range 1..{path.system.n}")
     out = paths.root_operator(args.kind, args.index - 1, path)
     report = {"ok": True, "result": paths.path_to_json_dict(out)}
     _emit(report, args.format, [json.dumps(report["result"], sort_keys=True)])

@@ -300,6 +300,17 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     test scale-free on them; in affine type it reads the level without
     unwinding, and a point whose membership stays unknown (indefinite type)
     is kept.
+
+    Along a piece, the fold times in reach form a prefix of its sorted fold
+    times, so the search stops at the first one out of reach.  Let K_lam be
+    the points u of the Tits cone with lam - dom(u) in the real cone C of the
+    simple coroots.  For such u, lam - dom(u) in C iff lam - w u in C for
+    every w (by Prop. 3.12 again), so K_lam is an intersection of convex sets
+    and holds xi.  On the piece x(t) = x + (t - t0) xi put
+    f(t) = (y1 - x(t)) / (1 - t); for t1 <= t2 < 1,
+    f(t1) = ((1 - t2) f(t2) + (t2 - t1) xi) / (1 - t1), a convex combination,
+    so f(t2) in K_lam gives f(t1) in K_lam.  A "no" from the test is always
+    definite (an unknown unwind answers "yes"), so no witness is lost.
     """
     lam, y0, y1 = (tuple(Fraction(x) for x in v) for v in (lam, y0, y1))
     lamp, y0p, y1p = map(system._integer_point, (lam, y0, y1))
@@ -350,7 +361,7 @@ def _descend(ctx, pts, xis, reps, times, certs, t):
         g = gcd(p, q)
         z = _along(x, (p // g, q // g), xi)
         if not system._within_reach(lamp, _along(y1p, (-1, 1), z), (da - na, da)):
-            continue
+            break  # nor is any later fold time of the piece: see enumerate_hecke
         at = Fraction(na, da)
         walk = _chain_walk(system, lamp, (z[2] // system._cden, z[1]), xis[-1], reps[-1], "hecke", at, h)
         # each reached xi has lamp's denominator, so its numerators order it as a vector

@@ -735,9 +735,11 @@ class RootGeneratingSystem:
 
         The witness w makes w(v) dominant.  Finite type: always in.  Affine
         type: in iff the level of v is positive or every pairing of v is 0,
-        decided without unwinding, so orbit_unwind(v) terminates after "in".
-        Indefinite type: in once an unwind of at most step_cap reflections
-        ends, "unknown" otherwise.
+        decided without unwinding; the witness of "in" is then built by an
+        unwind, which for a tiny level against large pairings (such as
+        (4, 0, 6/1000000007) on A1^(1)) passes the guard of _UNWIND_GUARD
+        reflections and raises FormatError instead.  Indefinite type: in once
+        an unwind of at most step_cap reflections ends, "unknown" otherwise.
         """
         num, pairs, den = self._integer_point(tuple(map(Fraction, v)))
         if self.classify_type() == "indefinite":

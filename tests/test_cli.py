@@ -350,6 +350,15 @@ class TestReports:
         path = path_from_json_dict(system, report["result"])
         assert path.endpoint == (1,)
 
+    @pytest.mark.parametrize("index", ["0", "2"])
+    def test_apply_op_index_out_of_range_names_the_typed_index(self, files, capsys, index):
+        status, out, err = run(
+            capsys, "apply-op", "--system", files["a1"], "--path", files["fold"],
+            "--kind", "e", "--index", index, "--format", "json",
+        )
+        assert status == 2 and out == ""
+        assert f"generator index {index} out of range 1..1" in err
+
     def test_crystal_json_round_trip(self, files, capsys):
         status, out, _ = run(
             capsys, "crystal", "--system", files["a2"], "--lambda", "1,1", "--format", "json"

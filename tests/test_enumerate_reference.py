@@ -97,9 +97,15 @@ A1 = RootGeneratingSystem.from_gcm([[2]])
 A2 = RootGeneratingSystem.from_gcm([[2, -1], [-1, 2]])
 B2 = RootGeneratingSystem.from_gcm([[2, -2], [-1, 2]])
 A1AFF = RootGeneratingSystem.from_gcm([[2, -2], [-2, 2]])
+G2 = RootGeneratingSystem.from_gcm([[2, -1], [-3, 2]])
+A3 = RootGeneratingSystem.from_gcm([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+A2TW = RootGeneratingSystem.from_gcm([[2, -1], [-4, 2]])  # twisted affine A2^(2)
+HYP = RootGeneratingSystem.from_gcm([[2, -3], [-3, 2]])  # hyperbolic
 
 # (id, system, shape, y0, y1, h); shapes in the coroot basis of from_gcm.  The
-# A1^(1) cases keep h = 3: the reference's candidate times grow with h.
+# affine and hyperbolic cases keep h low: the reference's candidate times and
+# coset lengths grow with h.  In the hyperbolic cases most reach tests stay
+# unknown (and count as in reach) before one answers no and stops its piece.
 CASES = [
     ("A1-3-shifted", A1, (3,), (1,), (0,), H),
     ("A1-4-loop", A1, (4,), (0,), (0,), H),
@@ -118,6 +124,17 @@ CASES = [
     ("A1aff-012-002", A1AFF, (0, 1, 2), (0, 0, 0), (0, 0, 2), 3),
     ("A1aff-012-shifted", A1AFF, (0, 1, 2), (1, -1, 0), (1, -1, 2), 3),
     ("A1aff-002-0m12", A1AFF, (0, 0, 2), (0, 0, 0), (0, -1, 2), 3),
+    ("G2-21-loop", G2, (2, 1), (0, 0), (0, 0), H),
+    ("G2-32-loop", G2, (3, 2), (0, 0), (0, 0), H),
+    ("G2-32-10", G2, (3, 2), (0, 0), (1, 0), H),
+    ("A3-111-loop", A3, (1, 1, 1), (0, 0, 0), (0, 0, 0), H),
+    ("A3-121-loop", A3, (1, 2, 1), (0, 0, 0), (0, 0, 0), H),
+    ("A3-111-010", A3, (1, 1, 1), (0, 0, 0), (0, 1, 0), H),
+    ("A2tw-001-m101", A2TW, (0, 0, 1), (0, 0, 0), (-1, 0, 1), 6),
+    ("A2tw-002-m102", A2TW, (0, 0, 2), (0, 0, 0), (-1, 0, 2), 6),
+    ("A2tw-002-0m12", A2TW, (0, 0, 2), (0, 0, 0), (0, -1, 2), 8),
+    ("hyp-m1m1-m2m1", HYP, (-1, -1), (0, 0), (-2, -1), 4),
+    ("hyp-m1m1-m1m2", HYP, (-1, -1), (0, 0), (-1, -2), 4),
 ]
 
 
@@ -159,6 +176,28 @@ def test_chain_targets_calls(monkeypatch, system, lam, y0, y1, witnesses, calls)
     monkeypatch.setattr(model, "_chain_walk", counting)
     assert len(enumerate_hecke(system, lam, y0, y1, H)) == witnesses
     assert len(calls_made) == calls
+
+
+@pytest.mark.parametrize(
+    "system,lam,y0,y1,witnesses,tests",
+    [c[1:6] + (t,) for c, t in zip(WORK_CASES, (11, 19, 14))],
+    ids=[c[0] for c in WORK_CASES],
+)
+def test_reach_tests(monkeypatch, system, lam, y0, y1, witnesses, tests):
+    """Each piece's fold search stops at its first fold time out of reach: the
+    fold times in reach form a prefix of the piece (enumerate_hecke).  When the
+    search went on past such a time, these queries made 14, 29 and 70 reach
+    tests, over the same chain walks."""
+    made = []
+    within_reach = RootGeneratingSystem._within_reach
+
+    def counting(*args):
+        made.append(1)
+        return within_reach(*args)
+
+    monkeypatch.setattr(RootGeneratingSystem, "_within_reach", counting)
+    assert len(enumerate_hecke(system, lam, y0, y1, H)) == witnesses
+    assert len(made) == tests
 
 
 @pytest.mark.parametrize(

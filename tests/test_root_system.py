@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -754,3 +755,64 @@ class TestExactKernel:
         system = RootGeneratingSystem.from_json_dict(KERNEL_SYSTEMS[name])  # cold caches
         word = tuple(i % system.n for i in raw)
         assert system.normalize_word(word).word == ref_normalize(system, word)
+
+
+# finite and affine systems, where the reach test answers exactly: A2, B2, G2, A1^(1),
+# the twisted affine A2^(2), and the two twisted matrices of the level rule
+PREFIX_SYSTEMS = {
+    name: RootGeneratingSystem.from_gcm(entries)
+    for name, entries in {
+        "A2": [[2, -1], [-1, 2]],
+        "B2": [[2, -2], [-1, 2]],
+        "G2": [[2, -1], [-3, 2]],
+        "A1aff": [[2, -2], [-2, 2]],
+        "A2twisted": [[2, -1], [-4, 2]],
+        "twisted-3": [[2, -1, 0], [-1, 2, -1], [0, -3, 2]],
+        "twisted-2": [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],
+    }.items()
+}
+
+
+@st.composite
+def piece_times(draw):
+    """t0 <= t1 < t2 < 1 over one denominator."""
+    d = draw(st.integers(2, 7))
+    k2 = draw(st.integers(1, d - 1))
+    k1 = draw(st.integers(0, k2 - 1))
+    return F(draw(st.integers(0, k1)), d), F(k1, d), F(k2, d)
+
+
+@given(
+    name=st.sampled_from(sorted(PREFIX_SYSTEMS)),
+    lam_pairs=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+    raw=raw_words,
+    other=raw_words,
+    x=st.lists(st.integers(-3, 3), min_size=4, max_size=4),
+    mix=st.sampled_from([(1, 0), (0, 1), (1, 1), (0, 0)]),
+    noise=st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=4, max_size=4),
+    times=piece_times(),
+)
+@settings(max_examples=300, deadline=None)
+def test_reach_is_a_prefix_of_each_piece(name, lam_pairs, raw, other, x, mix, noise, times):
+    """On a piece x(t) = x + (t - t0) xi with xi = w(lam), if y1 - x(t2) is in reach
+    with 1 - t2 to go, so is y1 - x(t1) with 1 - t1 for t0 <= t1 < t2 < 1: the reach
+    set of lam is convex and holds xi, and (y1 - x(t1)) / (1 - t1) is a convex
+    combination of (y1 - x(t2)) / (1 - t2) and xi.  So enumerate_hecke may stop a
+    piece's fold search at its first fold time out of reach.  y1 - x is drawn near
+    orbit points of lam and their sum, so that both answers occur."""
+    system = PREFIX_SYSTEMS[name]
+    t0, t1, t2 = times
+    lam = point_with_pairings(system, [F(p) for p in lam_pairs])
+    k = lcm(*(c.denominator for c in lam))
+    lam = tuple(k * c for c in lam)  # dominant, with integer coordinates
+    xi = ref_act(system, [i % system.n for i in raw], lam)
+    eta = ref_act(system, [i % system.n for i in other], lam)
+    x = tuple(F(c) for c in x[: system.rank_x])
+    y1 = tuple(a + mix[0] * b + mix[1] * c + e for a, b, c, e in zip(x, xi, eta, noise))
+
+    def in_reach(t):
+        v = tuple(b - a - (t - t0) * c for a, b, c in zip(x, y1, xi))
+        return system._within_reach(system._integer_point(lam), system._integer_point(v), ((1 - t).numerator, (1 - t).denominator))
+
+    if in_reach(t2):
+        assert in_reach(t1)
