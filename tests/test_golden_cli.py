@@ -19,9 +19,13 @@ the realization, the symmetrizer, the type, the coroot coordinates and rho
 each system is built with are pinned through their outputs.
 
 The file also pins the argument parser: the exact output and exit status of
-`hpl --help`, of `hpl <command> --help` for every command and of one usage
-error, at a terminal width of 80 columns (argparse formats help by
-`COLUMNS`, and its layout differs between Python versions).
+`hpl --help`, of `hpl <command> --help` for every command and of the usage
+errors (no arguments, an unknown command, an unrecognized option after a
+complete command line, an invalid choice, an invalid integer, a negative
+value given as a separate argument, and an argument after `--`), at a
+terminal width of 80 columns (argparse formats help by `COLUMNS`, and its
+layout differs between Python versions).  An abbreviated option
+(`--lam`) is pinned among the system runs.
 
 After an intended change of output, re-record with
 
