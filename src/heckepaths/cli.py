@@ -4,6 +4,10 @@ Exit status: 0 for success (and "yes" answers), 1 for a domain "no" (path
 fails a check, with the failing condition named), 2 for malformed input or
 internal errors.  All rational I/O uses "p/q" strings; JSON reports are
 emitted with sorted keys so identical inputs give byte-identical output.
+
+A command's own argparse parser reads its arguments.  The hpl parser reads
+the command line only to print help, usage and errors: when the first word
+is not a command, or the command's parser leaves arguments over.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import galleries, model, paths
 from .errors import CapHit, CrossCheckMismatch, FormatError, HPLError
@@ -23,9 +28,24 @@ DEFAULT_HEIGHT = 20
 DEFAULT_DEPTH_CAP = 200
 
 
+def _dumps(value, indent="\n") -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for str keys, without the pure-Python
+    encoder that an indent selects, whose nested functions make reference cycles."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return repr(value) if type(value) is int else json.dumps(value)
+
+
 def _emit(report: dict, fmt: str, text_lines: list, dot: str | None = None):
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report))
     elif fmt == "dot":
         if dot is None:
             raise FormatError("dot output is only available for the crystal command")
@@ -236,11 +256,13 @@ def _default_height() -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser whose --h defaults to HPL_HEIGHT_BOUND, else DEFAULT_HEIGHT."""
-    return _new_parser(_default_height())
+    return _new_parser(_default_height())[0]
 
 
-def _new_parser(default_h: int) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hpl", description=__doc__)
+def _new_parser(default_h: int):
+    """The hpl parser, whose help shows the first two paragraphs of the module
+    docstring, and its command parsers by name."""
+    parser = argparse.ArgumentParser(prog="hpl", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
@@ -260,17 +282,24 @@ def _new_parser(default_h: int) -> argparse.ArgumentParser:
         if name == "enumerate-hecke":
             p.add_argument("--y0", required=True)
             p.add_argument("--y1", required=True)
-    return parser
+    return parser, sub.choices
 
 
-# main reads the variable on every call but builds the parser once per value;
-# parse_args leaves the parser unchanged, so one instance serves every call
+# main reads the variable on every call but builds the parsers once per value;
+# parsing leaves a parser unchanged, so one instance serves every call
 _cached_parser = functools.lru_cache(maxsize=1)(_new_parser)
 
 
 def main(argv=None) -> int:
     try:
-        args = _cached_parser(_default_height()).parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        parser, commands = _cached_parser(_default_height())
+        # the command's parser reads what the hpl parser would hand it; see the module docstring
+        args, rest = None, argv
+        if argv and argv[0] in commands:
+            args, rest = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if args is None or rest:
+            args = parser.parse_args(argv)
         if args.h <= 0 or args.depth_cap <= 0:
             print("bounds must be positive", file=sys.stderr)
             return 2

@@ -30,7 +30,10 @@ def parse_rational(text) -> Fraction:
     if not isinstance(text, str):
         raise FormatError(f"not a rational literal: {text!r}")
     try:
-        return Fraction(text.strip())
+        try:  # int reads a subset of Fraction's literals, to equal values, without a regex
+            return Fraction(int(text))
+        except ValueError:
+            return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise FormatError(f"not a rational literal: {text!r}") from exc
 

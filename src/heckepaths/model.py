@@ -197,15 +197,14 @@ def _weight_mult(ctx, nu) -> int:
     ctx = (system, the dual's root data, lam's integer point, the cache)."""
     system, lamp = ctx[0], ctx[2]
     num, pairs, den = nu
-    # weights of V(lam) lie in the Tits cone; the oracle unwinds nothing outside
-    # it (_DualData has refused indefinite type, where the level rule says nothing)
-    if system._outside_by_level(pairs):
+    # off Y, or outside the Tits cone by the level rule (at once): not a weight of V(lam)
+    if any(x % den for x in num) or system._outside_by_level(pairs):
         return 0
-    _, dom, dom_pairs = system._unwound(num, pairs, den)
-    if any(x % den for x in dom):  # not in Y
+    gap = _coroot_gap(system, lamp, nu)  # a weight lies in lam - Q^v_+; nu is at lam's scale
+    num, pairs = list(num), list(pairs)
+    if gap is None or not system._unwind_below(num, pairs, [c * system._rden for c in gap], 1):
         return 0
-    f = den // lamp[2]  # nu's denominators are multiples of lam's, which is in Y
-    return _dominant_mult(ctx, ([x // f for x in dom], [p // f for p in dom_pairs], lamp[2]))
+    return _dominant_mult(ctx, (num, pairs, lamp[2]))
 
 
 def _dominant_mult(ctx, nu) -> int:
@@ -297,9 +296,7 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     dominant conjugate of y1 - x lies in the real cone spanned by the simple
     coroots.  The search carries x and xi as integer points, xi at the shape's
     scale with its coset rep, and t as a reduced integer pair, and reads this
-    test scale-free on them; in affine type it reads the level without
-    unwinding, and a point whose membership stays unknown (indefinite type)
-    is kept.
+    test scale-free on them, exactly in every type (_within_reach).
 
     Along a piece, the fold times in reach form a prefix of its sorted fold
     times, so the search stops at the first one out of reach.  Let K_lam be
@@ -309,8 +306,7 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     and holds xi.  On the piece x(t) = x + (t - t0) xi put
     f(t) = (y1 - x(t)) / (1 - t); for t1 <= t2 < 1,
     f(t1) = ((1 - t2) f(t2) + (t2 - t1) xi) / (1 - t1), a convex combination,
-    so f(t2) in K_lam gives f(t1) in K_lam.  A "no" from the test is always
-    definite (an unknown unwind answers "yes"), so no witness is lost.
+    so f(t2) in K_lam gives f(t1) in K_lam, and no witness is lost.
     """
     lam, y0, y1 = (tuple(Fraction(x) for x in v) for v in (lam, y0, y1))
     lamp, y0p, y1p = map(system._integer_point, (lam, y0, y1))

@@ -754,18 +754,30 @@ class RootGeneratingSystem:
         """Whether v / s (s > 0) is in the Tits cone with its dominant conjugate in lam
         minus the real cone of the simple coroots, read scale-free on integers as
         s lam minus the dominant conjugate of v; lam and v are integer points of
-        _integer_point, and s = p / q is given as the integer pair (p, q).  A
-        vector whose unwind passes its cap (in indefinite type the step cap of
-        tits_cone_membership) counts as in reach."""
+        _integer_point, s = p / q is the integer pair (p, q).  Exact in every type."""
         num, pairs, den = list(v[0]), list(v[1]), v[2]
-        if self._outside_by_level(pairs):
+        if self._outside_by_level(pairs):  # at once, where _unwind_below takes gap / |pairing| steps
             return False
-        cap = _TITS_STEP_CAP if self.classify_type() == "indefinite" else _UNWIND_GUARD
-        if self._unwind(num, pairs, False, cap) is None:
-            return True
         p, q = s[0] * den, s[1] * lam[2]
-        sol, _ = self._coroot_solve([p * a - q * b for a, b in zip(lam[0], num)])
-        return sol is not None and all(c >= 0 for c in sol)
+        gap, k = self._coroot_solve([p * a - q * b for a, b in zip(lam[0], num)])
+        in_coroot_cone = gap is not None and min(gap, default=0) >= 0
+        return in_coroot_cone and self._unwind_below(num, pairs, gap, q * k * self._cden)
+
+    def _unwind_below(self, num: list, pairs: list, gap: list, step: int) -> bool:
+        """Unwind an integer point v in place as _unwind does, carrying gap: the coroot
+        coefficients of a point minus v, scaled so that r_i, which adds |alpha_i(v)|
+        alpha_i^v to v, lowers gap[i] by step |pairs[i]|.  False at the first negative
+        coefficient, True once v is dominant; it ends in every type, as gap falls."""
+        while True:
+            for i, m in enumerate(pairs):
+                if m < 0:
+                    break
+            else:
+                return True
+            gap[i] += step * m
+            if gap[i] < 0:
+                return False
+            self._subtract_coroot(num, pairs, i, m)
 
     # -- serialization -------------------------------------------------------
 

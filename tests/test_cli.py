@@ -1,12 +1,17 @@
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heckepaths import cli
 from heckepaths.cli import main
 from heckepaths.paths import path_from_json_dict
 from heckepaths.root_system import RootGeneratingSystem
@@ -329,6 +334,38 @@ class TestMult:
         assert status == 0 and err == ""
         assert json.loads(out) == {"agree": True, "freudenthal": 0, "multiplicity": 0}
 
+    def test_affine_central_shape_is_decided_by_the_level_rule(self, tmp_path, capsys):
+        # lam = N delta^v is central, and (1,0,0) has level 0 and a nonzero pairing, so it
+        # lies outside the Tits cone: the gap-bounded unwind would take about N
+        # reflections there, and the level rule answers at once, in the oracle and in
+        # the reach test of the enumeration
+        a1aff = tmp_path / "a1aff.json"
+        a1aff.write_text(json.dumps({"cartan_matrix": [[2, -2], [-2, 2]]}))
+        runs = [
+            (["mult", "--mu=1,0,0"], {"agree": True, "freudenthal": 0, "multiplicity": 0}),
+            (["enumerate-hecke", "--y0=0,0,0", "--y1=1,0,0"], {"count": 0, "paths": []}),
+        ]
+        for argv, expect in runs:
+            start = time.perf_counter()
+            status, out, err = run(capsys, argv[0], f"--system={a1aff}", "--lambda=10000000,10000000,0", *argv[1:], "--format=json")
+            assert time.perf_counter() - start < 0.5
+            assert status == 0 and err == "" and json.loads(out) == expect
+
+    def test_affine_weight_of_tiny_level_off_y(self, tmp_path, capsys):
+        # mu is in the Tits cone, at level 6/1000000007, and off Y, so not a weight of
+        # V(lam); the oracle used to give up unwinding it (after 1.2 s) and print null
+        a1aff = tmp_path / "a1aff.json"
+        a1aff.write_text(json.dumps({"cartan_matrix": [[2, -2], [-2, 2]]}))
+        argv = ["mult", f"--system={a1aff}", "--lambda=0,0,1", "--mu=4,0,6/1000000007", "--format=json"]
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            status, out, err = run(capsys, *argv)
+            best = min(best, time.perf_counter() - start)
+            assert status == 0 and err == ""
+            assert json.loads(out) == {"agree": True, "freudenthal": 0, "multiplicity": 0}
+        assert best < 0.01
+
 
 class TestReports:
     def test_undefined_operator_is_domain_no(self, files, capsys):
@@ -485,3 +522,69 @@ class TestOneShot:
         status, out, _ = run(capsys, *argv)
         assert (fresh.returncode, fresh.stdout) == (status, out)
         assert status == 0 and json.loads(out)["count"] == 3
+
+
+class TestJsonWriter:
+    """cli._dumps prints every JSON report; it must give the bytes of
+    json.dumps(report, sort_keys=True, indent=2)."""
+
+    @staticmethod
+    def reference(report):
+        return json.dumps(report, sort_keys=True, indent=2)
+
+    def test_golden_cli_reports(self):
+        data = json.loads(Path(__file__).with_name("golden_cli.json").read_text(encoding="utf-8"))
+        runs = [r for case in data["cases"] for r in case["runs"].values()]
+        runs += [r for case in data["cases"] for by_h in case["runs_small_h"].values() for r in by_h.values()]
+        runs += [e["run"] for e in data["system_runs"]]
+        reports = [json.loads(r["stdout"]) for r in runs if r["stdout"].startswith("{")]
+        assert len(reports) > 250
+        for report in reports:
+            assert cli._dumps(report) == self.reference(report)
+
+    def test_bench_enumerate_reports(self):
+        from test_enumerate_bench_golden import LIB, QUERIES, workloads
+
+        for query in QUERIES:
+            code, text = workloads.cli_run(LIB, workloads.enumerate_argv(query))
+            report = json.loads(text)
+            assert code == 0 and cli._dumps(report) + "\n" == text
+            assert cli._dumps(report) == self.reference(report)
+
+    @given(
+        report=st.recursive(
+            st.one_of(
+                st.none(),
+                st.booleans(),
+                st.integers(),
+                st.integers(-(10**40), 10**40),
+                st.text(),
+                st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600"]),
+            ),
+            lambda inner: st.one_of(
+                st.lists(inner, max_size=4),
+                st.lists(inner, max_size=4).map(tuple),
+                st.dictionaries(st.text(), inner, max_size=4),
+            ),
+            max_leaves=20,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_nested_reports(self, report):
+        assert cli._dumps(report) == self.reference(report)
+
+    def test_json_reports_leave_no_cycles(self, files, capsys):
+        argv = ["enumerate-hecke", "--system", files["a2"], "--lambda", "1,1", "--y0", "0,0", "--y1", "0,0"]
+        argv.append("--format=json")
+        assert main(argv) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for _ in range(20):
+                assert main(argv) == 0
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        capsys.readouterr()

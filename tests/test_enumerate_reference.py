@@ -14,8 +14,9 @@ and keeps those that ``is_hecke`` accepts and that end at y1:
   in affine type, the codimension bound ``enumerate_hecke`` states).
 """
 
+import time
 from fractions import Fraction as F
-from math import ceil, floor
+from math import ceil, floor, inf
 
 import pytest
 
@@ -104,8 +105,8 @@ HYP = RootGeneratingSystem.from_gcm([[2, -3], [-3, 2]])  # hyperbolic
 
 # (id, system, shape, y0, y1, h); shapes in the coroot basis of from_gcm.  The
 # affine and hyperbolic cases keep h low: the reference's candidate times and
-# coset lengths grow with h.  In the hyperbolic cases most reach tests stay
-# unknown (and count as in reach) before one answers no and stops its piece.
+# coset lengths grow with h.  In the hyperbolic cases most points the search
+# tests are outside the Tits cone; the reach test answers no by its gap.
 CASES = [
     ("A1-3-shifted", A1, (3,), (1,), (0,), H),
     ("A1-4-loop", A1, (4,), (0,), (0,), H),
@@ -144,6 +145,24 @@ def test_enumerate_hecke_equals_reference(system, lam, y0, y1, h):
     assert len(set(got)) == len(got)
     assert set(got) == reference_hecke_paths(system, lam, y0, y1, h)
 
+
+
+def test_hyperbolic_reach_is_decided_by_the_gap():
+    """On the hyperbolic [[2,-3],[-3,2]], lam = (-2,-2) from 0 to (-3,-2) at h = 4 has
+    one witness.  Most points the search tests unwind forever: a reach test that
+    capped their unwinds at 10,000 reflections and answered yes took 0.3-0.45 s
+    here.  The gap of lam over each point decides it in a few reflections."""
+    best = inf
+    for _ in range(3):
+        system = RootGeneratingSystem.from_gcm([[2, -3], [-3, 2]])  # cold caches
+        start = time.perf_counter()
+        found = enumerate_hecke(system, (-2, -2), (0, 0), (-3, -2), 4)
+        best = min(best, time.perf_counter() - start)
+        assert [(w.path.breakpoints, [d.word for d in w.path.directions]) for w in found] == [
+            ((F(0), F(1, 2), F(1)), [(0,), ()])
+        ]
+        assert [c.kind for c in found[0].certificates] == ["hecke"]
+    assert best < 0.01
 
 
 # (id, system, shape, y0, y1, witnesses, fold-point chain walks)

@@ -1,4 +1,5 @@
-"""Property tests of the exact elimination against from-scratch references.
+"""Property tests of the exact elimination against from-scratch references,
+and of the rational literal reader against Fraction.
 
 ``row_reduce`` and ``nullspace`` read their results off the library's
 ``_eliminate``; they live in ``test_system_reference`` with the strategies
@@ -7,10 +8,12 @@ and the minor-based rank used here.
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heckepaths.linalg import mat_rank
+from heckepaths.errors import FormatError
+from heckepaths.linalg import mat_rank, parse_rational
 
 from test_system_reference import apply, cofactor_det, entries, matrices, nullspace, rank_by_minors, row_reduce
 
@@ -108,3 +111,35 @@ class TestNullspace:
             assert all(x == 0 for x in apply(m, v))
         if basis:
             assert rank_by_minors(basis) == len(basis)
+
+
+def _fraction_or_refusal(text):
+    try:
+        return F(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+# underscores, other scripts' digits, whitespace that int and str.strip read
+# differently, padding, exponents and quotients
+@pytest.mark.parametrize("text", ["1_000", "\u0661\u0662", "\x1c5", " -3 ", "1e3", "3/4", "+7", "-0", "1/0", "", "1.5"])
+def test_literals_read_as_fraction_reads_them(text):
+    expect = _fraction_or_refusal(text)
+    if expect is None:
+        with pytest.raises(FormatError, match="not a rational literal"):
+            parse_rational(text)
+    else:
+        got = parse_rational(text)
+        assert type(got) is F and got == expect
+
+
+@given(st.one_of(st.text(), st.text(alphabet="0123456789_+-/. \t\x1c\u0661eE", max_size=8)))
+@example("1_000")
+@settings(max_examples=500, deadline=None)
+def test_any_text_reads_as_fraction_reads_it(text):
+    expect = _fraction_or_refusal(text)
+    if expect is None:
+        with pytest.raises(FormatError):
+            parse_rational(text)
+    else:
+        assert parse_rational(text) == expect

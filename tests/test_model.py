@@ -130,22 +130,23 @@ class TestFreudenthal:
         from heckepaths import RootGeneratingSystem
 
         a3 = RootGeneratingSystem.from_gcm([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
-        unwinds, inverses = [], []
-        unwind = a3._unwound
+        unwinds, unwound, inverses = [], [], []
+        unwind = a3._unwind_below
 
-        def counting_unwind(num, pairs, den, antidominant=False):
-            unwinds.append(num)
-            return unwind(num, pairs, den, antidominant)
+        def counting_unwind(num, pairs, gap, step):
+            unwinds.append(tuple(num))
+            return unwind(num, pairs, gap, step)
 
-        monkeypatch.setattr(a3, "_unwound", counting_unwind)
+        monkeypatch.setattr(a3, "_unwind_below", counting_unwind)
+        monkeypatch.setattr(a3, "_unwound", lambda *args: unwound.append(args))
         monkeypatch.setattr(a3, "inverse", inverses.append)
         cache = {}
         mus = [frac_vec(0, 0, 0), frac_vec(1, 0, 1), frac_vec(0, 2, 0), frac_vec(2, 0, 2), frac_vec(1, 2, 1)]
         assert [freudenthal_multiplicity(a3, frac_vec(3, 4, 3), mu, cache) for mu in mus] == [15, 10, 5, 1, 10]
-        # the five weights and the 98 raised weights of the recursion are
-        # unwound once each (twice with a Tits-cone witness built in between)
-        assert len(unwinds) == 103
-        assert inverses == []
+        # the five weights and the 98 raised weights of the recursion (51 distinct
+        # points) are unwound once each, by the gap-tracking unwind alone
+        assert (len(unwinds), len(set(unwinds))) == (103, 51)
+        assert unwound == inverses == []
 
     def test_indefinite_refused(self):
         from heckepaths import RootGeneratingSystem

@@ -517,6 +517,25 @@ def ref_within_reach(system, lam, v):
     return coords is not None and all(c >= 0 for c in coords)
 
 
+def ref_reach_by_gap(system, lam, v):
+    """The reach test by the gap, on Fractions: (answer, reason).  Unwinds v as
+    ref_unwind does and solves the coroot coefficients of lam minus every point
+    on the way.  Each reflection adds |alpha_i(v)| alpha_i^v to v, so the
+    coefficients only fall, and a negative one, or lam - v off the span of the
+    coroots, is a definite "no"."""
+    cur, steps = tuple(F(x) for x in v), 0
+    while True:
+        coords = system.coroot_coordinates(tuple(a - b for a, b in zip(lam, cur)))
+        if coords is None:
+            return False, "off the span"
+        if any(c < 0 for c in coords):
+            return False, f"a negative coefficient after {steps} reflections"
+        i = next((i for i in range(system.n) if ref_pairing(system, i, cur) < 0), None)
+        if i is None:
+            return True, "dominant"
+        cur, steps = ref_reflect(system, i, cur), steps + 1
+
+
 system_names = st.sampled_from(sorted(KERNEL_SYSTEMS))
 raw_words = st.lists(st.integers(0, 2), max_size=6)
 points = st.lists(st.fractions(-4, 4, max_denominator=5), min_size=3, max_size=3)
@@ -530,6 +549,11 @@ kernel_entries = st.one_of(
     st.builds(F, st.integers(-(10**12), 10**12), st.sampled_from([10**9 + 7, 998244353, 2**61 - 1])),
 )
 kernel_points = st.lists(kernel_entries, min_size=3, max_size=3)
+
+
+# the reach test's systems: the kernel systems (B2 on rational roots and coroots
+# among them) and the level rule's affine, twisted, indefinite and hyperbolic ones
+REACH_SYSTEMS = {**SHARED, **{f"level-{name}": system for name, system in LEVEL_SYSTEMS.items()}}
 
 
 class TestExactKernel:
@@ -732,6 +756,9 @@ class TestExactKernel:
             v = tuple(F(x) for x in v_any[: system.rank_x])
         v = tuple(s * x for x in v)
         expect = ref_within_reach(system, lam, tuple(x / s for x in v))
+        if system.tits_cone_membership(tuple(x / s for x in v))[0] == "unknown":
+            # the reference gave up on the unwind (indefinite type), where the gap decides
+            expect = ref_reach_by_gap(system, lam, tuple(x / s for x in v))[0]
         assert system._within_reach(system._integer_point(lam), system._integer_point(v), (s.numerator, s.denominator)) is expect
         if shape == "orbit":
             assert expect is (in_span and all(c >= 0 for c in below[: system.n]))
@@ -741,13 +768,51 @@ class TestExactKernel:
 
         system = RootGeneratingSystem.from_json_dict(KERNEL_SYSTEMS["A1aff"])  # cold caches
         lam, v = frac_vec(0, 0, 1), (F(4), F(0), F(1, 1000))  # level 1/1000: in the Tits cone
-        assert len(ref_unwind(system, v, False)[1]) > 50
+        dom, letters = ref_unwind(system, v, False)
+        assert len(letters) > 50
         monkeypatch.setattr(root_system, "_UNWIND_GUARD", 50)
         with pytest.raises(FormatError, match="in the Tits cone, but its minimal coset word is longer than 50"):
             ref_within_reach(system, lam, v)  # orbit_unwind gives up
         with pytest.raises(FormatError, match="outside the Tits cone"):
             system.orbit_unwind(v, antidominant=True)  # positive level: v is not in minus the Tits cone
-        assert system._within_reach(system._integer_point(lam), system._integer_point(v), (1, 1)) is True
+        # lam - v is off the span of the coroots (its last coordinate is 1 - 1/1000)
+        assert ref_reach_by_gap(system, lam, v) == (False, "off the span")
+        assert system._within_reach(system._integer_point(lam), system._integer_point(v), (1, 1)) is False
+        # a shape at v's level one null coroot above v's dominant conjugate keeps v
+        above = tuple(x + c for x, c in zip(dom, coroot_combination(system, system._dual.null_root_coeffs())))
+        assert ref_reach_by_gap(system, above, v) == (True, "dominant")
+        assert system._within_reach(system._integer_point(above), system._integer_point(v), (1, 1)) is True
+
+    @given(
+        name=st.sampled_from(sorted(REACH_SYSTEMS)),
+        pairs=dominant_pairings,
+        offsets=st.lists(st.fractions(-2, 2, max_denominator=3), min_size=3, max_size=3),
+        below=st.lists(st.fractions(-1, 3, max_denominator=2), min_size=3, max_size=3),
+        raw=raw_words,
+        shape=st.sampled_from(["orbit", "any"]),
+        v_any=st.lists(st.fractions(-4, 4, max_denominator=5), min_size=4, max_size=4),
+        s=st.builds(F, st.integers(1, 4), st.integers(1, 3)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_within_reach_is_exact(self, name, pairs, offsets, below, raw, shape, v_any, s):
+        """The reach test against ref_within_reach wherever the reference's unwind
+        ends, and against the gap route on Fractions in every type (finite, affine,
+        twisted, indefinite, hyperbolic): each "no" has its reason, lam - v off the
+        span of the coroots or a negative coefficient of lam minus a point of the unwind."""
+        system = REACH_SYSTEMS[name]
+        lam = point_with_offsets(system, pairs, offsets)
+        if shape == "orbit":  # w(lam - sum below_i alpha_i^v)
+            below_lam = tuple(a - b for a, b in zip(lam, coroot_combination(system, below)))
+            u = ref_act(system, [i % system.n for i in raw], below_lam)
+        else:
+            u = tuple(F(x) for x in v_any[: system.rank_x])
+        v = tuple(s * x for x in u)
+        got = system._within_reach(system._integer_point(lam), system._integer_point(v), (s.numerator, s.denominator))
+        answer, reason = ref_reach_by_gap(system, lam, u)
+        assert got is answer, reason
+        assert got or reason == "off the span" or reason.startswith("a negative coefficient")
+        if system.tits_cone_membership(u)[0] != "unknown":  # the reference's unwind ends
+            assert got is ref_within_reach(system, lam, u)
 
     @given(name=system_names, raw=st.lists(st.integers(0, 2), max_size=10))
     @settings(max_examples=80, deadline=None)
