@@ -21,9 +21,8 @@ from .linalg import Vec, format_rational, format_vector, parse_rational, parse_v
 from .paths import (
     LambdaPath,
     _analysed,
+    _ddim_walls,
     _hecke_chains,
-    _path_wall_events,
-    _piece_before,
     ddim_events,
     is_hecke,
 )
@@ -240,7 +239,13 @@ def _reduced_words(system, w: WeylElement):
 def codim_tilde(decorated: DecoratedHeckePath, h: int = 20) -> int:
     """Relative length of the starting direction, plus neg of each breakpoint
     gallery, plus the forced minimal-gallery contributions at mid-segment
-    true-wall crossings."""
+    true-wall crossings.
+
+    Those crossings are read off the ddim events: on a piece where beta falls,
+    the walls it leaves over [t0, t1) and those it reaches over (t0, t1] are met
+    at the same times strictly inside the piece, so the events at times other
+    than the breakpoints a_1 .. a_r are the walls left negatively inside (0, 1).
+    """
     path = decorated.path
     sys_ = path.system
     have = {t for t, _ in decorated.galleries}
@@ -251,11 +256,9 @@ def codim_tilde(decorated: DecoratedHeckePath, h: int = 20) -> int:
     total = sys_._relative_length(path.directions[0], den, rows[0], h)
     for _, gallery in decorated.galleries:
         total += neg_count(gallery)
-    big, events = _path_wall_events(path, h, at_end=False)
-    for n, roots in events:
-        if 0 < n and Fraction(n, big) not in have:  # walls left negatively inside (0, 1)
-            total += len(roots)
-    return total
+    big, events = _ddim_walls(path, h)
+    ends = {t.numerator * (big // t.denominator) for t in path.breakpoints[1:] if big % t.denominator == 0}
+    return total + sum(len(roots) for n, roots in events if n not in ends)
 
 
 # -- parameter patterns ----------------------------------------------------------
@@ -299,19 +302,24 @@ def parameter_pattern(path: LambdaPath, h: int = 20) -> ParameterPattern:
     fold of the breakpoint's gallery in decorate_with_max_chains.  Per-factor
     tags are an interpretation; the pattern length is the contractual part.
     """
-    folds = {t: g.folds for t, g in decorate_with_max_chains(path, h).galleries}
+    galleries = decorate_with_max_chains(path, h).galleries
     den, rows = path._vertex_pairings
-    factors, groups = [], []
-    for t, roots in sorted(ddim_events(path, h), reverse=True):
+    times = [(t.numerator, t.denominator) for t in path.breakpoints]
+    factors, groups, k = [], [], path.r - 1
+    for t, roots in reversed(ddim_events(path, h)):
         # the walls of the minimal gallery of the incoming direction are its inversion
-        # roots; pi(t) pairs as P_k + s (P_(k+1) - P_k) over den, the rows of a_k and
-        # a_(k+1), with s = p / q = (t - a_k) / (a_(k+1) - a_k): as integers over q den
-        k = _piece_before(path, t)
-        s = (t - path.breakpoints[k]) / (path.breakpoints[k + 1] - path.breakpoints[k])
-        at_t = [s.denominator * a + s.numerator * (b - a) for a, b in zip(rows[k], rows[k + 1])]
+        # roots; pi(t) pairs as P_k + s (P_(k+1) - P_k) over den, the rows of a_k < t <= a_(k+1),
+        # with s = p / q = (t - a_k) / (a_(k+1) - a_k) unreduced: as integers over q den
+        n, d = t.numerator, t.denominator
+        while k and n * times[k][1] <= times[k][0] * d:
+            k -= 1
+        (a, b), (c, e) = times[k], times[k + 1]
+        p, q = (n * b - a * d) * e, d * (c * b - a * e)
+        at_t = [q * u + p * (v - u) for u, v in zip(rows[k], rows[k + 1])]
         walls = path.system._inversions(path.directions[k].word)[0]
-        true_steps = [j for j, beta in enumerate(walls, start=1) if beta.value(at_t) % (s.denominator * den) == 0]
-        factors += ["kappa*" if j in folds.get(t, ()) else "kappa" for j in true_steps]
+        true_steps = [j for j, beta in enumerate(walls, start=1) if beta.value(at_t) % (q * den) == 0]
+        folds = galleries[k][1].folds if p == q and k + 1 < path.r else ()
+        factors += ["kappa*" if j in folds else "kappa" for j in true_steps]
         count = len(true_steps)
         groups.append((t, count))
         if count != len(roots):

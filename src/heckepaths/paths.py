@@ -549,16 +549,15 @@ def _falling_wall_events(sys_: RootGeneratingSystem, den, pieces, h: int, at_end
     return big, sorted(events.items())
 
 
-def _path_wall_events(path: LambdaPath, h: int, at_end: bool):
-    """_falling_wall_events over the pieces of the path."""
-    den, rows = path._vertex_pairings
-    times = [(t.numerator, t.denominator) for t in path.breakpoints]
-    return _falling_wall_events(path.system, den, zip(path.directions, times, times[1:], rows, rows[1:]), h, at_end)
-
-
 def _ddim_walls(path: LambdaPath, h: int):
-    """The falling-wall events at the ends of the pieces, kept per path and h."""
-    return _analysed(path, ("ddim", h), lambda: _path_wall_events(path, h, True))
+    """The falling-wall events at the ends of the pieces of the path, kept per path and h."""
+
+    def events():
+        den, rows = path._vertex_pairings
+        times = [(t.numerator, t.denominator) for t in path.breakpoints]
+        return _falling_wall_events(path.system, den, zip(path.directions, times, times[1:], rows, rows[1:]), h, True)
+
+    return _analysed(path, ("ddim", h), events)
 
 
 def ddim_events(path: LambdaPath, h: int = 20):
@@ -696,6 +695,9 @@ def path_from_json_dict(system: RootGeneratingSystem, data: dict) -> LambdaPath:
         raise FormatError(f"path file is missing field {exc}") from exc
     if any(i.denominator != 1 for word in words for i in word):
         raise FormatError("generator indices in directions must be integers")
+    bad = next((i for word in words for i in word if not 1 <= i <= system.n), None)
+    if bad is not None:
+        raise FormatError(f"generator index {bad} out of range 1..{system.n}")
     words = [tuple(int(i) - 1 for i in word) for word in words]
     return make_path(system, shape, start, words, bps)
 

@@ -396,6 +396,17 @@ class TestReports:
         assert status == 2 and out == ""
         assert f"generator index {index} out of range 1..1" in err
 
+    @pytest.mark.parametrize("command", ["check-hecke", "stats", "pattern"])
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_path_file_index_out_of_range_names_the_typed_index(self, files, capsys, tmp_path, command, index):
+        path = tmp_path / "path.json"
+        path.write_text(
+            json.dumps({"lambda": ["1", "1"], "start": ["0", "0"], "directions": [[1, index]], "breakpoints": ["0", "1"]})
+        )
+        status, out, err = run(capsys, command, "--system", files["a2"], "--path", str(path))
+        assert status == 2 and out == ""
+        assert f"generator index {index} out of range 1..2" in err
+
     def test_crystal_json_round_trip(self, files, capsys):
         status, out, _ = run(
             capsys, "crystal", "--system", files["a2"], "--lambda", "1,1", "--format", "json"

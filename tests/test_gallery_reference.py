@@ -292,6 +292,15 @@ def test_galleries_match_the_reference(name, k):
     assert enumerate_decorations(path) == ref_enumerate_decorations(path)
 
 
+def test_codim_tilde_matches_the_reference_on_every_decoration():
+    # not only the max-chain decoration: every gallery choice of enumerate_decorations
+    paths = [path for pool in POOLS.values() for path in pool]
+    decorations = [decorated for path in paths for decorated in enumerate_decorations(path)]
+    assert len(decorations) > len(paths)
+    for decorated in decorations:
+        assert codim_tilde(decorated) == ref_codim_tilde(decorated)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_fold_refusals_match_the_reference(data):

@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 from dataclasses import replace
 from fractions import Fraction as F
@@ -464,6 +465,48 @@ class TestOracleAgreement:
     def test_endpoint_bound(self, a2):
         for node in generate_ls_paths(a2, frac_vec(2, 2)).nodes:
             assert dominance_difference(a2, frac_vec(2, 2), node.endpoint) is not None
+
+
+# complete finite-type crystals of the tests and the benchmark, by shape in the coroot basis
+WEYL_GCMS = {
+    "A2": [[2, -1], [-1, 2]],
+    "B2": [[2, -2], [-1, 2]],
+    "G2": [[2, -1], [-3, 2]],
+    "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+}
+WEYL_SHAPES = {
+    "A2": [(1, 1), (2, 1), (2, 2)],
+    "B2": [(1, 1), (1, 2), (2, 2)],
+    "G2": [(2, 1), (3, 2), (10, 6)],
+    "A3": [(1, 1, 1), (1, 2, 1), (3, 4, 3)],
+}
+
+
+def _weyl_dimension(system, lam):
+    """Weyl's dimension formula for the module whose crystal the LS paths of shape lam
+    form: the product over the positive roots beta of beta(lam + rho^v) / beta(rho^v),
+    alpha_j(rho^v) = 1.  It is right only if the closure finds every positive root."""
+    pairs = [system.pairing(j, lam) for j in range(system.n)]
+    dim = F(1)
+    for beta in system.real_roots_up_to_height(math.inf):
+        dim *= F(sum(c * (p + 1) for c, p in zip(beta.coeffs, pairs)), beta.height)
+    return dim
+
+
+@pytest.mark.parametrize(
+    "name, shape", [pytest.param(name, lam, id=f"{name}-{lam}") for name, ls in WEYL_SHAPES.items() for lam in ls]
+)
+def test_weyl_dimension_formula_counts_the_crystal(name, shape):
+    system = RootGeneratingSystem.from_gcm(WEYL_GCMS[name])
+    graph = generate_ls_paths(system, frac_vec(*shape), depth_cap=10_000)
+    assert not graph.partial and _weyl_dimension(system, frac_vec(*shape)) == len(graph.nodes)
+
+
+def test_weyl_dimension_formula_of_2_rho():
+    # lam = 2 rho^v in A3, (3, 4, 3) in the coroot basis: each of the six factors is 3
+    system = RootGeneratingSystem.from_gcm(WEYL_GCMS["A3"])
+    assert [system.pairing(j, frac_vec(3, 4, 3)) for j in range(3)] == [2, 2, 2]
+    assert _weyl_dimension(system, frac_vec(3, 4, 3)) == 3**6
 
 
 def _fundamental_coweight(system):

@@ -9,17 +9,26 @@ the former kernel: one ``Fraction`` per event, grouped in a dict keyed by it.
 Both must give the same times, the same groups in the same order, and the
 same roots in the same order in each group, or raise the same error, for
 both values of ``at_end``, on random paths over A2, B2, G2 and A1^(1).
+
+``codim_tilde`` reads the ddim events (``at_end`` true) for the walls a path
+leaves inside its pieces (``at_end`` false): a falling root meets the same
+levels over (t0, t1] and over [t0, t1) at every time strictly inside the
+piece.  The lemma is checked on the reference, and the recognize pipeline
+must find the events of a Hecke path once.
 """
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckepaths import paths as paths_module
 from heckepaths.apartment import levels_crossed
 from heckepaths.errors import HPLError
-from heckepaths.paths import _falling_wall_events, _path_wall_events, ddim_events, make_path
+from heckepaths.galleries import codim_tilde, decorate_with_max_chains, parameter_pattern
+from heckepaths.paths import _falling_wall_events, ddim_events, is_hecke, is_ls, make_path, stats
 
 from test_chain_reference import CANDIDATE_SYSTEMS
 from test_path_reference import _vector, paths
@@ -54,7 +63,9 @@ def _outcome(fn, *args):
 
 
 def _integer_route(path, h, at_end):
-    big, events = _path_wall_events(path, h, at_end)
+    times = [(t.numerator, t.denominator) for t in path.breakpoints]
+    pieces = [(w, t0, t1, p0, p1) for (w, _, _, p0, p1), t0, t1 in zip(path._pieces(), times, times[1:])]
+    big, events = _falling_wall_events(path.system, path._vertex_pairings[0], pieces, h, at_end)
     assert big > 0 and all(type(n) is int for n, _ in events)
     return [(F(n, big), roots) for n, roots in events]
 
@@ -88,3 +99,66 @@ def test_events_of_a_piece_that_starts_late(a2, at_end):
     big, events = _falling_wall_events(a2, den, [(piece[0], (1, 3), (1, 1), *piece[3:])], 20, at_end)
     expected = ref_falling_wall_events(a2, den, [piece], 20, at_end)
     assert expected and [(F(n, big), roots) for n, roots in events] == expected
+
+
+def _inside(events, breakpoints):
+    """The events at times strictly inside the pieces."""
+    return [(t, roots) for t, roots in events if t not in breakpoints]
+
+
+def _both_ways(system, den, pieces, h):
+    """The reference events inside the pieces, with at_end true and false."""
+    ends = {t for piece in pieces for t in piece[1:3]}
+    return [_inside(ref_falling_wall_events(system, den, pieces, h, at_end), ends) for at_end in (True, False)]
+
+
+def test_ends_agree_inside_the_pieces_of_the_pools():
+    from test_gallery_reference import POOLS  # here, as that module imports this one
+
+    for pool in POOLS.values():
+        for path in pool:
+            den = path._vertex_pairings[0]
+            reached, left = _both_ways(path.system, den, list(path._pieces()), 20)
+            assert reached == left
+
+
+@given(
+    name=st.sampled_from(["A2", "B2", "G2", "A3", "A1aff"]),
+    word=st.lists(st.integers(0, 2), max_size=5),
+    times=st.sets(st.fractions(0, 1, max_denominator=12), min_size=2, max_size=2),
+    ends=st.lists(st.lists(st.integers(-12, 12), min_size=3, max_size=3), min_size=2, max_size=2),
+    den=st.integers(1, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_ends_agree_inside_a_drawn_piece(name, word, times, ends, den):
+    # one piece with any rep, any times t0 < t1 and any integer pairings at its ends
+    system = CANDIDATE_SYSTEMS[name]
+    w = system.normalize_word(tuple(i % system.n for i in word))
+    t0, t1 = sorted(times)
+    piece = (w, t0, t1, *(row[: system.n] for row in ends))
+    reached, left = _both_ways(system, den, [piece], 20)
+    assert reached == left
+
+
+def test_recognize_pipeline_finds_the_events_once(monkeypatch):
+    # is_hecke, is_ls, stats, the max-chain decoration with codim_tilde and the
+    # parameter pattern share one falling-wall pass per Hecke path
+    from test_gallery_reference import POOLS
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return _falling_wall_events(*args)
+
+    monkeypatch.setattr(paths_module, "_falling_wall_events", counted)
+    for pool in POOLS.values():
+        for path in pool:
+            path = replace(path)  # a new instance, with an empty analysis record
+            calls.clear()
+            assert is_hecke(path).ok
+            is_ls(path)
+            stats(path)
+            codim_tilde(decorate_with_max_chains(path))
+            parameter_pattern(path)
+            assert calls == [True]
