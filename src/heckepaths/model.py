@@ -183,7 +183,10 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
     type the imaginary roots n*delta enter with multiplicity = rank of the
     underlying finite-type subsystem.  A dict may be passed as cache to share
     the recursion between calls with the same lam.  It runs on integer points.
+    Refused with UnsupportedType on non-integral simple roots or coroots, whose W need not keep Y.
     """
+    if system._rden != 1 or system._cden != 1:
+        raise UnsupportedType("Freudenthal oracle needs integral simple roots and coroots")
     lam, mu = (tuple(Fraction(x) for x in v) for v in (lam, mu))
     lamp = system._integer_point(lam)
     if any(p < 0 for p in lamp[1]) or lamp[2] != system._rden * system._cden:

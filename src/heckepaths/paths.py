@@ -575,23 +575,18 @@ def ddim_events(path: LambdaPath, h: int = 20):
 
 
 def _at_level(profile, m):
-    """Maximal t-intervals where alpha_i E equals the integer m, in order, from
-    its (t0, t1, U0, U1) values at the ends of each piece."""
-    raw = []
+    """The t-intervals where alpha_i E equals the integer m, one per piece that meets it, in
+    time order, from its (t0, t1, U0, U1) values at the ends of each piece.  Those of adjacent
+    pieces may touch; merging them would not change the least lo, the greatest hi or a next lo."""
+    out = []
     for t0, t1, u0, u1 in profile:
         if u0 == u1:
             if u0 == m:
-                raw.append((t0, t1))
+                out.append((t0, t1))
         elif min(u0, u1) <= m <= max(u0, u1):
             t = t0 + Fraction(m - u0, u1 - u0) * (t1 - t0)
-            raw.append((t, t))
-    merged = []
-    for lo, hi in raw:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged
+            out.append((t, t))
+    return out
 
 
 def _reflect_piece(path: LambdaPath, i: int, t_lo, t_hi) -> LambdaPath:

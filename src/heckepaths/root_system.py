@@ -265,20 +265,13 @@ class RootGeneratingSystem:
     def from_gcm(cls, entries, names=None) -> "RootGeneratingSystem":
         gcm = validate_gcm(entries)
         n = gcm.n
-        rows = [list(row) for row in gcm.entries]
-        # a singular matrix gets the first standard rows that raise its rank
-        rank = mat_rank(rows)
-        extra = []
-        for k in range(n):
-            if rank == n:
-                break
-            cand = [int(j == k) for j in range(n)]
-            if mat_rank(rows + extra + [cand]) > rank:
-                extra.append(cand)
-                rank += 1
-        rank_x = n + len(extra)
-        simple_coroots = [[int(t == i) for t in range(rank_x)] for i in range(n)]
-        simple_roots = [[row[j] for row in rows + extra] for j in range(n)]
+        unit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+        # a singular matrix gets the first standard rows e_k that raise its rank: eliminating [A^T | 1]
+        # makes each column outside the span of those before it a pivot, and these are its pivots n + k
+        pivots = _eliminate([col + e for col, e in zip(zip(*gcm.entries), unit)])[1]
+        extra = [unit[p - n] for p in pivots if p >= n]
+        simple_roots = list(zip(*gcm.entries, *extra))  # the columns of A over the extra rows
+        simple_coroots = [e + (0,) * len(extra) for e in unit]
         return cls(gcm, simple_roots, simple_coroots, names)
 
     def _check_realization(self, roots, coroots):
@@ -673,6 +666,7 @@ class RootGeneratingSystem:
         # principal minors are positive; they are the successive pivots of a
         # fraction-free elimination without row swaps, which stops at the first
         # pivot that is not positive
+        # (its own loop: one _eliminate call alone costs 1.5-2 times as much, and every query builds a system)
         m = [[d * a for a in row] for d, row in zip(self._symmetrizer, self.gcm.entries)]
         prev = 1
         for k, top in enumerate(m):
@@ -806,11 +800,13 @@ class RootGeneratingSystem:
                 raise FormatError("simple_roots and simple_coroots must be lists of covectors")
             roots = [parse_vector(r) for r in data["simple_roots"]]
             coroots = [parse_vector(c) for c in data["simple_coroots"]]
-            rank_x = data.get("rank_x", len(roots[0]) if roots else 0)
-            if roots and len(roots[0]) != rank_x:
-                raise FormatError("rank_x does not match the supplied covectors")
-            return cls(gcm, roots, coroots, names)
-        return cls.from_gcm(gcm_entries, names)
+            system = cls(gcm, roots, coroots, names)
+        else:
+            system = cls.from_gcm(gcm_entries, names)
+        rank_x = data.get("rank_x", system.rank_x)
+        if type(rank_x) is not int or rank_x != system.rank_x:
+            raise FormatError(f"rank_x is {rank_x!r}, but the system has rank_x = {system.rank_x}")
+        return system
 
     @classmethod
     def load(cls, path) -> "RootGeneratingSystem":

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from heckepaths.apartment import levels_crossed
 
+from strategies import fractions_in
+
 
 def scan_levels(u0, u1):
     """Integers from u0 (included) towards u1 (excluded), by scanning a window."""
@@ -15,7 +17,7 @@ def scan_levels(u0, u1):
 
 
 endpoints = st.one_of(
-    st.integers(-5, 5).map(F), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    st.integers(-5, 5).map(F), fractions_in(-5, 5, max_denominator=6)
 )
 
 

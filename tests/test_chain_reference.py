@@ -47,6 +47,7 @@ from heckepaths.paths import (
 )
 
 from conftest import KERNEL_SYSTEMS, coroot_combination, frac_vec
+from strategies import fractions_in
 from test_system_reference import solve_linear, vdot_cov
 
 # -- the Fraction reference ------------------------------------------------------
@@ -120,11 +121,11 @@ def _outcome(fn, *args):
 
 @given(
     name=st.sampled_from(sorted(CANDIDATE_SYSTEMS)),
-    shape_pairs=st.lists(st.fractions(0, 3, max_denominator=3), min_size=3, max_size=3),
-    point_pairs=st.lists(st.fractions(-4, 4, max_denominator=2), min_size=3, max_size=3),
-    extra=st.fractions(-2, 2, max_denominator=5),
+    shape_pairs=st.lists(fractions_in(0, 3, max_denominator=3), min_size=3, max_size=3),
+    point_pairs=st.lists(fractions_in(-4, 4, max_denominator=2), min_size=3, max_size=3),
+    extra=fractions_in(-2, 2, max_denominator=5),
     word=st.lists(st.integers(0, 2), max_size=6),
-    a_j=st.fractions(0, 1, max_denominator=6),
+    a_j=fractions_in(0, 1, max_denominator=6),
     kind=st.sampled_from(["hecke", "ls"]),
 )
 @settings(max_examples=300, deadline=None)

@@ -16,6 +16,8 @@ from heckepaths.cli import main
 from heckepaths.paths import path_from_json_dict
 from heckepaths.root_system import RootGeneratingSystem
 
+from conftest import KERNEL_SYSTEMS
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -320,6 +322,14 @@ class TestMult:
             capsys, "mult", "--system", str(twisted), "--lambda", "0,0,0,1", "--mu=-1,-2,-1,1"
         )
         assert status == 2 and "internal error" in err
+
+    def test_non_integral_realization_has_no_oracle(self, tmp_path, capsys):
+        # the Freudenthal oracle read 0 here, and the run exited 2 with "agree": false
+        b2 = tmp_path / "b2rational.json"
+        b2.write_text(json.dumps(KERNEL_SYSTEMS["B2rational"]))
+        status, out, err = run(capsys, "mult", "--system", str(b2), "--lambda=3,-1", "--mu=0,0", "--format=json")
+        assert (status, err) == (0, "")
+        assert json.loads(out) == {"agree": None, "freudenthal": None, "multiplicity": 3}
 
     @pytest.mark.parametrize("mu", ["0,1,0", "1,0,0"])
     def test_affine_level_zero_weight_outside_tits_cone(self, tmp_path, capsys, mu):

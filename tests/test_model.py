@@ -22,7 +22,7 @@ from heckepaths.model import (
 from heckepaths.paths import is_hecke, is_ls, stats
 from heckepaths.root_system import RootGeneratingSystem, _along, _coroot_gap, dominance_difference
 
-from conftest import coroot_combination, frac_vec, group_elements
+from conftest import KERNEL_SYSTEMS, coroot_combination, frac_vec, group_elements
 from test_path_reference import from_segments, segments
 from test_system_reference import solve_linear
 
@@ -155,6 +155,14 @@ class TestFreudenthal:
         indef = RootGeneratingSystem.from_gcm([[2, -3], [-3, 2]])
         with pytest.raises(UnsupportedType):
             freudenthal_multiplicity(indef, indef.zero(), indef.zero())
+
+    def test_non_integral_realization_refused(self):
+        # the Weyl group of B2rational does not keep Y: the oracle gave 0 at (3,-1) -> (0,0),
+        # where the crystal counts 3
+        b2 = RootGeneratingSystem.from_json_dict(KERNEL_SYSTEMS["B2rational"])
+        assert multiplicity(b2, frac_vec(3, -1), frac_vec(0, 0)) == 3
+        with pytest.raises(UnsupportedType, match="needs integral simple roots and coroots"):
+            freudenthal_multiplicity(b2, frac_vec(3, -1), frac_vec(0, 0))
 
     def test_dual_system_built_once_per_system(self, monkeypatch):
         built = []

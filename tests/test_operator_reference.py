@@ -25,6 +25,7 @@ from heckepaths.model import enumerate_hecke, generate_ls_paths
 from heckepaths.paths import is_hecke, is_ls, make_path, root_operator
 
 from conftest import frac_vec
+from strategies import fractions_in
 from test_path_reference import from_segments, segments
 from test_paths import ref_point
 from test_system_reference import solve_linear
@@ -185,7 +186,7 @@ def test_pools_hold_hecke_and_ls_paths(name):
 @given(
     name=st.sampled_from(sorted(POOLS)),
     index=st.integers(0, 10**6),
-    shift=st.lists(st.fractions(-2, 2, max_denominator=6), min_size=3, max_size=3),
+    shift=st.lists(fractions_in(-2, 2, max_denominator=6), min_size=3, max_size=3),
     i=st.integers(0, 1),
     steps=st.lists(st.sampled_from(["e", "f", "etilde"]), min_size=1, max_size=4),
 )
@@ -209,9 +210,9 @@ def test_root_operator_matches_reference(name, index, shift, i, steps):
     name=st.sampled_from(sorted(POOLS)),
     # singular shapes and quarter breakpoints give flat stretches at integral levels, where cuts end
     pairs=st.lists(st.sampled_from([F(0), F(4), F(8), F(1, 2)]), min_size=2, max_size=2),
-    start=st.lists(st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3), min_size=3, max_size=3),
+    start=st.lists(st.integers(-2, 2) | fractions_in(-2, 2, max_denominator=3), min_size=3, max_size=3),
     words=st.lists(st.lists(st.integers(0, 1), max_size=4), min_size=1, max_size=6),
-    cuts=st.sets(st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]) | st.fractions(0, 1, max_denominator=8), max_size=6),
+    cuts=st.sets(st.sampled_from([F(1, 4), F(1, 2), F(3, 4)]) | fractions_in(0, 1, max_denominator=8), max_size=6),
     i=st.integers(0, 1),
     kind=st.sampled_from(["e", "f", "etilde"]),
 )

@@ -30,6 +30,7 @@ from heckepaths.paths import ONE, ZERO, _from_reps, concat, make_path, straight_
 from heckepaths.root_system import IDENTITY
 
 from conftest import frac_vec
+from strategies import fractions_in
 from test_chain_reference import CANDIDATE_SYSTEMS
 from test_system_reference import nullspace, solve_linear
 
@@ -138,14 +139,14 @@ def _vector(system, pairs, central):
 names = st.sampled_from(sorted(CANDIDATE_SYSTEMS))
 dominant_pairs = st.lists(st.sampled_from([0, 0, 1, 2, F(1, 2), F(5, 3)]), min_size=3, max_size=3)
 centrals = st.sampled_from([0, 0, 1, -1, F(2, 3)])
-starts = st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3)
+starts = st.lists(fractions_in(-3, 3, max_denominator=4), min_size=3, max_size=3)
 
 
 @st.composite
 def paths(draw, system, shape):
     """A path of this shape (dominant or antidominant) through make_path."""
     words = draw(st.lists(st.lists(st.integers(0, 2), max_size=5), min_size=1, max_size=3))
-    cuts = draw(st.sets(st.fractions(0, 1, max_denominator=12), max_size=4))
+    cuts = draw(st.sets(fractions_in(0, 1, max_denominator=12), max_size=4))
     bps = [F(0), *sorted(cuts - {0, 1})[: len(words) - 1], F(1)]
     words = [tuple(i % system.n for i in w) for w in words[: len(bps) - 1]]
     return make_path(system, shape, draw(starts)[: system.rank_x], words, bps)
@@ -153,7 +154,7 @@ def paths(draw, system, shape):
 
 @given(
     name=names,
-    pairs=st.lists(st.fractions(-3, 3, max_denominator=3), min_size=3, max_size=3),
+    pairs=st.lists(fractions_in(-3, 3, max_denominator=3), min_size=3, max_size=3),
     central=centrals,
     start=st.none() | starts,
 )

@@ -33,6 +33,7 @@ from heckepaths.model import enumerate_hecke, freudenthal_multiplicity, generate
 from heckepaths.root_system import WeylElement
 
 from conftest import KERNEL_SYSTEMS, frac_vec
+from strategies import fractions_in
 from test_chain_reference import CANDIDATE_SYSTEMS, chain_targets, root_eval
 from test_model import WITNESS_ROW_CASES
 from test_path_reference import from_segments, segments, vadd, vscale
@@ -403,11 +404,11 @@ SYSTEMS = {name: RootGeneratingSystem.from_json_dict(data) for name, data in KER
 
 @given(
     name=system_names,
-    pairs=st.lists(st.fractions(0, 3, max_denominator=3), min_size=3, max_size=3),
+    pairs=st.lists(fractions_in(0, 3, max_denominator=3), min_size=3, max_size=3),
     anti=st.booleans(),
-    start=st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3),
+    start=st.lists(fractions_in(-3, 3, max_denominator=4), min_size=3, max_size=3),
     words=st.lists(st.lists(st.integers(0, 2), max_size=4), min_size=1, max_size=4),
-    cuts=st.sets(st.fractions(0, 1, max_denominator=12), max_size=5),
+    cuts=st.sets(fractions_in(0, 1, max_denominator=12), max_size=5),
 )
 @settings(max_examples=80, deadline=None)
 def test_cached_geometry_matches_accumulation(name, pairs, anti, start, words, cuts):
@@ -444,11 +445,11 @@ def ref_reverse_path(path):
 @given(
     name=st.sampled_from(sorted(CANDIDATE_SYSTEMS)),
     pairs=st.lists(st.sampled_from([0, 0, 1, 2, F(1, 2), F(5, 3)]), min_size=3, max_size=3),
-    central=st.fractions(-2, 2, max_denominator=3),
+    central=fractions_in(-2, 2, max_denominator=3),
     anti=st.booleans(),
-    start=st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3),
+    start=st.lists(fractions_in(-3, 3, max_denominator=4), min_size=3, max_size=3),
     words=st.lists(st.lists(st.integers(0, 2), max_size=5), min_size=1, max_size=4),
-    cuts=st.sets(st.fractions(0, 1, max_denominator=12), max_size=5),
+    cuts=st.sets(fractions_in(0, 1, max_denominator=12), max_size=5),
 )
 @settings(max_examples=150, deadline=None)
 def test_paths_from_reps_equal_the_segments_route(name, pairs, central, anti, start, words, cuts):
@@ -527,9 +528,9 @@ def _hecke_pool(name):
     hecke=st.booleans(),
     index=st.integers(0, 10**6),
     pairs=st.lists(st.integers(0, 3), min_size=3, max_size=3),
-    start=st.lists(st.fractions(-3, 3, max_denominator=4), min_size=3, max_size=3),
+    start=st.lists(fractions_in(-3, 3, max_denominator=4), min_size=3, max_size=3),
     words=st.lists(st.lists(st.integers(0, 2), max_size=5), min_size=1, max_size=4),
-    cuts=st.sets(st.fractions(0, 1, max_denominator=12), max_size=5),
+    cuts=st.sets(fractions_in(0, 1, max_denominator=12), max_size=5),
 )
 @settings(max_examples=120, deadline=None)
 def test_stats_ddim_counts_the_ddim_event_roots(name, hecke, index, pairs, start, words, cuts):

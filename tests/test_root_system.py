@@ -16,6 +16,7 @@ from conftest import (
     frac_vec,
     group_elements,
 )
+from strategies import fractions_in
 from test_chain_reference import reflect_by_root, root_covector, root_eval
 from test_gallery_reference import reflection_element
 from test_system_reference import nullspace, reflect_root, solve_linear, vdot_cov
@@ -295,7 +296,7 @@ def _level_point(system, coroot_coeffs, m):
 @given(
     name=st.sampled_from(sorted(LEVEL_SYSTEMS)),
     coroot_coeffs=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
-    m=st.fractions(-2, 2, max_denominator=3),
+    m=fractions_in(-2, 2, max_denominator=3),
 )
 @settings(max_examples=300, deadline=None)
 def test_level_rule_on_integer_pairings_matches_delta_covector(name, coroot_coeffs, m):
@@ -388,6 +389,30 @@ class TestSerialization:
         assert again.simple_roots == a1aff.simple_roots
         assert again.simple_coroots == a1aff.simple_coroots
         assert again.rank_x == a1aff.rank_x
+
+    @pytest.mark.parametrize(
+        "data, shown",
+        [
+            ({"cartan_matrix": [[2]], "rank_x": 3}, "3, but the system has rank_x = 1"),
+            ({"cartan_matrix": [[2]], "rank_x": "x"}, "'x', but the system has rank_x = 1"),
+            (
+                {"cartan_matrix": [[2]], "simple_roots": [["2"]], "simple_coroots": [["1"]], "rank_x": True},
+                "True, but the system has rank_x = 1",
+            ),
+            (
+                {"cartan_matrix": [], "simple_roots": [], "simple_coroots": [], "rank_x": 2},
+                "2, but the system has rank_x = 0",
+            ),
+        ],
+        ids=["no-roots", "string", "bool", "rank-0"],
+    )
+    def test_rank_x_must_be_the_systems(self, data, shown):
+        # each of these loaded before, its rank_x ignored or taken for 1
+        from heckepaths import RootGeneratingSystem
+
+        with pytest.raises(FormatError) as exc:
+            RootGeneratingSystem.from_json_dict(data)
+        assert str(exc.value) == f"rank_x is {shown}"
 
     def test_decomposable_finite(self):
         from heckepaths import RootGeneratingSystem
@@ -538,14 +563,14 @@ def ref_reach_by_gap(system, lam, v):
 
 system_names = st.sampled_from(sorted(KERNEL_SYSTEMS))
 raw_words = st.lists(st.integers(0, 2), max_size=6)
-points = st.lists(st.fractions(-4, 4, max_denominator=5), min_size=3, max_size=3)
-dominant_pairings = st.lists(st.fractions(0, 4, max_denominator=3), min_size=3, max_size=3)
+points = st.lists(fractions_in(-4, 4, max_denominator=5), min_size=3, max_size=3)
+dominant_pairings = st.lists(fractions_in(0, 4, max_denominator=3), min_size=3, max_size=3)
 # ints, zeros, small fractions and large coprime denominators, of either sign
 kernel_entries = st.one_of(
     st.integers(-(10**6), 10**6),
     st.just(0),
     st.just(F(0)),
-    st.fractions(-50, 50, max_denominator=12),
+    fractions_in(-50, 50, max_denominator=12),
     st.builds(F, st.integers(-(10**12), 10**12), st.sampled_from([10**9 + 7, 998244353, 2**61 - 1])),
 )
 kernel_points = st.lists(kernel_entries, min_size=3, max_size=3)
@@ -729,7 +754,7 @@ class TestExactKernel:
         name=system_names,
         pairs=kernel_points,
         offsets=kernel_points,
-        below=st.lists(st.fractions(-1, 3, max_denominator=4), min_size=3, max_size=3),
+        below=st.lists(fractions_in(-1, 3, max_denominator=4), min_size=3, max_size=3),
         off=st.sampled_from([0, 0, 1, F(-1, 2)]),
         raw=raw_words,
         shape=st.sampled_from(["orbit", "coroots", "any"]),
@@ -786,11 +811,11 @@ class TestExactKernel:
     @given(
         name=st.sampled_from(sorted(REACH_SYSTEMS)),
         pairs=dominant_pairings,
-        offsets=st.lists(st.fractions(-2, 2, max_denominator=3), min_size=3, max_size=3),
-        below=st.lists(st.fractions(-1, 3, max_denominator=2), min_size=3, max_size=3),
+        offsets=st.lists(fractions_in(-2, 2, max_denominator=3), min_size=3, max_size=3),
+        below=st.lists(fractions_in(-1, 3, max_denominator=2), min_size=3, max_size=3),
         raw=raw_words,
         shape=st.sampled_from(["orbit", "any"]),
-        v_any=st.lists(st.fractions(-4, 4, max_denominator=5), min_size=4, max_size=4),
+        v_any=st.lists(fractions_in(-4, 4, max_denominator=5), min_size=4, max_size=4),
         s=st.builds(F, st.integers(1, 4), st.integers(1, 3)),
     )
     @settings(max_examples=300, deadline=None)

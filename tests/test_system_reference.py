@@ -1,5 +1,8 @@
 """System construction against the Fraction routes it replaced.
 
+``RootGeneratingSystem.from_gcm`` reads a singular matrix's extra
+realization rows off the pivot columns of one elimination of [A^T | 1];
+``ref_from_gcm`` adds the standard rows one rank test at a time.
 ``RootGeneratingSystem`` scales its simple roots and coroots to integer rows
 once and computes every invariant from them: the realization check and both
 independence ranks, the symmetrizer, one elimination of the coroot matrix
@@ -44,10 +47,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from heckepaths import RootGeneratingSystem, validate_gcm
+from heckepaths import RootGeneratingSystem, linalg, root_system, validate_gcm
 from heckepaths.root_system import RealRoot, WeylElement
 from heckepaths.errors import CrossCheckMismatch, FormatError, HPLError, NotSymmetrizable
 from heckepaths.linalg import _eliminate, mat_rank
+
+from strategies import fractions_in
 
 # -- the elimination and the strategies that test it -------------------------------
 
@@ -97,7 +102,7 @@ def scale_to_primitive_integers(v):
 entries = st.one_of(
     st.just(F(0)),
     st.integers(-2, 2).map(F),
-    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    fractions_in(-3, 3, max_denominator=4),
 )
 
 
@@ -443,7 +448,7 @@ def gcms(draw):
     return a
 
 
-small_rationals = st.one_of(st.integers(-3, 3).map(F), st.fractions(-3, 3, max_denominator=5))
+small_rationals = st.one_of(st.integers(-3, 3).map(F), fractions_in(-3, 3, max_denominator=5))
 
 
 @st.composite
@@ -525,6 +530,8 @@ def test_kernel_is_the_primitive_nullspace(a):
 
 @settings(max_examples=100, deadline=None)
 @given(gcms())
+@example(_block_sum(CATALOG["A1aff"], CATALOG["A1aff"]))  # corank 2: two extra rows
+@example(_block_sum(CATALOG["A2twisted"], CATALOG["A1aff"]))  # corank 2, transposed parts
 def test_from_gcm_keeps_its_realization(a):
     roots, coroots = ref_from_gcm(a)
     try:
@@ -533,6 +540,26 @@ def test_from_gcm_keeps_its_realization(a):
         assert _outcome(reference_invariants, a, roots, coroots, []) == (type(exc), str(exc))
     else:
         assert (list(system.simple_roots), list(system.simple_coroots)) == (roots, coroots)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [CATALOG["A2"], CATALOG["A1aff"], _block_sum(CATALOG["A1aff"], CATALOG["A1aff"])],
+    ids=["A2", "A1aff", "A1aff+A1aff"],
+)
+def test_from_gcm_eliminates_three_times(a, monkeypatch):
+    # the extra rows, the root rank and the coroot inverse, one elimination each,
+    # whatever the corank; counted under both names _eliminate is bound by
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return _eliminate(rows)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    monkeypatch.setattr(root_system, "_eliminate", counting)
+    RootGeneratingSystem.from_gcm(a)
+    assert len(calls) == 3
 
 
 @settings(max_examples=150, deadline=None)

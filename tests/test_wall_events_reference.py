@@ -30,6 +30,7 @@ from heckepaths.errors import HPLError
 from heckepaths.galleries import codim_tilde, decorate_with_max_chains, parameter_pattern
 from heckepaths.paths import _falling_wall_events, ddim_events, is_hecke, is_ls, make_path, stats
 
+from strategies import fractions_in
 from test_chain_reference import CANDIDATE_SYSTEMS
 from test_path_reference import _vector, paths
 
@@ -125,7 +126,7 @@ def test_ends_agree_inside_the_pieces_of_the_pools():
 @given(
     name=st.sampled_from(["A2", "B2", "G2", "A3", "A1aff"]),
     word=st.lists(st.integers(0, 2), max_size=5),
-    times=st.sets(st.fractions(0, 1, max_denominator=12), min_size=2, max_size=2),
+    times=st.sets(fractions_in(0, 1, max_denominator=12), min_size=2, max_size=2),
     ends=st.lists(st.lists(st.integers(-12, 12), min_size=3, max_size=3), min_size=2, max_size=2),
     den=st.integers(1, 4),
 )
