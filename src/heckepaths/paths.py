@@ -156,9 +156,10 @@ def _from_reps(system: RootGeneratingSystem, shape: Vec, start: Vec, pieces) -> 
 
 def make_path(system: RootGeneratingSystem, shape, start, direction_words, breakpoints) -> LambdaPath:
     """Build a path from a shape, direction words and breakpoint times; each piece's
-    coset rep comes from one integer unwind of w(shape)."""
+    coset rep comes from one integer unwind of w(shape), and the path keeps the
+    shape's integer point and each merged piece's w(shape) as its integer rows."""
     shape = tuple(Fraction(x) for x in shape)
-    num, pairs, den = system._integer_point(shape)
+    num, pairs, den = point = system._integer_point(shape)
     anti = any(p < 0 for p in pairs)
     if anti and any(p > 0 for p in pairs):
         raise NotDominant("path shape must be dominant (or antidominant)")
@@ -167,11 +168,17 @@ def make_path(system: RootGeneratingSystem, shape, start, direction_words, break
         raise FormatError("breakpoints must run from 0 to 1 with one piece per direction")
     if any(b1 <= b0 for b0, b1 in zip(bps, bps[1:])):
         raise FormatError("breakpoints must be strictly increasing")
-    pieces = []
+    pieces, rows = [], []
     for word, t in zip(direction_words, bps[1:]):
         w = word if isinstance(word, WeylElement) else system.normalize_word(word)
-        pieces.append((system._unwound(*system._act_integers(w.word, num, pairs), den, anti)[0], t))
-    return _from_reps(system, shape, tuple(Fraction(x) for x in start), pieces)
+        row = system._act_integers(w.word, num, pairs)
+        rep = system._unwound(*row, den, anti)[0]
+        if not pieces or pieces[-1][0] != rep:  # w(shape) = rep(shape): the row of a merged piece
+            rows.append(row)
+        pieces.append((rep, t))
+    path = _from_reps(system, shape, tuple(Fraction(x) for x in start), pieces)
+    vars(path).update(_shape_point=point, _direction_rows=tuple(rows))
+    return path
 
 
 def straight_path(system: RootGeneratingSystem, lam, start=None) -> LambdaPath:
@@ -483,8 +490,22 @@ def stats(path: LambdaPath, h: int = 20) -> PathStats:
     ddim counts walls the path reaches from strictly above (over t > 0),
     codim counts walls it leaves strictly downward (over t < 1); candidates
     come from the inversion sets of the piece directions, so both sums are
-    finite even for infinite root systems.  dim is only defined in finite
-    type, where every positive root can be tallied.  Kept per path and h.
+    finite even for infinite root systems.  dim, the walls met going up over
+    every positive root, is only defined in finite type.  Kept per path and h.
+
+    Lemma: let the shape lam be dominant, tau_k the rep of piece k and C the
+    union of the inversion sets of the tau_k.  A positive root beta outside C
+    never falls, and meets ceil(beta(pi(1))) - ceil(beta(pi(0))) walls going
+    up, which is beta(nu) when every alpha_i(pi(0)) and alpha_i(pi(1)) is an
+    integer.  Proof: beta is no inversion root of tau_k, so tau_k^-1 beta > 0,
+    and beta(tau_k lam) = (tau_k^-1 beta)(lam) >= 0 on every piece; so beta
+    never decreases, each piece meets ceil(u1) - ceil(u0) of its walls going
+    up, and the counts telescope.  With c the coefficients of the sum of the
+    positive roots over the simple roots, this gives
+    dim = sum over C of the walls met going up + sum_i c_i alpha_i(nu)
+    - sum over C of beta(nu).  stats counts dim so for a dominant shape with
+    integral ends; on every other path of finite type it walks the whole
+    positive-root closure.
     """
     return _analysed(path, ("stats", h), lambda: _tally(path, h))
 
@@ -494,14 +515,20 @@ def _tally(path: LambdaPath, h: int) -> PathStats:
     candidates = set()
     for w in path.directions:
         sys_.check_height(w, h)
-        candidates.update(sys_.inversion_set(w))
-    finite = sys_.classify_type() == "finite"
-    # in finite type one walk over every positive root gives dim and, on the
-    # candidates among them, the tallies; that closure needs no height bound
-    roots = sys_.real_roots_up_to_height(inf) if finite else candidates
-    dim = 0 if finite else None
-    pos, neg, pos_rev, neg_rev = {}, {}, {}, {}
+        candidates.update(sys_._inversions(w.word)[0])
     den, rows = path._vertex_pairings
+    finite = sys_.classify_type() == "finite"
+    roots, dim = candidates, None
+    if finite and path.shape_is_dominant and not any(x % den for x in rows[0] + rows[-1]):
+        # the lemma of stats: the roots outside the candidates add sum_i c_i alpha_i(nu) - sum_C beta(nu)
+        nu = [b - a for a, b in zip(rows[0], rows[-1])]
+        dim = (sum(map(mul, sys_._root_sum, nu)) - sum(beta.value(nu) for beta in candidates)) // den
+        roots = sorted(candidates, key=lambda beta: (beta.height, beta.coeffs))  # the closure's order
+    elif finite:
+        # one walk over every positive root gives dim and, on the candidates
+        # among them, the tallies; that closure needs no height bound
+        roots, dim = sys_.real_roots_up_to_height(inf), 0
+    pos, neg, pos_rev, neg_rev = {}, {}, {}, {}
     values = [(beta, [beta.value(p) for p in rows]) for beta in roots]
     for k in range(path.r):
         for beta, us in values:

@@ -662,25 +662,44 @@ class RootGeneratingSystem:
 
     @cached_property
     def _type(self) -> str:
-        # Sylvester: the symmetrized matrix is positive definite iff its leading
-        # principal minors are positive; they are the successive pivots of a
-        # fraction-free elimination without row swaps, which stops at the first
-        # pivot that is not positive
-        # (its own loop: one _eliminate call alone costs 1.5-2 times as much, and every query builds a system)
-        m = [[d * a for a in row] for d, row in zip(self._symmetrizer, self.gcm.entries)]
+        if self._sylvester is not None:
+            return "finite"
+        ker = self._kernel
+        return "affine" if len(ker) == 1 and all(x > 0 for x in ker[0]) else "indefinite"
+
+    @cached_property
+    def _sylvester(self):
+        """[DA | 2d], D = diag(d) the symmetrizer, after a fraction-free elimination without
+        row swaps, or None at the first pivot that is not positive.  DA is positive definite,
+        so A of finite type, iff its leading principal minors are positive (Sylvester), and
+        they are the successive pivots; the column 2d rides along for _root_sum.  Its own
+        loop: one _eliminate call alone costs 1.5-2 times as much, and every query builds a
+        system."""
+        m = [[d * a for a in row] + [2 * d] for d, row in zip(self._symmetrizer, self.gcm.entries)]
         prev = 1
         for k, top in enumerate(m):
             pv = top[k]
             if pv <= 0:
-                break
+                return None
             for r in range(k + 1, self.n):
                 f = m[r][k]
                 m[r] = [(pv * x - f * y) // prev for x, y in zip(m[r], top)]
             prev = pv
-        else:
-            return "finite"
-        ker = self._kernel
-        return "affine" if len(ker) == 1 and all(x > 0 for x in ker[0]) else "indefinite"
+        return m
+
+    @cached_property
+    def _root_sum(self) -> tuple:
+        """Finite type only: the coefficients c of the sum of the positive roots over the
+        simple roots.  That sum is 2 rho, with alpha_i^v(2 rho) = 2, so A c = 2 (1, ..., 1),
+        or DA c = 2d: back-substitution on the triangular rows of _sylvester, each division exact."""
+        m, c = self._sylvester, [0] * self.n
+        for k in reversed(range(self.n)):
+            row = m[k]
+            q, r = divmod(row[-1] - sum(map(mul, row[k + 1 : self.n], c[k + 1 :])), row[k])
+            if r:
+                raise CrossCheckMismatch(f"the sum of the positive roots has a non-integral coefficient at a{k + 1}")
+            c[k] = q
+        return tuple(c)
 
     @cached_property
     def _kernel(self):

@@ -7,7 +7,7 @@ from math import inf
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from heckepaths import RootGeneratingSystem
@@ -422,6 +422,44 @@ def test_cached_geometry_matches_accumulation(name, pairs, anti, start, words, c
     check_geometry(path)
 
 
+FINITE_SYSTEMS = {
+    name: RootGeneratingSystem.from_gcm(a)
+    for name, a in (
+        ("A2", [[2, -1], [-1, 2]]),
+        ("B2", [[2, -2], [-1, 2]]),
+        ("G2", [[2, -1], [-3, 2]]),
+        ("A3", [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]),
+    )
+}
+
+
+@given(
+    name=st.sampled_from(sorted(FINITE_SYSTEMS)),
+    coords=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    anti=st.booleans(),
+    start=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    words=st.lists(st.lists(st.integers(0, 2), max_size=4), min_size=1, max_size=4),
+    cuts=st.sets(fractions_in(0, 1, max_denominator=4), max_size=3),
+)
+@example(name="A2", coords=[2, 3, 0], anti=True, start=[0, 0, 0], words=[[]], cuts=set())  # (-2,-3): dim 0
+@example(name="A2", coords=[1, 1, 0], anti=False, start=[0, 0, 0], words=[[0], []], cuts={F(1, 2)})  # ends at (1/2, 1)
+@settings(max_examples=100, deadline=None)
+def test_stats_on_integer_shapes_and_starts(name, coords, anti, start, words, cuts):
+    # shapes and starts in Y, so the ends are integral unless a breakpoint is not: stats
+    # reads dim off the chain candidates only for a dominant shape with integral ends,
+    # and the antidominant shapes and the rational breakpoints fall back to the closure
+    system = FINITE_SYSTEMS[name]
+    dom = system.orbit_unwind(tuple(map(F, coords[: system.n])))[0]
+    shape = tuple(-x for x in dom) if anti else dom
+    bps = sorted(cuts - {0, 1})[: len(words) - 1]
+    words = [[i % system.n for i in w] for w in words[: len(bps) + 1]]
+    path = make_path(system, shape, start[: system.rank_x], words, [F(0), *bps, F(1)])
+    got = stats(path)
+    ddim, codim, dim, tallies = ref_stats(path)
+    assert (got.ddim, got.codim, got.dim) == (ddim, codim, dim)
+    assert (got.pos, got.neg, got.pos_reverse, got.neg_reverse) == tallies
+
+
 # -- paths from their coset reps, against the former segments route ------------------
 
 
@@ -472,10 +510,36 @@ def test_paths_from_reps_equal_the_segments_route(name, pairs, central, anti, st
     )
     assert all(type(x) is F for x in path.shape + path.start + path.breakpoints)
     assert make_path(system, shape, start, [system.normalize_word(w) for w in words], bps) == path
+    twin = LambdaPath(system, path.shape, path.start, path.directions, path.breakpoints)
+    assert (vars(path)["_shape_point"], vars(path)["_direction_rows"]) == (twin._shape_point, twin._direction_rows)
     back = reverse_path(path)
     assert back == ref_reverse_path(path)
     assert all(type(x) is F for x in back.shape + back.start + back.breakpoints)
     assert reverse_path(back) == path
+
+
+@pytest.mark.parametrize(
+    "shape, words, reps",
+    [
+        ((2, 1), [(0,), (0, 1), (1,), ()], 2),  # stabilized by s2: reps s1, s1, e, e
+        ((1, 1), [(0, 1, 0), (1, 0, 1), (0,)], 2),
+        ((-2, -1), [(), (1,), (0,), (0, 1)], 2),  # antidominant, stabilized by s2
+        ((-1, -1), [(0,), (1, 0), ()], 3),
+    ],
+)
+def test_make_path_keeps_its_integer_rows(shape, words, reps, monkeypatch):
+    # the shape's integer point and one direction row per merged rep, the rows a path
+    # built from the same fields computes; one unwind per piece, as before
+    system = RootGeneratingSystem.from_gcm([[2, -1], [-1, 2]])
+    unwinds = []
+    unwound = system._unwound
+    monkeypatch.setattr(system, "_unwound", lambda *args: unwinds.append(args) or unwound(*args))
+    bps = [F(k, len(words)) for k in range(len(words) + 1)]
+    path = make_path(system, shape, (0, 0), words, bps)
+    assert len(unwinds) == len(words) and path.r == reps
+    twin = LambdaPath(system, path.shape, path.start, path.directions, path.breakpoints)
+    assert vars(path)["_shape_point"] == twin._shape_point
+    assert vars(path)["_direction_rows"] == twin._direction_rows
 
 
 @pytest.mark.parametrize("bad", [lambda v: (*v, F(5)), lambda v: v[:1]], ids=["long", "short"])

@@ -96,6 +96,7 @@ ENTRY_POINTS = {
     "simple_reflection",  # RootGeneratingSystem: r_i on a Fraction vector; perfbench/record.py calls it
     "pairing",  # RootGeneratingSystem: alpha_i(v) as a Fraction; the library reads _pairings
     "coroot_coordinates",  # RootGeneratingSystem: over the coroots as Fractions; the library reads _coroot_solve
+    "inversion_set",  # RootGeneratingSystem: the inversion roots as a fresh list; the library reads _inversions
     "endpoint_counts",  # CrystalGraph: the weight table of the crystal
 }
 

@@ -590,6 +590,54 @@ def test_real_roots_of_the_catalog_match_the_realroot_closure(name):
     ]
 
 
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+_B4 = [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]]
+FINITE_RANK_4 = {
+    **{name: CATALOG[name] for name in ("A1", "A2", "A3", "A4", "B2", "B3", "D4", "G2", "F4")},
+    "B4": _B4,
+    "C3": _transpose(CATALOG["B3"]),
+    "C4": _transpose(_B4),
+    "A1xA1": _block_sum(CATALOG["A1"], CATALOG["A1"]),
+    "A1xB2": _block_sum(CATALOG["A1"], CATALOG["B2"]),
+    "G2xA2": _block_sum(CATALOG["G2"], CATALOG["A2"]),
+    "A1xA1xA2": _block_sum(_block_sum(CATALOG["A1"], CATALOG["A1"]), CATALOG["A2"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_RANK_4))
+def test_root_sum_is_the_sum_of_the_positive_roots(name):
+    # the back-substitution on the Sylvester pass against the closure, summed coordinatewise
+    system = RootGeneratingSystem.from_gcm(FINITE_RANK_4[name])
+    assert system.classify_type() == "finite"
+    roots = system.real_roots_up_to_height(math.inf)
+    assert system._root_sum == tuple(sum(r.coeffs[i] for r in roots) for i in range(system.n))
+
+
+@pytest.mark.parametrize("name", sorted(k for k in CATALOG if k not in FINITE_RANK_4))
+def test_classify_type_of_the_catalog_beyond_finite(name):
+    # the column 2d the Sylvester pass carries changes no pivot: the affine and indefinite
+    # matrices stop it as before, and the type is the former one
+    a = CATALOG[name]
+    try:
+        d = ref_symmetrizer(a)
+    except NotSymmetrizable:
+        return
+    system = RootGeneratingSystem.from_gcm(a)
+    assert system._sylvester is None
+    assert system.classify_type() == ref_classify_type(a, d) != "finite"
+
+
+def test_root_sum_refuses_a_remainder():
+    # a pass whose back-substitution does not divide exactly raises, and is never floored
+    system = RootGeneratingSystem.from_gcm(CATALOG["A1"])
+    vars(system)["_sylvester"] = [[2, 1]]
+    with pytest.raises(CrossCheckMismatch, match="non-integral"):
+        system._root_sum
+
+
 def _system(a):
     try:
         return RootGeneratingSystem.from_gcm(a)
