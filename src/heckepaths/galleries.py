@@ -51,7 +51,7 @@ class GalleryAtPoint:
     def _gammas(self) -> tuple:
         """gamma_j = d_(j-1)(alpha_(i_j)) per step, signed, from the type word's
         inversion sequence and the folds."""
-        gammas = self.system._inversions(self.type_word)[0]
+        gammas = self.system._inversions(self.type_word)
         for j in sorted(self.folds):
             gammas = _fold_at(self.system, gammas, j)
         return gammas
@@ -140,7 +140,7 @@ def fold_gallery(gallery: GalleryAtPoint, chain_roots) -> GalleryAtPoint:
         beta = beta if beta.is_positive else beta.negated()
         if beta.value(pairs) % den:
             raise FoldNotApplicable(k, f"wall of {beta!r} through the point is not true")
-        if beta not in sys_._inversions(gallery.chambers[-1].word)[0]:
+        if beta not in sys_._inversions(gallery.chambers[-1].word):
             raise FoldNotApplicable(k, f"{beta!r} does not separate c_0 from the end chamber")
         # the first positive crossing of the beta-wall: an unfolded step with gamma_j = beta
         steps = enumerate(gallery._gammas, start=1)
@@ -166,7 +166,7 @@ def galleries_of_type(system, z, word, target_direction):
     """
     word, z = tuple(word), tuple(Fraction(x) for x in z)
     den, pairs = system._pairings(z)
-    out, todo = [], [(0, IDENTITY, frozenset(), system._inversions(word)[0])]
+    out, todo = [], [(0, IDENTITY, frozenset(), system._inversions(word))]
     while todo:  # depth first, each crossing before the fold at the same step
         j, end, folds, gammas = todo.pop()
         if j == len(word):
@@ -253,7 +253,7 @@ def codim_tilde(decorated: DecoratedHeckePath, h: int = 20) -> int:
     if have != want:
         raise FormatError("decoration must cover exactly the interior breakpoints")
     den, rows = path._vertex_pairings
-    total = sys_._relative_length(path.directions[0], den, rows[0], h)
+    total = sum(1 for beta in sys_._inversions(path.directions[0].word, h) if beta.value(rows[0]) % den == 0)
     for _, gallery in decorated.galleries:
         total += neg_count(gallery)
     big, events = _ddim_walls(path, h)
@@ -316,7 +316,7 @@ def parameter_pattern(path: LambdaPath, h: int = 20) -> ParameterPattern:
         (a, b), (c, e) = times[k], times[k + 1]
         p, q = (n * b - a * d) * e, d * (c * b - a * e)
         at_t = [q * u + p * (v - u) for u, v in zip(rows[k], rows[k + 1])]
-        walls = path.system._inversions(path.directions[k].word)[0]
+        walls = path.system._inversions(path.directions[k].word)
         true_steps = [j for j, beta in enumerate(walls, start=1) if beta.value(at_t) % (q * den) == 0]
         folds = galleries[k][1].folds if p == q and k + 1 < path.r else ()
         factors += ["kappa*" if j in folds else "kappa" for j in true_steps]

@@ -204,25 +204,23 @@ def _weight_mult(ctx, nu) -> int:
     if any(x % den for x in num) or system._outside_by_level(pairs):
         return 0
     gap = _coroot_gap(system, lamp, nu)  # a weight lies in lam - Q^v_+; nu is at lam's scale
-    num, pairs = list(num), list(pairs)
-    if gap is None or not system._unwind_below(num, pairs, [c * system._rden for c in gap], 1):
+    if gap is None:
         return 0
-    return _dominant_mult(ctx, (num, pairs, lamp[2]))
+    num, pairs, gap = list(num), list(pairs), list(gap)  # with rden 1, gap steps by 1
+    if not system._unwind_below(num, pairs, gap, 1):
+        return 0
+    return _dominant_mult(ctx, (num, pairs, lamp[2]), gap)
 
 
-def _dominant_mult(ctx, nu) -> int:
-    """_weight_mult at a dominant integer point nu at lam's scale: the Freudenthal
-    recursion, kept in the cache under nu's numerators."""
+def _dominant_mult(ctx, nu, diff) -> int:
+    """_weight_mult at a dominant integer point nu at lam's scale, with diff the coroot
+    coefficients of lam - nu: the Freudenthal recursion, kept in the cache under nu's numerators."""
     system, dual, lamp, cache = ctx
     key = tuple(nu[0])
     if nu[0] == lamp[0]:
         return 1
     if key in cache:
         return cache[key]
-    diff = _coroot_gap(system, lamp, nu)
-    if diff is None:
-        cache[key] = 0
-        return 0
     unit = lamp[2] // system._cden  # the denominator of lam's pairings
     total = ZERO
     for coeffs, root_mult in dual.roots_up_to_height(sum(diff)):
@@ -347,15 +345,17 @@ def _descend(ctx, pts, xis, reps, times, certs, t):
     end = _along(x, (d - n, d), xi)
     if not any(_along(y1p, (-1, 1), end)[0]):
         path = LambdaPath(system, lam, y0, reps, times + (ONE,))
-        vars(path).update(_shape_point=lamp, _direction_rows=xis, _vertex_points=[*pts, end])
+        den = end[2]  # the D of _vertex_rows: the rows are the points summed here, rescaled
+        rows = ([[a * (den // v[2]) for a in v[i]] for v in (*pts, end)] for i in (0, 1))
+        vars(path).update(_shape_point=lamp, _direction_rows=xis, _vertex_rows=(den, *rows))
         found.setdefault(path, certs)
     piece = (reps[-1], t, (1, 1), [end[2] // x[2] * a for a in x[1]], end[1])
-    big, events = _falling_wall_events(system, end[2] // system._cden, [piece], h, at_end=False)
+    big, events = _falling_wall_events(system, end[2] // system._cden, [piece], h)
     for e, _ in events:
+        if e == big:  # walls reached at t = 1, the last group; only those inside (t, 1) count
+            break
         g = gcd(e, big)
         ta = na, da = e // g, big // g
-        if ta == t:  # walls at the fold point itself; only those inside (t, 1) count
-            continue
         p, q = na * d - n * da, da * d  # ta - t
         g = gcd(p, q)
         z = _along(x, (p // g, q // g), xi)

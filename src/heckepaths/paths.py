@@ -74,19 +74,20 @@ class LambdaPath:
         return tuple(self.system._act_integers(w.word, num, pairs) for w in self.directions)
 
     @cached_property
-    def _vertex_points(self) -> list:
-        """pi(a_k) as integer points, summed piece by piece from the start and each tau_k(shape)."""
-        pts = [self.system._integer_point(self.start)]
-        for (qn, qp), t0, t1 in zip(self._direction_rows, self.breakpoints, self.breakpoints[1:]):
-            step = t1 - t0
-            pts.append(_along(pts[-1], (step.numerator, step.denominator), (qn, qp, self._shape_point[2])))
-        return pts
-
-    @cached_property
     def _vertex_rows(self):
-        """(D, nums, pairs): the vertex points as integer rows over D, the last one's den (pairs over D / cden)."""
-        pts, den = self._vertex_points, self._vertex_points[-1][2]
-        return den, [[x * (den // d) for x in n] for n, _, d in pts], [[x * (den // d) for x in p] for _, p, d in pts]
+        """(D, nums, pairs): pi(a_k) as integer rows over D (pairs over D / cden), summed piece
+        by piece from the start and each tau_k(shape).  With the start over d, the shape over L
+        and T the lcm of the breakpoints' denominators, D = lcm(d, T L), so each tick a_k D / L
+        is an integer, and piece k adds the difference of its ticks times tau_k(shape)'s row."""
+        num, pairs, d = self.system._integer_point(self.start)
+        lden = self._shape_point[2]
+        den = lcm(d, lden * lcm(*(t.denominator for t in self.breakpoints)))
+        ticks = [t.numerator * (den // (lden * t.denominator)) for t in self.breakpoints]
+        nums, rows = [[x * (den // d) for x in num]], [[x * (den // d) for x in pairs]]
+        for (qn, qp), a0, a1 in zip(self._direction_rows, ticks, ticks[1:]):
+            nums.append([x + (a1 - a0) * y for x, y in zip(nums[-1], qn)])
+            rows.append([x + (a1 - a0) * y for x, y in zip(rows[-1], qp)])
+        return den, nums, rows
 
     @property
     def _vertex_pairings(self):
@@ -201,8 +202,9 @@ def eval_path(path: LambdaPath, t) -> Vec:
         raise OutOfRange(f"t = {t} outside [0, 1]")
     k = _piece_before(path, t)
     s = t - path.breakpoints[k]
+    den, nums, rows = path._vertex_rows
     direction = (*path._direction_rows[k], path._shape_point[2])
-    num, _, den = _along(path._vertex_points[k], (s.numerator, s.denominator), direction)
+    num, _, den = _along((nums[k], rows[k], den), (s.numerator, s.denominator), direction)
     return tuple(Fraction(x, den) for x in num)
 
 
@@ -288,11 +290,10 @@ class ChainCertificate:
 def _chain_candidates(system, shape, den, pairs, rep, xi, kind, t, h):
     """Usable chain roots at coset rep, with the filter that failed when empty; xi = rep(shape)
     is an integer point at the scale of shape = (numerators, E), its pairings over E."""
-    system.check_height(rep, h)
     lam, xi_den = shape
     out = []
     blocked = set()
-    for beta in system._inversions(rep.word)[0]:
+    for beta in system._inversions(rep.word, h):
         if beta.value(pairs) % den:
             # integrality at the point: condition vii.  For LS it stands for ii only
             # in an integral realization (by induction over earlier breakpoints),
@@ -514,8 +515,7 @@ def _tally(path: LambdaPath, h: int) -> PathStats:
     sys_ = path.system
     candidates = set()
     for w in path.directions:
-        sys_.check_height(w, h)
-        candidates.update(sys_._inversions(w.word)[0])
+        candidates.update(sys_._inversions(w.word, h))
     den, rows = path._vertex_pairings
     finite = sys_.classify_type() == "finite"
     roots, dim = candidates, None
@@ -546,25 +546,23 @@ def _tally(path: LambdaPath, h: int) -> PathStats:
     return PathStats(sum(pos_rev.values()), sum(neg.values()), dim, pos, neg, pos_rev, neg_rev)
 
 
-def _falling_wall_events(sys_: RootGeneratingSystem, den, pieces, h: int, at_end: bool):
+def _falling_wall_events(sys_: RootGeneratingSystem, den, pieces, h: int):
     """Times where an inversion root of a piece direction falls through an
     integer level, as (L, events): events holds sorted (n, [roots]) for the
     times n / L, L the lcm of the denominators b q below.  pieces holds (coset rep,
     t0, t1, P0, P1) tuples, the times as integer pairs (a, b) for a / b, and P0
     and P1 the integer pairings of the piece's ends over den; a piece counts the
-    crossings at t1 but not at t0 when at_end, and the other way round otherwise.
-    With t0 = a / b, t1 - t0 = c / b and q = u0 - u1 > 0, beta meets m at
-    (a q + c (u0 - m den)) / (b q)."""
+    walls its roots reach over (t0, t1].  With t0 = a / b, t1 - t0 = c / b and
+    q = u0 - u1 > 0, beta meets m at (a q + c (u0 - m den)) / (b q)."""
     falls = []  # (a q + c u0, c den, b q, levels, beta) per falling root of a piece
     for w, (a0, b0), (a1, b1), p0, p1 in pieces:
-        sys_.check_height(w, h)
         b = lcm(b0, b1)
         a = a0 * (b // b0)
         c = a1 * (b // b1) - a
-        for beta in sys_._inversions(w.word)[0]:
+        for beta in sys_._inversions(w.word, h):
             u0, u1 = beta.value(p0), beta.value(p1)
             if u1 < u0:
-                levels = levels_crossed(u1, u0, den) if at_end else levels_crossed(u0, u1, den)
+                levels = levels_crossed(u1, u0, den)
                 if levels:
                     falls.append((a * (u0 - u1) + c * u0, c * den, b * (u0 - u1), levels, beta))
     big = lcm(*[d for _, _, d, _, _ in falls])
@@ -582,7 +580,7 @@ def _ddim_walls(path: LambdaPath, h: int):
     def events():
         den, rows = path._vertex_pairings
         times = [(t.numerator, t.denominator) for t in path.breakpoints]
-        return _falling_wall_events(path.system, den, zip(path.directions, times, times[1:], rows, rows[1:]), h, True)
+        return _falling_wall_events(path.system, den, zip(path.directions, times, times[1:], rows, rows[1:]), h)
 
     return _analysed(path, ("ddim", h), events)
 

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import mul
 
 from .errors import (
@@ -512,11 +512,12 @@ class RootGeneratingSystem:
 
         Memoized per word; each call returns a fresh list.
         """
-        return list(self._inversions(w.word)[0])
+        return list(self._inversions(w.word))
 
-    def _inversions(self, word: tuple):
+    def _inversions(self, word: tuple, h=inf):
         """The memo behind inversion_set: the inversion sequence of any word, in order
-        (the walls of the minimal gallery of that type), and its largest height."""
+        (the walls of the minimal gallery of that type).  Raises HeightBoundTooSmall
+        when its highest root is above h; the memo keeps that height with the roots."""
         out = self._inversion_cache.get(word)
         if out is None:
             roots = []
@@ -526,7 +527,10 @@ class RootGeneratingSystem:
                     c, cc = self._reflect_coeffs(j, c, cc)
                 roots.append(RealRoot(c, cc))
             out = self._inversion_cache[word] = (tuple(roots), max((r.height for r in roots), default=0))
-        return out
+        roots, worst = out
+        if worst > h:
+            raise HeightBoundTooSmall(worst, h)
+        return roots
 
     def is_left_descent(self, i: int, w: WeylElement) -> bool:
         """True iff length(s_i w) < length(w)."""
@@ -640,19 +644,10 @@ class RootGeneratingSystem:
             self._roots_cache_bound = h
         return [r for ht, r in self._roots_cache if ht <= h]
 
-    def check_height(self, w: WeylElement, h: int):
-        worst = self._inversions(w.word)[1]
-        if worst > h:
-            raise HeightBoundTooSmall(worst, h)
-
     def relative_length(self, x: Vec, w: WeylElement, h: int) -> int:
         """Number of inversion roots of w taking an integer value at x."""
-        return self._relative_length(w, *self._pairings(x), h)
-
-    def _relative_length(self, w: WeylElement, den, pairs, h: int) -> int:
-        """relative_length at the point whose pairings are the integers pairs over den."""
-        self.check_height(w, h)
-        return sum(1 for beta in self._inversions(w.word)[0] if beta.value(pairs) % den == 0)
+        den, pairs = self._pairings(x)
+        return sum(1 for beta in self._inversions(w.word, h) if beta.value(pairs) % den == 0)
 
     # -- type classification and the Tits cone ------------------------------
 

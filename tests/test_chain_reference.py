@@ -79,7 +79,7 @@ def chain_targets(system, shape, x, xi_from, h, a_j=None):
 
 def ref_chain_candidates(system, shape, den, pairs, rep, xi, kind, a_j, h):
     """The former candidate routine, on the Fraction vector xi."""
-    system.check_height(rep, h)
+    system._inversions(rep.word, h)
     out = []
     blocked = set()
     for beta in system.inversion_set(rep):

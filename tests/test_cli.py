@@ -81,6 +81,21 @@ SYSTEM_FILES = {
     "string-names": {"cartan_matrix": A2, "names": "xyz"},
     "few-names": {"cartan_matrix": A2, "names": ["a"]},
     "int-roots": {"cartan_matrix": A2, "simple_roots": 5, "simple_coroots": [["1", "0"], ["0", "1"]]},
+    "non-square": {"cartan_matrix": [[2, -1]]},
+    "float-entry": {"cartan_matrix": [[2, 0.5], [-1, 2]]},
+    "no-matrix": {"names": ["a"]},
+    "roots-only": {"cartan_matrix": A2, "simple_roots": [["2", "-1"], ["-1", "2"]]},
+}
+# path files of the exit-contract test, on A1 unless named otherwise
+PATH_FILES = {
+    "mixed-signs-a2": {"lambda": ["1", "-1"], "start": ["0", "0"], "directions": [[]], "breakpoints": ["0", "1"]},
+    "few-breakpoints": {"lambda": ["1"], "start": ["0"], "directions": [[1], []], "breakpoints": ["0", "1"]},
+    "past-one": {"lambda": ["1"], "start": ["0"], "directions": [[1], []], "breakpoints": ["0", "1/2", "2"]},
+    "decreasing": {
+        "lambda": ["1"], "start": ["0"], "directions": [[1], [], [1]], "breakpoints": ["0", "1/2", "1/3", "1"]
+    },
+    "no-start": {"lambda": ["1"], "directions": [[1], []], "breakpoints": ["0", "1/2", "1"]},
+    "antidominant": {"lambda": ["-1"], "start": ["0"], "directions": [[], [1]], "breakpoints": ["0", "1/2", "1"]},
 }
 
 
@@ -263,6 +278,63 @@ class TestStatuses:
                 2,
                 "error: simple_roots and simple_coroots must be lists of covectors\n",
             ),
+            (["validate"], 2, "error: --system FILE is required\n"),
+            (["validate", "--system", "non-square"], 2, "error: Cartan matrix must be square\n"),
+            (["validate", "--system", "float-entry"], 2, "error: Cartan matrix entries must be integers, got 0.5\n"),
+            (["validate", "--system", "no-matrix"], 2, "error: system file needs a 'cartan_matrix' field\n"),
+            (
+                ["validate", "--system", "roots-only"],
+                2,
+                "error: simple_roots and simple_coroots must be supplied together\n",
+            ),
+            (
+                ["validate", "--system", "no-such-system.json"],
+                2,
+                "error: cannot read system file no-such-system.json: [Errno 2] No such file or directory:"
+                " 'no-such-system.json'\n",
+            ),
+            # a list is the text report's lines on stdout: the count, then one repr per witness
+            (
+                ["enumerate-hecke", "--system", "a2", "--lambda", "1,1", "--y0", "0,0", "--y1", "0,0"],
+                0,
+                [
+                    "count=3",
+                    "LambdaPath(('0', '0') -> ('-1/2', '0') -> ('0', '0'))",
+                    "LambdaPath(('0', '0') -> ('-1/2', '-1/2') -> ('0', '0'))",
+                    "LambdaPath(('0', '0') -> ('0', '-1/2') -> ('0', '0'))",
+                ],
+            ),
+            (
+                ["check-hecke", "--system", "a2", "--path", "mixed-signs-a2"],
+                1,
+                "no: path shape must be dominant (or antidominant)\n",
+            ),
+            (
+                ["check-hecke", "--system", "a1", "--path", "few-breakpoints"],
+                2,
+                "error: breakpoints must run from 0 to 1 with one piece per direction\n",
+            ),
+            (
+                ["check-hecke", "--system", "a1", "--path", "past-one"],
+                2,
+                "error: breakpoints must run from 0 to 1 with one piece per direction\n",
+            ),
+            (
+                ["check-hecke", "--system", "a1", "--path", "decreasing"],
+                2,
+                "error: breakpoints must be strictly increasing\n",
+            ),
+            (["check-hecke", "--system", "a1", "--path", "no-start"], 2, "error: path file is missing field 'start'\n"),
+            (
+                ["check-hecke", "--system", "a1", "--path", "antidominant"],
+                1,
+                "no: Hecke recognition applies to dominant-shape paths\n",
+            ),
+            (
+                ["check-ls", "--system", "a1", "--path", "antidominant"],
+                1,
+                "no: LS recognition applies to dominant-shape paths\n",
+            ),
         ],
         ids=[
             "validate-json",
@@ -277,12 +349,27 @@ class TestStatuses:
             "string-names",
             "few-names",
             "int-roots",
+            "missing-system",
+            "non-square",
+            "float-entry",
+            "no-matrix",
+            "roots-only",
+            "unreadable-system",
+            "enumerate-text",
+            "mixed-signs",
+            "few-breakpoints",
+            "past-one",
+            "decreasing",
+            "no-start",
+            "antidominant-hecke",
+            "antidominant-ls",
         ],
     )
     def test_exit_contract(self, files, tmp_path, capsys, argv, status, expected):
-        # a dict is the JSON report on stdout (these keys at least), a string the whole stderr
+        # a dict is the JSON report on stdout (these keys at least), a list the lines
+        # of the whole stdout, a string the whole stderr
         named = dict(files)
-        for name, data in SYSTEM_FILES.items():
+        for name, data in {**SYSTEM_FILES, **PATH_FILES}.items():
             named[name] = str(tmp_path / f"{name}.json")
             (tmp_path / f"{name}.json").write_text(json.dumps(data))
         got, out, err = run(capsys, *(named.get(a, a) for a in argv))
@@ -290,6 +377,8 @@ class TestStatuses:
         if isinstance(expected, dict):
             report = json.loads(out)
             assert {k: report[k] for k in expected} == expected and err == ""
+        elif isinstance(expected, list):
+            assert (out.splitlines(), err) == (expected, "")
         else:
             assert (out, err) == ("", expected)
 

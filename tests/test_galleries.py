@@ -250,3 +250,31 @@ class TestJsonLoaders:
         data = {k: v for k, v in data.items() if v is not None}
         with pytest.raises(FormatError, match=match):
             ParameterPattern.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda s, p: minimal_gallery(s, (0, 0), (0, 0)), FormatError, "gallery type must be a reduced word"),
+        (
+            lambda s, p: gallery_from_json_dict(s, [1]),
+            FormatError,
+            "a gallery is a JSON object with point, type, chambers and folds",
+        ),
+        (
+            lambda s, p: enumerate_decorations(make_path(s, (1, 1), (0, 0), [(), (0,)], [0, F(1, 2), 1])),
+            NotHecke,
+            "condition vi fails at t=1/2",
+        ),
+        (
+            lambda s, p: codim_tilde(DecoratedHeckePath(p, ())),
+            FormatError,
+            "decoration must cover exactly the interior breakpoints",
+        ),
+    ],
+    ids=["non-reduced-type", "gallery-not-an-object", "decorations-of-non-hecke", "decoration-misses-breakpoint"],
+)
+def test_malformed_gallery_arguments_are_refused(a2, theta_path, call, error, message):
+    with pytest.raises(error) as raised:
+        call(a2, theta_path)
+    assert type(raised.value) is error and str(raised.value) == message

@@ -133,6 +133,19 @@ def test_literals_read_as_fraction_reads_them(text):
         assert type(got) is F and got == expect
 
 
+@pytest.mark.parametrize("value", [True, 0.5], ids=["bool", "float"])
+def test_non_text_literals_are_refused(value):
+    # a JSON true or 0.5 is no rational literal, though Fraction would read both
+    with pytest.raises(FormatError) as raised:
+        parse_rational(value)
+    assert str(raised.value) == f"not a rational literal: {value!r}"
+
+
+def test_a_fraction_passes_through():
+    x = F(-3, 4)
+    assert parse_rational(x) is x
+
+
 @given(st.one_of(st.text(), st.text(alphabet="0123456789_+-/. \t\x1c\u0661eE", max_size=8)))
 @example("1_000")
 @settings(max_examples=500, deadline=None)

@@ -66,7 +66,7 @@ class TestMultiplicity:
     def test_a2_zero_weight(self, a2):
         assert multiplicity(a2, frac_vec(1, 1), frac_vec(0, 0)) == 2
 
-    @pytest.mark.parametrize("lam", [(-1, -1), (F(1, 2), 0)])
+    @pytest.mark.parametrize("lam", [(-1, -1), (F(1, 2), 0), (F(1, 2), F(1, 2))])
     def test_refuses_shape_like_generation(self, a2, lam):
         # mu = 0 is not below these shapes; the shape is still refused, not answered 0
         with pytest.raises(NotDominant) as crystal:
@@ -148,6 +148,12 @@ class TestFreudenthal:
         # points) are unwound once each, by the gap-tracking unwind alone
         assert (len(unwinds), len(set(unwinds))) == (103, 51)
         assert unwound == inverses == []
+
+    @pytest.mark.parametrize("lam", [(-1, 0), (F(1, 2), F(1, 2))], ids=["not-dominant", "off-Y"])
+    def test_highest_weight_refused(self, a2, lam):
+        with pytest.raises(NotDominant) as raised:
+            freudenthal_multiplicity(a2, lam, frac_vec(0, 0))
+        assert str(raised.value) == "Freudenthal needs a dominant highest weight in Y"
 
     def test_indefinite_refused(self):
         from heckepaths import RootGeneratingSystem
@@ -417,9 +423,9 @@ WITNESS_ROW_CASES = {
 
 @pytest.mark.parametrize("name", sorted(WITNESS_ROW_CASES))
 def test_witnesses_carry_the_rows_of_a_fresh_path(name):
-    """Each witness holds the shape point, direction rows and vertex points the search
+    """Each witness holds the shape point, direction rows and vertex rows the search
     summed, before any reader asks for them; they equal those a fresh path with the
-    same fields computes, and so do the vertex rows read from them."""
+    same fields computes."""
     from heckepaths.paths import LambdaPath
 
     entries, shapes, targets = WITNESS_ROW_CASES[name]
@@ -430,10 +436,9 @@ def test_witnesses_carry_the_rows_of_a_fresh_path(name):
         assert 0 in [system.pairing(j, frac_vec(*lam)) for j in range(system.n)]
         ys = targets or sorted({p.endpoint for p in generate_ls_paths(system, lam).nodes})
         for w in (w for y1 in ys for w in enumerate_hecke(system, lam, origin, y1)):
-            received = {k: vars(w.path)[k] for k in ("_shape_point", "_direction_rows", "_vertex_points")}
+            received = {k: vars(w.path)[k] for k in ("_shape_point", "_direction_rows", "_vertex_rows")}
             fresh = LambdaPath(system, w.path.shape, w.path.start, w.path.directions, w.path.breakpoints)
             assert received == {k: getattr(fresh, k) for k in received}
-            assert w.path._vertex_rows == fresh._vertex_rows
             count += 1
     assert count >= 10
 

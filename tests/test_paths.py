@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from heckepaths import RootGeneratingSystem
 from heckepaths.apartment import levels_crossed
-from heckepaths.errors import FormatError, HPLError, NonLambdaPath, OutOfRange
+from heckepaths.errors import FormatError, HPLError, NonLambdaPath, NotDominant, OutOfRange
 from heckepaths.paths import (
     LambdaPath,
     all_chains,
@@ -26,6 +26,7 @@ from heckepaths.paths import (
     path_from_json_dict,
     path_to_json_dict,
     reverse_path,
+    root_operator,
     stats,
     straight_path,
 )
@@ -571,6 +572,37 @@ def test_vectors_of_the_wrong_rank_are_refused(a2, bad):
             call()
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda s: root_operator("g", 0, straight_path(s, (1, 1))), FormatError, "unknown operator kind 'g'"),
+        (lambda s: root_operator("f", 2, straight_path(s, (1, 1))), FormatError, "generator index 2 out of range"),
+        (lambda s: root_operator("f", -1, straight_path(s, (1, 1))), FormatError, "generator index -1 out of range"),
+        (
+            lambda s: root_operator("e", 0, make_path(s, (-1, -1), (0, 0), [()], [0, 1])),
+            NotDominant,
+            "root operators apply to dominant-shape paths",
+        ),
+        (
+            lambda s: concat(straight_path(s, (1, 1)), straight_path(RootGeneratingSystem.from_gcm([[2, -1], [-1, 2]]), (1, 1))),
+            FormatError,
+            "paths live over different systems",
+        ),
+    ],
+    ids="operator-kind operator-index-high operator-index-negative operator-antidominant concat-systems".split(),
+)
+def test_malformed_operator_and_concat_arguments_are_refused(a2, call, error, message):
+    with pytest.raises(error) as raised:
+        call(a2)
+    assert type(raised.value) is error and str(raised.value) == message
+
+
+def test_a_check_result_is_true_exactly_when_ok(a1):
+    yes = make_path(a1, (1,), (0,), [(0,), ()], [0, F(1, 2), 1])
+    no = make_path(a1, (1,), (0,), [(), (0,)], [0, F(1, 2), 1])
+    assert bool(is_hecke(yes)) is True and bool(is_hecke(no)) is False
+
+
 # the five systems of the ddim identity: the Cartan matrices of the witness-row cases
 DDIM_SYSTEMS = {name: RootGeneratingSystem.from_gcm(case[0]) for name, case in WITNESS_ROW_CASES.items()}
 
@@ -663,7 +695,6 @@ def test_vertex_pairings_match_root_eval(name, pairs, start, words, cuts):
         for w in path.directions:
             expect = sum(1 for b in system.inversion_set(w) if root_eval(system, b, x).denominator == 1)
             assert system.relative_length(x, w, 20) == expect
-            assert system._relative_length(w, den, row, 20) == expect
     for (w, t0, t1, p0, p1), k in zip(path._pieces(), range(path.r)):
         assert (w, t0, t1, p0, p1) == (path.directions[k], *path.breakpoints[k : k + 2], rows[k], rows[k + 1])
 

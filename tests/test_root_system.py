@@ -78,6 +78,12 @@ class TestNormalForms:
     def test_already_reduced(self, a2):
         assert a2.normalize_word((0, 1)).word == (0, 1)
 
+    @pytest.mark.parametrize("word", [(0, 2), (-1,)])
+    def test_index_out_of_range_refused(self, a2, word):
+        with pytest.raises(FormatError) as raised:
+            a2.normalize_word(word)
+        assert str(raised.value) == f"generator index {word[-1]} out of range"
+
     def test_matches_brute_force_s3(self, a2):
         # multiply out every word of length <= 5 through the permutation action
         # on coroot coordinates and compare equality classes with normal forms

@@ -92,7 +92,7 @@ ENTRY_POINTS = {
     "eval_path",
     "bruhat_leq",  # RootGeneratingSystem: the Bruhat order
     "tits_cone_membership",  # RootGeneratingSystem: membership with its witness
-    "relative_length",  # RootGeneratingSystem: at a Fraction point; codim_tilde reads integer rows
+    "relative_length",  # RootGeneratingSystem: at a Fraction point; codim_tilde counts on its integer row 0
     "simple_reflection",  # RootGeneratingSystem: r_i on a Fraction vector; perfbench/record.py calls it
     "pairing",  # RootGeneratingSystem: alpha_i(v) as a Fraction; the library reads _pairings
     "coroot_coordinates",  # RootGeneratingSystem: over the coroots as Fractions; the library reads _coroot_solve

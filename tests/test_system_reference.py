@@ -49,7 +49,7 @@ from hypothesis import strategies as st
 
 from heckepaths import RootGeneratingSystem, linalg, root_system, validate_gcm
 from heckepaths.root_system import RealRoot, WeylElement
-from heckepaths.errors import CrossCheckMismatch, FormatError, HPLError, NotSymmetrizable
+from heckepaths.errors import CrossCheckMismatch, FormatError, HeightBoundTooSmall, HPLError, NotSymmetrizable
 from heckepaths.linalg import _eliminate, mat_rank
 
 from strategies import fractions_in
@@ -669,10 +669,14 @@ def test_inversions_match_the_realroot_route(a, data):
     if system is None:
         return
     for word in data.draw(st.lists(_words(system.n), min_size=1, max_size=3)):
-        roots, top = system._inversions(word)
-        expected, expected_top = ref_inversions(system, word)
+        roots = system._inversions(word)
+        expected, top = ref_inversions(system, word)
         assert [(r.coeffs, r.coroot_coeffs) for r in roots] == [(r.coeffs, r.coroot_coeffs) for r in expected]
-        assert top == expected_top
+        if top > 0:  # the height bound is checked against the highest inversion root
+            assert system._inversions(word, top) == roots
+            with pytest.raises(HeightBoundTooSmall) as raised:
+                system._inversions(word, top - 1)
+            assert str(raised.value) == str(HeightBoundTooSmall(top, top - 1))
         for beta in roots[:3]:
             for gamma in roots:
                 got, ref = system._reflect_root_by(beta, gamma), ref_reflect_root_by(system, beta, gamma)

@@ -7,20 +7,22 @@ one denominator L, grouped and sorted as integers; ``ddim_events`` builds one
 ``enumerate_hecke`` takes its fold times from them.  The reference below is
 the former kernel: one ``Fraction`` per event, grouped in a dict keyed by it.
 Both must give the same times, the same groups in the same order, and the
-same roots in the same order in each group, or raise the same error, for
-both values of ``at_end``, on random paths over A2, B2, G2 and A1^(1).
+same roots in the same order in each group, or raise the same error, on
+random paths over A2, B2, G2 and A1^(1).  The library counts the walls a
+falling root reaches over (t0, t1] of each piece (``at_end`` true in the
+reference).
 
-``codim_tilde`` reads the ddim events (``at_end`` true) for the walls a path
-leaves inside its pieces (``at_end`` false): a falling root meets the same
-levels over (t0, t1] and over [t0, t1) at every time strictly inside the
-piece.  The lemma is checked on the reference, and the recognize pipeline
-must find the events of a Hecke path once.
+``codim_tilde`` and the fold times of ``enumerate_hecke`` read those events
+for the walls a path leaves inside its pieces (``at_end`` false in the
+reference): a falling root meets the same levels over (t0, t1] and over
+[t0, t1) at every time strictly inside the piece.  The lemma is checked on
+the reference, and the recognize pipeline must find the events of a Hecke
+path once.
 """
 
 from dataclasses import replace
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +46,7 @@ def ref_falling_wall_events(sys_, den, pieces, h, at_end):
     t1 - t0 = c / b, beta meets m at t0 + (t1 - t0) (m den - u0) / (u1 - u0)."""
     events = {}
     for w, t0, t1, p0, p1 in pieces:
-        sys_.check_height(w, h)
+        sys_._inversions(w.word, h)
         a, b = t0.numerator * t1.denominator, t0.denominator * t1.denominator
         c = t1.numerator * t0.denominator - a
         for beta in sys_.inversion_set(w):
@@ -63,10 +65,10 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _integer_route(path, h, at_end):
+def _integer_route(path, h):
     times = [(t.numerator, t.denominator) for t in path.breakpoints]
     pieces = [(w, t0, t1, p0, p1) for (w, _, _, p0, p1), t0, t1 in zip(path._pieces(), times, times[1:])]
-    big, events = _falling_wall_events(path.system, path._vertex_pairings[0], pieces, h, at_end)
+    big, events = _falling_wall_events(path.system, path._vertex_pairings[0], pieces, h)
     assert big > 0 and all(type(n) is int for n, _ in events)
     return [(F(n, big), roots) for n, roots in events]
 
@@ -82,23 +84,21 @@ def test_integer_events_match_the_fraction_route(name, pairs, h, data):
     system = CANDIDATE_SYSTEMS[name]
     path = data.draw(paths(system, _vector(system, pairs, 0)))
     den = path._vertex_pairings[0]
-    for at_end in (True, False):
-        expected = _outcome(ref_falling_wall_events, system, den, path._pieces(), h, at_end)
-        assert _outcome(_integer_route, path, h, at_end) == expected
+    expected = _outcome(ref_falling_wall_events, system, den, path._pieces(), h, True)
+    assert _outcome(_integer_route, path, h) == expected
     events = _outcome(ddim_events, path, h)
-    assert events == _outcome(ref_falling_wall_events, system, den, path._pieces(), h, True)
+    assert events == expected
     assert isinstance(events, tuple) or all(type(t) is F for t, _ in events)
 
 
-@pytest.mark.parametrize("at_end", [True, False])
-def test_events_of_a_piece_that_starts_late(a2, at_end):
+def test_events_of_a_piece_that_starts_late(a2):
     # one piece of direction s1 s2 (lambda) from t = 1/3, as enumerate_hecke asks for it: the times
     # keep their order and groups past the shared denominator
     path = make_path(a2, (F(3), F(3)), (F(1, 2), F(-1, 3)), [(0,), (0, 1)], [F(0), F(1, 3), F(1)])
     den, rows = path._vertex_pairings
     piece = (path.directions[1], F(1, 3), F(1), rows[1], rows[2])
-    big, events = _falling_wall_events(a2, den, [(piece[0], (1, 3), (1, 1), *piece[3:])], 20, at_end)
-    expected = ref_falling_wall_events(a2, den, [piece], 20, at_end)
+    big, events = _falling_wall_events(a2, den, [(piece[0], (1, 3), (1, 1), *piece[3:])], 20)
+    expected = ref_falling_wall_events(a2, den, [piece], 20, True)
     assert expected and [(F(n, big), roots) for n, roots in events] == expected
 
 
@@ -149,7 +149,7 @@ def test_recognize_pipeline_finds_the_events_once(monkeypatch):
     calls = []
 
     def counted(*args):
-        calls.append(args[-1])
+        calls.append(args)
         return _falling_wall_events(*args)
 
     monkeypatch.setattr(paths_module, "_falling_wall_events", counted)
@@ -162,4 +162,4 @@ def test_recognize_pipeline_finds_the_events_once(monkeypatch):
             stats(path)
             codim_tilde(decorate_with_max_chains(path))
             parameter_pattern(path)
-            assert calls == [True]
+            assert len(calls) == 1
