@@ -104,8 +104,9 @@ def cmd_validate(args):
     return 0
 
 
-def _check(args, kind):
+def cmd_check(args):
     """check-hecke or check-ls; an LS check of a path in Y reports its cross-check."""
+    kind = args.command.removeprefix("check-")
     path = _load_path(args)
     res = paths.is_hecke(path, args.h) if kind == "hecke" else paths.is_ls(path, args.h)
     report = {
@@ -123,14 +124,6 @@ def _check(args, kind):
         report["cross_check"] = {"ddim": ddim, "rho_gap": format_rational(gap), "hecke": hecke}
     _emit(report, args.format, [f"{kind}: {'yes' if res.ok else 'no'}"] + ([res.reason] if res.reason else []))
     return 0 if res.ok else 1
-
-
-def cmd_check_hecke(args):
-    return _check(args, "hecke")
-
-
-def cmd_check_ls(args):
-    return _check(args, "ls")
 
 
 def cmd_stats(args):
@@ -234,8 +227,8 @@ def cmd_pattern(args):
 
 COMMANDS = {
     "validate": cmd_validate,
-    "check-hecke": cmd_check_hecke,
-    "check-ls": cmd_check_ls,
+    "check-hecke": cmd_check,
+    "check-ls": cmd_check,
     "stats": cmd_stats,
     "apply-op": cmd_apply_op,
     "crystal": cmd_crystal,

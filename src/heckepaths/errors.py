@@ -51,7 +51,7 @@ class OperatorUndefined(HPLError):
 
 
 class UnsupportedType(HPLError):
-    """Operation restricted to finite or untwisted affine type."""
+    """Operation restricted to finite or untwisted affine type, or to integral simple roots and coroots."""
 
 
 class CapHit(HPLError):

@@ -192,19 +192,18 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
     if any(p < 0 for p in lamp[1]) or lamp[2] != system._rden * system._cden:
         raise NotDominant("Freudenthal needs a dominant highest weight in Y")
     ctx = (system, _DualData(system), lamp, {} if cache is None else cache)
-    return _weight_mult(ctx, system._integer_point(mu))
+    mup = system._integer_point(mu)
+    return _weight_mult(ctx, mup, _coroot_gap(system, lamp, mup))
 
 
-def _weight_mult(ctx, nu) -> int:
+def _weight_mult(ctx, nu, gap) -> int:
     """The multiplicity of the integer point nu in freudenthal_multiplicity's V(lam), over
-    ctx = (system, the dual's root data, lam's integer point, the cache)."""
+    ctx = (system, the dual's root data, lam's integer point, the cache), with gap the
+    coroot coefficients of lam - nu, None when nu is not in lam - Q^v_+."""
     system, lamp = ctx[0], ctx[2]
     num, pairs, den = nu
-    # off Y, or outside the Tits cone by the level rule (at once): not a weight of V(lam)
-    if any(x % den for x in num) or system._outside_by_level(pairs):
-        return 0
-    gap = _coroot_gap(system, lamp, nu)  # a weight lies in lam - Q^v_+; nu is at lam's scale
-    if gap is None:
+    # off lam - Q^v_+, off Y, or outside the Tits cone by the level rule (at once): not a weight of V(lam)
+    if gap is None or any(x % den for x in num) or system._outside_by_level(pairs):
         return 0
     num, pairs, gap = list(num), list(pairs), list(gap)  # with rden 1, gap steps by 1
     if not system._unwind_below(num, pairs, gap, 1):
@@ -221,22 +220,18 @@ def _dominant_mult(ctx, nu, diff) -> int:
         return 1
     if key in cache:
         return cache[key]
-    unit = lamp[2] // system._cden  # the denominator of lam's pairings
     total = ZERO
     for coeffs, root_mult in dual.roots_up_to_height(sum(diff)):
-        step = [0] * system.rank_x, [0] * system.n, lamp[2]  # sum_i c_i alpha_i^v at lam's scale
+        step = [0] * system.rank_x, [0] * system.n, lamp[2]  # sum_i c_i alpha_i^v at lam's scale, which is 1
         for i, c in enumerate(coeffs):
             if c:
-                system._subtract_coroot(step[0], step[1], i, -c * unit)
-        k = 1
-        while True:
+                system._subtract_coroot(step[0], step[1], i, -c)
+        # nu + k step has gap diff - k coeffs, so it stays in lam - Q^v_+ while that is >= 0
+        for k in range(1, 1 + min(d // c for d, c in zip(diff, coeffs) if c)):
             upper = _along(nu, (k, 1), step)
-            if _coroot_gap(system, lamp, upper) is None:
-                break
-            m = _weight_mult(ctx, upper)
+            m = _weight_mult(ctx, upper, [d - k * c for d, c in zip(diff, coeffs)])
             if m:
                 total += root_mult * m * dual.pair(coeffs, upper)
-            k += 1
     denom = dual.pair(diff, _along(lamp, (1, 1), nu)) + 2 * sum(c * d for c, d in zip(diff, dual.dsym))
     if denom <= 0:
         weight = format_vector([Fraction(x, lamp[2]) for x in key])

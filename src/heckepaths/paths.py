@@ -303,7 +303,7 @@ def _chain_candidates(system, shape, den, pairs, rep, xi, kind, t, h):
         xi_new = system._reflect_by_root(beta, *xi)
         new_rep, dom, _ = system._unwound(*xi_new, xi_den * system._cden)
         if dom != lam:
-            raise FormatError("vector is not in the Weyl orbit of the shape")
+            raise CrossCheckMismatch("vector is not in the Weyl orbit of the shape")
         if kind == "ls":
             if new_rep.length != rep.length - 1:
                 blocked.add("iii")

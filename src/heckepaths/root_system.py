@@ -250,9 +250,7 @@ class RootGeneratingSystem:
         self._symmetrizer = _symmetrizer(gcm.entries)
         self._root_support = _supports(roots)
         self._coroot_support = _supports(coroots)
-        self._cartan_support = tuple(
-            tuple((j, a) for j, a in enumerate(row) if a) for row in gcm.entries
-        )
+        self._cartan_support = _supports(gcm.entries)
         self._norm_cache = {}
         self._unwind_cache = {}
         self._inversion_cache = {}
@@ -435,8 +433,6 @@ class RootGeneratingSystem:
         coefficients; the inverse of the coroot matrix on those coordinates is
         built with the system, and the rebuilt vector decides the span.
         """
-        if not self.n:
-            return None
         num, _, d = self._integer_point(v)
         sol, den = self._coroot_solve(num)
         return None if sol is None else tuple(Fraction(c, d * den) for c in sol)

@@ -190,6 +190,23 @@ class TestStatuses:
         status, _, err = run(capsys, "pattern", "--system", files["a1"], "--path", files["fold"])
         assert status == 2 and "internal error" in err
 
+    def test_ls_cross_check_mismatch_is_internal_error(self, files, capsys, monkeypatch):
+        # is_ls checks its chain search against Hecke + ddim on a path in Y; the fold
+        # path is LS with ddim 1, so a ddim event that loses its root breaks the identity
+        from heckepaths import paths
+
+        ddim_walls = paths._ddim_walls
+
+        def drop_one_root(path, h):
+            big, events = ddim_walls(path, h)
+            (n, roots), rest = events[0], events[1:]
+            return big, [(n, roots[1:])] + rest
+
+        monkeypatch.setattr(paths, "_ddim_walls", drop_one_root)
+        status, _, err = run(capsys, "check-ls", "--system", files["a1"], "--path", files["fold"])
+        assert status == 2
+        assert err == "internal error: LS chain search says True, Hecke+ddim characterization says False\n"
+
     @pytest.mark.parametrize("name,ls", [("fold", True), ("rise", False)])
     def test_check_ls_walks_once(self, files, capsys, monkeypatch, name, ls):
         # check-ls reports the cross-check that is_ls computed, not a second run:

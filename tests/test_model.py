@@ -128,7 +128,7 @@ class TestFreudenthal:
             assert freudenthal_multiplicity(g2, lam, mu, cache=cache) == count
 
     def test_one_unwind_per_weight(self, monkeypatch):
-        from heckepaths import RootGeneratingSystem
+        from heckepaths import RootGeneratingSystem, model
 
         a3 = RootGeneratingSystem.from_gcm([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
         unwinds, unwound, inverses = [], [], []
@@ -141,6 +141,10 @@ class TestFreudenthal:
         monkeypatch.setattr(a3, "_unwind_below", counting_unwind)
         monkeypatch.setattr(a3, "_unwound", lambda *args: unwound.append(args))
         monkeypatch.setattr(a3, "inverse", inverses.append)
+        gaps, weights = [], []
+        monkeypatch.setattr(model, "_coroot_gap", lambda *args: gaps.append(args) or _coroot_gap(*args))
+        weight_mult = model._weight_mult
+        monkeypatch.setattr(model, "_weight_mult", lambda *args: weights.append(args[1:]) or weight_mult(*args))
         cache = {}
         mus = [frac_vec(0, 0, 0), frac_vec(1, 0, 1), frac_vec(0, 2, 0), frac_vec(2, 0, 2), frac_vec(1, 2, 1)]
         assert [freudenthal_multiplicity(a3, frac_vec(3, 4, 3), mu, cache) for mu in mus] == [15, 10, 5, 1, 10]
@@ -148,6 +152,10 @@ class TestFreudenthal:
         # points) are unwound once each, by the gap-tracking unwind alone
         assert (len(unwinds), len(set(unwinds))) == (103, 51)
         assert unwound == inverses == []
+        # lam - mu is solved once per call; each weight of a root string carries its own gap
+        lamp = a3._integer_point(frac_vec(3, 4, 3))
+        assert len(gaps) == 5 and len(weights) == len(unwinds)
+        assert all(_coroot_gap(a3, lamp, nu) == (gap and tuple(gap)) for nu, gap in weights)
 
     @pytest.mark.parametrize("lam", [(-1, 0), (F(1, 2), F(1, 2))], ids=["not-dominant", "off-Y"])
     def test_highest_weight_refused(self, a2, lam):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from heckepaths import RootGeneratingSystem
 from heckepaths.apartment import levels_crossed
-from heckepaths.errors import FormatError, HPLError, NonLambdaPath, NotDominant, OutOfRange
+from heckepaths.errors import CrossCheckMismatch, FormatError, HPLError, NonLambdaPath, NotDominant, OutOfRange
 from heckepaths.paths import (
     LambdaPath,
     all_chains,
@@ -201,6 +201,20 @@ class TestIsHecke:
         res = is_hecke(bad)
         assert not res.ok
         assert res.reason == "condition vi fails at t=1/2"
+
+    def test_chain_step_off_the_orbit_is_an_internal_error(self, theta_path, monkeypatch):
+        # r_beta keeps the Weyl orbit of the shape, so a chain step whose unwind
+        # misses the shape is a fault of the library, not of the path
+        system = theta_path.system
+        unwound = system._unwound
+
+        def off_orbit(*args):
+            rep, dom, pairs = unwound(*args)
+            return rep, [x + 1 for x in dom], pairs
+
+        monkeypatch.setattr(system, "_unwound", off_orbit)
+        with pytest.raises(CrossCheckMismatch, match="^vector is not in the Weyl orbit of the shape$"):
+            is_hecke(theta_path)
 
 
 class TestIsLS:

@@ -666,6 +666,13 @@ class TestExactKernel:
         if in_span:
             assert expect == tuple(coeffs[: system.n])
 
+    def test_coroot_coordinates_of_rank_0(self):
+        # the zero vector spans the empty coroot span, as dominance_difference agrees
+        from heckepaths.root_system import dominance_difference
+
+        system = RootGeneratingSystem.from_gcm([])
+        assert system.coroot_coordinates(()) == () == dominance_difference(system, (), ())
+
     @given(
         name=system_names,
         ints=st.lists(st.integers(-4, 4), min_size=3, max_size=3),
