@@ -71,6 +71,7 @@ def files(tmp_path):
 
 
 A2 = [[2, -1], [-1, 2]]
+NONSYM = [[2, -1, -1], [-2, 2, -1], [-1, -1, 2]]
 # system files of the exit-contract test, by the name its argv uses
 SYSTEM_FILES = {
     "hyperbolic": {"cartan_matrix": [[2, -3], [-3, 2]]},
@@ -85,6 +86,10 @@ SYSTEM_FILES = {
     "float-entry": {"cartan_matrix": [[2, 0.5], [-1, 2]]},
     "no-matrix": {"names": ["a"]},
     "roots-only": {"cartan_matrix": A2, "simple_roots": [["2", "-1"], ["-1", "2"]]},
+    # not symmetrizable: a bad names list is refused before the symmetrizer, a bad rank_x after it
+    "nonsym": {"cartan_matrix": NONSYM},
+    "nonsym-few-names": {"cartan_matrix": NONSYM, "names": ["a"]},
+    "nonsym-rank-x": {"cartan_matrix": NONSYM, "rank_x": 7},
 }
 # path files of the exit-contract test, on A1 unless named otherwise
 PATH_FILES = {
@@ -304,6 +309,9 @@ class TestStatuses:
                 2,
                 "error: simple_roots and simple_coroots must be supplied together\n",
             ),
+            (["validate", "--system", "nonsym"], 1, "no: inconsistent symmetrizer constraints\n"),
+            (["validate", "--system", "nonsym-few-names"], 2, "error: names must be a list of 3 strings, got ['a']\n"),
+            (["validate", "--system", "nonsym-rank-x"], 1, "no: inconsistent symmetrizer constraints\n"),
             (
                 ["validate", "--system", "no-such-system.json"],
                 2,
@@ -371,6 +379,9 @@ class TestStatuses:
             "float-entry",
             "no-matrix",
             "roots-only",
+            "nonsym",
+            "nonsym-few-names",
+            "nonsym-rank-x",
             "unreadable-system",
             "enumerate-text",
             "mixed-signs",
