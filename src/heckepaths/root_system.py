@@ -225,8 +225,7 @@ class RootGeneratingSystem:
     """
 
     def __init__(self, gcm: KacMoodyMatrix, simple_roots, simple_coroots, names=None):
-        self.gcm = gcm
-        n = self.n = gcm.n
+        n = gcm.n
         # exact entries; an int or a Fraction is taken as it is
         roots, coroots = (
             [[x if type(x) in (int, Fraction) else Fraction(x) for x in v] for v in vs]
@@ -234,23 +233,47 @@ class RootGeneratingSystem:
         )
         if not len(roots) == len(coroots) == n:
             raise FormatError(f"a rank {n} system needs {n} simple roots and as many coroots")
-        self.rank_x = len(roots[0]) if n else 0
-        if any(len(v) != self.rank_x for v in roots + coroots):
-            raise FormatError(f"simple roots and coroots must all have rank_x = {self.rank_x} coordinates")
-        names = [f"a{i + 1}" for i in range(n)] if names is None else names
-        if not (isinstance(names, (list, tuple)) and len(names) == n and all(isinstance(x, str) for x in names)):
-            raise FormatError(f"names must be a list of {n} strings, got {names!r}")
+        rank_x = len(roots[0]) if n else 0
+        if any(len(v) != rank_x for v in roots + coroots):
+            raise FormatError(f"simple roots and coroots must all have rank_x = {rank_x} coordinates")
+        self._name(gcm, names)
+        self._setup(_scaled_rows(roots), _scaled_rows(coroots))
+
+    def _name(self, gcm, names):
+        """Take the matrix and the names of its simple roots, a1, a2, ... unless given, checked."""
+        self.gcm, self.n = gcm, gcm.n
+        names = [f"a{i + 1}" for i in range(gcm.n)] if names is None else names
+        if not (isinstance(names, (list, tuple)) and len(names) == gcm.n and all(isinstance(x, str) for x in names)):
+            raise FormatError(f"names must be a list of {gcm.n} strings, got {names!r}")
         self.names = tuple(names)
-        # integer realization: rden alpha_j and cden alpha_i^v, as rows and as
-        # their nonzero entries, and the nonzero entries of row i of the Cartan matrix
-        roots, self._rden = self._root_rows = _scaled_rows(roots)
-        coroots, self._cden = self._coroot_rows = _scaled_rows(coroots)
-        self._check_realization(roots, coroots)
-        self._invert_coroots(coroots)
-        self._symmetrizer = _symmetrizer(gcm.entries)
+
+    def _setup(self, roots, coroots, proven=None):
+        """The integer realization from rden alpha_j and cden alpha_i^v as (rows, den): the rows,
+        their nonzero entries and those of the Cartan matrix's rows; alpha_j(alpha_i^v) = a_ij is
+        checked on every pair.  proven is (coroot inverse, rho) from a build that has shown the
+        roots independent and solved the symmetrizer; without it, an explicit realization runs
+        the root rank, the coroot elimination and the symmetrizer here, in that order."""
+        self._root_rows, self._coroot_rows = roots, coroots
+        (roots, self._rden), (coroots, self._cden) = roots, coroots
+        self.rank_x = len(roots[0]) if roots else 0
         self._root_support = _supports(roots)
         self._coroot_support = _supports(coroots)
-        self._cartan_support = _supports(gcm.entries)
+        self._cartan_support = _supports(self.gcm.entries)
+        scale = self._rden * self._cden
+        for i, support in enumerate(self._coroot_support):
+            for j, r in enumerate(roots):
+                got = sum(r[t] * y for t, y in support)
+                if got != self.gcm[i, j] * scale:
+                    raise FormatError(
+                        f"realization mismatch: alpha_{j + 1}(alpha_{i + 1}^v) = {Fraction(got, scale)}, "
+                        f"Cartan matrix says {self.gcm[i, j]}"
+                    )
+        if proven is None:
+            if self.n and mat_rank(roots) < self.n:
+                raise FormatError("simple roots are not linearly independent")
+            proven = self._invert_coroots(coroots)
+            self._symmetrizer = _symmetrizer(self.gcm.entries)
+        self._coroot_inverse, self._rho = proven
         self._norm_cache = {}
         self._unwind_cache = {}
         self._inversion_cache = {}
@@ -261,29 +284,26 @@ class RootGeneratingSystem:
 
     @classmethod
     def from_gcm(cls, entries, names=None) -> "RootGeneratingSystem":
+        """The system with the unit coroots, whose inverse is the identity on 0..n-1 and whose
+        rho is (1, ..., 1, 0, ...).  Sylvester's pass, kept for classify_type, shows a finite
+        type matrix nonsingular; any other gets the first standard rows e_k that raise its
+        rank: eliminating [A^T | 1] makes each column outside the span of those before it a
+        pivot, these are its pivots n + k, and the roots over them are independent."""
         gcm = validate_gcm(entries)
         n = gcm.n
-        unit = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
-        # a singular matrix gets the first standard rows e_k that raise its rank: eliminating [A^T | 1]
-        # makes each column outside the span of those before it a pivot, and these are its pivots n + k
-        pivots = _eliminate([col + e for col, e in zip(zip(*gcm.entries), unit)])[1]
-        extra = [unit[p - n] for p in pivots if p >= n]
-        simple_roots = list(zip(*gcm.entries, *extra))  # the columns of A over the extra rows
-        simple_coroots = [e + (0,) * len(extra) for e in unit]
-        return cls(gcm, simple_roots, simple_coroots, names)
-
-    def _check_realization(self, roots, coroots):
-        scale = self._rden * self._cden
-        for i, c in enumerate(coroots):
-            for j, r in enumerate(roots):
-                got = sum(map(mul, r, c))
-                if got != self.gcm[i, j] * scale:
-                    raise FormatError(
-                        f"realization mismatch: alpha_{j + 1}(alpha_{i + 1}^v) = {Fraction(got, scale)}, "
-                        f"Cartan matrix says {self.gcm[i, j]}"
-                    )
-        if self.n and mat_rank(roots) < self.n:
-            raise FormatError("simple roots are not linearly independent")
+        system = cls.__new__(cls)
+        system._name(gcm, names)
+        system._symmetrizer = _symmetrizer(gcm.entries)
+        extra = []
+        if system._sylvester is None:
+            units = [[int(i == j) for j in range(n)] for i in range(n)]
+            extra = [p - n for p in _eliminate([[*col, *e] for col, e in zip(zip(*gcm.entries), units)])[1] if p >= n]
+        # the columns of A over the extra rows, and the unit coroots
+        roots = [[*col, *(int(j == k) for k in extra)] for j, col in enumerate(zip(*gcm.entries))]
+        coroots = [[int(i == t) for t in range(n + len(extra))] for i in range(n)]
+        inverse = (list(range(n)), tuple(tuple(row[:n]) for row in coroots), 1)
+        system._setup((roots, 1), (coroots, 1), (inverse, ([1] * n + [0] * len(extra), 1)))
+        return system
 
     def _invert_coroots(self, coroots):
         """Eliminate [cden C | 1] once, C the coroot matrix: its pivot columns P
@@ -300,9 +320,8 @@ class RootGeneratingSystem:
         rho = [0] * rank_x  # k rho, on integers
         for p, row in zip(pivots, inverse):
             rho[p] = self._cden * sum(row)
-        self._rho = (rho, k)
         # the coefficients of v over k: row i of the transposed inverse, times cden, times v on P
-        self._coroot_inverse = (pivots, tuple(tuple(self._cden * row[i] for row in inverse) for i in range(n)), k)
+        return (pivots, tuple(tuple(self._cden * row[i] for row in inverse) for i in range(n)), k), (rho, k)
 
     # The Fraction views of the integer data, built on first read.
 

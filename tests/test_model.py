@@ -353,6 +353,23 @@ class TestEnumerateHecke:
         assert len(res) == 3
         assert sum(1 for w in res if is_ls(w.path).ok) == 2
 
+    def test_paths_that_differ_only_in_their_times(self, a2):
+        # the loop of shape (5, 5) at 0 has two direction sequences with two sets of fold
+        # times each; every path is kept once, in (breakpoints, words) order.  Integer input
+        # still gives Fraction shapes and starts
+        res = enumerate_hecke(a2, (5, 5), (0, 0), (0, 0))
+        assert [([w.word for w in x.path.directions], [str(t) for t in x.path.breakpoints]) for x in res] == [
+            ([(0, 1, 0), (0, 1), (1,), ()], ["0", "1/5", "1/2", "4/5", "1"]),
+            ([(0, 1, 0), (1, 0), (0,), ()], ["0", "1/5", "1/2", "4/5", "1"]),
+            ([(0, 1, 0), (0, 1), (1,), ()], ["0", "2/5", "1/2", "3/5", "1"]),
+            ([(0, 1, 0), (1, 0), (0,), ()], ["0", "2/5", "1/2", "3/5", "1"]),
+            ([(0, 1), (1,)], ["0", "1/2", "1"]),
+            ([(0, 1, 0), ()], ["0", "1/2", "1"]),
+            ([(1, 0), (0,)], ["0", "1/2", "1"]),
+        ]
+        assert all(type(x) is F for w in res for x in w.path.shape + w.path.start)
+        assert all(is_hecke(w.path).ok and len(w.certificates) == w.path.r - 1 for w in res)
+
     def test_all_outputs_hecke_with_certs(self, a2):
         for w in enumerate_hecke(a2, frac_vec(1, 1), frac_vec(0, 0), frac_vec(-1, 0)):
             assert is_hecke(w.path).ok

@@ -542,24 +542,65 @@ def test_from_gcm_keeps_its_realization(a):
         assert (list(system.simple_roots), list(system.simple_coroots)) == (roots, coroots)
 
 
+def _build_facts(s):
+    """Every integer invariant a system build stores or derives."""
+    kind = s.classify_type()
+    return (
+        (s._root_rows, s._coroot_rows, s._coroot_inverse, s._rho, s._symmetrizer),
+        (s._root_support, s._coroot_support, s._cartan_support, s.names, s.rank_x, kind),
+        _outcome(s.null_root_coeffs) if kind == "affine" else None,
+        s._root_sum if kind == "finite" else None,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_both_constructors_give_one_system(data):
+    # from_gcm reads its realization off Sylvester's pass or one [A^T | 1] pass; the
+    # constructor, given that realization, proves it again by the root rank, the coroot
+    # elimination and the symmetrizer: one system, or one error class, either way
+    a = data.draw(gcms())
+    names = [f"x{i}" for i in range(len(a))]
+    try:
+        system = RootGeneratingSystem.from_gcm(a, names)
+    except HPLError as exc:
+        with pytest.raises(type(exc)):
+            RootGeneratingSystem(validate_gcm(a), *ref_from_gcm(a), names)
+        return
+    other = RootGeneratingSystem(validate_gcm(a), system.simple_roots, system.simple_coroots, names)
+    assert _build_facts(system) == _build_facts(other)
+    for v in data.draw(vectors(system.simple_coroots)):
+        assert system.coroot_coordinates(v) == other.coroot_coordinates(v)
+
+
+A2_FILE = {"cartan_matrix": CATALOG["A2"], "simple_roots": [[2, -1], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]]}
+
+
 @pytest.mark.parametrize(
-    "a",
-    [CATALOG["A2"], CATALOG["A1aff"], _block_sum(CATALOG["A1aff"], CATALOG["A1aff"])],
-    ids=["A2", "A1aff", "A1aff+A1aff"],
+    "build, widths",
+    [
+        (lambda: RootGeneratingSystem.from_gcm(CATALOG["A2"]), []),
+        (lambda: RootGeneratingSystem.from_gcm(CATALOG["A1aff"]), [4]),
+        (lambda: RootGeneratingSystem.from_gcm(_block_sum(CATALOG["A1aff"], CATALOG["A1aff"])), [8]),
+        (lambda: RootGeneratingSystem.from_json_dict(A2_FILE), [2, 4]),
+    ],
+    ids=["A2", "A1aff", "A1aff+A1aff", "A2-file"],
 )
-def test_from_gcm_eliminates_three_times(a, monkeypatch):
-    # the extra rows, the root rank and the coroot inverse, one elimination each,
-    # whatever the corank; counted under both names _eliminate is bound by
+def test_system_build_eliminations(build, widths, monkeypatch):
+    # the width of each matrix eliminated, counted under both names _eliminate is bound by.
+    # from_gcm: none in finite type, where Sylvester's pass shows the matrix nonsingular,
+    # else the one [A^T | 1] pass for the extra rows and the roots' rank; the unit coroots
+    # need no inverse.  An explicit realization: the root rank, then [cden C | 1].
     calls = []
 
     def counting(rows):
-        calls.append(rows)
+        calls.append(len(rows[0]))
         return _eliminate(rows)
 
     monkeypatch.setattr(linalg, "_eliminate", counting)
     monkeypatch.setattr(root_system, "_eliminate", counting)
-    RootGeneratingSystem.from_gcm(a)
-    assert len(calls) == 3
+    build()
+    assert calls == widths
 
 
 @settings(max_examples=150, deadline=None)
