@@ -294,14 +294,13 @@ class RootGeneratingSystem:
         system = cls.__new__(cls)
         system._name(gcm, names)
         system._symmetrizer = _symmetrizer(gcm.entries)
-        extra = []
+        units, extra = [[int(i == j) for j in range(n)] for i in range(n)], []
         if system._sylvester is None:
-            units = [[int(i == j) for j in range(n)] for i in range(n)]
             extra = [p - n for p in _eliminate([[*col, *e] for col, e in zip(zip(*gcm.entries), units)])[1] if p >= n]
         # the columns of A over the extra rows, and the unit coroots
         roots = [[*col, *(int(j == k) for k in extra)] for j, col in enumerate(zip(*gcm.entries))]
-        coroots = [[int(i == t) for t in range(n + len(extra))] for i in range(n)]
-        inverse = (list(range(n)), tuple(tuple(row[:n]) for row in coroots), 1)
+        coroots = [e + [0] * len(extra) for e in units]
+        inverse = (list(range(n)), tuple(map(tuple, units)), 1)
         system._setup((roots, 1), (coroots, 1), (inverse, ([1] * n + [0] * len(extra), 1)))
         return system
 
