@@ -1,11 +1,11 @@
 """System construction against the Fraction routes it replaced.
 
-``RootGeneratingSystem.from_gcm`` reads a singular matrix's extra
+``RootGeneratingSystem.from_gcm`` reads a non-finite matrix's extra
 realization rows off the pivot columns of one elimination of [A^T | 1];
-``ref_from_gcm`` adds the standard rows one rank test at a time.
-``RootGeneratingSystem`` scales its simple roots and coroots to integer rows
-once and computes every invariant from them: the realization check and both
-independence ranks, the symmetrizer, one elimination of the coroot matrix
+``ref_from_gcm`` adds the standard rows one rank test at a time.  Given a
+realization, ``RootGeneratingSystem`` scales its simple roots and coroots to
+integer rows once and computes every invariant from them: the realization
+check and both independence ranks, the symmetrizer, one elimination of the coroot matrix
 (which gives the pivot coordinates and integer inverse behind
 ``coroot_coordinates``, and rho) and the leading principal minors behind
 ``classify_type``, read as the pivots of one fraction-free pass.  The
@@ -16,6 +16,9 @@ Sylvester's minors by ``row_reduce`` and the kernel by ``nullspace`` on
 every call.  Both must give equal invariants, or raise the same error, on
 Cartan matrices of rank <= 4 (finite, affine either way round, hyperbolic,
 decomposable and not symmetrizable) and on random rational realizations.
+``from_gcm`` writes its unit coroots' inverse and rho down instead, and
+builds every drawn matrix to the same system as the constructor given its
+realization.
 
 The positive-root closure runs on integer coefficient tuples; its reference
 is the former closure on ``RealRoot`` objects through ``reflect_root``, which
