@@ -166,12 +166,13 @@ def galleries_of_type(system, z, word, target_direction):
     """
     word, z = tuple(word), tuple(Fraction(x) for x in z)
     den, pairs = system._pairings(z)
+    target = system._integer_point(target_direction)[:2]
     out, todo = [], [(0, IDENTITY, frozenset(), system._inversions(word))]
     while todo:  # depth first, each crossing before the fold at the same step
         j, end, folds, gammas = todo.pop()
         if j == len(word):
-            # the closed end chamber germ contains the ray along the target direction
-            if system.is_dominant(system.act(system.inverse(end), target_direction)):
+            # the closed end chamber germ holds the ray along the target: end's reversed word makes it dominant
+            if all(p >= 0 for p in system._act_integers(end.word[::-1], *target)[1]):
                 out.append(_gallery(system, z, word, folds, (den, pairs)))
             continue
         if gammas[j].is_positive and gammas[j].value(pairs) % den == 0:

@@ -319,30 +319,35 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
         return []
     if not system._within_reach(lamp, nup, (1, 1)):
         return []
-    found = {}
+    found = []
     ctx = (system, lam, lamp, y0, y1p, h, found)
     for num, (pairs, rep) in sorted(_cosets_up_to_length(system, lamp, 2 * sum(gap)).items()):
-        _descend(ctx, (y0p,), ((list(num), pairs),), (rep,), (ZERO,), (), ((0, 1),))
-    ordered = sorted(found.values(), key=lambda pc: (pc[0].breakpoints, tuple(w.word for w in pc[0].directions)))
+        _descend(ctx, (y0p,), ((list(num), pairs),), (rep,), (ZERO,), (), (0, 1))
+    ordered = sorted(found, key=lambda pc: (pc[0].breakpoints, tuple(w.word for w in pc[0].directions)))
     return [HeckePathWitness(p, c) for p, c in ordered]
 
 
-def _descend(ctx, pts, xis, reps, times, certs, ts):
+def _descend(ctx, pts, xis, reps, times, certs, t):
     """The search of enumerate_hecke from its last piece, over ctx = (system, lam, lam's
-    integer point, y0, y1's integer point, h, the paths found with their chains, keyed on
-    the reps' words and ts).  Per piece so far: its start point, integer direction xi at
-    the shape's scale, coset rep and start time, in times and in ts as a reduced pair
-    (n, d); certs: the chains between them.  A path found takes the rows summed here."""
+    integer point, y0, y1's integer point, h, the list of paths found with their chains).
+    Per piece so far: its start point, integer direction xi at the shape's scale, coset
+    rep and start time, in times; t = (n, d), the last start time as a reduced pair;
+    certs: the chains between them.  A path found takes the rows summed here.
+
+    No path is found twice, as each branch ends in its own sequence of reps and fold times:
+    the start reps are distinct, so are the fold times of one piece, and one chain walk
+    yields one chain per end coset, each strictly shorter than its start rep, so no two
+    neighbouring reps merge."""
     system, lam, lamp, y0, y1p, h, found = ctx
-    x, xi, (n, d) = pts[-1], (*xis[-1], lamp[2]), ts[-1]
+    x, xi, (n, d) = pts[-1], (*xis[-1], lamp[2]), t
     end = _along(x, (d - n, d), xi)
-    if not any(_along(y1p, (-1, 1), end)[0]) and (key := (tuple(w.word for w in reps), ts)) not in found:
-        path = LambdaPath(system, lam, y0, reps, times + (ONE,))  # with the first chains found
+    if not any(_along(y1p, (-1, 1), end)[0]):
+        path = LambdaPath(system, lam, y0, reps, times + (ONE,))
         den = end[2]  # the D of _vertex_rows: the rows are the points summed here, rescaled
         rows = ([[a * (den // v[2]) for a in v[i]] for v in (*pts, end)] for i in (0, 1))
         vars(path).update(_shape_point=lamp, _direction_rows=xis, _vertex_rows=(den, *rows))
-        found[key] = path, certs
-    piece = (reps[-1], ts[-1], (1, 1), [end[2] // x[2] * a for a in x[1]], end[1])
+        found.append((path, certs))
+    piece = (reps[-1], t, (1, 1), [end[2] // x[2] * a for a in x[1]], end[1])
     big, events = _falling_wall_events(system, end[2] // system._cden, [piece], h)
     for e, _ in events:
         if e == big:  # walls reached at t = 1, the last group; only those inside (t, 1) count
@@ -358,7 +363,4 @@ def _descend(ctx, pts, xis, reps, times, certs, ts):
         walk = _chain_walk(system, lamp, (z[2] // system._cden, z[1]), xis[-1], reps[-1], "hecke", at, h)
         # each reached xi has lamp's denominator, so its numerators order it as a vector
         for c in sorted(walk, key=lambda c: c._xi_points[1][-1][0]):
-            _descend(
-                ctx, pts + (z,), xis + c._xi_points[1][-1:], reps + c.cosets[-1:], times + (at,), certs + (c,),
-                ts + (ta,),
-            )
+            _descend(ctx, pts + (z,), xis + c._xi_points[1][-1:], reps + c.cosets[-1:], times + (at,), certs + (c,), ta)

@@ -307,7 +307,7 @@ class RootGeneratingSystem:
     def _invert_coroots(self, coroots):
         """Eliminate [cden C | 1] once, C the coroot matrix: its pivot columns P
         of C and k (cden C_P)^-1 for an integer k > 0.  They give the integer
-        inverse behind coroot_coordinates, and rho: C_P^-1 (1, ..., 1) on P and
+        inverse behind _coroot_solve, and rho: C_P^-1 (1, ..., 1) on P and
         0 on the free coordinates."""
         n, rank_x = self.n, self.rank_x
         m, pivots, k, _, _ = _eliminate([row + [int(c == i) for c in range(n)] for i, row in enumerate(coroots)])
@@ -348,14 +348,11 @@ class RootGeneratingSystem:
     def zero(self) -> Vec:
         return (Fraction(0),) * self.rank_x
 
-    def pairing(self, i: int, v: Vec) -> Fraction:
-        """alpha_i(v)."""
-        den, pairs = self._pairings(v)
-        return Fraction(pairs[i], den)
-
     def simple_reflection(self, i: int, v: Vec) -> Vec:
         """r_i(v) = v - alpha_i(v) alpha_i^v."""
-        return self.act(WeylElement((i,)), v)
+        num, pairs, den = self._integer_point(v)
+        self._subtract_coroot(num, pairs, i, pairs[i])
+        return tuple(Fraction(x, den) for x in num)
 
     def _integer_point(self, v: Vec):
         """v as integer numerators over one denominator, with its pairings.
@@ -407,10 +404,6 @@ class RootGeneratingSystem:
                 self._subtract_coroot(num, pairs, i, b * c)
         return num, pairs
 
-    def act(self, w: WeylElement, v: Vec) -> Vec:
-        num, pairs, den = self._integer_point(v)
-        return tuple(Fraction(x, den) for x in self._act_integers(w.word, num, pairs)[0])
-
     def simple_root_obj(self, i: int) -> RealRoot:
         e = tuple(1 if j == i else 0 for j in range(self.n))
         return RealRoot(e, e)
@@ -441,23 +434,10 @@ class RootGeneratingSystem:
         (rho, k), (num, _, den) = self._rho, self._integer_point(v)
         return Fraction(sum(map(mul, rho, num)), k * den)
 
-    def is_dominant(self, v: Vec) -> bool:
-        return all(p >= 0 for p in self._integer_point(v)[1])
-
-    def coroot_coordinates(self, v: Vec):
-        """Coefficients of v over the simple coroots, or None if outside their span.
-
-        The coroots are independent, so n pivot coordinates of Y determine the
-        coefficients; the inverse of the coroot matrix on those coordinates is
-        built with the system, and the rebuilt vector decides the span.
-        """
-        num, _, d = self._integer_point(v)
-        sol, den = self._coroot_solve(num)
-        return None if sol is None else tuple(Fraction(c, d * den) for c in sol)
-
     def _coroot_solve(self, num: list):
-        """Integer core of coroot_coordinates: (sol, den) with num equal to
-        sum(sol_i / den alpha_i^v); sol is None outside the span of the coroots."""
+        """(sol, den) with num equal to sum(sol_i / den alpha_i^v), sol None outside the span
+        of the simple coroots: they are independent, so n pivot coordinates of Y give the
+        coefficients, and the rebuilt vector decides the span."""
         pivots, rows, den = self._coroot_inverse
         # the coefficients, and cden times their coroot combination, over den
         sol = [sum(a * num[p] for a, p in zip(row, pivots)) for row in rows]
@@ -521,17 +501,10 @@ class RootGeneratingSystem:
 
     # -- inversions, Bruhat order, cosets -----------------------------------
 
-    def inversion_set(self, w: WeylElement):
-        """Positive roots sent negative by w^{-1}: beta_k = r_i1 ... r_i(k-1)(alpha_ik).
-
-        Memoized per word; each call returns a fresh list.
-        """
-        return list(self._inversions(w.word))
-
     def _inversions(self, word: tuple, h=inf):
-        """The memo behind inversion_set: the inversion sequence of any word, in order
-        (the walls of the minimal gallery of that type).  Raises HeightBoundTooSmall
-        when its highest root is above h; the memo keeps that height with the roots."""
+        """The inversion sequence beta_k = r_i1 ... r_i(k-1)(alpha_ik) of any word, in order
+        (the walls of the minimal gallery of that type), memoized per word.  Raises
+        HeightBoundTooSmall when its highest root is above h; the memo keeps that height."""
         out = self._inversion_cache.get(word)
         if out is None:
             roots = []
@@ -582,22 +555,12 @@ class RootGeneratingSystem:
             self._subtract_coroot(num, pairs, i, pairs[i])
         return None
 
-    def orbit_unwind(self, v: Vec, antidominant=False):
-        """Write v = w(v0) with v0 (anti)dominant and w the minimal coset rep.
-
-        Repeatedly reflects at the least index whose pairing has the wrong
-        sign; the collected word is reduced and minimal in w W_{v0}.  Raises
-        FormatError when that takes more than _UNWIND_GUARD reflections, as it
-        does forever for a vector outside the Tits cone; in affine type the
-        level rule refuses such a vector before the first reflection.
-        """
-        num, pairs, den = self._integer_point(v)
-        w, v0, _ = self._unwound(num, pairs, den, antidominant)
-        return tuple(Fraction(x, den) for x in v0), w
-
     def _unwound(self, num, pairs, den, antidominant=False):
-        """orbit_unwind on an integer point of _integer_point, numerators over den: (w, v0's
-        numerators, v0's pairings), memoized on the numerators alone, as scaling changes no letter."""
+        """v = w(v0), v0 (anti)dominant and w the minimal coset rep, on an integer point of
+        _integer_point: (w, v0's numerators over den, v0's pairings), memoized on the numerators
+        alone, as scaling changes no letter.  FormatError when _unwind passes _UNWIND_GUARD
+        reflections, as it does outside the Tits cone, which in affine type the level rule
+        refuses before the first reflection."""
         key = (tuple(num), antidominant)
         out = self._unwind_cache.get(key)
         if out is None:
@@ -622,8 +585,9 @@ class RootGeneratingSystem:
 
     def coset_of_vector(self, xi: Vec, lam: Vec, antidominant=False) -> CosetRep:
         """The coset rep tau with tau(lambda) = xi, given xi in the orbit of lambda."""
-        lam2, rep = self.orbit_unwind(xi, antidominant=antidominant)
-        if lam2 != tuple(lam):
+        num, pairs, den = self._integer_point(xi)
+        rep, v0, _ = self._unwound(num, pairs, den, antidominant)
+        if (lam2 := tuple(Fraction(x, den) for x in v0)) != tuple(lam):
             raise FormatError("vector is not in the Weyl orbit of the shape")
         return CosetRep(rep, lam2)
 
@@ -657,11 +621,6 @@ class RootGeneratingSystem:
             self._roots_cache = [(sum(c), kept.get(c) or RealRoot(c, found[c])) for c in order]
             self._roots_cache_bound = h
         return [r for ht, r in self._roots_cache if ht <= h]
-
-    def relative_length(self, x: Vec, w: WeylElement, h: int) -> int:
-        """Number of inversion roots of w taking an integer value at x."""
-        den, pairs = self._pairings(x)
-        return sum(1 for beta in self._inversions(w.word, h) if beta.value(pairs) % den == 0)
 
     # -- type classification and the Tits cone ------------------------------
 
@@ -755,13 +714,13 @@ class RootGeneratingSystem:
     def tits_cone_membership(self, v: Vec, step_cap: int = _TITS_STEP_CAP):
         """Decide v in T; returns ("in", witness) / ("out", None) / ("unknown", None).
 
-        The witness w makes w(v) dominant.  Finite type: always in.  Affine
-        type: in iff the level of v is positive or every pairing of v is 0,
-        decided without unwinding; the witness of "in" is then built by an
-        unwind, which for a tiny level against large pairings (such as
-        (4, 0, 6/1000000007) on A1^(1)) passes the guard of _UNWIND_GUARD
-        reflections and raises FormatError instead.  Indefinite type: in once
-        an unwind of at most step_cap reflections ends, "unknown" otherwise.
+        The witness w makes w(v) dominant.  Finite type: always in.  Affine type: in iff
+        the level of v is positive or every pairing of v is 0, decided without unwinding;
+        the witness of "in" is then built by an unwind.  For a tiny level against large
+        pairings, such as (4, 0, 6/1000000007) on A1^(1), that unwind and the one of
+        coset_of_vector, the two routes that still unwind such a point, pass the guard of
+        _UNWIND_GUARD reflections and raise FormatError.  Indefinite type: in once an
+        unwind of at most step_cap reflections ends, "unknown" otherwise.
         """
         num, pairs, den = self._integer_point(tuple(map(Fraction, v)))
         if self.classify_type() == "indefinite":

@@ -37,7 +37,7 @@ from heckepaths.root_system import dominance_difference
 from conftest import all_words, frac_vec
 from test_chain_reference import chain_targets, root_eval
 from test_path_reference import from_segments
-from test_system_reference import reflect_root
+from test_system_reference import ref_inversions, ref_pairing, reflect_root
 
 
 @contextlib.contextmanager
@@ -57,7 +57,7 @@ def dominant_shapes(system, rho_bound):
 
     for y in product(range(bound), repeat=system.rank_x):
         v = tuple(F(x) for x in y)
-        if system.is_dominant(v) and 0 < system.rho_value(v) <= rho_bound:
+        if all(ref_pairing(system, i, v) >= 0 for i in range(system.n)) and 0 < system.rho_value(v) <= rho_bound:
             out.append(v)
     return out
 
@@ -69,7 +69,7 @@ def suite_shapes(system):
         cands.append(
             tuple(a + b for a, b in zip(system.simple_coroots[0], system.simple_coroots[1]))
         )
-    return [v for v in cands if system.is_dominant(v)]
+    return [v for v in cands if all(ref_pairing(system, i, v) >= 0 for i in range(system.n))]
 
 
 def endpoint_box(system, lam):
@@ -118,7 +118,7 @@ def random_hecke_paths(system, shapes, count, seed, h=20):
         while True:
             rep = system.coset_of_vector(xi, lam).element
             times = set()
-            for beta in system.inversion_set(rep):
+            for beta in ref_inversions(system, rep.word)[0]:
                 slope = root_eval(system, beta, xi)
                 if slope == 0:
                     continue
@@ -342,7 +342,7 @@ def _fundamental_coweight(system):
 
     for y in product(range(-2, 3), repeat=system.rank_x):
         v = tuple(F(x) for x in y)
-        vals = [system.pairing(i, v) for i in range(system.n)]
+        vals = [ref_pairing(system, i, v) for i in range(system.n)]
         if sorted(vals) == [0] * (system.n - 1) + [1]:
             return v
     raise AssertionError("no fundamental-type coweight found")

@@ -48,7 +48,7 @@ from heckepaths.paths import (
 
 from conftest import KERNEL_SYSTEMS, coroot_combination, frac_vec
 from strategies import fractions_in
-from test_system_reference import solve_linear, vdot_cov
+from test_system_reference import ref_act, ref_inversions, ref_pairing, solve_linear, vdot_cov
 
 # -- the Fraction reference ------------------------------------------------------
 
@@ -82,7 +82,7 @@ def ref_chain_candidates(system, shape, den, pairs, rep, xi, kind, a_j, h):
     system._inversions(rep.word, h)
     out = []
     blocked = set()
-    for beta in system.inversion_set(rep):
+    for beta in ref_inversions(system, rep.word)[0]:
         if beta.value(pairs) % den:
             blocked.add("vii" if kind == "hecke" else "ii")
             continue
@@ -135,8 +135,8 @@ def test_candidates_match_fraction_reference(name, shape_pairs, point_pairs, ext
     x = solve_linear(system.simple_roots, point_pairs[: system.n])
     x = x[:-1] + (x[-1] + extra,)  # off the span of the pairings in A1^(1)
     w = system.normalize_word([i % system.n for i in word])
-    rep = system.coset_of_vector(system.act(w, shape), shape).element
-    xi = system.act(rep, shape)
+    rep = system.coset_of_vector(ref_act(system, w.word, shape), shape).element
+    xi = ref_act(system, rep.word, shape)
     den, pairs = system._pairings(x)
     expect = _outcome(ref_chain_candidates, system, shape, den, pairs, rep, xi, kind, a_j, 20)
     num, lam_pairs, lam_den = system._integer_point(shape)
@@ -151,12 +151,12 @@ def test_candidates_match_fraction_reference(name, shape_pairs, point_pairs, ext
     assert [(beta, tuple(F(v, lam_den) for v in n), r) for beta, (n, _), r in cands] == expect[0]
     for _, (n, p), _ in cands:  # the pairings travel with the numerators
         v = tuple(F(c, lam_den) for c in n)
-        assert [F(c, lam[1]) for c in p] == [system.pairing(j, v) for j in range(system.n)]
+        assert [F(c, lam[1]) for c in p] == [ref_pairing(system, j, v) for j in range(system.n)]
 
 
 def test_ls_chain_without_breakpoint_time_is_a_format_error(a2):
     lam = frac_vec(1, 1)
-    longest = a2.act(a2.normalize_word((0, 1, 0)), lam)
+    longest = ref_act(a2, (0, 1, 0), lam)
     with pytest.raises(FormatError, match="breakpoint time a_j"):
         find_chain(a2, longest, lam, a2.zero(), lam, kind="ls")
     with pytest.raises(FormatError, match="breakpoint time a_j"):
@@ -164,7 +164,7 @@ def test_ls_chain_without_breakpoint_time_is_a_format_error(a2):
     # the Hecke kind keeps a_j = None, stamped as t = 0
     cert = find_chain(a2, longest, lam, a2.zero(), lam)
     assert cert is not None and cert.t == 0
-    assert find_chain(a2, a2.act(a2.normalize_word((0,)), lam), lam, a2.zero(), lam, kind="ls", a_j=F(1)) is not None
+    assert find_chain(a2, ref_act(a2, (0,), lam), lam, a2.zero(), lam, kind="ls", a_j=F(1)) is not None
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
@@ -258,10 +258,10 @@ def _check_certificate(system, shape, cert):
     """xis against the Fraction vectors of the former walk: xi_0 = tau_0(shape) and
     xi_k = r_(beta_k)(xi_(k-1)), each tau_k(shape); ==, hash and repr as for the
     certificate built from those vectors.  Hashing comes first, before xis is read."""
-    xis = [system.act(cert.cosets[0], shape)]
+    xis = [ref_act(system, cert.cosets[0].word, shape)]
     for beta, rep in zip(cert.roots, cert.cosets[1:]):
         xis.append(reflect_by_root(system, beta, xis[-1]))
-        assert xis[-1] == system.act(rep, shape)
+        assert xis[-1] == ref_act(system, rep.word, shape)
     ref = ChainCertificate(cert.t, cert.kind, cert.roots, tuple(xis), cert.cosets)
     assert "xis" not in vars(cert)  # built on first read, not by the walk
     assert hash(cert) == hash(ref) and cert == ref and repr(cert) == repr(ref)

@@ -20,6 +20,7 @@ from heckepaths.model import enumerate_hecke
 from heckepaths.paths import is_ls, make_path, stats, straight_path
 
 from conftest import frac_vec
+from test_system_reference import ref_inversions
 
 
 @pytest.fixture()
@@ -48,7 +49,7 @@ class TestMinimalGallery:
         g = minimal_gallery(a2, frac_vec(0, 0), (0, 1, 0))
         w = a2.normalize_word((0, 1, 0))
         assert [g.step_root(j).coeffs for j in range(1, 4)] == [
-            b.coeffs for b in a2.inversion_set(w)
+            b.coeffs for b in ref_inversions(a2, w.word)[0]
         ]
 
 

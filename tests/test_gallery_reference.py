@@ -43,7 +43,8 @@ from heckepaths.galleries import (
 from heckepaths.model import enumerate_hecke
 from heckepaths.paths import _breakpoint_chains, _piece_before, ddim_events, eval_path
 
-from test_system_reference import reflect_root
+from test_chain_reference import root_eval
+from test_system_reference import ref_act, ref_inversions, ref_pairing, reflect_root
 from test_wall_events_reference import ref_falling_wall_events
 
 # -- the reference -------------------------------------------------------------
@@ -145,7 +146,8 @@ def ref_galleries_of_type(system, z, word, target_direction):
     def extend(chambers, folds):
         j = len(chambers) - 1
         if j == len(word):
-            if system.is_dominant(system.act(system.inverse(chambers[-1]), target_direction)):
+            v = ref_act(system, system.inverse(chambers[-1]).word, target_direction)
+            if all(ref_pairing(system, i, v) >= 0 for i in range(system.n)):
                 out.append(GalleryAtPoint(system, z, word, tuple(chambers), frozenset(folds)))
             return
         i = word[j]
@@ -193,7 +195,8 @@ def ref_codim_tilde(decorated, h=20):
     path = decorated.path
     sys_ = path.system
     have = {t for t, _ in decorated.galleries}
-    total = sys_.relative_length(tuple(path.start), path.directions[0], h)
+    roots, _ = ref_inversions(sys_, path.directions[0].word)
+    total = sum(1 for beta in roots if root_eval(sys_, beta, path.start).denominator == 1)
     total += sum(ref_neg_count(g) for _, g in decorated.galleries)
     for t, roots in ref_falling_wall_events(sys_, path._vertex_pairings[0], path._pieces(), h, at_end=False):
         if 0 < t and t not in have:

@@ -24,7 +24,7 @@ from heckepaths.root_system import RootGeneratingSystem, _along, _coroot_gap, do
 
 from conftest import KERNEL_SYSTEMS, coroot_combination, frac_vec, group_elements
 from test_path_reference import from_segments, segments
-from test_system_reference import solve_linear
+from test_system_reference import ref_act, ref_coroot_coordinates, ref_pairing, ref_unwind, solve_linear
 
 
 class TestGenerateLS:
@@ -86,7 +86,7 @@ class TestMultiplicity:
         table = generate_ls_paths(a2, frac_vec(2, 1)).endpoint_counts()
         for mu, count in table.items():
             for el in group_elements(a2, 3):
-                img = a2.act(el, mu)
+                img = ref_act(a2, el.word, mu)
                 if img in table:
                     assert table[img] == count
 
@@ -202,12 +202,12 @@ class TestFreudenthal:
 
 def ref_freudenthal_multiplicity(system, lam, mu, cache=None):
     """The Fraction oracle freudenthal_multiplicity replaced: every raised weight becomes a
-    Fraction vector again, unwound by orbit_unwind and tested for Y on its coordinates, and
-    the denominator solves lam - nu by coroot_coordinates; the cache is keyed by dominant
-    Fraction vectors."""
+    Fraction vector again, unwound by ref_unwind and tested for Y on its coordinates, and
+    the denominator solves lam - nu by ref_coroot_coordinates; the cache is keyed by
+    dominant Fraction vectors."""
     lam = tuple(F(x) for x in lam)
     mu = tuple(F(x) for x in mu)
-    if not system.is_dominant(lam) or any(x.denominator != 1 for x in lam):
+    if any(ref_pairing(system, i, lam) < 0 for i in range(system.n)) or any(x.denominator != 1 for x in lam):
         raise NotDominant("Freudenthal needs a dominant highest weight in Y")
     ctx = (system, _DualData(system), lam, system._integer_point(lam), {} if cache is None else cache)
     return _ref_weight_mult(ctx, mu)
@@ -217,7 +217,7 @@ def _ref_weight_mult(ctx, nu):
     system = ctx[0]
     if system._outside_by_level(system._pairings(nu)[1]):
         return 0
-    dom, _ = system.orbit_unwind(nu)
+    dom, _ = ref_unwind(system, nu, False)
     if any(x.denominator != 1 for x in dom):
         return 0
     return _ref_dominant_mult(ctx, dom)
@@ -250,7 +250,7 @@ def _ref_dominant_mult(ctx, nu):
             if m:
                 total += root_mult * m * dual.pair(coeffs, upper)
             k += 1
-    coords = system.coroot_coordinates(tuple(a - b for a, b in zip(lam, nu)))
+    coords = ref_coroot_coordinates(system.simple_coroots, tuple(a - b for a, b in zip(lam, nu)))
     denom = dual.pair(coords, _along(lamp, (1, 1), nup)) + 2 * sum(c * d for c, d in zip(coords, dual.dsym))
     if denom <= 0:
         raise CrossCheckMismatch(f"Freudenthal denominator {denom} at ({','.join(format_vector(nu))}) is not positive")
@@ -458,7 +458,7 @@ def test_witnesses_carry_the_rows_of_a_fresh_path(name):
     origin = (0,) * system.rank_x
     count = 0
     for lam in shapes:
-        assert 0 in [system.pairing(j, frac_vec(*lam)) for j in range(system.n)]
+        assert 0 in [ref_pairing(system, j, frac_vec(*lam)) for j in range(system.n)]
         ys = targets or sorted({p.endpoint for p in generate_ls_paths(system, lam).nodes})
         for w in (w for y1 in ys for w in enumerate_hecke(system, lam, origin, y1)):
             received = {k: vars(w.path)[k] for k in ("_shape_point", "_direction_rows", "_vertex_rows")}
@@ -524,7 +524,7 @@ def _weyl_dimension(system, lam):
     """Weyl's dimension formula for the module whose crystal the LS paths of shape lam
     form: the product over the positive roots beta of beta(lam + rho^v) / beta(rho^v),
     alpha_j(rho^v) = 1.  It is right only if the closure finds every positive root."""
-    pairs = [system.pairing(j, lam) for j in range(system.n)]
+    pairs = [ref_pairing(system, j, lam) for j in range(system.n)]
     dim = F(1)
     for beta in system.real_roots_up_to_height(math.inf):
         dim *= F(sum(c * (p + 1) for c, p in zip(beta.coeffs, pairs)), beta.height)
@@ -543,7 +543,7 @@ def test_weyl_dimension_formula_counts_the_crystal(name, shape):
 def test_weyl_dimension_formula_of_2_rho():
     # lam = 2 rho^v in A3, (3, 4, 3) in the coroot basis: each of the six factors is 3
     system = RootGeneratingSystem.from_gcm(WEYL_GCMS["A3"])
-    assert [system.pairing(j, frac_vec(3, 4, 3)) for j in range(3)] == [2, 2, 2]
+    assert [ref_pairing(system, j, frac_vec(3, 4, 3)) for j in range(3)] == [2, 2, 2]
     assert _weyl_dimension(system, frac_vec(3, 4, 3)) == 3**6
 
 
@@ -553,7 +553,7 @@ def _fundamental_coweight(system):
 
     for y in product(range(-2, 3), repeat=system.rank_x):
         v = tuple(F(x) for x in y)
-        vals = [system.pairing(i, v) for i in range(system.n)]
+        vals = [ref_pairing(system, i, v) for i in range(system.n)]
         if sorted(vals) == [0] * (system.n - 1) + [1]:
             return v
     raise AssertionError("no fundamental-type coweight found")
@@ -601,20 +601,20 @@ class TestCosetsUpToLength:
         system = RootGeneratingSystem.from_gcm(entries)
         for pairs in shapes:
             lam = solve_linear(system.simple_roots, frac_vec(*pairs))
-            assert [system.pairing(j, lam) for j in range(system.n)] == list(pairs)
+            assert [ref_pairing(system, j, lam) for j in range(system.n)] == list(pairs)
             point = system._integer_point(lam)
             got = {}
             for num, (p, rep) in _cosets_up_to_length(system, point, max_len).items():
                 v = tuple(F(x, point[2]) for x in num)
                 pairs_den = point[2] // system._cden
-                assert [F(a, pairs_den) for a in p] == [system.pairing(j, v) for j in range(system.n)]
+                assert [F(a, pairs_den) for a in p] == [ref_pairing(system, j, v) for j in range(system.n)]
                 got[v] = rep
             for v, rep in got.items():
                 assert system.coset_of_vector(v, lam).element == rep and rep.length <= max_len
             # every orbit vector whose rep is short enough, from the group elements up to that length
             expect = set()
             for w in group_elements(system, max_len):
-                v = system.act(w, lam)
+                v = ref_act(system, w.word, lam)
                 if system.coset_of_vector(v, lam).length <= max_len:
                     expect.add(v)
             assert set(got) == expect

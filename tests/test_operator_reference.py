@@ -28,14 +28,14 @@ from conftest import frac_vec
 from strategies import fractions_in
 from test_path_reference import from_segments, segments
 from test_paths import ref_point
-from test_system_reference import solve_linear
+from test_system_reference import ref_pairing, solve_linear
 
 # -- the reference -------------------------------------------------------------
 
 
 def _profile(path, i):
     """Per-segment values of alpha_i along the path: (t0, t1, u0, u1)."""
-    us = [path.system.pairing(i, ref_point(path, k)) for k in range(path.r + 1)]
+    us = [ref_pairing(path.system, i, ref_point(path, k)) for k in range(path.r + 1)]
     return list(zip(path.breakpoints, path.breakpoints[1:], us, us[1:]))
 
 

@@ -5,12 +5,13 @@ minimal coset rep per piece: ``straight_path`` from one integer unwind of
 lambda, ``concat`` from one integer unwind of each direction row of its two
 paths.  The reference below is the former constructor, ``from_segments``:
 it scales each piece's ``Fraction`` derivative by the piece's duration,
-unwinds every displacement with ``orbit_unwind`` and re-sums the shape from
-their dominant (or antidominant) conjugates.  ``segments`` lists a path's
-pieces as (t0, t1, derivative) triples for it.  Both routes must give the same
-shape, start, coset reps and breakpoints, or raise the same error, on A2, B2,
-G2, A3, A1^(1) and B2 on rational roots and coroots: non-dominant lambda,
-mixed signs, constant paths and central A1^(1) directions.
+unwinds the integer point of every displacement with ``_unwound`` and
+re-sums the shape from their dominant (or antidominant) conjugates.
+``segments`` lists a path's pieces as (t0, t1, derivative) triples for it.
+Both routes must give the same shape, start, coset reps and breakpoints, or
+raise the same error, on A2, B2, G2, A3, A1^(1) and B2 on rational roots and
+coroots: non-dominant lambda, mixed signs, constant paths and central A1^(1)
+directions.
 
 Other tests build their raw-piece paths through ``from_segments`` and
 ``segments`` from this module, and take from it the ``Fraction`` vector
@@ -77,7 +78,11 @@ def from_segments(system: RootGeneratingSystem, start, segments, antidominant=Fa
         displacements.append(disp)
     if not displacements:
         return _from_reps(system, system.zero(), start, [(IDENTITY, ONE)])
-    doms = [system.orbit_unwind(disp, antidominant=antidominant) for disp in displacements]
+    doms = []
+    for disp in displacements:
+        num, pairs, den = system._integer_point(disp)
+        w, dom, _ = system._unwound(num, pairs, den, antidominant)
+        doms.append((tuple(Fraction(x, den) for x in dom), w))
     shape = system.zero()
     for dom, _ in doms:
         shape = vadd(shape, dom)
@@ -202,18 +207,18 @@ def test_concat_of_central_directions_equals_the_segments_route(a1aff, a, b):
 
 
 def test_construction_route_unwinds_nothing(monkeypatch):
-    # straight_path and concat unwind the integer points they already hold; so do
-    # the top path of the crystal and enumerate_hecke's answer for the zero shape
+    # straight_path and concat unwind the integer points they already hold, not a
+    # Fraction vector; so do the top path of the crystal and enumerate_hecke's answer
+    # for the zero shape
     calls = []
     for gcm, lam in (([[2, -1], [-1, 2]], frac_vec(2, 1)), ([[2, -2], [-2, 2]], frac_vec(0, 0, 1))):
         system = RootGeneratingSystem.from_gcm(gcm)  # its own instance, patched below
-        for name in ("orbit_unwind", "coset_of_vector"):
 
-            def counting(*args, _name=name, _f=getattr(system, name), **kwargs):
-                calls.append(_name)
-                return _f(*args, **kwargs)
+        def counting(*args, _f=system.coset_of_vector, **kwargs):
+            calls.append("coset_of_vector")
+            return _f(*args, **kwargs)
 
-            monkeypatch.setattr(system, name, counting)
+        monkeypatch.setattr(system, "coset_of_vector", counting)
         zero = system.zero()
         top = straight_path(system, lam)
         bent = straight_path(system, system.simple_reflection(0, lam), lam)  # a non-dominant lambda

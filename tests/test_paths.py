@@ -31,15 +31,15 @@ from heckepaths.paths import (
     straight_path,
 )
 from heckepaths.model import enumerate_hecke, freudenthal_multiplicity, generate_ls_paths, multiplicity
-from heckepaths.root_system import WeylElement
+from heckepaths.galleries import minimal_gallery
+from heckepaths.root_system import WeylElement, dominance_difference
 
 from conftest import KERNEL_SYSTEMS, frac_vec
 from strategies import fractions_in
 from test_chain_reference import CANDIDATE_SYSTEMS, chain_targets, root_eval
 from test_model import WITNESS_ROW_CASES
 from test_path_reference import from_segments, segments, vadd, vscale
-from test_root_system import ref_act
-from test_system_reference import nullspace, solve_linear, vdot_cov
+from test_system_reference import nullspace, ref_act, ref_inversions, ref_unwind, solve_linear, vdot_cov
 
 
 @pytest.fixture()
@@ -328,7 +328,7 @@ class TestSerialization:
 
 
 def ref_derivative(path, k):
-    return path.system.act(path.directions[k], path.shape)
+    return ref_act(path.system, path.directions[k].word, path.shape)
 
 
 def ref_point(path, j):
@@ -355,7 +355,7 @@ def ref_stats(path):
     sys_ = path.system
     candidates = set()
     for w in path.directions:
-        candidates.update(sys_.inversion_set(w))
+        candidates.update(ref_inversions(sys_, w.word)[0])
     pos, neg, pos_rev, neg_rev = {}, {}, {}, {}
     cur = tuple(path.start)
     for k in range(path.r):
@@ -464,7 +464,7 @@ def test_stats_on_integer_shapes_and_starts(name, coords, anti, start, words, cu
     # reads dim off the chain candidates only for a dominant shape with integral ends,
     # and the antidominant shapes and the rational breakpoints fall back to the closure
     system = FINITE_SYSTEMS[name]
-    dom = system.orbit_unwind(tuple(map(F, coords[: system.n])))[0]
+    dom = ref_unwind(system, tuple(map(F, coords[: system.n])), False)[0]
     shape = tuple(-x for x in dom) if anti else dom
     bps = sorted(cuts - {0, 1})[: len(words) - 1]
     words = [[i % system.n for i in w] for w in words[: len(bps) + 1]]
@@ -569,13 +569,12 @@ def test_vectors_of_the_wrong_rank_are_refused(a2, bad):
         lambda: make_path(a2, bad(lam), frac_vec(0, 0), [()], [0, 1]),
         lambda: straight_path(a2, lam, bad(frac_vec(0, 0))),
         lambda: straight_path(a2, bad(lam)),
-        lambda: a2.act(w, bad(frac_vec(1, 2))),
-        lambda: a2.orbit_unwind(bad(frac_vec(1, 2))),
+        lambda: a2._integer_point(bad(frac_vec(1, 2))),
+        lambda: a2.simple_reflection(0, bad(frac_vec(1, 2))),
+        lambda: a2.coset_of_vector(bad(frac_vec(1, 2)), lam),
         lambda: a2.tits_cone_membership(bad(frac_vec(1, 2))),
-        lambda: a2.relative_length(bad(frac_vec(1, 2)), w, 5),
-        lambda: a2.coroot_coordinates(bad(frac_vec(1, 2))),
-        lambda: a2.pairing(0, bad(frac_vec(1, 2))),
-        lambda: a2.is_dominant(bad(frac_vec(1, 2))),
+        lambda: minimal_gallery(a2, bad(frac_vec(1, 2)), w),
+        lambda: dominance_difference(a2, lam, bad(frac_vec(1, 2))),
         lambda: a2.rho_value(bad(frac_vec(1, 2))),
         lambda: generate_ls_paths(a2, bad(frac_vec(1, 1))),
         lambda: multiplicity(a2, frac_vec(1, 1), bad(frac_vec(0, 0))),
@@ -707,8 +706,9 @@ def test_vertex_pairings_match_root_eval(name, pairs, start, words, cuts):
             assert F(beta.value(row), den) == value
             assert (beta.value(row) % den == 0) is (value.denominator == 1)
         for w in path.directions:
-            expect = sum(1 for b in system.inversion_set(w) if root_eval(system, b, x).denominator == 1)
-            assert system.relative_length(x, w, 20) == expect
+            # the relative length, as codim_tilde counts it on row 0
+            expect = sum(1 for b in ref_inversions(system, w.word)[0] if root_eval(system, b, x).denominator == 1)
+            assert sum(1 for b in system._inversions(w.word, 20) if b.value(row) % den == 0) == expect
     for (w, t0, t1, p0, p1), k in zip(path._pieces(), range(path.r)):
         assert (w, t0, t1, p0, p1) == (path.directions[k], *path.breakpoints[k : k + 2], rows[k], rows[k + 1])
 

@@ -7,7 +7,7 @@ realization, ``RootGeneratingSystem`` scales its simple roots and coroots to
 integer rows once and computes every invariant from them: the realization
 check and both independence ranks, the symmetrizer, one elimination of the coroot matrix
 (which gives the pivot coordinates and integer inverse behind
-``coroot_coordinates``, and rho) and the leading principal minors behind
+``_coroot_solve``, and rho) and the leading principal minors behind
 ``classify_type``, read as the pivots of one fraction-free pass.  The
 references below are the former routes on ``Fraction`` values: the
 realization check by ``vdot_cov``, the symmetrizer solved on ``Fraction``
@@ -32,8 +32,12 @@ coefficients, scanning its columns for a non-positive one, and
 its letters as the coset rep's word, which must be that rep's normal form.
 
 ``reflect_root``, ``solve_linear`` and ``vdot_cov`` (the former ``Fraction``
-kernel of ``pairing``, ``is_dominant`` and ``rho_value``) live here now that
+kernel of the pairings, of dominance and of ``rho_value``) live here now that
 the library no longer calls them; other tests import them from this module.
+``ref_pairing``, ``ref_reflect``, ``ref_act`` and ``ref_unwind`` are here too:
+the Weyl action and the unwind on ``Fraction`` vectors, which the tests hold
+the library's integer kernels against; ``coroot_coordinates`` reads
+``_coroot_solve`` back as ``Fraction`` coefficients.
 So do ``row_reduce``, ``nullspace`` and ``scale_to_primitive_integers``, the
 former ``Fraction`` elimination helpers, still read off the library's
 ``_eliminate``, and the matrix strategies and minor-based rank that
@@ -251,6 +255,40 @@ def ref_rho(coroots):
     return sol
 
 
+def ref_pairing(system, i, v):
+    total = F(0)
+    for a, x in zip(system.simple_roots[i], v, strict=True):
+        total += F(a) * F(x)
+    return total
+
+
+def ref_reflect(system, i, v):
+    c = ref_pairing(system, i, v)
+    return tuple(F(x) - c * y for x, y in zip(v, system.simple_coroots[i]))
+
+
+def ref_act(system, word, v):
+    v = tuple(F(x) for x in v)
+    for i in reversed(word):
+        v = ref_reflect(system, i, v)
+    return v
+
+
+def ref_unwind(system, v, antidominant):
+    """Re-pair every coordinate after every reflection."""
+    cur = tuple(F(x) for x in v)
+    letters = []
+    while True:
+        for i in range(system.n):
+            p = ref_pairing(system, i, cur)
+            if (p > 0) if antidominant else (p < 0):
+                letters.append(i)
+                cur = ref_reflect(system, i, cur)
+                break
+        else:
+            return cur, tuple(letters)
+
+
 def ref_classify_type(a, d):
     """Sylvester's criterion by one row_reduce per leading principal minor,
     then the kernel of A."""
@@ -374,10 +412,17 @@ def reference_invariants(a, roots, coroots, vectors):
     return d, rho, ref_classify_type(a, d), coords, _outcome(ref_null_root_coeffs, a)
 
 
+def coroot_coordinates(system, v):
+    """The coefficients of v over the simple coroots, from _coroot_solve, or None."""
+    num, _, d = system._integer_point(v)
+    sol, den = system._coroot_solve(num)
+    return None if sol is None else tuple(F(c, d * den) for c in sol)
+
+
 def invariants(a, roots, coroots, vectors):
     system = RootGeneratingSystem(validate_gcm(a), roots, coroots)
     assert system._coroot_inverse[2] > 0  # _within_reach reads signs off the coefficients
-    coords = [system.coroot_coordinates(v) for v in vectors]
+    coords = [coroot_coordinates(system, v) for v in vectors]
     return (
         system.symmetrizer,
         system.rho,
@@ -573,7 +618,7 @@ def test_both_constructors_give_one_system(data):
     other = RootGeneratingSystem(validate_gcm(a), system.simple_roots, system.simple_coroots, names)
     assert _build_facts(system) == _build_facts(other)
     for v in data.draw(vectors(system.simple_coroots)):
-        assert system.coroot_coordinates(v) == other.coroot_coordinates(v)
+        assert coroot_coordinates(system, v) == coroot_coordinates(other, v)
 
 
 A2_FILE = {"cartan_matrix": CATALOG["A2"], "simple_roots": [[2, -1], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]]}
@@ -740,9 +785,10 @@ def test_unwind_words_are_the_minimal_reps_normal_forms(a, data):
     d = data.draw(st.lists(st.integers(0, 2), min_size=system.n, max_size=system.n))
     v0 = solve_linear(system.simple_roots, [F(sign * x) for x in d])
     w = system.normalize_word(data.draw(_words(system.n)))
-    v = system.act(w, v0)
-    dom, rep = system.orbit_unwind(v, antidominant=antidominant)
-    assert dom == v0 and system.act(rep, dom) == v
+    v = ref_act(system, w.word, v0)
+    num, pairs, den = system._integer_point(v)
+    rep, dom, _ = system._unwound(num, pairs, den, antidominant)
+    assert tuple(F(x, den) for x in dom) == v0 and ref_act(system, rep.word, v0) == v
     assert rep == ref_normalize_word(system, rep.word) and rep.length <= w.length
     # minimal in rep W_v0: no right descent among the simple reflections fixing v0
     for j in (j for j in range(system.n) if d[j] == 0):

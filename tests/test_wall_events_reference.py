@@ -35,6 +35,7 @@ from heckepaths.paths import _falling_wall_events, ddim_events, is_hecke, is_ls,
 from strategies import fractions_in
 from test_chain_reference import CANDIDATE_SYSTEMS
 from test_path_reference import _vector, paths
+from test_system_reference import ref_inversions
 
 
 def ref_falling_wall_events(sys_, den, pieces, h, at_end):
@@ -49,7 +50,7 @@ def ref_falling_wall_events(sys_, den, pieces, h, at_end):
         sys_._inversions(w.word, h)
         a, b = t0.numerator * t1.denominator, t0.denominator * t1.denominator
         c = t1.numerator * t0.denominator - a
-        for beta in sys_.inversion_set(w):
+        for beta in ref_inversions(sys_, w.word)[0]:
             u0, u1 = beta.value(p0), beta.value(p1)
             if u1 >= u0:
                 continue
