@@ -17,6 +17,7 @@ import functools
 import json
 import os
 import sys
+from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from . import galleries, model, paths
@@ -55,12 +56,10 @@ def _emit(report: dict, fmt: str, text_lines: list, dot: str | None = None):
 
 
 def _parse_point(text: str, system: RootGeneratingSystem):
-    coords = [parse_rational(p) for p in text.split(",")]
+    coords = tuple(map(parse_rational, text.split(",")))
     if len(coords) != system.rank_x:
-        raise FormatError(
-            f"expected {system.rank_x} comma-separated coordinates, got {len(coords)}"
-        )
-    return tuple(coords)
+        raise FormatError(f"expected {system.rank_x} comma-separated coordinates, got {len(coords)}")
+    return coords
 
 
 def _load_system(args) -> RootGeneratingSystem:
@@ -117,11 +116,8 @@ def cmd_check(args):
         "path": paths.path_to_json_dict(path),
     }
     if kind == "ls" and path.in_Y:
-        # ddim as is_ls read it: the roots of the path's ddim events
-        ddim = sum(len(roots) for _, roots in paths.ddim_events(path, args.h))
-        hecke = paths.is_hecke(path, args.h).ok
-        gap = path.system.rho_value(tuple(a - b for a, b in zip(path.shape, path.nu)))
-        report["cross_check"] = {"ddim": ddim, "rho_gap": format_rational(gap), "hecke": hecke}
+        ddim, hecke, (gap, scale) = paths._ls_cross_check(path, args.h)  # as is_ls read it
+        report["cross_check"] = {"ddim": ddim, "rho_gap": format_rational(Fraction(gap, scale)), "hecke": hecke}
     _emit(report, args.format, [f"{kind}: {'yes' if res.ok else 'no'}"] + ([res.reason] if res.reason else []))
     return 0 if res.ok else 1
 

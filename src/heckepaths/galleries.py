@@ -13,7 +13,6 @@ unfolded step leaves the positive side of its wall iff gamma_j is positive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import CrossCheckMismatch, FoldNotApplicable, FormatError, NotHecke
@@ -123,7 +122,7 @@ def minimal_gallery(system: RootGeneratingSystem, z, word) -> GalleryAtPoint:
     word = tuple(word.word) if isinstance(word, WeylElement) else tuple(word)
     if system.normalize_word(word).length != len(word):
         raise FormatError("gallery type must be a reduced word")
-    z = tuple(Fraction(x) for x in z)
+    z = tuple(map(parse_rational, z))
     return _gallery(system, z, word, (), system._pairings(z))
 
 
@@ -164,7 +163,7 @@ def galleries_of_type(system, z, word, target_direction):
     Folds are offered only at true walls with the repeated chamber on the
     positive side; ghost walls are always crossed.
     """
-    word, z = tuple(word), tuple(Fraction(x) for x in z)
+    word, z = tuple(map(system._index, word)), tuple(map(parse_rational, z))
     den, pairs = system._pairings(z)
     target = system._integer_point(target_direction)[:2]
     out, todo = [], [(0, IDENTITY, frozenset(), system._inversions(word))]

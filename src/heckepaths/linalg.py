@@ -1,7 +1,8 @@
-"""Rational literals and vectors at the API boundary, and exact elimination.
+"""Rational literals and vectors at the API boundary, JSON files, and exact elimination.
 
-Vectors cross the API as tuples of Fraction; inside the library they are
-integer points (see root_system).  The one elimination runs on integers.
+Every coordinate and time from outside is read by parse_rational; vectors cross the API
+as tuples of Fraction, inside the library they are integer points (see root_system).
+The one elimination runs on integers.
 
 >>> parse_rational("-3/4")
 Fraction(-3, 4)
@@ -11,22 +12,21 @@ Fraction(-3, 4)
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from math import lcm
 
 from .errors import FormatError
 
-Vec = tuple  # tuple[Fraction, ...] in spirit; plain ints are accepted on input
+Vec = tuple  # tuple[Fraction, ...] in spirit; ints and "p/q" strings are accepted on input
 
 
 def parse_rational(text) -> Fraction:
-    """Parse "p" or "p/q" (strings) or an int; floats are rejected."""
-    if isinstance(text, bool):
-        raise FormatError(f"not a rational literal: {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
+    """Parse "p" or "p/q" (strings), an int or a Fraction; FormatError for anything else."""
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, int) and not isinstance(text, bool):
+        return Fraction(text)
     if not isinstance(text, str):
         raise FormatError(f"not a rational literal: {text!r}")
     try:
@@ -53,6 +53,15 @@ def parse_vector(items) -> Vec:
 
 def format_vector(v: Vec) -> list:
     return [format_rational(x) for x in v]
+
+
+def _read_json(path, what: str):
+    """The JSON value in the file at path; FormatError naming what file it is if unreadable, not UTF-8 or not JSON."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:
+        raise FormatError(f"cannot read {what} file {path}: {exc}") from exc
 
 
 def _eliminate(rows):

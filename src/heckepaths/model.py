@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import CapHit, CrossCheckMismatch, FormatError, NotDominant, UnsupportedType
-from .linalg import Vec, format_vector
+from .linalg import Vec, format_vector, parse_rational
 from .paths import (
     LambdaPath,
     _chain_walk,
@@ -72,7 +72,7 @@ class CrystalGraph:
 
 def _crystal_shape(system: RootGeneratingSystem, lam) -> Vec:
     """lam as an exact vector, refused unless it is dominant and in Y."""
-    lam = tuple(Fraction(x) for x in lam)
+    lam = tuple(map(parse_rational, lam))
     _, pairs, den = system._integer_point(lam)
     if any(p < 0 for p in pairs):
         raise NotDominant("crystal generation needs a dominant shape")
@@ -124,7 +124,7 @@ def generate_ls_paths(system: RootGeneratingSystem, lam, depth_cap: int = 200) -
 def multiplicity(system: RootGeneratingSystem, lam, mu, depth_cap: int = 200, graph=None) -> int:
     """Number of LS paths of the given shape from 0 to mu."""
     lam = _crystal_shape(system, lam)
-    mu = tuple(Fraction(x) for x in mu)
+    mu = tuple(map(parse_rational, mu))
     diff = dominance_difference(system, lam, mu)
     if diff is None:
         return 0
@@ -187,7 +187,6 @@ def freudenthal_multiplicity(system: RootGeneratingSystem, lam, mu, cache=None) 
     """
     if system._rden != 1 or system._cden != 1:
         raise UnsupportedType("Freudenthal oracle needs integral simple roots and coroots")
-    lam, mu = (tuple(Fraction(x) for x in v) for v in (lam, mu))
     lamp = system._integer_point(lam)
     if any(p < 0 for p in lamp[1]) or lamp[2] != system._rden * system._cden:
         raise NotDominant("Freudenthal needs a dominant highest weight in Y")
@@ -304,7 +303,7 @@ def enumerate_hecke(system: RootGeneratingSystem, lam, y0, y1, h: int = 20):
     f(t1) = ((1 - t2) f(t2) + (t2 - t1) xi) / (1 - t1), a convex combination,
     so f(t2) in K_lam gives f(t1) in K_lam, and no witness is lost.
     """
-    lam, y0, y1 = (tuple(x if type(x) is Fraction else Fraction(x) for x in v) for v in (lam, y0, y1))
+    lam, y0, y1 = (tuple(map(parse_rational, v)) for v in (lam, y0, y1))
     lamp, y0p, y1p = map(system._integer_point, (lam, y0, y1))
     if any(p < 0 for p in lamp[1]):
         raise NotDominant("enumerate_hecke needs a dominant shape")

@@ -14,7 +14,6 @@ representative, which keeps the search finite and exhaustive.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +30,7 @@ from .errors import (
     OperatorUndefined,
     OutOfRange,
 )
-from .linalg import Vec, format_rational, format_vector, parse_vector
+from .linalg import Vec, _read_json, format_rational, format_vector, parse_rational, parse_vector
 from .root_system import IDENTITY, RootGeneratingSystem, WeylElement, _along
 
 ZERO = Fraction(0)
@@ -159,12 +158,12 @@ def make_path(system: RootGeneratingSystem, shape, start, direction_words, break
     """Build a path from a shape, direction words and breakpoint times; each piece's
     coset rep comes from one integer unwind of w(shape), and the path keeps the
     shape's integer point and each merged piece's w(shape) as its integer rows."""
-    shape = tuple(Fraction(x) for x in shape)
+    shape = tuple(map(parse_rational, shape))
     num, pairs, den = point = system._integer_point(shape)
     anti = any(p < 0 for p in pairs)
     if anti and any(p > 0 for p in pairs):
         raise NotDominant("path shape must be dominant (or antidominant)")
-    bps = [Fraction(b) for b in breakpoints]
+    bps = list(map(parse_rational, breakpoints))
     if len(bps) != len(direction_words) + 1 or bps[0] != 0 or bps[-1] != 1:
         raise FormatError("breakpoints must run from 0 to 1 with one piece per direction")
     if any(b1 <= b0 for b0, b1 in zip(bps, bps[1:])):
@@ -177,7 +176,7 @@ def make_path(system: RootGeneratingSystem, shape, start, direction_words, break
         if not pieces or pieces[-1][0] != rep:  # w(shape) = rep(shape): the row of a merged piece
             rows.append(row)
         pieces.append((rep, t))
-    path = _from_reps(system, shape, tuple(Fraction(x) for x in start), pieces)
+    path = _from_reps(system, shape, tuple(map(parse_rational, start)), pieces)
     vars(path).update(_shape_point=point, _direction_rows=tuple(rows))
     return path
 
@@ -185,9 +184,9 @@ def make_path(system: RootGeneratingSystem, shape, start, direction_words, break
 def straight_path(system: RootGeneratingSystem, lam, start=None) -> LambdaPath:
     """The one-piece path from start (0 by default) along lam: its shape is the dominant
     conjugate of lam, from one integer unwind of lam, which also gives the piece's rep."""
-    num, pairs, den = system._integer_point(tuple(Fraction(x) for x in lam))
+    num, pairs, den = system._integer_point(lam)
     w, dom, _ = system._unwound(num, pairs, den)
-    start = system.zero() if start is None else tuple(Fraction(x) for x in start)
+    start = system.zero() if start is None else tuple(map(parse_rational, start))
     return _from_reps(system, tuple(Fraction(x, den) for x in dom), start, [(w, ONE)])
 
 
@@ -197,7 +196,7 @@ def _piece_before(path: LambdaPath, t) -> int:
 
 
 def eval_path(path: LambdaPath, t) -> Vec:
-    t = Fraction(t)
+    t = parse_rational(t)
     if t < 0 or t > 1:
         raise OutOfRange(f"t = {t} outside [0, 1]")
     k = _piece_before(path, t)
@@ -359,13 +358,12 @@ def _walk_vectors(system, shape, x, xi_from, kind, a_j, h, xi_to=None):
         raise FormatError(f"unknown chain kind {kind!r}")
     if kind == "ls" and a_j is None:
         raise FormatError("an LS chain needs its breakpoint time a_j, and none was given")
-    shape = tuple(map(Fraction, shape))
-    start = system.coset_of_vector(tuple(map(Fraction, xi_from)), shape).element
-    target = None if xi_to is None else system.coset_of_vector(tuple(map(Fraction, xi_to)), shape).element
+    start = system.coset_of_vector(xi_from, shape).element
+    target = None if xi_to is None else system.coset_of_vector(xi_to, shape).element
     lam = system._integer_point(shape)
     xi = system._act_integers(start.word, *lam[:2])
-    t = Fraction(0 if a_j is None else a_j)
-    return _chain_walk(system, lam, system._pairings(tuple(map(Fraction, x))), xi, start, kind, t, h, target)
+    t = ZERO if a_j is None else parse_rational(a_j)
+    return _chain_walk(system, lam, system._pairings(x), xi, start, kind, t, h, target)
 
 
 def all_chains(system, shape, x, xi_from, xi_to, h, kind="hecke", a_j=None):
@@ -458,17 +456,21 @@ def is_ls(path: LambdaPath, h: int = 20) -> CheckResult:
         return CheckResult(True, ())
     result = _breakpoint_chains(path, "ls", h)[0]
     if path.in_Y:
-        # ddim as stats counts it: a root falling on a piece is an inversion root of its rep (dominant shape);
-        # gap is rho(lam - nu) k lden den, lam's numerators over lden and nu's over the vertex rows' den
-        (rho, k), (lam, _, lden), (den, rows, _) = path.system._rho, path._shape_point, path._vertex_rows
-        gap = sum(map(mul, rho, lam)) * den - sum(r * (b - a) for r, a, b in zip(rho, rows[0], rows[-1])) * lden
-        ddim = sum(len(roots) for _, roots in _ddim_walls(path, h)[1])
-        alt = is_hecke(path, h).ok and ddim * k * lden * den == gap
-        if alt != result.ok:
-            raise CrossCheckMismatch(
-                f"LS chain search says {result.ok}, Hecke+ddim characterization says {alt}"
-            )
+        ddim, hecke, (gap, scale) = _ls_cross_check(path, h)
+        if (hecke and ddim * scale == gap) != result.ok:
+            why = f"LS chain search says {result.ok}, Hecke+ddim characterization says {not result.ok}"
+            raise CrossCheckMismatch(why)
     return result
+
+
+def _ls_cross_check(path: LambdaPath, h: int):
+    """is_ls's second route on a path in Y, LS iff Hecke with ddim = rho(lam - nu): (ddim, the Hecke verdict,
+    (gap, scale)), computed in that order, rho(lam - nu) = gap / scale read off the integer rows.  ddim counts
+    the roots of the ddim events, as stats does for a dominant shape, where a falling root is an inversion root."""
+    ddim = sum(len(roots) for _, roots in _ddim_walls(path, h)[1])
+    (rho, k), (lam, _, lden), (den, rows, _) = path.system._rho, path._shape_point, path._vertex_rows
+    gap = sum(map(mul, rho, lam)) * den - sum(r * (b - a) for r, a, b in zip(rho, rows[0], rows[-1])) * lden
+    return ddim, is_hecke(path, h).ok, (gap, k * lden * den)
 
 
 # -- statistics ---------------------------------------------------------------
@@ -640,8 +642,7 @@ def root_operator(kind: str, i: int, path: LambdaPath) -> LambdaPath:
     """
     if kind not in ("e", "f", "etilde"):
         raise FormatError(f"unknown operator kind {kind!r}")
-    if not 0 <= i < path.system.n:
-        raise FormatError(f"generator index {i} out of range")
+    path.system._index(i)
     if not path.shape_is_dominant:
         raise NotDominant("root operators apply to dominant-shape paths")
     den, rows = path._vertex_pairings
@@ -723,9 +724,4 @@ def path_from_json_dict(system: RootGeneratingSystem, data: dict) -> LambdaPath:
 
 
 def load_path(system: RootGeneratingSystem, filename) -> LambdaPath:
-    try:
-        with open(filename, encoding="utf-8") as f:
-            data = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise FormatError(f"cannot read path file {filename}: {exc}") from exc
-    return path_from_json_dict(system, data)
+    return path_from_json_dict(system, _read_json(filename, "path"))

@@ -19,7 +19,6 @@ root height; equal group elements therefore always carry identical words.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -36,8 +35,10 @@ from .errors import (
 from .linalg import (
     Vec,
     _eliminate,
+    _read_json,
     format_vector,
     mat_rank,
+    parse_rational,
     parse_vector,
 )
 
@@ -164,7 +165,8 @@ class CosetRep:
 
 
 def _scaled_rows(vectors):
-    """The vectors as integer rows over the lcm of all their denominators: (rows, lcm)."""
+    """(rows, lcm): the vectors as integer rows over the lcm of their denominators, read by parse_rational."""
+    vectors = [list(map(parse_rational, v)) for v in vectors]
     den = lcm(*[x.denominator for v in vectors for x in v])
     return [[x.numerator * (den // x.denominator) for x in v] for v in vectors], den
 
@@ -226,11 +228,7 @@ class RootGeneratingSystem:
 
     def __init__(self, gcm: KacMoodyMatrix, simple_roots, simple_coroots, names=None):
         n = gcm.n
-        # exact entries; an int or a Fraction is taken as it is
-        roots, coroots = (
-            [[x if type(x) in (int, Fraction) else Fraction(x) for x in v] for v in vs]
-            for vs in (simple_roots, simple_coroots)
-        )
+        roots, coroots = list(simple_roots), list(simple_coroots)
         if not len(roots) == len(coroots) == n:
             raise FormatError(f"a rank {n} system needs {n} simple roots and as many coroots")
         rank_x = len(roots[0]) if n else 0
@@ -351,7 +349,7 @@ class RootGeneratingSystem:
     def simple_reflection(self, i: int, v: Vec) -> Vec:
         """r_i(v) = v - alpha_i(v) alpha_i^v."""
         num, pairs, den = self._integer_point(v)
-        self._subtract_coroot(num, pairs, i, pairs[i])
+        self._subtract_coroot(num, pairs, self._index(i), pairs[i])  # the index is checked before pairs[i]
         return tuple(Fraction(x, den) for x in num)
 
     def _integer_point(self, v: Vec):
@@ -360,7 +358,7 @@ class RootGeneratingSystem:
         With D the lcm of v's denominators, returns (num, pairs, den): num
         over den = D rden cden are the coordinates of v, and pairs over
         D rden its pairings alpha_j(v).  Raises FormatError unless v has
-        rank_x coordinates.
+        rank_x coordinates, each one that parse_rational reads.
         """
         if len(v) != self.rank_x:
             raise FormatError(f"vector has {len(v)} coordinates, system has rank {self.rank_x}")
@@ -404,7 +402,14 @@ class RootGeneratingSystem:
                 self._subtract_coroot(num, pairs, i, b * c)
         return num, pairs
 
+    def _index(self, i: int) -> int:
+        """i, refused with FormatError unless it is an int from 0 to n - 1 (not a bool)."""
+        if type(i) is not int or not 0 <= i < self.n:
+            raise FormatError(f"generator index {i} out of range")
+        return i
+
     def simple_root_obj(self, i: int) -> RealRoot:
+        i = self._index(i)
         e = tuple(1 if j == i else 0 for j in range(self.n))
         return RealRoot(e, e)
 
@@ -462,8 +467,8 @@ class RootGeneratingSystem:
         True
         """
         word = tuple(word)
-        for i in word:
-            if not 0 <= i < self.n:
+        for i in word:  # _index's rule, inline, and before the memo, where (1.0,) finds (1,)
+            if type(i) is not int or not 0 <= i < self.n:
                 raise FormatError(f"generator index {i} out of range")
         cached = self._norm_cache.get(word)
         if cached is not None:
@@ -521,7 +526,7 @@ class RootGeneratingSystem:
 
     def is_left_descent(self, i: int, w: WeylElement) -> bool:
         """True iff length(s_i w) < length(w)."""
-        return self._heights(w.word)[i] < 0
+        return self._heights(w.word)[self._index(i)] < 0
 
     def bruhat_leq(self, w: WeylElement, w2: WeylElement) -> bool:
         """Bruhat-Chevalley order, by the lifting property.
@@ -587,7 +592,7 @@ class RootGeneratingSystem:
         """The coset rep tau with tau(lambda) = xi, given xi in the orbit of lambda."""
         num, pairs, den = self._integer_point(xi)
         rep, v0, _ = self._unwound(num, pairs, den, antidominant)
-        if (lam2 := tuple(Fraction(x, den) for x in v0)) != tuple(lam):
+        if (lam2 := tuple(Fraction(x, den) for x in v0)) != tuple(map(parse_rational, lam)):
             raise FormatError("vector is not in the Weyl orbit of the shape")
         return CosetRep(rep, lam2)
 
@@ -722,7 +727,7 @@ class RootGeneratingSystem:
         _UNWIND_GUARD reflections and raise FormatError.  Indefinite type: in once an
         unwind of at most step_cap reflections ends, "unknown" otherwise.
         """
-        num, pairs, den = self._integer_point(tuple(map(Fraction, v)))
+        num, pairs, den = self._integer_point(v)
         if self.classify_type() == "indefinite":
             letters = self._unwind(num, pairs, False, step_cap)
             return ("unknown", None) if letters is None else ("in", self.normalize_word(letters[::-1]))
@@ -797,12 +802,7 @@ class RootGeneratingSystem:
 
     @classmethod
     def load(cls, path) -> "RootGeneratingSystem":
-        try:
-            with open(path, encoding="utf-8") as f:
-                data = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FormatError(f"cannot read system file {path}: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(_read_json(path, "system"))
 
     def __repr__(self):
         return f"RootGeneratingSystem({self.gcm.entries!r})"

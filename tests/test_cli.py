@@ -160,6 +160,16 @@ class TestStatuses:
         status, out, err = run(capsys, "check-hecke", "--system", files["a1"], "--path", str(bad))
         assert (status, out, err) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("kind", ["system", "path"])
+    def test_file_not_utf8_is_status_2(self, files, tmp_path, capsys, kind):
+        # used to end in a UnicodeDecodeError traceback with status 1, a domain "no"
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"cartan_matrix": [[2]], "names": ["\xe9"]}')
+        system, path = (str(bad), files["fold"]) if kind == "system" else (files["a1"], str(bad))
+        status, out, err = run(capsys, "check-hecke", "--system", system, "--path", path)
+        assert (status, out) == (2, "")
+        assert err.startswith(f"error: cannot read {kind} file {bad}: 'utf-8' codec can't decode byte 0xe9")
+
     @pytest.mark.parametrize(
         "roots, coroots, message",
         [

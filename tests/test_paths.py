@@ -15,6 +15,7 @@ from heckepaths.apartment import levels_crossed
 from heckepaths.errors import CrossCheckMismatch, FormatError, HPLError, NonLambdaPath, NotDominant, OutOfRange
 from heckepaths.paths import (
     LambdaPath,
+    _ls_cross_check,
     all_chains,
     concat,
     ddim_events,
@@ -269,6 +270,14 @@ class TestStats:
         gap = a2.rho_value(tuple(a - b for a, b in zip(theta_path.shape, theta_path.nu)))
         assert st.ddim == 1 and st.codim == 3 and gap == 2
         assert st.ddim <= gap <= st.codim
+
+    def test_ls_cross_check_against_rho_value(self, v_path, theta_path):
+        # is_ls and hpl check-ls read one cross-check: ddim, the Hecke verdict and rho(lam - nu)
+        for p in (v_path, theta_path):
+            ddim, hecke, (gap, scale) = _ls_cross_check(p, 20)
+            assert F(gap, scale) == p.system.rho_value(tuple(a - b for a, b in zip(p.shape, p.nu)))
+            assert (ddim, hecke) == (stats(p).ddim, is_hecke(p).ok)
+            assert is_ls(p).ok == (hecke and ddim == F(gap, scale))
 
     def test_tally_identities(self, v_path, theta_path):
         for p in (v_path, theta_path):

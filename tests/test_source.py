@@ -93,6 +93,7 @@ ENTRY_POINTS = {
     "bruhat_leq",  # RootGeneratingSystem: the Bruhat order
     "tits_cone_membership",  # RootGeneratingSystem: membership with its witness
     "simple_reflection",  # RootGeneratingSystem: perfbench/record.py calls it to record near-miss paths
+    "rho_value",  # RootGeneratingSystem: rho(v), against which the tests read check-ls's rho(lambda - nu) and the codim bounds
     "endpoint_counts",  # CrystalGraph: the weight table of the crystal
 }
 
@@ -177,3 +178,44 @@ def test_no_recursive_nested_functions():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 found += [f"{module.name}:{g.lineno} {g.name}" for g in _recursive_nested_functions(node)]
     assert not found, f"recursive nested functions in the library: {sorted(set(found))}"
+
+
+# Fraction calls on values from outside that are no conversion: each one's owner and why
+FRACTION_VIEWS = {
+    "RootGeneratingSystem.symmetrizer": "a Fraction view of the system's own integer symmetrizer",
+}
+
+
+def _fraction_conversions(tree):
+    """(owner, line) per call of Fraction on one argument that is not a literal, and per
+    map(Fraction, ...); owner is the top-level function, class or method around it."""
+    owner = {}
+    for top in tree.body:
+        scopes = [(top.name, top)] if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else []
+        if isinstance(top, ast.ClassDef):  # after the class, so that a method's name wins
+            scopes += [(f"{top.name}.{f.name}", f) for f in top.body if isinstance(f, ast.FunctionDef)]
+        for name, scope in scopes:
+            owner.update((id(n), name) for n in ast.walk(scope))
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+            continue
+        args = node.args
+        if node.func.id == "Fraction" and len(args) == 1 and not isinstance(args[0], ast.Constant):
+            yield owner.get(id(node), "<module>"), node.lineno
+        if node.func.id == "map" and args and isinstance(args[0], ast.Name) and args[0].id == "Fraction":
+            yield owner.get(id(node), "<module>"), node.lineno
+
+
+def test_outside_rationals_read_by_parse_rational_only():
+    # every coordinate and time from outside goes through linalg.parse_rational, which
+    # refuses a float, a bool or None; a Fraction(x) elsewhere would take a float silently
+    found, views = [], set()
+    for module in sorted(SRC.glob("*.py")):
+        if module.name != "linalg.py":
+            for owner, line in _fraction_conversions(ast.parse(module.read_text(encoding="utf-8"))):
+                if owner in FRACTION_VIEWS:
+                    views.add(owner)
+                else:
+                    found.append(f"{module.name}:{line} {owner}")
+    assert not found, f"conversions to Fraction outside linalg.parse_rational: {found}"
+    assert views == set(FRACTION_VIEWS)  # a listed view the library no longer has is stale
